@@ -37,11 +37,13 @@ from .models import (
 )
 from .ranges import (
     GateSchedule,
+    RangeCurve,
     RangeResult,
     RequiredDistance,
     accuracy_surface,
     decoder_range,
     delay_cycles,
+    range_curve,
     range_optimized_stopping_time,
     required_distance,
     sec_depth,
@@ -49,10 +51,12 @@ from .ranges import (
 )
 from .stopping import (
     InterruptedStats,
+    StoppingCurve,
     interrupted_distribution,
     interrupted_failure_bound,
     interrupted_failure_exact,
     significant_stopping_times,
+    stopping_curve,
 )
 from .trace import (
     EmpiricalRuntimeDistribution,
@@ -85,11 +89,13 @@ __all__ = [
     "InstantaneousRuntime",
     "InterruptedStats",
     "MinCostResult",
+    "RangeCurve",
     "RangeResult",
     "RequiredDistance",
     "RuntimeModel",
     "RuntimeTrace",
     "StoppingCandidate",
+    "StoppingCurve",
     "TraceIntegrityError",
     "TraceMetadata",
     "TraceParseError",
@@ -108,6 +114,7 @@ __all__ = [
     "make_reference_decoders",
     "min_spacetime_cost",
     "parse_trace",
+    "range_curve",
     "range_optimized_stopping_time",
     "required_distance",
     "sample_trace",
@@ -115,6 +122,7 @@ __all__ = [
     "significant_stopping_times",
     "spacetime_cost",
     "stopping_candidates",
+    "stopping_curve",
     "unencoded_range",
     "write_metadata",
     "write_trace_csv",

@@ -27,11 +27,13 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cost import compare_decoders, min_spacetime_cost
 from .errors import ConfigError, InfeasibleError
@@ -47,14 +49,10 @@ from .models import (
 from .ranges import (
     GateSchedule,
     accuracy_surface,
-    decoder_range,
-    delay_cycles,
+    range_curve,
     required_distance,
 )
-from .stopping import (
-    interrupted_failure_exact,
-    require_significant_stopping_times,
-)
+from .stopping import stopping_curve
 from .trace import (
     RuntimeTrace,
     build_distribution,
@@ -78,6 +76,50 @@ class RunConfig:
     seed: int = 0
 
 
+def _json_integer(value) -> int:
+    return integer(str(value))
+
+
+def _schedule_from_json(raw) -> GateSchedule:
+    if not isinstance(raw, dict):
+        raise ValueError(f"must be a JSON object, got {type(raw).__name__}")
+    known = [f.name for f in fields(GateSchedule)]
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(unknown)}; known: {', '.join(known)}")
+    return GateSchedule(**{key: _json_integer(value) for key, value in raw.items()})
+
+
+# Config file key -> (RunConfig field, parser of the JSON value).
+CONFIG_KEYS = {
+    "epsilon": ("epsilon", float),
+    "t_sec_ns": ("t_sec_ns", _json_integer),
+    "min_failure_events": ("min_failure_events", _json_integer),
+    "schedule": ("schedule", _schedule_from_json),
+    "format": ("output_format", str),
+    "seed": ("seed", _json_integer),
+}
+
+
+def _config_from_json(raw, path: str) -> RunConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(
+            f"unknown config key(s) in {path}: {', '.join(unknown)}; "
+            f"known: {', '.join(CONFIG_KEYS)}"
+        )
+    values = {}
+    for key, value in raw.items():
+        name, parse = CONFIG_KEYS[key]
+        try:
+            values[name] = parse(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r} in {path}: {exc}") from exc
+    return RunConfig(**values)
+
+
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if getattr(args, "config", None):
@@ -86,17 +128,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"invalid config JSON in {args.config}: {exc}") from exc
-        schedule = config.schedule
-        if "schedule" in raw:
-            schedule = GateSchedule(**raw["schedule"])
-        config = RunConfig(
-            epsilon=float(raw.get("epsilon", config.epsilon)),
-            t_sec_ns=int(raw.get("t_sec_ns", config.t_sec_ns)),
-            min_failure_events=int(raw.get("min_failure_events", config.min_failure_events)),
-            schedule=schedule,
-            output_format=str(raw.get("format", config.output_format)),
-            seed=int(raw.get("seed", config.seed)),
-        )
+        config = _config_from_json(raw, args.config)
     overrides = {}
     if getattr(args, "epsilon", None) is not None:
         overrides["epsilon"] = args.epsilon
@@ -140,7 +172,7 @@ def _json_safe(value):
 def render_table(
     command: str,
     columns: Sequence[str],
-    rows: Sequence[Sequence],
+    rows: Iterable[Sequence],
     fmt: str,
     extras: dict | None = None,
 ) -> str:
@@ -160,13 +192,19 @@ def render_table(
     return "\n".join(lines) + "\n"
 
 
-def _atomic_write(text: str, out_path: Path) -> None:
+@contextmanager
+def _atomic_path(out_path: Path) -> Iterator[str]:
+    """A temp file beside ``out_path``, renamed over it if the block succeeds.
+
+    The temp file comes from ``mkstemp``, so every output gets its 0600
+    mode; on any failure it is removed and ``out_path`` is left untouched.
+    """
     fd, tmp_name = tempfile.mkstemp(
         dir=out_path.parent, prefix=out_path.name, suffix=".tmp"
     )
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        yield tmp_name
         os.replace(tmp_name, out_path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -178,20 +216,48 @@ def emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        _atomic_write(text, Path(out))
+        with _atomic_path(Path(out)) as tmp_name:
+            Path(tmp_name).write_text(text)
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing helpers
 
 
+_INTEGER_RE = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
+# CPython's default limit on the digits of int(str); it also bounds the
+# exponent form, so "1e999999999" is refused instead of built.
+MAX_INTEGER_DIGITS = 4300
+
+
+def integer(text: str) -> int:
+    """Parse an integer argument strictly.
+
+    Accepts plain integers and ``1e6``-style values that are exactly
+    integral, computed in integers so nothing is lost above 2**53;
+    anything else (``1.7``, ``nan``, ``1e-3``) raises ``ValueError``.
+    """
+    match = _INTEGER_RE.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"invalid integer {text!r}")
+    sign, whole, fraction, exponent = match.groups()
+    digits = whole + (fraction or "")
+    shift = int(exponent or 0) - len(fraction or "")  # value = digits * 10**shift
+    if len(digits) + max(shift, 0) > MAX_INTEGER_DIGITS:
+        raise ValueError(f"invalid integer {text!r}: more than {MAX_INTEGER_DIGITS} digits")
+    if shift >= 0:
+        value = int(digits) * 10**shift
+    else:
+        # An n-digit mantissa is below 10**n, so any deeper shift leaves it
+        # all as remainder; capping the divisor keeps 1e-999999999 cheap.
+        value, rest = divmod(int(digits), 10 ** min(-shift, len(digits)))
+        if rest:
+            raise ValueError(f"invalid integer {text!r}: not a whole number")
+    return -value if sign == "-" else value
+
+
 def _parse_int_list(text: str) -> list[int]:
-    values = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        values.append(int(float(part)))
+    values = [integer(part) for part in text.split(",") if part.strip()]
     if not values:
         raise ValueError(f"empty integer list {text!r}")
     return values
@@ -207,7 +273,7 @@ def _parse_float_list(text: str) -> list[float]:
 def _parse_distances(text: str) -> list[int]:
     if ":" in text:
         lo_s, hi_s = text.split(":", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = integer(lo_s), integer(hi_s)
         distances = list(range(lo, hi + 1, 2))
     else:
         distances = _parse_int_list(text)
@@ -293,23 +359,22 @@ def cmd_trace_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _lazy_rows(*arrays) -> Iterator[tuple]:
+    """Rows of Python scalars, zipped lazily so no row list is built."""
+    return zip(*(a.tolist() for a in arrays))
+
+
 def cmd_stop(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
-    trace = _load_trace(args)
-    dist = build_distribution(trace)
-    rows = []
-    for m in (int(r) for r in dist.runtimes_ns):
-        stats = interrupted_failure_exact(dist, m)
-        rows.append(
-            [
-                m,
-                stats.timeout_probability,
-                stats.exact_failure_rate,
-                stats.upper_bound_rate,
-                stats.lower_bound_rate,
-                stats.failure_events,
-            ]
-        )
+    curve = stopping_curve(build_distribution(_load_trace(args)))
+    rows = _lazy_rows(
+        curve.stopping_time_ns,
+        curve.timeout_probability,
+        curve.exact_failure_rate,
+        curve.upper_bound_rate,
+        curve.lower_bound_rate,
+        curve.failure_events,
+    )
     columns = ["M_ns", "timeout_prob", "exact_rate", "upper_bound", "lower_bound", "failure_events"]
     emit(render_table("stop", columns, rows, config.output_format), args.out)
     return 0
@@ -318,30 +383,24 @@ def cmd_stop(args: argparse.Namespace) -> int:
 def cmd_range(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     trace = _load_trace(args)
-    dist = build_distribution(trace)
     d = trace.metadata.distance
     t_sec = args.t_sec_ns if args.t_sec_ns is not None else trace.metadata.sec_cycle_ns
-    rows = []
-    best = None
-    for m in require_significant_stopping_times(dist, config.min_failure_events):
-        stats = interrupted_failure_exact(dist, m)
-        result = decoder_range(
-            d,
-            m,
-            stats.exact_failure_rate,
-            config.epsilon,
-            t_sec_ns=t_sec,
-            schedule=config.schedule,
-        )
-        rows.append([m, delay_cycles(m, t_sec), stats.exact_failure_rate, result.n_T])
-        if best is None or result.n_T > best[1]:
-            best = (m, result.n_T)
+    curve = range_curve(
+        build_distribution(trace),
+        d,
+        config.epsilon,
+        t_sec_ns=t_sec,
+        min_events=config.min_failure_events,
+        schedule=config.schedule,
+    )
+    m, best = curve.optimum()
     extras = {
         "distance": d,
         "epsilon": config.epsilon,
-        "optimal_M_ns": best[0],
-        "optimal_range": best[1],
+        "optimal_M_ns": m,
+        "optimal_range": best.n_T,
     }
+    rows = _lazy_rows(curve.stopping_time_ns, curve.delay_cycles, curve.failure_rate, curve.n_T)
     columns = ["M_ns", "M_cycles", "exact_rate", "range"]
     emit(render_table("range", columns, rows, config.output_format, extras), args.out)
     return 0
@@ -453,6 +512,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     if args.out is None:
         raise ConfigError("synth requires --out for the trace file")
+    out_path = Path(args.out)
+    meta_path = out_path.with_suffix(".json")
+    if meta_path == out_path:
+        raise ConfigError(f"synth --out {args.out} would be overwritten by its .json sidecar")
     if args.model in ("quadratic", "linear"):
         quadratic, linear = make_reference_decoders(args.d, args.p)
         model = quadratic if args.model == "quadratic" else linear
@@ -465,21 +528,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
         model.failure,
         d=args.d,
         p=args.p,
-        shots=int(float(args.shots)),
+        shots=integer(args.shots),
         seed=config.seed,
         sec_cycle_ns=config.t_sec_ns,
     )
-    out_path = Path(args.out)
-    fd, tmp_name = tempfile.mkstemp(dir=out_path.parent, prefix=out_path.name, suffix=".tmp")
-    os.close(fd)
-    try:
-        write_trace_csv(trace, tmp_name, per_shot=args.per_shot)
-        os.replace(tmp_name, out_path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
-    write_metadata(trace.metadata, out_path.with_suffix(".json"))
+    # The sidecar is renamed into place first, so a reader never pairs a
+    # new trace with an old sidecar; either write failing leaves both as
+    # they were.
+    with _atomic_path(out_path) as trace_tmp, _atomic_path(meta_path) as meta_tmp:
+        write_trace_csv(trace, trace_tmp, per_shot=args.per_shot)
+        write_metadata(trace.metadata, meta_tmp)
     return 0
 
 
@@ -522,21 +580,21 @@ def cmd_required_distance(args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=float, default=None, help="logical circuit error budget (default 0.5)")
-    parser.add_argument("--t-sec-ns", dest="t_sec_ns", type=int, default=None, help="SEC cycle time in ns (default 1000)")
-    parser.add_argument("--min-events", dest="min_events", type=int, default=None, help="failure events needed for significance (default 20)")
+    parser.add_argument("--t-sec-ns", dest="t_sec_ns", type=integer, default=None, help="SEC cycle time in ns (default 1000)")
+    parser.add_argument("--min-events", dest="min_events", type=integer, default=None, help="failure events needed for significance (default 20)")
     parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format (default csv)")
     parser.add_argument("--out", default=None, help="output file (default stdout); written atomically")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed for synthetic sampling (default 0)")
+    parser.add_argument("--seed", type=integer, default=None, help="RNG seed for synthetic sampling (default 0)")
     parser.add_argument("--config", default=None, help="JSON settings file; flags take precedence")
 
 
 def _add_trace_inputs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", required=True, help="trace CSV (per-shot or histogram layout)")
     parser.add_argument("--meta", default=None, help="metadata sidecar JSON (default: trace path with .json)")
-    parser.add_argument("--distance", type=int, default=None, help="override metadata distance")
+    parser.add_argument("--distance", type=integer, default=None, help="override metadata distance")
     parser.add_argument("--p", type=float, default=None, help="override metadata physical error rate")
-    parser.add_argument("--shots", type=int, default=None, help="override metadata shot count")
-    parser.add_argument("--sec-cycle-ns", dest="sec_cycle_ns", type=int, default=None, help="override metadata SEC cycle time")
+    parser.add_argument("--shots", type=integer, default=None, help="override metadata shot count")
+    parser.add_argument("--sec-cycle-ns", dest="sec_cycle_ns", type=integer, default=None, help="override metadata SEC cycle time")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -562,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_range.set_defaults(func=cmd_range)
 
     p_surface = sub.add_parser("surface", help="range vs accuracy and stopping time")
-    p_surface.add_argument("--d", type=int, required=True, help="code distance")
+    p_surface.add_argument("--d", type=integer, required=True, help="code distance")
     p_surface.add_argument("--p", type=float, required=True, help="physical error rate")
     p_surface.add_argument("--alphas", default=None, help="comma list of accuracies (default 0.05..1.0)")
     p_surface.add_argument("--m-cycles", dest="m_cycles", default=None, help="comma list of stopping times in cycles")
@@ -573,9 +631,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mincost.add_argument("--decoder", default=None, help=f"decoder config JSON or one of {', '.join(BUILTIN_DECODERS)}")
     p_mincost.add_argument("--trace", default=None, help="trace CSV for a measured decoder")
     p_mincost.add_argument("--meta", default=None, help="metadata sidecar for --trace")
-    p_mincost.add_argument("--distance", type=int, default=None, help="override metadata distance")
-    p_mincost.add_argument("--shots", type=int, default=None, help="override metadata shot count")
-    p_mincost.add_argument("--sec-cycle-ns", dest="sec_cycle_ns", type=int, default=None, help="override metadata SEC cycle time")
+    p_mincost.add_argument("--distance", type=integer, default=None, help="override metadata distance")
+    p_mincost.add_argument("--shots", type=integer, default=None, help="override metadata shot count")
+    p_mincost.add_argument("--sec-cycle-ns", dest="sec_cycle_ns", type=integer, default=None, help="override metadata SEC cycle time")
     p_mincost.add_argument("--p", type=float, default=None, help="physical error rate (default 1e-3 or trace metadata)")
     p_mincost.add_argument("--nT", required=True, help="comma list of T-gate counts")
     p_mincost.add_argument("--distances", default=None, help="odd distances, e.g. 3:31 or 3,5,7 (default 3:31)")
@@ -593,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="sample a synthetic trace from a decoder model")
     p_synth.add_argument("--model", required=True, help="quadratic, linear, instantaneous, or a decoder config JSON")
-    p_synth.add_argument("--d", type=int, required=True, help="code distance")
+    p_synth.add_argument("--d", type=integer, required=True, help="code distance")
     p_synth.add_argument("--p", type=float, required=True, help="physical error rate")
     p_synth.add_argument("--shots", required=True, help="number of shots (accepts 1e6 style)")
     p_synth.add_argument("--per-shot", dest="per_shot", action="store_true", help="write per-shot rows instead of a histogram")
@@ -601,10 +659,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=cmd_synth)
 
     p_reqd = sub.add_parser("required-distance", help="smallest viable code distance for a workload")
-    p_reqd.add_argument("--nT", type=int, required=True, help="number of T gates")
+    p_reqd.add_argument("--nT", type=integer, required=True, help="number of T gates")
     p_reqd.add_argument("--p", type=float, default=None, help="physical error rate (default 1e-3)")
-    p_reqd.add_argument("--delay-ns", dest="delay_ns", type=int, default=0, help="decoding delay per T gate in ns")
-    p_reqd.add_argument("--d-max", dest="d_max", type=int, default=99, help="largest odd distance to try")
+    p_reqd.add_argument("--delay-ns", dest="delay_ns", type=integer, default=0, help="decoding delay per T gate in ns")
+    p_reqd.add_argument("--d-max", dest="d_max", type=integer, default=99, help="largest odd distance to try")
     _add_common(p_reqd)
     p_reqd.set_defaults(func=cmd_required_distance)
 

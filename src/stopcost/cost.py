@@ -31,8 +31,7 @@ from .models import (
     InstantaneousRuntime,
     binomial_survival,
 )
-from .ranges import GateSchedule, decoder_range, sec_depth
-from .stopping import interrupted_failure_exact, significant_stopping_times
+from .ranges import GateSchedule, decoder_range, range_curve, sec_depth
 
 QUANTILE_TAIL_EXPONENTS = range(1, 17)
 
@@ -142,13 +141,20 @@ def stopping_candidates(
     failure rate of the interrupted decoder and the resulting range.
     """
     runtime = decoder.runtime
-    points: list[tuple[int, float, str]] = []
     if isinstance(runtime, EmpiricalRuntime):
-        dist = runtime.distribution
-        for m in significant_stopping_times(dist, min_events):
-            stats = interrupted_failure_exact(dist, m)
-            points.append((m, stats.exact_failure_rate, "exact"))
-    elif isinstance(runtime, BinomialRuntime):
+        curve = range_curve(
+            runtime.distribution, d, epsilon, t_sec_ns, min_events, schedule
+        )
+        return [
+            StoppingCandidate(m, rate, n_T, "exact")
+            for m, rate, n_T in zip(
+                curve.stopping_time_ns.tolist(),
+                curve.failure_rate.tolist(),
+                curve.n_T.tolist(),
+            )
+        ]
+    points: list[tuple[int, float, str]] = []
+    if isinstance(runtime, BinomialRuntime):
         base = decoder.failure.rate(d, p)
         for units in _binomial_quantile_units(runtime):
             m_ns = units * runtime.unit_ns

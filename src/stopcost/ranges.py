@@ -14,12 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .models import FailureModel, HeuristicFailure
 from .stopping import (
     TraceLike,
     _as_distribution,
-    interrupted_failure_exact,
-    require_significant_stopping_times,
+    _insignificant,
+    significant_stopping_times,
+    stopping_curve,
 )
 
 RANGE_SATURATION_CAP = 10**18
@@ -56,6 +59,46 @@ class RangeResult:
     distance: int
     epsilon: float
     saturated: bool = False
+
+
+@dataclass(frozen=True)
+class RangeCurve:
+    """Decoder range at each significant stopping time of a trace, column-wise.
+
+    Row ``i`` holds what :func:`decoder_range` returns for
+    ``stopping_time_ns[i]`` at its exact interrupted failure rate.  The
+    rows are the stopping times with at least ``min_events`` failure
+    events, ascending; there may be none.
+    """
+
+    distance: int
+    epsilon: float
+    min_events: int
+    stopping_time_ns: np.ndarray
+    delay_cycles: np.ndarray
+    failure_rate: np.ndarray
+    n_T: np.ndarray
+    saturated: np.ndarray
+
+    def optimum(self) -> tuple[int, RangeResult]:
+        """The range-optimized stopping time and its range.
+
+        The first maximum wins, so ties break toward the smaller stopping
+        time.  Raises :class:`~stopcost.errors.InfeasibleError` when the
+        curve has no rows.
+        """
+        if self.n_T.size == 0:
+            raise _insignificant(self.min_events)
+        i = int(np.argmax(self.n_T))
+        m = int(self.stopping_time_ns[i])
+        return m, RangeResult(
+            n_T=int(self.n_T[i]),
+            stopping_time_ns=m,
+            failure_rate_used=float(self.failure_rate[i]),
+            distance=self.distance,
+            epsilon=self.epsilon,
+            saturated=bool(self.saturated[i]),
+        )
 
 
 @dataclass(frozen=True)
@@ -142,6 +185,13 @@ def required_distance(
     return RequiredDistance(distance=found, no_encoding_sufficient=no_encoding, d_max=d_max)
 
 
+def _validate_distance_epsilon(d: int, epsilon: float) -> None:
+    if d < 3 or d % 2 == 0:
+        raise ValueError(f"distance must be an odd integer >= 3, got {d}")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+
+
 def decoder_range(
     d: int,
     stopping_time_ns: int,
@@ -158,12 +208,9 @@ def decoder_range(
     useful integer ranges, so results at or above ``saturation_cap`` are
     clamped and flagged instead of silently returned.
     """
-    if d < 3 or d % 2 == 0:
-        raise ValueError(f"distance must be an odd integer >= 3, got {d}")
+    _validate_distance_epsilon(d, epsilon)
     if not 0.0 <= failure_rate <= 1.0:
         raise ValueError(f"failure rate must be in [0, 1], got {failure_rate}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     cycles = schedule.cycles_per_gate(d) + delay_cycles(stopping_time_ns, t_sec_ns)
     if failure_rate == 0.0:
         return RangeResult(
@@ -187,6 +234,49 @@ def decoder_range(
     )
 
 
+def range_curve(
+    data: TraceLike,
+    d: int,
+    epsilon: float,
+    t_sec_ns: int = 1000,
+    min_events: int = 20,
+    schedule: GateSchedule = GateSchedule(),
+    saturation_cap: int = RANGE_SATURATION_CAP,
+) -> RangeCurve:
+    """Decoder range at every significant stopping time of a trace.
+
+    Vectorised :func:`decoder_range` over the significant rows of
+    :func:`~stopcost.stopping.stopping_curve`, with the same operations in
+    the same order: ``(epsilon * d) / (rate * cycles)``, then floor, with
+    results at or above ``saturation_cap`` (or at a zero rate) clamped and
+    flagged.  Every value equals the scalar path's exactly.
+    """
+    _validate_distance_epsilon(d, epsilon)
+    if t_sec_ns < 1:
+        raise ValueError(f"t_sec_ns must be >= 1, got {t_sec_ns}")
+    dist = _as_distribution(data)
+    # Selecting through significant_stopping_times keeps one definition of
+    # significance; the second pass over the kept rows costs milliseconds.
+    curve = stopping_curve(dist, significant_stopping_times(dist, min_events))
+    m = curve.stopping_time_ns
+    delay = -(-m // t_sec_ns)
+    rate = curve.exact_failure_rate
+    with np.errstate(divide="ignore"):
+        raw = epsilon * d / (rate * (schedule.cycles_per_gate(d) + delay))
+    saturated = (rate == 0.0) | (raw >= saturation_cap)
+    floored = np.floor(np.where(saturated, 0.0, raw)).astype(np.int64)
+    return RangeCurve(
+        distance=d,
+        epsilon=epsilon,
+        min_events=min_events,
+        stopping_time_ns=m,
+        delay_cycles=delay,
+        failure_rate=rate,
+        n_T=np.where(saturated, saturation_cap, floored),
+        saturated=saturated,
+    )
+
+
 def range_optimized_stopping_time(
     data: TraceLike,
     d: int,
@@ -202,22 +292,7 @@ def range_optimized_stopping_time(
     :class:`~stopcost.errors.InfeasibleError` when no stopping time has
     enough failure events.
     """
-    dist = _as_distribution(data)
-    best: tuple[int, RangeResult] | None = None
-    for m in require_significant_stopping_times(dist, min_events):
-        stats = interrupted_failure_exact(dist, m)
-        result = decoder_range(
-            d,
-            m,
-            stats.exact_failure_rate,
-            epsilon,
-            t_sec_ns=t_sec_ns,
-            schedule=schedule,
-        )
-        if best is None or result.n_T > best[1].n_T:
-            best = (m, result)
-    assert best is not None
-    return best
+    return range_curve(data, d, epsilon, t_sec_ns, min_events, schedule).optimum()
 
 
 def accuracy_surface(

@@ -116,6 +116,56 @@ def interrupted_failure_bound(
     return upper, lower
 
 
+@dataclass(frozen=True)
+class StoppingCurve:
+    """Interrupted failure statistics at many stopping times, column-wise.
+
+    Row ``i`` holds the values :func:`interrupted_failure_exact` returns
+    for ``stopping_time_ns[i]``.
+    """
+
+    stopping_time_ns: np.ndarray
+    timeouts: np.ndarray
+    failure_events: np.ndarray
+    timeout_probability: np.ndarray
+    exact_failure_rate: np.ndarray
+    upper_bound_rate: np.ndarray
+    lower_bound_rate: np.ndarray
+
+
+def stopping_curve(data: TraceLike, stopping_times_ns=None) -> StoppingCurve:
+    """Interrupted failure statistics at every stopping time in one pass.
+
+    The stopping times default to the distinct observed runtimes; any other
+    values are read through one ``searchsorted`` (``t <= M`` completes).
+    Failure events are ``(shots - cum_total) + cum_failed`` and each rate is
+    a single division of integer counts, so while counts stay below 2**53
+    every float equals :func:`interrupted_failure_exact`'s bit for bit and
+    ``lower <= exact <= upper`` holds exactly.
+    """
+    dist = _as_distribution(data)
+    shots = dist.shots
+    if stopping_times_ns is None:
+        m = dist.runtimes_ns.copy()
+    else:
+        m = np.asarray(stopping_times_ns, dtype=np.int64)
+    idx = np.searchsorted(dist.runtimes_ns, m, side="right")
+    completed = np.concatenate(([0], dist.cum_total))[idx]
+    completed_failures = np.concatenate(([0], dist.cum_failed))[idx]
+    timeouts = shots - completed
+    events = timeouts + completed_failures
+    total_failures = int(dist.cum_failed[-1])
+    return StoppingCurve(
+        stopping_time_ns=m,
+        timeouts=timeouts,
+        failure_events=events,
+        timeout_probability=timeouts / shots,
+        exact_failure_rate=events / shots,
+        upper_bound_rate=np.minimum(1.0, (total_failures + timeouts) / shots),
+        lower_bound_rate=np.maximum(total_failures, timeouts) / shots,
+    )
+
+
 def significant_stopping_times(
     data: TraceLike,
     min_events: int = 20,
@@ -132,12 +182,17 @@ def significant_stopping_times(
     if min_events < 1:
         raise ValueError(f"min_events must be >= 1, got {min_events}")
     dist = _as_distribution(data)
-    candidates = sorted(set(int(r) for r in dist.runtimes_ns) | set(int(m) for m in extra_candidates))
-    return [
-        m
-        for m in candidates
-        if interrupted_failure_exact(dist, m).failure_events >= min_events
-    ]
+    extra = np.fromiter((int(m) for m in extra_candidates), dtype=np.int64)
+    candidates = np.union1d(dist.runtimes_ns, extra) if extra.size else None
+    curve = stopping_curve(dist, candidates)
+    return curve.stopping_time_ns[curve.failure_events >= min_events].tolist()
+
+
+def _insignificant(min_events: int) -> InfeasibleError:
+    return InfeasibleError(
+        f"no stopping time accumulates {min_events} failure events; "
+        "collect more shots or lower --min-events"
+    )
 
 
 def require_significant_stopping_times(
@@ -148,8 +203,5 @@ def require_significant_stopping_times(
     """Like :func:`significant_stopping_times` but raising when empty."""
     times = significant_stopping_times(data, min_events, extra_candidates)
     if not times:
-        raise InfeasibleError(
-            f"no stopping time accumulates {min_events} failure events; "
-            "collect more shots or lower --min-events"
-        )
+        raise _insignificant(min_events)
     return times

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from stopcost.cli import main
+from stopcost import GateSchedule, accuracy_surface
+from stopcost.cli import integer, main
 
 META = {"distance": 5, "physical_error_rate": 1e-3, "shots": 6, "sec_cycle_ns": 1000}
 
@@ -59,6 +60,38 @@ class TestSynth:
             "synth", "--model", "quadratic", "--d", "5", "--p", "1e-3",
             "--shots", "10", "--seed", "1",
         ]) == 2
+
+    def test_trace_and_sidecar_written_alike(self, tmp_path):
+        out = tmp_path / "t.csv"
+        out.write_text("stale\n")
+        out.chmod(0o644)
+        assert main([
+            "synth", "--model", "linear", "--d", "5", "--p", "1e-3",
+            "--shots", "100", "--seed", "1", "--per-shot", "--out", str(out),
+        ]) == 0
+        sidecar = tmp_path / "t.json"
+        assert out.stat().st_mode == sidecar.stat().st_mode
+        assert json.loads(sidecar.read_text())["shots"] == 100
+        assert len(read_csv_table(out.read_text())[1]) == 100
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.json"]
+
+    def test_out_colliding_with_sidecar_rejected(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert main([
+            "synth", "--model", "linear", "--d", "5", "--p", "1e-3",
+            "--shots", "10", "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("stopcost: error:")
+
+    @pytest.mark.parametrize("shots", ["1.7", "1e-1", "nan", "ten"])
+    def test_non_integral_shots_rejected(self, tmp_path, shots):
+        out = tmp_path / "t.csv"
+        assert main([
+            "synth", "--model", "linear", "--d", "5", "--p", "1e-3",
+            "--shots", shots, "--out", str(out),
+        ]) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTraceStats:
@@ -273,6 +306,96 @@ class TestConfigPrecedence:
         assert main([
             "surface", "--d", "9", "--p", "1e-3", "--config", str(cfg),
         ]) == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {"schedule": {"bogus": 1}},
+            {"schedule": [2, 2, 2, 1]},
+            {"schedule": {"h_cycles": 1.5}},
+            [0.25],
+            "settings",
+            {"epsilon": 0.25, "bogus": 1},
+            {"epsilon": [0.25]},
+            {"t_sec_ns": 1000.5},
+            {"seed": True},
+        ],
+    )
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys, content):
+        cfg = tmp_path / "settings.json"
+        cfg.write_text(json.dumps(content))
+        assert main([
+            "surface", "--d", "9", "--p", "1e-3", "--config", str(cfg),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("stopcost: error:")
+        assert captured.err.count("\n") == 1
+
+    def test_schedule_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "settings.json"
+        cfg.write_text(json.dumps({
+            "schedule": {"h_cycles": 1, "s_cycles": 1, "conditional_s_cycles": 1,
+                         "measure_cycles": 1},
+            "t_sec_ns": 1e3,
+        }))
+        assert main([
+            "surface", "--d", "15", "--p", "1e-3", "--alphas", "1",
+            "--m-cycles", "0", "--config", str(cfg),
+        ]) == 0
+        _, rows = read_csv_table(capsys.readouterr().out)
+        expected = accuracy_surface(15, 1e-3, 0.5, [1.0], [0], schedule=GateSchedule(1, 1, 1, 1))
+        assert rows[0][2] == str(expected[0][2])
+        assert expected != accuracy_surface(15, 1e-3, 0.5, [1.0], [0])
+
+
+class TestStrictIntegers:
+    @pytest.mark.parametrize(
+        "text, value",
+        [("7", 7), ("1e6", 10**6), ("1.5e3", 1500), (" 12 ", 12),
+         ("9007199254740993", 2**53 + 1), ("9.007199254740993e15", 2**53 + 1),
+         ("1e30", 10**30), ("-3", -3), ("120e-1", 12), ("0.00e-9", 0)],
+    )
+    def test_integral_values_accepted_exactly(self, text, value):
+        assert integer(text) == value
+
+    @pytest.mark.parametrize(
+        "text", ["1.7", "1e-3", "nan", "inf", "", "0x10", ".5", "1e5000", "1e-999999999"]
+    )
+    def test_other_values_rejected(self, text):
+        with pytest.raises(ValueError):
+            integer(text)
+
+    def test_fractional_nT_rejected(self, capsys):
+        assert main(["mincost", "--decoder", "instantaneous", "--nT", "1.7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("stopcost: error:")
+
+    def test_exponent_nT_accepted(self, capsys):
+        assert main([
+            "mincost", "--decoder", "linear", "--nT", "1e6", "--distances", "3:31",
+        ]) == 0
+        _, rows = read_csv_table(capsys.readouterr().out)
+        assert rows[0][0] == "1000000"
+
+    def test_nT_above_2_53_kept_exact(self, capsys):
+        assert main([
+            "mincost", "--decoder", "instantaneous", "--nT", "9007199254740993",
+            "--distances", "3:5",
+        ]) == 3
+        _, rows = read_csv_table(capsys.readouterr().out)
+        assert rows[0][0] == "9007199254740993"
+
+    def test_integer_flags_use_strict_parser(self, capsys):
+        assert main([
+            "surface", "--d", "1.5e1", "--p", "1e-3", "--alphas", "0.2", "--m-cycles", "0",
+        ]) == 0
+        _, rows = read_csv_table(capsys.readouterr().out)
+        assert rows[0][2] == "14285714"
+        with pytest.raises(SystemExit) as err:
+            main(["surface", "--d", "15.5", "--p", "1e-3"])
+        assert err.value.code == 2
 
 
 def test_usage_error_exits_2():
