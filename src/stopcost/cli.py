@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .cost import compare_decoders, min_spacetime_cost
+from .cost import compare_decoders, min_spacetime_costs
 from .errors import ConfigError, InfeasibleError
 from .models import (
     DecoderModel,
@@ -447,33 +447,25 @@ def cmd_mincost(args: argparse.Namespace) -> int:
         raise ConfigError("mincost requires exactly one of --decoder or --trace")
     factory, p, distances, t_sec, label = _mincost_inputs(args, config)
     n_T_values = _parse_int_list(args.nT)
-    rows = []
-    any_feasible = False
-    for n_T in n_T_values:
-        result = min_spacetime_cost(
-            factory,
-            p,
-            n_T,
-            distances,
-            config.epsilon,
-            t_sec_ns=t_sec,
-            schedule=config.schedule,
-            min_events=config.min_failure_events,
-        )
-        any_feasible = any_feasible or result.feasible
-        rows.append(
-            [
-                n_T,
-                result.cost if result.feasible else math.inf,
-                result.distance,
-                result.stopping_time_ns,
-            ]
-        )
+    results = min_spacetime_costs(
+        factory,
+        p,
+        n_T_values,
+        distances,
+        config.epsilon,
+        t_sec_ns=t_sec,
+        schedule=config.schedule,
+        min_events=config.min_failure_events,
+    )
+    rows = [
+        [n_T, r.cost if r.feasible else math.inf, r.distance, r.stopping_time_ns]
+        for n_T, r in zip(n_T_values, results)
+    ]
     rate_method = "exact" if getattr(args, "trace", None) else "upper_bound"
     extras = {"decoder": label, "physical_error_rate": p, "rate_method": rate_method}
     columns = ["n_T", "cost", "distance", "M_ns"]
     emit(render_table("mincost", columns, rows, config.output_format, extras), args.out)
-    if not any_feasible:
+    if not any(r.feasible for r in results):
         print(
             "stopcost: infeasible: no (distance, stopping time) pair reaches "
             "any requested n_T",
@@ -597,8 +589,16 @@ def _add_trace_inputs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sec-cycle-ns", dest="sec_cycle_ns", type=integer, default=None, help="override metadata SEC cycle time")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as one ``stopcost: error:`` line and exits 2,
+    without argparse's usage text."""
+
+    def error(self, message: str):
+        self.exit(2, f"stopcost: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="stopcost",
         description="Stopping-time, range, and spacetime-cost analysis for surface code decoders.",
     )

@@ -228,6 +228,29 @@ def _min_cost_over_table(
     return best
 
 
+def min_spacetime_costs(
+    decoder: DecoderModel | DecoderFactory,
+    p: float,
+    n_T_values: Sequence[int],
+    d_candidates: Sequence[int],
+    epsilon: float,
+    t_sec_ns: int = 1000,
+    schedule: GateSchedule = GateSchedule(),
+    min_events: int = 20,
+) -> list[MinCostResult]:
+    """:func:`min_spacetime_cost` for each workload in ``n_T_values``, in
+    order, from one candidate table built once."""
+    if not d_candidates:
+        raise ValueError("d_candidates must be nonempty")
+    for n_T in n_T_values:
+        if n_T < 1:
+            raise ValueError(f"n_T must be >= 1, got {n_T}")
+    table = _candidate_table(
+        decoder, p, d_candidates, epsilon, t_sec_ns, schedule, min_events
+    )
+    return [_min_cost_over_table(table, n_T, t_sec_ns, schedule) for n_T in n_T_values]
+
+
 def min_spacetime_cost(
     decoder: DecoderModel | DecoderFactory,
     p: float,
@@ -245,14 +268,9 @@ def min_spacetime_cost(
     factory mapping a distance to a model, returning None to skip
     distances it cannot describe (e.g. a trace measured at a single d).
     """
-    if not d_candidates:
-        raise ValueError("d_candidates must be nonempty")
-    if n_T < 1:
-        raise ValueError(f"n_T must be >= 1, got {n_T}")
-    table = _candidate_table(
-        decoder, p, d_candidates, epsilon, t_sec_ns, schedule, min_events
-    )
-    return _min_cost_over_table(table, n_T, t_sec_ns, schedule)
+    return min_spacetime_costs(
+        decoder, p, [n_T], d_candidates, epsilon, t_sec_ns, schedule, min_events
+    )[0]
 
 
 def compare_decoders(
@@ -274,19 +292,14 @@ def compare_decoders(
     n_T_values = sorted(set(int(n) for n in n_T_grid))
     if not n_T_values:
         raise ValueError("n_T grid must be nonempty")
-    table_a = _candidate_table(
-        decoder_a, p, d_candidates, epsilon, t_sec_ns, schedule, min_events
-    )
-    table_b = _candidate_table(
-        decoder_b, p, d_candidates, epsilon, t_sec_ns, schedule, min_events
-    )
+    results = [
+        min_spacetime_costs(
+            decoder, p, n_T_values, d_candidates, epsilon, t_sec_ns, schedule, min_events
+        )
+        for decoder in (decoder_a, decoder_b)
+    ]
     rows = []
-    for n_T in n_T_values:
-        a = _min_cost_over_table(table_a, n_T, t_sec_ns, schedule)
-        b = _min_cost_over_table(table_b, n_T, t_sec_ns, schedule)
-        if a.feasible and b.feasible:
-            ratio = a.cost / b.cost
-        else:
-            ratio = math.inf
+    for n_T, a, b in zip(n_T_values, *results):
+        ratio = a.cost / b.cost if a.feasible and b.feasible else math.inf
         rows.append(CompareRow(n_T=n_T, cost_a=a.cost, cost_b=b.cost, ratio=ratio))
     return rows

@@ -29,7 +29,9 @@ from .trace import (
     EmpiricalRuntimeDistribution,
     RuntimeTrace,
     TraceMetadata,
+    aggregate_runtimes,
     build_distribution,
+    merge_histograms,
     parse_trace,
 )
 
@@ -415,24 +417,15 @@ def sample_trace(
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rate = failure.rate(d, p)
-    totals: dict[int, list[int]] = {}
+    parts = []
     for chunk_index, start in enumerate(range(0, shots, SAMPLE_CHUNK_SHOTS)):
         n = min(SAMPLE_CHUNK_SHOTS, shots - start)
         runtimes, failed = _sample_chunk(runtime, rate, n, seed, chunk_index)
-        distinct, inverse = np.unique(runtimes, return_inverse=True)
-        counts = np.bincount(inverse, minlength=distinct.size)
-        fails = np.bincount(inverse, weights=failed, minlength=distinct.size)
-        for r, c, f in zip(distinct, counts, fails):
-            entry = totals.setdefault(int(r), [0, 0])
-            entry[0] += int(c)
-            entry[1] += int(f)
+        parts.append(aggregate_runtimes(runtimes, np.ones(n, dtype=np.int64), failed))
     metadata = TraceMetadata(
         distance=d, physical_error_rate=p, shots=shots, sec_cycle_ns=sec_cycle_ns
     )
-    runtimes_arr = np.array(sorted(totals), dtype=np.int64)
-    counts_arr = np.array([totals[r][0] for r in runtimes_arr], dtype=np.int64)
-    failed_arr = np.array([totals[r][1] for r in runtimes_arr], dtype=np.int64)
-    return RuntimeTrace(metadata, runtimes_arr, counts_arr, failed_arr)
+    return RuntimeTrace(metadata, *merge_histograms(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ stored aggregated by distinct runtime regardless of the input layout.
 The ``failed`` flag records failures of the *uninterrupted* decoder;
 timeout failures are derived later, per stopping time (see
 :mod:`stopcost.stopping`).
+
+Trace integers are ASCII digits only (``[0-9]+``) and must be below 2**63.
+A canonical file (the exact header on line 1, then only digits, commas
+and ``\n``, every field 1-18 digits, a final newline) is read block-wise
+with numpy; any other file is read by the row validator, which is the one
+definition of the grammar and the source of every line-numbered error.
 """
 
 from __future__ import annotations
@@ -36,6 +42,65 @@ PER_SHOT_HEADER = ("runtime_ns", "failed")
 HISTOGRAM_HEADER = ("runtime_ns", "count_total", "count_failed")
 
 METADATA_FIELDS = ("distance", "physical_error_rate", "shots", "sec_cycle_ns")
+
+INT64_MAX = 2**63 - 1
+
+# Bytes per read of the canonical fast path.  Blocks of 64 KiB keep the
+# parse of a 1e6-row per-shot trace at ~34 MiB peak RSS (1 MiB blocks:
+# ~67 MiB; the whole file: ~149 MiB) at no measurable cost in time.
+BLOCK_BYTES = 1 << 16
+# Per-shot runs of equal lines are written as repeated strings of at most
+# about this many bytes.
+WRITE_BYTES = 1 << 16
+
+# The canonical grammar: fields of 1-18 ASCII digits (so every value fits
+# int64), ',' between fields, '\n' after each row.
+_CANONICAL_DIGITS = 18
+_CANONICAL_BYTES = np.zeros(256, dtype=bool)
+_CANONICAL_BYTES[[ord(c) for c in "0123456789,\n"]] = True
+_CANONICAL_HEADERS = {
+    (",".join(header) + "\n").encode(): len(header)
+    for header in (PER_SHOT_HEADER, HISTOGRAM_HEADER)
+}
+# Longest canonical row: three 18-digit fields, two commas and '\n'.
+_CANONICAL_ROW_BYTES = 3 * _CANONICAL_DIGITS + 3
+# The separator bytes of one row, per field count.
+_ROW_SEPARATORS = {n: np.array([ord(",")] * (n - 1) + [ord("\n")]) for n in (2, 3)}
+# The row validator aggregates its rows in batches of this size.
+_VALIDATOR_BATCH_ROWS = 1 << 16
+
+
+def aggregate_runtimes(
+    runtimes: np.ndarray, totals: np.ndarray, failed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge (runtime, total, failed) rows into a sorted histogram.
+
+    Returns the distinct runtimes ascending with their summed shot and
+    failure counts; runtimes whose total is 0 are dropped.  Sums are exact
+    int64: callers keep the sum of ``totals`` below 2**63.
+    """
+    runtimes = np.asarray(runtimes, dtype=np.int64)
+    totals = np.asarray(totals, dtype=np.int64)
+    failed = np.asarray(failed, dtype=np.int64)
+    if runtimes.size == 0:
+        return runtimes, totals, failed
+    order = np.argsort(runtimes, kind="stable")
+    runtimes = runtimes[order]
+    starts = np.flatnonzero(np.concatenate(([True], runtimes[1:] != runtimes[:-1])))
+    totals = np.add.reduceat(totals[order], starts)
+    failed = np.add.reduceat(failed[order], starts)
+    keep = totals > 0
+    return runtimes[starts][keep], totals[keep], failed[keep]
+
+
+def merge_histograms(
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`aggregate_runtimes` over the rows of several aggregated parts."""
+    if not parts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    return aggregate_runtimes(*(np.concatenate(column) for column in zip(*parts)))
 
 
 @dataclass(frozen=True)
@@ -105,15 +170,12 @@ class RuntimeTrace:
         cls, metadata: TraceMetadata, records: Iterable[tuple[int, bool]]
     ) -> "RuntimeTrace":
         """Aggregate an iterable of (runtime_ns, failed) pairs."""
-        totals: dict[int, list[int]] = {}
-        for runtime, failed in records:
-            entry = totals.setdefault(int(runtime), [0, 0])
-            entry[0] += 1
-            entry[1] += bool(failed)
-        runtimes = np.array(sorted(totals), dtype=np.int64)
-        counts = np.array([totals[r][0] for r in runtimes], dtype=np.int64)
-        failed = np.array([totals[r][1] for r in runtimes], dtype=np.int64)
-        return cls(metadata, runtimes, counts, failed)
+        pairs = np.array([(int(r), bool(f)) for r, f in records], dtype=np.int64)
+        pairs = pairs.reshape(-1, 2)
+        return cls(
+            metadata,
+            *aggregate_runtimes(pairs[:, 0], np.ones(len(pairs), np.int64), pairs[:, 1]),
+        )
 
     @property
     def record_count(self) -> int:
@@ -285,24 +347,30 @@ def load_metadata(
 
 
 def _parse_int(value: str, name: str, line: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
+    """A trace integer: ASCII digits, with a ``-`` sign let through only so
+    that the caller's range check names a negative value."""
+    digits = value[1:] if value[:1] == "-" else value
+    if not (digits.isascii() and digits.isdigit()):
         raise TraceParseError(f"{name} must be an integer, got {value!r}", line)
+    if len(digits) > 19:  # int() refuses over 4300 digits, leading zeros included
+        digits = digits.lstrip("0") or "0"
+    number = int(digits) if len(digits) <= 19 else INT64_MAX + 1
+    if number > INT64_MAX:
+        raise TraceParseError(f"{name} must be below 2**63", line)
+    return -number if value[:1] == "-" else number
 
 
-def parse_trace(
+def _validated_columns(
     path: str | Path,
-    meta_path: str | Path | None = None,
-    overrides: Mapping[str, object] | None = None,
-) -> RuntimeTrace:
-    """Parse a per-shot or histogram trace CSV into a :class:`RuntimeTrace`.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row validator: parse any accepted trace layout row by row.
 
-    The layout is detected from the header row.  Comment lines start with
-    ``#``.  Metadata comes from the sidecar JSON at ``meta_path`` plus any
-    overrides; all four fields are mandatory.
+    This is the one definition of the trace grammar; every parse error
+    names its line.  Returns the aggregated histogram columns.
     """
-    totals: dict[int, list[int]] = {}
+    parts = []
+    rows: list[tuple[int, int, int]] = []
+    shots = 0
     header: Sequence[str] | None = None
     with open(path, newline="") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
@@ -326,7 +394,7 @@ def parse_trace(
             runtime = _parse_int(cells[0], "runtime_ns", line_no)
             if runtime < 0:
                 raise TraceParseError(f"runtime_ns must be >= 0, got {runtime}", line_no)
-            if header == PER_SHOT_HEADER:
+            if len(header) == 2:
                 if cells[1] not in ("0", "1"):
                     raise TraceParseError(
                         f"failed flag must be 0 or 1, got {cells[1]!r}", line_no
@@ -341,37 +409,130 @@ def parse_trace(
                         f"({total}, {failed})",
                         line_no,
                     )
-            entry = totals.setdefault(runtime, [0, 0])
-            entry[0] += total
-            entry[1] += failed
+            shots += total
+            if shots > INT64_MAX:
+                raise TraceParseError(
+                    "count_total summed over the trace must be below 2**63", line_no
+                )
+            rows.append((runtime, total, failed))
+            if len(rows) == _VALIDATOR_BATCH_ROWS:
+                parts.append(aggregate_runtimes(*np.array(rows, dtype=np.int64).T))
+                rows.clear()
     if header is None:
         raise TraceParseError("trace file has no header row")
-    totals = {r: tf for r, tf in totals.items() if tf[0] > 0}
-    if not totals:
+    if rows:
+        parts.append(aggregate_runtimes(*np.array(rows, dtype=np.int64).T))
+    return merge_histograms(parts)
+
+
+def _parse_block(
+    block: bytes, fields: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Rows of one block of whole canonical lines, or None if it is not canonical."""
+    buf = np.frombuffer(block, dtype=np.uint8)
+    if not _CANONICAL_BYTES[buf].all():
+        return None
+    seps = np.flatnonzero(buf < ord("0"))  # the ',' and '\n' bytes
+    if seps.size % fields or not (
+        buf[seps].reshape(-1, fields) == _ROW_SEPARATORS[fields]
+    ).all():
+        return None
+    lengths = np.diff(seps, prepend=-1) - 1
+    if lengths.min() < 1 or lengths.max() > _CANONICAL_DIGITS:
+        return None
+    values = np.fromstring(block[:-1].replace(b"\n", b","), dtype=np.int64, sep=",")
+    if values.size != seps.size:
+        return None
+    values = values.reshape(-1, fields)
+    runtimes = values[:, 0]
+    if fields == 2:
+        if lengths[1::2].max() != 1 or values[:, 1].max() > 1:
+            return None
+        totals, failed = np.ones(len(values), dtype=np.int64), values[:, 1]
+    else:
+        totals, failed = values[:, 1], values[:, 2]
+        if (failed > totals).any() or int(totals.max()) > INT64_MAX // len(values):
+            return None  # invalid, or its sum could overflow int64
+    return runtimes, totals, failed
+
+
+def _canonical_columns(
+    path: str | Path,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The fast path: the aggregated columns of a canonical trace file, read
+    in blocks of ``BLOCK_BYTES``, or None for any file that is not canonical."""
+    parts = []
+    shots = 0
+    with open(path, "rb") as fh:
+        fields = _CANONICAL_HEADERS.get(fh.readline(_CANONICAL_ROW_BYTES))
+        if fields is None:
+            return None
+        pending = b""
+        while chunk := fh.read(BLOCK_BYTES):
+            data = pending + chunk
+            cut = data.rfind(b"\n") + 1
+            pending = data[cut:]
+            if len(pending) > _CANONICAL_ROW_BYTES:
+                return None
+            if not cut:
+                continue
+            rows = _parse_block(data[:cut], fields)
+            if rows is None:
+                return None
+            shots += int(rows[1].sum())
+            if shots > INT64_MAX:
+                return None
+            parts.append(aggregate_runtimes(*rows))
+    if pending:
+        return None  # no final newline
+    return merge_histograms(parts)
+
+
+def parse_trace(
+    path: str | Path,
+    meta_path: str | Path | None = None,
+    overrides: Mapping[str, object] | None = None,
+) -> RuntimeTrace:
+    """Parse a per-shot or histogram trace CSV into a :class:`RuntimeTrace`.
+
+    The layout is detected from the header row.  Comment lines start with
+    ``#``.  Metadata comes from the sidecar JSON at ``meta_path`` plus any
+    overrides; all four fields are mandatory.  Canonical files are read
+    block-wise; every other file, and every error, goes through the row
+    validator.
+    """
+    columns = _canonical_columns(path)
+    if columns is None:
+        columns = _validated_columns(path)
+    if columns[0].size == 0:
         raise TraceParseError("trace file has no data rows")
     metadata = load_metadata(meta_path, overrides)
-    runtimes = np.array(sorted(totals), dtype=np.int64)
-    counts = np.array([totals[r][0] for r in runtimes], dtype=np.int64)
-    failed = np.array([totals[r][1] for r in runtimes], dtype=np.int64)
-    return RuntimeTrace(metadata, runtimes, counts, failed)
+    return RuntimeTrace(metadata, *columns)
 
 
 def write_trace_csv(
     trace: RuntimeTrace, path: str | Path, per_shot: bool = False
 ) -> None:
-    """Write a trace in histogram (default) or per-shot CSV layout."""
+    """Write a trace in histogram (default) or per-shot CSV layout.
+
+    Per-shot rows come out sorted by runtime, successes first, as
+    :meth:`RuntimeTrace.iter_records` yields them.
+    """
+    columns = zip(
+        trace.runtimes_ns.tolist(), trace.counts.tolist(), trace.failed_counts.tolist()
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if per_shot:
-            writer.writerow(PER_SHOT_HEADER)
-            for runtime, failed in trace.iter_records():
-                writer.writerow([runtime, int(failed)])
-        else:
-            writer.writerow(HISTOGRAM_HEADER)
-            for runtime, total, failed in zip(
-                trace.runtimes_ns, trace.counts, trace.failed_counts
-            ):
-                writer.writerow([int(runtime), int(total), int(failed)])
+        if not per_shot:
+            fh.write(",".join(HISTOGRAM_HEADER) + "\n")
+            fh.writelines(f"{r},{t},{f}\n" for r, t, f in columns)
+            return
+        fh.write(",".join(PER_SHOT_HEADER) + "\n")
+        for runtime, total, failed in columns:
+            for flag, repeat in ((0, total - failed), (1, failed)):
+                line = f"{runtime},{flag}\n"
+                step = max(1, WRITE_BYTES // len(line))
+                for done in range(0, repeat, step):
+                    fh.write(line * min(step, repeat - done))
 
 
 def write_metadata(metadata: TraceMetadata, path: str | Path) -> None:

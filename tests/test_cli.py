@@ -215,6 +215,20 @@ class TestMincostAndCompare:
         assert rows[0][1] == "378"
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mincost", "--decoder", "linear"],
+            ["compare", "--decoder-a", "linear", "--decoder-b", "quadratic"],
+        ],
+    )
+    def test_bad_workload_rejected_before_any_output(self, capsys, argv):
+        assert main(argv + ["--nT", "10,0"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "stopcost: error: n_T must be >= 1, got 0\n"
+
+
 class TestRequiredDistance:
     def test_reference_row(self, capsys):
         assert main(["required-distance", "--nT", "1000"]) == 0
@@ -402,3 +416,38 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["mincost"])  # missing required --nT
     assert err.value.code == 2
+
+
+class TestOneLineErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["surface", "--d", "15.5", "--p", "1e-3"], "argument --d: invalid integer value: '15.5'"),
+            (["surface", "--p", "1e-3"], "the following arguments are required: --d"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        ],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"stopcost: error: {message}")
+        assert out.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "runtime_ns,failed\n100000000000000000000,0\n",
+            "runtime_ns,count_total,count_failed\n5,9223372036854775807,0\n5,1,0\n",
+        ],
+    )
+    def test_oversized_trace_integer_is_one_line(self, tmp_path, capsys, text):
+        trace = tmp_path / "big.csv"
+        trace.write_text(text)
+        (tmp_path / "big.json").write_text(json.dumps(META))
+        assert main(["trace-stats", "--trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stopcost: error: line ")
+        assert err.count("\n") == 1

@@ -16,6 +16,7 @@ from stopcost import (
     compare_decoders,
     make_reference_decoders,
     min_spacetime_cost,
+    min_spacetime_costs,
     spacetime_cost,
     stopping_candidates,
 )
@@ -153,6 +154,29 @@ class TestMinSpacetimeCost:
             min_spacetime_cost(INSTANT, 1e-3, 1, [], 0.5)
         with pytest.raises(ValueError):
             min_spacetime_cost(INSTANT, 1e-3, 0, [3], 0.5)
+
+    def test_many_workloads_from_one_table(self, monkeypatch):
+        import stopcost.cost as cost_module
+
+        factory = lambda d: make_reference_decoders(d, 1e-3)[0]  # noqa: E731
+        distances = list(range(3, 16, 2))
+        n_T_values = [10**6, 1, 37, 1, 10**30, 5000]
+        expected = [
+            min_spacetime_cost(factory, 1e-3, n_T, distances, 0.5) for n_T in n_T_values
+        ]
+        builds = []
+        real_table = cost_module._candidate_table
+        monkeypatch.setattr(
+            cost_module,
+            "_candidate_table",
+            lambda *args: builds.append(args) or real_table(*args),
+        )
+        assert min_spacetime_costs(factory, 1e-3, n_T_values, distances, 0.5) == expected
+        assert len(builds) == 1
+        # Every workload is checked before the table is built.
+        with pytest.raises(ValueError, match="n_T must be >= 1, got 0"):
+            min_spacetime_costs(factory, 1e-3, [10, 0], distances, 0.5)
+        assert len(builds) == 1
 
 
 class TestCompareDecoders:

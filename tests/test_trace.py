@@ -1,8 +1,17 @@
+import csv
+import functools
+import io
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stopcost import trace as trace_module
 from stopcost import (
     ConfigError,
     RuntimeTrace,
@@ -11,6 +20,7 @@ from stopcost import (
     TraceParseError,
     build_distribution,
     parse_trace,
+    write_trace_csv,
 )
 
 META = {"distance": 5, "physical_error_rate": 1e-3, "shots": 3, "sec_cycle_ns": 1000}
@@ -223,3 +233,259 @@ def test_count_conservation_random_traces():
         dist = build_distribution(trace)
         assert int(dist.counts().sum()) == trace.metadata.shots
         assert int(dist.cum_total[-1]) == trace.metadata.shots
+
+
+# ---------------------------------------------------------------------------
+# Strict trace integers and oversized values
+
+
+@pytest.mark.parametrize("value", ["1_000", "+5", "٥", "1e3", "0x10", "5.0", ""])
+@pytest.mark.parametrize("layout", ["per_shot", "histogram"])
+def test_trace_integers_are_ascii_digits_only(tmp_path, layout, value):
+    if layout == "per_shot":
+        text = f"runtime_ns,failed\n500,0\n{value},1\n"
+    else:
+        text = f"runtime_ns,count_total,count_failed\n500,1,0\n600,{value},0\n"
+    trace_path, meta_path = write_inputs(tmp_path, text)
+    name = "runtime_ns" if layout == "per_shot" else "count_total"
+    with pytest.raises(TraceParseError, match=f"line 3: {name} must be an integer"):
+        parse_trace(trace_path, meta_path)
+
+
+def test_negative_runtime_keeps_its_message(tmp_path):
+    trace_path, meta_path = write_inputs(tmp_path, "runtime_ns,failed\n500,0\n-5,1\n")
+    with pytest.raises(TraceParseError, match="line 3: runtime_ns must be >= 0, got -5"):
+        parse_trace(trace_path, meta_path)
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("runtime_ns,failed\n500,0\n100000000000000000000,0\n", 3),
+        ("runtime_ns,failed\n9223372036854775808,0\n", 2),
+        ("runtime_ns,count_total,count_failed\n5,1" + "0" * 5000 + ",0\n", 2),
+    ],
+)
+def test_oversized_field_names_its_line(tmp_path, text, line):
+    trace_path, meta_path = write_inputs(tmp_path, text)
+    with pytest.raises(TraceParseError, match=f"line {line}: .* must be below 2\\*\\*63"):
+        parse_trace(trace_path, meta_path)
+
+
+def test_largest_int64_values_accepted(tmp_path):
+    big = 2**63 - 1
+    trace_path, meta_path = write_inputs(
+        tmp_path,
+        f"runtime_ns,count_total,count_failed\n{big},{big},0\n",
+        dict(META, shots=big),
+    )
+    trace = parse_trace(trace_path, meta_path)
+    assert trace.runtimes_ns.tolist() == [big] and trace.counts.tolist() == [big]
+
+
+@pytest.mark.parametrize("block_bytes", [trace_module.BLOCK_BYTES, 8])
+def test_count_sum_overflow_names_its_line(tmp_path, block_bytes):
+    # Ten 18-digit counts: every field is canonical, the sum passes 2**63 on row 10.
+    count = 10**18 - 1
+    text = "runtime_ns,count_total,count_failed\n" + f"5,{count},0\n" * 10
+    trace_path, meta_path = write_inputs(tmp_path, text)
+    with mock.patch.object(trace_module, "BLOCK_BYTES", block_bytes):
+        with pytest.raises(TraceParseError, match="line 11: count_total summed"):
+            parse_trace(trace_path, meta_path)
+
+
+# ---------------------------------------------------------------------------
+# The block-wise fast path against the row validator
+
+
+def _columns(trace_columns):
+    return tuple(np.asarray(c).tolist() for c in trace_columns)
+
+
+def _outcome(parse, path):
+    """A parse's columns, or its error type and message."""
+    try:
+        return _columns(parse(path))
+    except TraceParseError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _parse_columns(path, shots):
+    trace = parse_trace(path, None, dict(META, shots=shots))
+    return trace.runtimes_ns, trace.counts, trace.failed_counts
+
+
+def _validator_columns(path):
+    columns = trace_module._validated_columns(path)
+    if columns[0].size == 0:
+        raise TraceParseError("trace file has no data rows")
+    return columns
+
+
+def _dict_oracle(rows):
+    """Aggregate rows the way the row-by-row parser used to, through a dict."""
+    totals = {}
+    for runtime, total, failed in rows:
+        entry = totals.setdefault(runtime, [0, 0])
+        entry[0] += total
+        entry[1] += failed
+    kept = sorted((r, t, f) for r, (t, f) in totals.items() if t > 0)
+    return tuple([row[i] for row in kept] for i in range(3))
+
+
+def _canonical_text(layout, rows):
+    if layout == "per_shot":
+        return "runtime_ns,failed\n" + "".join(f"{r},{f}\n" for r, _, f in rows)
+    return "runtime_ns,count_total,count_failed\n" + "".join(
+        f"{r},{t},{f}\n" for r, t, f in rows
+    )
+
+
+@st.composite
+def trace_rows(draw):
+    """Unsorted rows with duplicate runtimes, zero counts and 18-digit values."""
+    layout = draw(st.sampled_from(["per_shot", "histogram"]))
+    runtime = st.one_of(st.integers(0, 40), st.integers(0, 10**18 - 1))
+    if layout == "per_shot":
+        row = st.tuples(runtime, st.just(1), st.integers(0, 1))
+    else:
+        count = st.one_of(st.integers(0, 5), st.integers(0, 10**17))
+        row = st.tuples(runtime, count, count).map(
+            lambda r: (r[0], max(r[1], r[2]), min(r[1], r[2]))
+        )
+    return layout, draw(st.lists(row, max_size=60))
+
+
+def _write(directory, name, data):
+    path = Path(directory) / name
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace_rows(), st.sampled_from([1, 7, 16, 64, 1 << 16]))
+def test_fast_path_equals_row_validator(case, block_bytes):
+    layout, rows = case
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        trace_module, "BLOCK_BYTES", block_bytes
+    ):
+        path = _write(tmp, "t.csv", _canonical_text(layout, rows))
+        fast = trace_module._canonical_columns(path)
+        assert fast is not None, "a canonical file must take the fast path"
+        assert _columns(fast) == _dict_oracle(rows)
+        assert _columns(fast) == _columns(trace_module._validated_columns(path))
+        parse = functools.partial(_parse_columns, shots=sum(t for _, t, _ in rows))
+        assert _outcome(parse, path) == _outcome(_validator_columns, path)
+
+
+def _variants(text):
+    """Non-canonical spellings of a canonical trace text, all meaning the same trace."""
+    header, *body = text.splitlines()
+    cells = [line.split(",") for line in body]
+    yield "crlf", text.replace("\n", "\r\n")
+    yield "spaces", "\n".join([header] + [", ".join(f" {c} " for c in row) for row in cells]) + "\n"
+    yield "quoted", "\n".join([header] + [",".join(f'"{c}"' for c in row) for row in cells]) + "\n"
+    middle = len(body) // 2
+    yield "comment", "\n".join([header, *body[:middle], "# a comment", *body[middle:]]) + "\n"
+    yield "blank line", "\n".join([header, *body[:middle], "", *body[middle:]]) + "\n"
+    yield "no final newline", text.rstrip("\n")
+    yield "leading comment", "# produced by a test\n" + text
+    yield "leading zeros", "\n".join([header] + [",".join("0" + c for c in row) for row in cells]) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace_rows(), st.sampled_from([1, 7, 64, 1 << 16]))
+def test_non_canonical_variants_parse_like_the_validator(case, block_bytes):
+    layout, rows = case
+    text = _canonical_text(layout, rows)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        trace_module, "BLOCK_BYTES", block_bytes
+    ):
+        parse = functools.partial(_parse_columns, shots=sum(t for _, t, _ in rows))
+        canonical = _outcome(parse, _write(tmp, "canonical.csv", text))
+        for name, variant in _variants(text):
+            path = _write(tmp, "variant.csv", variant)
+            if rows and name != "leading zeros":
+                assert trace_module._canonical_columns(path) is None, name
+            got = _outcome(parse, path)
+            assert got == _outcome(_validator_columns, path), name
+            if name != "leading zeros" or layout == "histogram":
+                assert got == canonical, name
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["abc", "1,2,3,4", "1_000,1", "+5,1", "1,", ",1", '"1,1', "1,١", "5,1,2"]
+    # Two rows whose extra and missing fields even out over the block:
+    + ["1,0,0\n1", "1,0,0,0\n1,0"],
+)
+@settings(max_examples=25, deadline=None)
+@given(trace_rows(), st.integers(0, 60), st.sampled_from([7, 1 << 16]))
+def test_malformed_row_deep_in_file_gives_validator_error(bad, case, position, block_bytes):
+    layout, rows = case
+    header, *body = _canonical_text(layout, rows).splitlines()
+    position = min(position, len(body))
+    body.insert(position, bad)
+    text = "\n".join([header, *body]) + "\n"
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        trace_module, "BLOCK_BYTES", block_bytes
+    ):
+        path = _write(tmp, "t.csv", text)
+        assert trace_module._canonical_columns(path) is None
+        got = _outcome(functools.partial(_parse_columns, shots=1), path)
+        assert got == _outcome(_validator_columns, path)
+        if bad != '"1,1':  # an open quote swallows the rest of the file
+            line = int(got[1].split(":")[0].removeprefix("line "))
+            assert position + 2 <= line <= position + 2 + bad.count("\n")
+
+
+# ---------------------------------------------------------------------------
+# Writers against a csv.writer oracle
+
+
+def _csv_writer_bytes(trace, per_shot):
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    if per_shot:
+        writer.writerow(["runtime_ns", "failed"])
+        for runtime, failed in trace.iter_records():
+            writer.writerow([runtime, int(failed)])
+    else:
+        writer.writerow(["runtime_ns", "count_total", "count_failed"])
+        for row in zip(trace.runtimes_ns, trace.counts, trace.failed_counts):
+            writer.writerow([int(v) for v in row])
+    return out.getvalue().encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 10**18), st.integers(1, 3000), st.integers(0, 3000)),
+        min_size=1,
+        max_size=20,
+    ),
+    st.sampled_from([1, 10, 100, 1 << 16]),
+    st.booleans(),
+)
+def test_writer_matches_csv_writer_oracle(rows, write_bytes, per_shot):
+    rows = {r: (t, min(f, t)) for r, t, f in rows}
+    runtimes = sorted(rows)
+    meta = TraceMetadata(
+        distance=5,
+        physical_error_rate=1e-3,
+        shots=sum(t for t, _ in rows.values()),
+        sec_cycle_ns=1000,
+    )
+    trace = RuntimeTrace(
+        meta,
+        np.array(runtimes),
+        np.array([rows[r][0] for r in runtimes]),
+        np.array([rows[r][1] for r in runtimes]),
+    )
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        trace_module, "WRITE_BYTES", write_bytes
+    ):
+        path = Path(tmp) / "t.csv"
+        write_trace_csv(trace, path, per_shot=per_shot)
+        assert path.read_bytes() == _csv_writer_bytes(trace, per_shot)
+        assert parse_trace(path, None, {**META, "shots": meta.shots}) == trace
