@@ -31,7 +31,6 @@ from .models import (
     InstantaneousRuntime,
     RuntimeModel,
     binomial_survival,
-    failure_rate,
     load_decoder_config,
     make_reference_decoders,
     sample_trace,
@@ -106,7 +105,6 @@ __all__ = [
     "compare_decoders",
     "decoder_range",
     "delay_cycles",
-    "failure_rate",
     "interrupted_distribution",
     "interrupted_failure_bound",
     "interrupted_failure_exact",

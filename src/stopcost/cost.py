@@ -109,21 +109,37 @@ def spacetime_cost(
     )
 
 
-def _binomial_quantile_units(runtime: BinomialRuntime) -> list[int]:
-    # Smallest M with P(T > M) <= 10**-k for each k, walking upward from
-    # the distribution mode.  Linear in the tail width, which suits the
-    # small-mean runtime laws used here; the uninterrupted maximum is
-    # always appended.
+def _binomial_quantile_units(runtime: BinomialRuntime) -> list[tuple[int, float]]:
+    # (M, P(T > M)) in units, sorted by M: the smallest M with
+    # P(T > M) <= 10**-k for each k, plus the uninterrupted maximum.  The
+    # computed survival S does not increase on [mode, n], so each M is found
+    # by galloping up from the previous one (the mode for k = 1) at offsets
+    # 1, 2, 4, ... and bisecting the last step: O(log width) survival
+    # calls per quantile, with the units an upward walk would give.
     n, q = runtime.trials, runtime.step_probability
-    targets = [10.0**-k for k in QUANTILE_TAIL_EXPONENTS]
-    units: list[int] = []
     m = min(n, int((n + 1) * q))
-    for target in targets:
-        while m < n and binomial_survival(n, q, m) > target:
-            m += 1
-        units.append(m)
-    units.append(n)
-    return sorted(set(units))
+    s = binomial_survival(n, q, m)
+    ladder = {n: 0.0}
+    for k in QUANTILE_TAIL_EXPONENTS:
+        target = 10.0**-k
+        if s > target:
+            lo, offset = m, 1
+            while True:  # ends by M = n, where the survival is 0
+                hi = min(n, m + offset)
+                s_hi = binomial_survival(n, q, hi)
+                if s_hi <= target:
+                    break
+                lo, offset = hi, 2 * offset
+            while hi - lo > 1:  # S(lo) > target >= S(hi)
+                mid = (lo + hi) // 2
+                s_mid = binomial_survival(n, q, mid)
+                if s_mid <= target:
+                    hi, s_hi = mid, s_mid
+                else:
+                    lo = mid
+            m, s = hi, s_hi
+        ladder[m] = s
+    return sorted(ladder.items())
 
 
 def stopping_candidates(
@@ -140,6 +156,22 @@ def stopping_candidates(
     Candidates come back sorted by stopping time, each carrying the
     failure rate of the interrupted decoder and the resulting range.
     """
+    return _stopping_candidates(
+        decoder, d, p, epsilon, t_sec_ns, schedule, min_events, ladders={}
+    )
+
+
+def _stopping_candidates(
+    decoder: DecoderModel,
+    d: int,
+    p: float,
+    epsilon: float,
+    t_sec_ns: int,
+    schedule: GateSchedule,
+    min_events: int,
+    ladders: dict[BinomialRuntime, list[tuple[int, float]]],
+) -> list[StoppingCandidate]:
+    # ``ladders`` memoises the binomial quantile ladder per runtime law.
     runtime = decoder.runtime
     if isinstance(runtime, EmpiricalRuntime):
         curve = range_curve(
@@ -155,11 +187,12 @@ def stopping_candidates(
         ]
     points: list[tuple[int, float, str]] = []
     if isinstance(runtime, BinomialRuntime):
+        if runtime not in ladders:
+            ladders[runtime] = _binomial_quantile_units(runtime)
         base = decoder.failure.rate(d, p)
-        for units in _binomial_quantile_units(runtime):
-            m_ns = units * runtime.unit_ns
-            rate = min(1.0, base + runtime.survival(m_ns))
-            points.append((m_ns, rate, "upper_bound"))
+        for units, survival in ladders[runtime]:
+            rate = min(1.0, base + survival)
+            points.append((units * runtime.unit_ns, rate, "upper_bound"))
     elif isinstance(runtime, InstantaneousRuntime):
         points.append((0, min(1.0, decoder.failure.rate(d, p)), "upper_bound"))
     else:
@@ -191,13 +224,16 @@ def _candidate_table(
         factory = lambda _d: decoder  # noqa: E731 - constant family
     else:
         factory = decoder
+    # One quantile ladder per runtime law, shared by every distance of
+    # this table (a fixed decoder has the same law at every distance).
+    ladders: dict[BinomialRuntime, list[tuple[int, float]]] = {}
     table: list[tuple[int, StoppingCandidate]] = []
     for d in sorted(set(d_candidates)):
         model = factory(d)
         if model is None:
             continue
-        for cand in stopping_candidates(
-            model, d, p, epsilon, t_sec_ns, schedule, min_events
+        for cand in _stopping_candidates(
+            model, d, p, epsilon, t_sec_ns, schedule, min_events, ladders
         ):
             table.append((d, cand))
     return table

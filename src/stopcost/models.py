@@ -131,11 +131,6 @@ class EmpiricalFailure:
 FailureModel = Union[HeuristicFailure, AccuracyScaledFailure, EmpiricalFailure]
 
 
-def failure_rate(model: FailureModel, d: int, p: float) -> float:
-    """Failure rate of the uninterrupted decoder at distance d and noise p."""
-    return model.rate(d, p)
-
-
 # ---------------------------------------------------------------------------
 # Binomial survival
 

@@ -360,6 +360,23 @@ def _parse_int(value: str, name: str, line: int) -> int:
     return -number if value[:1] == "-" else number
 
 
+def _records(fh) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV record of ``fh`` with the physical line it starts on (a
+    quoted field can span lines); a malformed record raises
+    :class:`TraceParseError` naming that line."""
+    reader = csv.reader(fh)
+    line_no = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise TraceParseError(str(exc), line_no) from exc
+        yield line_no, row
+        line_no = reader.line_num + 1
+
+
 def _validated_columns(
     path: str | Path,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -373,7 +390,7 @@ def _validated_columns(
     shots = 0
     header: Sequence[str] | None = None
     with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
+        for line_no, row in _records(fh):
             if not row or row[0].lstrip().startswith("#"):
                 continue
             cells = [c.strip() for c in row]

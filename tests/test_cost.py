@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import stopcost.cost as cost_module
+import stopcost.models as models_module
 from stopcost import (
     BinomialRuntime,
     DecoderModel,
@@ -11,9 +15,12 @@ from stopcost import (
     HeuristicFailure,
     InstantaneousRuntime,
     RuntimeTrace,
+    StoppingCandidate,
     TraceMetadata,
+    binomial_survival,
     build_distribution,
     compare_decoders,
+    decoder_range,
     make_reference_decoders,
     min_spacetime_cost,
     min_spacetime_costs,
@@ -156,8 +163,6 @@ class TestMinSpacetimeCost:
             min_spacetime_cost(INSTANT, 1e-3, 0, [3], 0.5)
 
     def test_many_workloads_from_one_table(self, monkeypatch):
-        import stopcost.cost as cost_module
-
         factory = lambda d: make_reference_decoders(d, 1e-3)[0]  # noqa: E731
         distances = list(range(3, 16, 2))
         n_T_values = [10**6, 1, 37, 1, 10**30, 5000]
@@ -205,3 +210,125 @@ class TestCompareDecoders:
         by_n = {r.n_T: r for r in rows}
         assert by_n[1].ratio == 1.0  # both run at d=3, M=0 equivalents
         assert by_n[51].ratio > 2  # linear forced to d=5 first
+
+
+# ---------------------------------------------------------------------------
+# The binomial quantile ladder against the upward walk it replaces
+
+WIDE_TAIL = DecoderModel("wide-tail", BinomialRuntime(10**5, 0.3), HeuristicFailure())
+
+REFERENCE_LAWS = sorted(
+    {
+        (decoder.runtime.trials, decoder.runtime.step_probability)
+        for p in (1e-4, 1e-3, 5e-3)
+        for d in range(3, 32, 2)
+        for decoder in make_reference_decoders(d, p)
+    }
+)
+
+
+def walk_ladder(n, q):
+    """The scalar oracle: walk up one unit at a time from the mode."""
+    m = min(n, int((n + 1) * q))
+    units = []
+    for k in cost_module.QUANTILE_TAIL_EXPONENTS:
+        while m < n and binomial_survival(n, q, m) > 10.0**-k:
+            m += 1
+        units.append(m)
+    units.append(n)
+    return [(u, binomial_survival(n, q, u)) for u in sorted(set(units))]
+
+
+@st.composite
+def binomial_laws(draw):
+    # Variance n*q*(1-q) <= 400, so the walk stays fast; q near 1 as well.
+    n = draw(st.integers(1, 10**9))
+    q = draw(st.floats(min_value=1e-12, max_value=min(0.5, 400.0 / n)))
+    if draw(st.booleans()):
+        q = 1.0 - q
+    return n, q
+
+
+def pinned_laws(test):
+    """@example the edge cases and every reference runtime law."""
+    pinned = [
+        (1, 0.3),  # n = 1, mode 0
+        (1, 0.999),  # n = 1, mode == n
+        (20, 0.999),  # mode == n: the ladder is [n]
+        (WIDE_TAIL.runtime.trials, WIDE_TAIL.runtime.step_probability),
+        # The survival is exactly 10**-k at a bisection midpoint: S(13) = 0.1
+        # and S(17) = 0.01, which must be kept, as the walk keeps them.
+        (30, 0.3384008014614815),
+        (34, 0.32269355361707214),
+        *REFERENCE_LAWS,
+    ]
+    for law in pinned:
+        test = example(law=law)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(law=binomial_laws())
+@pinned_laws
+def test_ladder_matches_upward_walk(law):
+    n, q = law
+    ladder = cost_module._binomial_quantile_units(BinomialRuntime(n, q))
+    assert repr(ladder) == repr(walk_ladder(n, q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(law=binomial_laws())
+@pinned_laws
+def test_survival_does_not_increase_past_the_mode(law):
+    # The search reads the survival only in [mode, 2*top - mode] (top being
+    # the highest quantile below n) and at n, so that span is checked whole.
+    n, q = law
+    mode = min(n, int((n + 1) * q))
+    top = max([mode] + [u for u, _ in walk_ladder(n, q) if u < n])
+    span = [*range(mode, min(n, 2 * top - mode) + 1), n]
+    values = [binomial_survival(n, q, m) for m in span]
+    assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("d", [3, 15, 31])
+@pytest.mark.parametrize("p", [1e-4, 5e-3])
+def test_binomial_candidates_match_walk_and_survival(d, p):
+    # Rates read the ladder's survival, bit for bit the second survival
+    # evaluation they replace.
+    for decoder in (*make_reference_decoders(d, p), WIDE_TAIL):
+        runtime = decoder.runtime
+        base = decoder.failure.rate(d, p)
+        expected = []
+        for units, _ in walk_ladder(runtime.trials, runtime.step_probability):
+            m_ns = units * runtime.unit_ns
+            rate = min(1.0, base + runtime.survival(m_ns))
+            n_T = decoder_range(d, m_ns, rate, 0.5).n_T
+            expected.append(StoppingCandidate(m_ns, rate, n_T, "upper_bound"))
+        assert repr(stopping_candidates(decoder, d, p, 0.5)) == repr(expected)
+
+
+def test_fixed_decoder_builds_one_ladder(monkeypatch):
+    survival_calls = []
+    ladders = []
+    real_survival = models_module.binomial_survival
+    real_ladder = cost_module._binomial_quantile_units
+
+    def counted_survival(*args):
+        survival_calls.append(args)
+        return real_survival(*args)
+
+    def counted_ladder(runtime):
+        ladders.append(runtime)
+        return real_ladder(runtime)
+
+    # Both namespaces, so a second survival pass through
+    # BinomialRuntime.survival would be counted too.
+    monkeypatch.setattr(cost_module, "binomial_survival", counted_survival)
+    monkeypatch.setattr(models_module, "binomial_survival", counted_survival)
+    monkeypatch.setattr(cost_module, "_binomial_quantile_units", counted_ladder)
+    distances = range(3, 32, 2)
+    results = min_spacetime_costs(WIDE_TAIL, 1e-3, [1, 10**6], distances, 0.5)
+    assert all(r.feasible for r in results)
+    assert ladders == [WIDE_TAIL.runtime]
+    # The upward walk made ~18,000 calls for this table (~1,200 per distance).
+    assert len(survival_calls) < 500, len(survival_calls)

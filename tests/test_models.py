@@ -19,7 +19,6 @@ from stopcost import (
     TraceMetadata,
     binomial_survival,
     build_distribution,
-    failure_rate,
     load_decoder_config,
     make_reference_decoders,
     sample_trace,
@@ -59,9 +58,9 @@ class TestFailureModels:
     @pytest.mark.parametrize("d", [2, 1, 4, 0])
     def test_invalid_distance(self, d):
         with pytest.raises(ValueError):
-            failure_rate(HeuristicFailure(), d, 1e-3)
+            HeuristicFailure().rate(d, 1e-3)
         with pytest.raises(ValueError):
-            failure_rate(EmpiricalFailure(0.01, 100), d, 1e-3)
+            EmpiricalFailure(0.01, 100).rate(d, 1e-3)
 
     def test_empirical_rate_passthrough(self):
         assert EmpiricalFailure(0.0125, 25).rate(9, 1e-3) == 0.0125

@@ -97,6 +97,30 @@ def test_parse_bad_failed_flag(tmp_path):
         parse_trace(trace_path, meta_path)
 
 
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        # The quoted field spans lines 2-3 and is skipped as a comment.
+        ('runtime_ns,failed\n"# note\n5",0\n7,x\n', "line 4: failed flag must be 0 or 1"),
+        # A bad record that spans lines is named by its first line.
+        ('runtime_ns,failed\n\n500,0\n"7\nx",1\n', "line 4: runtime_ns must be an integer"),
+        ('runtime_ns,failed\n"5\n\n",0\n\n8,2\n', "line 6: failed flag must be 0 or 1"),
+    ],
+)
+def test_errors_name_the_physical_line(tmp_path, text, error):
+    trace_path, meta_path = write_inputs(tmp_path, text)
+    with pytest.raises(TraceParseError, match=error):
+        parse_trace(trace_path, meta_path)
+
+
+def test_csv_reader_error_names_its_line(tmp_path):
+    # A quoted field past the csv module's field size limit.
+    text = 'runtime_ns,failed\n500,0\n"' + "1" * 200_000 + '",0\n'
+    trace_path, meta_path = write_inputs(tmp_path, text)
+    with pytest.raises(TraceParseError, match="line 3: field larger than field limit"):
+        parse_trace(trace_path, meta_path)
+
+
 def test_parse_unknown_header(tmp_path):
     trace_path, meta_path = write_inputs(tmp_path, "runtime,fail\n500,0\n")
     with pytest.raises(TraceParseError, match="header"):
