@@ -18,12 +18,14 @@ Common flags: --epsilon, --t-sec-ns, --min-events, --format {csv,json},
 
 Outputs are plot-ready tables.  CSV and JSON carry identical numerals
 (shortest round-trip decimals); infeasible costs appear as ``inf`` in CSV
-and ``null`` in JSON.  Files are written atomically (temp file + rename).
+and ``null`` in JSON.  CSV is written in blocks of ``ROWS_PER_BLOCK``
+rows.  Files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -34,6 +36,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .cost import compare_decoders, min_spacetime_costs
 from .errors import ConfigError, InfeasibleError
@@ -169,27 +173,56 @@ def _json_safe(value):
     return value
 
 
+# Rows per CSV block: a block is formatted column by column and written
+# whole, so memory stays bounded whatever the table length.
+ROWS_PER_BLOCK = 8192
+
+
+def _values(column) -> Sequence:
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _format_column(column, lo: int, hi: int) -> Iterable[str]:
+    """Cells ``lo:hi`` of one column, as :func:`_format_cell` writes them."""
+    if isinstance(column, np.ndarray):
+        part = column[lo:hi]
+        if part.dtype.kind == "f" and not np.isinf(part).any():
+            return map(repr, part.tolist())
+        if part.dtype.kind in "iu":
+            return map(str, part.tolist())
+        return map(_format_cell, part.tolist())
+    return map(_format_cell, column[lo:hi])
+
+
 def render_table(
     command: str,
-    columns: Sequence[str],
-    rows: Iterable[Sequence],
+    header: Sequence[str],
+    columns: Sequence,
     fmt: str,
     extras: dict | None = None,
-) -> str:
+) -> Iterator[str]:
+    """The table as text blocks: CSV in ``ROWS_PER_BLOCK``-row blocks, JSON whole.
+
+    ``columns`` are equal-length numpy arrays or Python lists, one per
+    header name.
+    """
     extras = extras or {}
     if fmt == "json":
         payload = {
             "command": command,
             **{k: _json_safe(v) for k, v in extras.items()},
-            "columns": list(columns),
-            "rows": [[_json_safe(v) for v in row] for row in rows],
+            "columns": list(header),
+            "rows": [[_json_safe(v) for v in row] for row in zip(*map(_values, columns))],
         }
-        return json.dumps(payload, indent=2) + "\n"
-    lines = [f"# {key}: {_format_cell(value)}" for key, value in extras.items()]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+        yield json.dumps(payload, indent=2) + "\n"
+        return
+    lines = [f"# {key}: {_format_cell(value)}\n" for key, value in extras.items()]
+    yield "".join(lines) + ",".join(header) + "\n"
+    n_rows = len(columns[0]) if columns else 0
+    for lo in range(0, n_rows, ROWS_PER_BLOCK):
+        hi = min(lo + ROWS_PER_BLOCK, n_rows)
+        block = [_format_column(column, lo, hi) for column in columns]
+        yield "\n".join(map(",".join, zip(*block))) + "\n"
 
 
 @contextmanager
@@ -212,12 +245,40 @@ def _atomic_path(out_path: Path) -> Iterator[str]:
         raise
 
 
-def emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with _atomic_path(Path(out)) as tmp_name:
-            Path(tmp_name).write_text(text)
+def _write_all(binary, data: bytes) -> None:
+    # An unbuffered stdout (python -u, PYTHONUNBUFFERED) is a bare FileIO,
+    # whose write may take only part of the data, e.g. when a pipe's reader
+    # goes away mid-write; the text layer would drop the rest silently.
+    view = memoryview(data)
+    while view:
+        written = binary.write(view)
+        if written is None:
+            raise BlockingIOError(errno.EAGAIN, "stdout would block")
+        view = view[written:]
+
+
+def emit(blocks: Iterable[str], out: str | None) -> None:
+    """Write rendered blocks to ``out`` atomically, or to stdout."""
+    if out is not None:
+        with _atomic_path(Path(out)) as tmp_name, open(tmp_name, "w") as fh:
+            fh.writelines(blocks)
+        return
+    stdout = sys.stdout
+    binary = getattr(stdout, "buffer", None)
+    try:
+        if binary is None:  # an in-memory text stream
+            stdout.writelines(blocks)
+            return
+        stdout.flush()
+        for block in blocks:
+            _write_all(binary, block.encode(stdout.encoding, stdout.errors))
+        binary.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at the null device so the
+        # interpreter's final flush of what is still buffered cannot fail
+        # again at shutdown; main() reports the error itself.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +385,7 @@ def cmd_trace_stats(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     trace = _load_trace(args)
     dist = build_distribution(trace)
-    columns = [
+    header = [
         "shots",
         "mean_ns",
         "std_ns",
@@ -355,28 +416,26 @@ def cmd_trace_stats(args: argparse.Namespace) -> int:
         "physical_error_rate": trace.metadata.physical_error_rate,
         "sec_cycle_ns": trace.metadata.sec_cycle_ns,
     }
-    emit(render_table("trace-stats", columns, [row], config.output_format, extras), args.out)
+    emit(
+        render_table("trace-stats", header, [[v] for v in row], config.output_format, extras),
+        args.out,
+    )
     return 0
-
-
-def _lazy_rows(*arrays) -> Iterator[tuple]:
-    """Rows of Python scalars, zipped lazily so no row list is built."""
-    return zip(*(a.tolist() for a in arrays))
 
 
 def cmd_stop(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
     curve = stopping_curve(build_distribution(_load_trace(args)))
-    rows = _lazy_rows(
+    columns = [
         curve.stopping_time_ns,
         curve.timeout_probability,
         curve.exact_failure_rate,
         curve.upper_bound_rate,
         curve.lower_bound_rate,
         curve.failure_events,
-    )
-    columns = ["M_ns", "timeout_prob", "exact_rate", "upper_bound", "lower_bound", "failure_events"]
-    emit(render_table("stop", columns, rows, config.output_format), args.out)
+    ]
+    header = ["M_ns", "timeout_prob", "exact_rate", "upper_bound", "lower_bound", "failure_events"]
+    emit(render_table("stop", header, columns, config.output_format), args.out)
     return 0
 
 
@@ -400,9 +459,9 @@ def cmd_range(args: argparse.Namespace) -> int:
         "optimal_M_ns": m,
         "optimal_range": best.n_T,
     }
-    rows = _lazy_rows(curve.stopping_time_ns, curve.delay_cycles, curve.failure_rate, curve.n_T)
-    columns = ["M_ns", "M_cycles", "exact_rate", "range"]
-    emit(render_table("range", columns, rows, config.output_format, extras), args.out)
+    columns = [curve.stopping_time_ns, curve.delay_cycles, curve.failure_rate, curve.n_T]
+    header = ["M_ns", "M_cycles", "exact_rate", "range"]
+    emit(render_table("range", header, columns, config.output_format, extras), args.out)
     return 0
 
 
@@ -414,9 +473,9 @@ def cmd_surface(args: argparse.Namespace) -> int:
         args.d, args.p, config.epsilon, alphas, cycles, schedule=config.schedule
     )
     extras = {"distance": args.d, "physical_error_rate": args.p, "epsilon": config.epsilon}
-    columns = ["alpha", "M_cycles", "range"]
+    header = ["alpha", "M_cycles", "range"]
     emit(
-        render_table("surface", columns, [list(r) for r in rows], config.output_format, extras),
+        render_table("surface", header, list(zip(*rows)), config.output_format, extras),
         args.out,
     )
     return 0
@@ -457,14 +516,16 @@ def cmd_mincost(args: argparse.Namespace) -> int:
         schedule=config.schedule,
         min_events=config.min_failure_events,
     )
-    rows = [
-        [n_T, r.cost if r.feasible else math.inf, r.distance, r.stopping_time_ns]
-        for n_T, r in zip(n_T_values, results)
+    columns = [
+        n_T_values,
+        [r.cost if r.feasible else math.inf for r in results],
+        [r.distance for r in results],
+        [r.stopping_time_ns for r in results],
     ]
     rate_method = "exact" if getattr(args, "trace", None) else "upper_bound"
     extras = {"decoder": label, "physical_error_rate": p, "rate_method": rate_method}
-    columns = ["n_T", "cost", "distance", "M_ns"]
-    emit(render_table("mincost", columns, rows, config.output_format, extras), args.out)
+    header = ["n_T", "cost", "distance", "M_ns"]
+    emit(render_table("mincost", header, columns, config.output_format, extras), args.out)
     if not any(r.feasible for r in results):
         print(
             "stopcost: infeasible: no (distance, stopping time) pair reaches "
@@ -490,10 +551,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
         schedule=config.schedule,
         min_events=config.min_failure_events,
     )
-    table = [[r.n_T, r.cost_a, r.cost_b, r.ratio] for r in rows]
+    columns = [
+        [r.n_T for r in rows],
+        [r.cost_a for r in rows],
+        [r.cost_b for r in rows],
+        [r.ratio for r in rows],
+    ]
     extras = {"decoder_a": args.decoder_a, "decoder_b": args.decoder_b, "physical_error_rate": p}
-    columns = ["n_T", "cost_a", "cost_b", "ratio"]
-    emit(render_table("compare", columns, table, config.output_format, extras), args.out)
+    header = ["n_T", "cost_a", "cost_b", "ratio"]
+    emit(render_table("compare", header, columns, config.output_format, extras), args.out)
     if all(math.isinf(r.ratio) for r in rows):
         print("stopcost: infeasible: no workload is feasible for both decoders", file=sys.stderr)
         return 3
@@ -508,13 +574,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     meta_path = out_path.with_suffix(".json")
     if meta_path == out_path:
         raise ConfigError(f"synth --out {args.out} would be overwritten by its .json sidecar")
-    if args.model in ("quadratic", "linear"):
-        quadratic, linear = make_reference_decoders(args.d, args.p)
-        model = quadratic if args.model == "quadratic" else linear
-    elif args.model == "instantaneous":
-        model = DecoderModel("instantaneous", InstantaneousRuntime(), HeuristicFailure())
-    else:
-        model = load_decoder_config(args.model)
+    model = _resolve_decoder(args.model, args.p)(args.d)
     trace = sample_trace(
         model.runtime,
         model.failure,
@@ -545,7 +605,7 @@ def cmd_required_distance(args: argparse.Namespace) -> int:
         d_max=args.d_max,
         t_sec_ns=config.t_sec_ns,
     )
-    columns = ["n_T", "p", "delay_ns", "epsilon", "d_max", "distance", "no_encoding_sufficient"]
+    header = ["n_T", "p", "delay_ns", "epsilon", "d_max", "distance", "no_encoding_sufficient"]
     row = [
         args.nT,
         p,
@@ -555,7 +615,8 @@ def cmd_required_distance(args: argparse.Namespace) -> int:
         result.distance,
         int(result.no_encoding_sufficient),
     ]
-    emit(render_table("required-distance", columns, [row], config.output_format), args.out)
+    columns = [[v] for v in row]
+    emit(render_table("required-distance", header, columns, config.output_format), args.out)
     if result.distance is None and not result.no_encoding_sufficient:
         print(
             f"stopcost: infeasible: no odd distance up to {args.d_max} meets the "

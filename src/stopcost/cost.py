@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
+import numpy as np
+
 from .models import (
     BinomialRuntime,
     DecoderModel,
@@ -31,7 +33,13 @@ from .models import (
     InstantaneousRuntime,
     binomial_survival,
 )
-from .ranges import GateSchedule, decoder_range, range_curve, sec_depth
+from .ranges import (
+    RANGE_SATURATION_CAP,
+    GateSchedule,
+    decoder_range,
+    range_curve,
+    sec_depth,
+)
 
 QUANTILE_TAIL_EXPONENTS = range(1, 17)
 
@@ -156,12 +164,20 @@ def stopping_candidates(
     Candidates come back sorted by stopping time, each carrying the
     failure rate of the interrupted decoder and the resulting range.
     """
-    return _stopping_candidates(
+    m, rate, n_T, method = _candidate_columns(
         decoder, d, p, epsilon, t_sec_ns, schedule, min_events, ladders={}
     )
+    return [
+        StoppingCandidate(*row, method)
+        for row in zip(_as_list(m), _as_list(rate), _as_list(n_T))
+    ]
 
 
-def _stopping_candidates(
+def _as_list(column) -> list:
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _candidate_columns(
     decoder: DecoderModel,
     d: int,
     p: float,
@@ -170,44 +186,37 @@ def _stopping_candidates(
     schedule: GateSchedule,
     min_events: int,
     ladders: dict[BinomialRuntime, list[tuple[int, float]]],
-) -> list[StoppingCandidate]:
-    # ``ladders`` memoises the binomial quantile ladder per runtime law.
+) -> tuple[Sequence[int], Sequence[float], Sequence[int], str]:
+    # (M, rate, range) columns of one decoder at one distance, ascending
+    # in M, and the rate method.  A trace gives numpy columns straight from
+    # its range curve; an analytic law gives a few Python ints and floats,
+    # whose M may pass 2**63.  ``ladders`` memoises the binomial quantile
+    # ladder per runtime law.
     runtime = decoder.runtime
     if isinstance(runtime, EmpiricalRuntime):
         curve = range_curve(
             runtime.distribution, d, epsilon, t_sec_ns, min_events, schedule
         )
-        return [
-            StoppingCandidate(m, rate, n_T, "exact")
-            for m, rate, n_T in zip(
-                curve.stopping_time_ns.tolist(),
-                curve.failure_rate.tolist(),
-                curve.n_T.tolist(),
-            )
-        ]
-    points: list[tuple[int, float, str]] = []
+        return curve.stopping_time_ns, curve.failure_rate, curve.n_T, "exact"
     if isinstance(runtime, BinomialRuntime):
         if runtime not in ladders:
             ladders[runtime] = _binomial_quantile_units(runtime)
         base = decoder.failure.rate(d, p)
-        for units, survival in ladders[runtime]:
-            rate = min(1.0, base + survival)
-            points.append((units * runtime.unit_ns, rate, "upper_bound"))
+        points = [
+            (units * runtime.unit_ns, min(1.0, base + survival))
+            for units, survival in ladders[runtime]
+        ]
     elif isinstance(runtime, InstantaneousRuntime):
-        points.append((0, min(1.0, decoder.failure.rate(d, p)), "upper_bound"))
+        points = [(0, min(1.0, decoder.failure.rate(d, p)))]
     else:
         raise TypeError(f"unsupported runtime model {type(runtime).__name__}")
-    return [
-        StoppingCandidate(
-            stopping_time_ns=m,
-            failure_rate=rate,
-            range_n_T=decoder_range(
-                d, m, rate, epsilon, t_sec_ns=t_sec_ns, schedule=schedule
-            ).n_T,
-            rate_method=method,
-        )
-        for m, rate, method in points
+    m = [point[0] for point in points]
+    rate = [point[1] for point in points]
+    n_T = [
+        decoder_range(d, mi, ri, epsilon, t_sec_ns=t_sec_ns, schedule=schedule).n_T
+        for mi, ri in points
     ]
+    return m, rate, n_T, "upper_bound"
 
 
 def _candidate_table(
@@ -218,7 +227,13 @@ def _candidate_table(
     t_sec_ns: int,
     schedule: GateSchedule,
     min_events: int,
-) -> list[tuple[int, StoppingCandidate]]:
+) -> list[tuple[int, Sequence[int], np.ndarray, str]]:
+    """Per distance, ascending: ``(d, M column, reach, rate method)``.
+
+    ``reach[i]`` is the largest range among the first ``i + 1`` stopping
+    times, so the cheapest stopping time that covers n_T is the first one
+    whose reach does (see :func:`min_spacetime_costs`).
+    """
     factory: DecoderFactory
     if isinstance(decoder, DecoderModel):
         factory = lambda _d: decoder  # noqa: E731 - constant family
@@ -227,41 +242,17 @@ def _candidate_table(
     # One quantile ladder per runtime law, shared by every distance of
     # this table (a fixed decoder has the same law at every distance).
     ladders: dict[BinomialRuntime, list[tuple[int, float]]] = {}
-    table: list[tuple[int, StoppingCandidate]] = []
+    table = []
     for d in sorted(set(d_candidates)):
         model = factory(d)
         if model is None:
             continue
-        for cand in _stopping_candidates(
+        m, _, n_T, method = _candidate_columns(
             model, d, p, epsilon, t_sec_ns, schedule, min_events, ladders
-        ):
-            table.append((d, cand))
+        )
+        reach = np.maximum.accumulate(np.asarray(n_T, dtype=np.int64))
+        table.append((d, m, reach, method))
     return table
-
-
-def _min_cost_over_table(
-    table: list[tuple[int, StoppingCandidate]],
-    n_T: int,
-    t_sec_ns: int,
-    schedule: GateSchedule,
-) -> MinCostResult:
-    best: MinCostResult | None = None
-    # Table is (d, M)-ordered, so keeping strict improvements only breaks
-    # ties toward smaller d, then smaller M.
-    for d, cand in table:
-        if cand.range_n_T < n_T:
-            continue
-        cost = 2 * d * d * sec_depth(n_T, d, cand.stopping_time_ns, t_sec_ns, schedule)
-        if best is None or cost < best.cost:
-            best = MinCostResult(
-                cost=cost,
-                distance=d,
-                stopping_time_ns=cand.stopping_time_ns,
-                rate_method=cand.rate_method,
-            )
-    if best is None:
-        return MinCostResult(cost=math.inf, distance=None, stopping_time_ns=None)
-    return best
 
 
 def min_spacetime_costs(
@@ -276,6 +267,7 @@ def min_spacetime_costs(
 ) -> list[MinCostResult]:
     """:func:`min_spacetime_cost` for each workload in ``n_T_values``, in
     order, from one candidate table built once."""
+    n_T_values = list(n_T_values)
     if not d_candidates:
         raise ValueError("d_candidates must be nonempty")
     for n_T in n_T_values:
@@ -284,7 +276,26 @@ def min_spacetime_costs(
     table = _candidate_table(
         decoder, p, d_candidates, epsilon, t_sec_ns, schedule, min_events
     )
-    return [_min_cost_over_table(table, n_T, t_sec_ns, schedule) for n_T in n_T_values]
+    # Within one distance the cost per gate, 2 d**2 (cycles_per_gate(d) +
+    # ceil(M / t_sec)), does not decrease in M, so the cheapest stopping
+    # time covering n_T is the first whose reach does, and a later one of
+    # equal cost would lose the smaller-M tie anyway.  A range never
+    # passes RANGE_SATURATION_CAP, so larger n_T are clamped to stay int64.
+    keys = np.array(
+        [min(n_T, RANGE_SATURATION_CAP + 1) for n_T in n_T_values], dtype=np.int64
+    )
+    best = [MinCostResult(cost=math.inf, distance=None, stopping_time_ns=None)] * len(keys)
+    for d, m, reach, method in table:
+        for j, i in enumerate(np.searchsorted(reach, keys).tolist()):
+            if i == len(reach):
+                continue
+            point = spacetime_cost(
+                n_T_values[j], d, int(m[i]), int(reach[i]), t_sec_ns, schedule
+            )
+            # Distances ascend, so strict improvement keeps the smaller d.
+            if point.cost < best[j].cost:
+                best[j] = MinCostResult(point.cost, d, point.stopping_time_ns, method)
+    return best
 
 
 def min_spacetime_cost(

@@ -1,9 +1,20 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import stopcost.cli as cli
 from stopcost import GateSchedule, accuracy_surface
-from stopcost.cli import integer, main
+from stopcost.cli import _format_cell, _json_safe, integer, main, render_table
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 META = {"distance": 5, "physical_error_rate": 1e-3, "shots": 6, "sec_cycle_ns": 1000}
 
@@ -451,3 +462,104 @@ class TestOneLineErrors:
         err = capsys.readouterr().err
         assert err.startswith("stopcost: error: line ")
         assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# Column-wise block rendering against a per-cell oracle
+
+
+def per_cell_render(command, header, rows, fmt, extras):
+    """The oracle: every cell through _format_cell, rows joined at the end."""
+    if fmt == "json":
+        payload = {
+            "command": command,
+            **{k: _json_safe(v) for k, v in extras.items()},
+            "columns": list(header),
+            "rows": [[_json_safe(v) for v in row] for row in rows],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [f"# {key}: {_format_cell(value)}" for key, value in extras.items()]
+    lines.append(",".join(header))
+    lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+# Where repr switches to exponent form (1e16, 1e-05), the smallest
+# subnormal, a negative zero and the infinities rendered as inf/null.
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, 1e16, 9999999999999998.0, 1e-5, 0.0001, 1.0000000000000002e-05,
+    1e22, 0.1, 2.5, math.inf, -math.inf, math.nan,
+]
+float_cells = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False))
+int_cells = st.integers(-(2**63), 2**63 - 1)
+other_cells = st.one_of(
+    st.none(), st.integers(-(10**30), 10**30), float_cells, st.sampled_from(["x", "quadratic"]),
+    st.booleans(),
+)
+
+
+@st.composite
+def tables(draw):
+    n_rows = draw(st.integers(0, 20))
+    columns, cells = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["float", "int", "list"]))
+        strategy = {"float": float_cells, "int": int_cells, "list": other_cells}[kind]
+        values = draw(st.lists(strategy, min_size=n_rows, max_size=n_rows))
+        if kind == "float":
+            columns.append(np.array(values, dtype=np.float64))
+        elif kind == "int":
+            columns.append(np.array(values, dtype=np.int64))
+        else:
+            columns.append(values)
+        cells.append(values)
+    return columns, [list(row) for row in zip(*cells)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    table=tables(),
+    rows_per_block=st.integers(1, 7),
+    fmt=st.sampled_from(["csv", "json"]),
+    extras=st.sampled_from([{}, {"decoder": "x", "epsilon": 0.5, "cost": math.inf}]),
+)
+@example(table=([np.array([], dtype=np.float64), []], []), rows_per_block=1, fmt="csv", extras={})
+@example(
+    table=([np.array(SPECIAL_FLOATS)], [[v] for v in SPECIAL_FLOATS]),
+    rows_per_block=3, fmt="csv", extras={},
+)
+def test_render_table_matches_per_cell_oracle(table, rows_per_block, fmt, extras):
+    columns, rows = table
+    header = [f"c{i}" for i in range(len(columns))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "ROWS_PER_BLOCK", rows_per_block)
+        blocks = list(render_table("t", header, columns, fmt, extras))
+    assert "".join(blocks) == per_cell_render("t", header, rows, fmt, extras)
+    if fmt == "csv":
+        # The header block, then one block per ROWS_PER_BLOCK rows.
+        assert len(blocks) == 1 + -(-len(rows) // rows_per_block)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_is_one_io_error_line(tmp_path, unbuffered):
+    # A stop table far larger than a pipe buffer (64 KiB), so the writer is
+    # still writing when the reader goes away.  An unbuffered stdout takes
+    # a partial write without error, so the rest must still be written.
+    runtimes = range(1000, 1000 + 6000)
+    lines = ["runtime_ns,count_total,count_failed"] + [f"{r},3,1" for r in runtimes]
+    trace = tmp_path / "t.csv"
+    trace.write_text("\n".join(lines) + "\n")
+    (tmp_path / "t.json").write_text(json.dumps(dict(META, shots=3 * len(runtimes))))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stopcost.cli", "stop", "--trace", str(trace)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 4
+    assert err.startswith("stopcost: io error: ")
+    assert err.count("\n") == 1, err

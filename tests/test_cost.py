@@ -12,8 +12,10 @@ from stopcost import (
     DecoderModel,
     EmpiricalFailure,
     EmpiricalRuntime,
+    GateSchedule,
     HeuristicFailure,
     InstantaneousRuntime,
+    MinCostResult,
     RuntimeTrace,
     StoppingCandidate,
     TraceMetadata,
@@ -24,9 +26,11 @@ from stopcost import (
     make_reference_decoders,
     min_spacetime_cost,
     min_spacetime_costs,
+    sec_depth,
     spacetime_cost,
     stopping_candidates,
 )
+from stopcost.ranges import RANGE_SATURATION_CAP
 
 INSTANT = DecoderModel("instant", InstantaneousRuntime(), HeuristicFailure())
 
@@ -332,3 +336,163 @@ def test_fixed_decoder_builds_one_ladder(monkeypatch):
     assert ladders == [WIDE_TAIL.runtime]
     # The upward walk made ~18,000 calls for this table (~1,200 per distance).
     assert len(survival_calls) < 500, len(survival_calls)
+
+
+# ---------------------------------------------------------------------------
+# The per-distance frontier against the per-row scan it replaces
+
+
+def scan_min_cost(table, n_T, t_sec_ns, schedule):
+    """The scalar oracle: price every feasible (d, M) row in (d, M) order and
+    keep strict improvements only, so ties go to smaller d, then smaller M."""
+    best = None
+    for d, cand in table:
+        if cand.range_n_T < n_T:
+            continue
+        cost = 2 * d * d * sec_depth(n_T, d, cand.stopping_time_ns, t_sec_ns, schedule)
+        if best is None or cost < best.cost:
+            best = MinCostResult(
+                cost=cost,
+                distance=d,
+                stopping_time_ns=cand.stopping_time_ns,
+                rate_method=cand.rate_method,
+            )
+    if best is None:
+        return MinCostResult(cost=math.inf, distance=None, stopping_time_ns=None)
+    return best
+
+
+def scan_min_costs(decoder, p, n_T_values, distances, epsilon, t_sec_ns=1000,
+                   schedule=GateSchedule(), min_events=20):
+    factory = (lambda _d: decoder) if isinstance(decoder, DecoderModel) else decoder
+    table = [
+        (d, cand)
+        for d in sorted(set(distances))
+        if (model := factory(d)) is not None
+        for cand in stopping_candidates(model, d, p, epsilon, t_sec_ns, schedule, min_events)
+    ]
+    return [scan_min_cost(table, n_T, t_sec_ns, schedule) for n_T in n_T_values]
+
+
+def assert_frontier_matches_scan(factory, p, n_T_values, distances, epsilon, **kwargs):
+    got = min_spacetime_costs(factory, p, n_T_values, distances, epsilon, **kwargs)
+    assert repr(got) == repr(scan_min_costs(factory, p, n_T_values, distances, epsilon, **kwargs))
+    return got
+
+
+# The paper's workload grid (12 decades, 24 points per decade) and the
+# saturation edges: a saturated range covers exactly RANGE_SATURATION_CAP.
+PAPER_GRID = [int(round(v)) for v in np.geomspace(1, 1e12, 12 * 24 + 1)]
+EDGE_N_T = [RANGE_SATURATION_CAP - 1, 10**18, 10**18 + 1, 2**63, 10**30]
+PAPER_DECODERS = {
+    "quadratic": lambda p: lambda d: make_reference_decoders(d, p)[0],
+    "linear": lambda p: lambda d: make_reference_decoders(d, p)[1],
+    "wide-tail": lambda p: WIDE_TAIL,
+    "instantaneous": lambda p: INSTANT,
+}
+
+
+@pytest.mark.parametrize("p", [1e-4, 1e-3])
+@pytest.mark.parametrize("name", sorted(PAPER_DECODERS))
+def test_frontier_matches_scan_on_paper_grid(name, p):
+    results = assert_frontier_matches_scan(
+        PAPER_DECODERS[name](p), p, PAPER_GRID + EDGE_N_T, range(3, 32, 2), 0.5
+    )
+    assert results[0].feasible
+
+
+@st.composite
+def histograms(draw):
+    n = draw(st.integers(1, 30))
+    runtimes = sorted(draw(st.sets(st.integers(0, 10**6), min_size=n, max_size=n)))
+    counts = draw(st.lists(st.integers(1, 50), min_size=n, max_size=n))
+    failed = [draw(st.integers(0, c)) for c in counts]
+    meta = TraceMetadata(distance=5, physical_error_rate=1e-3, shots=sum(counts),
+                         sec_cycle_ns=1000)
+    return build_distribution(RuntimeTrace(meta, runtimes, counts, failed))
+
+
+n_T_lists = st.lists(
+    st.one_of(
+        st.integers(1, 60),
+        st.integers(1, 10**19),
+        st.sampled_from(EDGE_N_T),
+    ),
+    min_size=1,
+    max_size=8,
+)
+distance_lists = st.lists(st.integers(1, 15).map(lambda k: 2 * k + 1), min_size=1, max_size=5)
+schedules = st.builds(GateSchedule, *(st.integers(1, 3) for _ in range(4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dist=histograms(),
+    at_one_distance=st.booleans(),
+    distances=distance_lists,
+    n_T_values=n_T_lists,
+    epsilon=st.sampled_from([0.01, 0.1, 0.5, 0.9]),
+    # A long SEC cycle puts many stopping times on one cycle count, where
+    # the frontier must still pick the smallest M of equal cost.
+    t_sec_ns=st.sampled_from([1, 1000, 10**5, 10**6, 10**7]),
+    min_events=st.integers(1, 5),
+    schedule=schedules,
+)
+def test_frontier_matches_scan_on_traces(dist, at_one_distance, distances, n_T_values,
+                                         epsilon, t_sec_ns, min_events, schedule):
+    model = DecoderModel("trace", EmpiricalRuntime(dist), HeuristicFailure())
+    only = distances[0]
+    factory = (lambda d: model if d == only else None) if at_one_distance else (lambda d: model)
+    assert_frontier_matches_scan(
+        factory, 1e-3, n_T_values, distances, epsilon,
+        t_sec_ns=t_sec_ns, schedule=schedule, min_events=min_events,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    runtime=st.one_of(
+        st.just(InstantaneousRuntime()),
+        st.builds(
+            BinomialRuntime,
+            st.integers(1, 200),
+            st.floats(1e-3, 0.999),
+            st.sampled_from([1, 7, 1000]),
+        ),
+    ),
+    # A zero rate, and rates tiny enough to saturate the range.
+    failure_rate=st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-30, 1e-18, 1e-3, 1.0]),
+        st.floats(0.0, 1.0),
+    ),
+    distances=distance_lists,
+    n_T_values=n_T_lists,
+    t_sec_ns=st.sampled_from([1, 1000, 10**5]),
+    schedule=schedules,
+)
+def test_frontier_matches_scan_on_analytic_laws(runtime, failure_rate, distances,
+                                                n_T_values, t_sec_ns, schedule):
+    decoder = DecoderModel("law", runtime, EmpiricalFailure(failure_rate))
+    assert_frontier_matches_scan(
+        decoder, 1e-3, n_T_values, distances, 0.5, t_sec_ns=t_sec_ns, schedule=schedule
+    )
+
+
+def test_frontier_picks_the_saturated_row_exactly_at_the_cap():
+    decoder = DecoderModel("perfect", InstantaneousRuntime(), EmpiricalFailure(0.0))
+    at_cap, past_cap = min_spacetime_costs(decoder, 1e-3, [10**18, 10**18 + 1], [3, 5], 0.5)
+    assert (at_cap.distance, at_cap.stopping_time_ns) == (3, 0)
+    assert at_cap.cost == 2 * 9 * 21 * 10**18
+    assert not past_cap.feasible
+
+
+def test_equal_costs_go_to_the_smaller_distance():
+    # One trace used at d = 3 and 5: 999,931 shots finish at 1 cycle, 69 at
+    # 79 cycles (10 of them failing).  For n_T = 1000, d = 3 needs the
+    # 79-cycle stopping time and d = 5 covers it at 1 cycle, and both cost
+    # 1,800,000 = 2*9*(21+79)*1000 = 2*25*(35+1)*1000.
+    meta = TraceMetadata(distance=3, physical_error_rate=1e-3, shots=10**6, sec_cycle_ns=1000)
+    dist = build_distribution(RuntimeTrace(meta, [1000, 79000], [999_931, 69], [0, 10]))
+    model = DecoderModel("trace", EmpiricalRuntime(dist), HeuristicFailure())
+    (result,) = assert_frontier_matches_scan(model, 1e-3, [1000], [5, 3], 0.5, min_events=1)
+    assert (result.cost, result.distance, result.stopping_time_ns) == (1_800_000, 3, 79000)
