@@ -7,123 +7,79 @@ the minimum spacetime cost per logical workload, enabling quantitative
 selection between decoders for a fault-tolerant architecture.
 """
 
-from .cost import (
-    CompareRow,
-    CostPoint,
-    MinCostResult,
-    StoppingCandidate,
-    compare_decoders,
-    min_spacetime_cost,
-    min_spacetime_costs,
-    spacetime_cost,
-    stopping_candidates,
-)
-from .errors import ConfigError, InfeasibleError, TraceIntegrityError, TraceParseError
-from .models import (
-    FITTED_MATCHING_FAILURE,
-    AccuracyScaledFailure,
-    BinomialRuntime,
-    DecoderModel,
-    EmpiricalFailure,
-    EmpiricalRuntime,
-    FailureModel,
-    HeuristicFailure,
-    InstantaneousRuntime,
-    RuntimeModel,
-    binomial_survival,
-    load_decoder_config,
-    make_reference_decoders,
-    sample_trace,
-)
-from .ranges import (
-    GateSchedule,
-    RangeCurve,
-    RangeResult,
-    RequiredDistance,
-    accuracy_surface,
-    decoder_range,
-    delay_cycles,
-    range_curve,
-    range_optimized_stopping_time,
-    required_distance,
-    sec_depth,
-    unencoded_range,
-)
-from .stopping import (
-    InterruptedStats,
-    StoppingCurve,
-    interrupted_distribution,
-    interrupted_failure_bound,
-    interrupted_failure_exact,
-    significant_stopping_times,
-    stopping_curve,
-)
-from .trace import (
-    EmpiricalRuntimeDistribution,
-    RuntimeTrace,
-    TraceMetadata,
-    build_distribution,
-    load_metadata,
-    parse_trace,
-    write_metadata,
-    write_trace_csv,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyScaledFailure",
-    "BinomialRuntime",
-    "CompareRow",
-    "ConfigError",
-    "CostPoint",
-    "DecoderModel",
-    "EmpiricalFailure",
-    "EmpiricalRuntime",
-    "EmpiricalRuntimeDistribution",
-    "FITTED_MATCHING_FAILURE",
-    "FailureModel",
-    "GateSchedule",
-    "HeuristicFailure",
-    "InfeasibleError",
-    "InstantaneousRuntime",
-    "InterruptedStats",
-    "MinCostResult",
-    "RangeCurve",
-    "RangeResult",
-    "RequiredDistance",
-    "RuntimeModel",
-    "RuntimeTrace",
-    "StoppingCandidate",
-    "StoppingCurve",
-    "TraceIntegrityError",
-    "TraceMetadata",
-    "TraceParseError",
-    "accuracy_surface",
-    "binomial_survival",
-    "build_distribution",
-    "compare_decoders",
-    "decoder_range",
-    "delay_cycles",
-    "interrupted_distribution",
-    "interrupted_failure_bound",
-    "interrupted_failure_exact",
-    "load_decoder_config",
-    "load_metadata",
-    "make_reference_decoders",
-    "min_spacetime_cost",
-    "min_spacetime_costs",
-    "parse_trace",
-    "range_curve",
-    "range_optimized_stopping_time",
-    "required_distance",
-    "sample_trace",
-    "sec_depth",
-    "significant_stopping_times",
-    "spacetime_cost",
-    "stopping_candidates",
-    "stopping_curve",
-    "unencoded_range",
-    "write_metadata",
-    "write_trace_csv",
-]
+# Public name -> the submodule that defines it.  Names load on first access
+# (PEP 562), so importing the package, or running ``python -m stopcost.cli``,
+# imports no submodule, and numpy only with the trace modules that need it.
+_EXPORTS = {
+    "AccuracyScaledFailure": "models",
+    "BinomialRuntime": "models",
+    "CompareRow": "cost",
+    "ConfigError": "errors",
+    "CostPoint": "cost",
+    "DecoderModel": "models",
+    "EmpiricalFailure": "models",
+    "EmpiricalRuntime": "models",
+    "EmpiricalRuntimeDistribution": "trace",
+    "FITTED_MATCHING_FAILURE": "models",
+    "FailureModel": "models",
+    "GateSchedule": "ranges",
+    "HeuristicFailure": "models",
+    "InfeasibleError": "errors",
+    "InstantaneousRuntime": "models",
+    "InterruptedStats": "stopping",
+    "MinCostResult": "cost",
+    "RangeCurve": "ranges",
+    "RangeResult": "ranges",
+    "RequiredDistance": "ranges",
+    "RuntimeModel": "models",
+    "RuntimeTrace": "trace",
+    "StoppingCandidate": "cost",
+    "StoppingCurve": "stopping",
+    "TraceIntegrityError": "errors",
+    "TraceMetadata": "trace",
+    "TraceParseError": "errors",
+    "accuracy_surface": "ranges",
+    "binomial_survival": "models",
+    "build_distribution": "trace",
+    "compare_decoders": "cost",
+    "decoder_range": "ranges",
+    "delay_cycles": "ranges",
+    "interrupted_distribution": "stopping",
+    "interrupted_failure_bound": "stopping",
+    "interrupted_failure_exact": "stopping",
+    "load_decoder_config": "models",
+    "load_metadata": "trace",
+    "make_reference_decoders": "models",
+    "min_spacetime_cost": "cost",
+    "min_spacetime_costs": "cost",
+    "parse_trace": "trace",
+    "range_curve": "ranges",
+    "range_optimized_stopping_time": "ranges",
+    "required_distance": "ranges",
+    "sample_trace": "models",
+    "sec_depth": "ranges",
+    "significant_stopping_times": "stopping",
+    "spacetime_cost": "cost",
+    "stopping_candidates": "cost",
+    "stopping_curve": "stopping",
+    "unencoded_range": "ranges",
+    "write_metadata": "trace",
+    "write_trace_csv": "trace",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

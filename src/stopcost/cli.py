@@ -29,15 +29,13 @@ import errno
 import json
 import math
 import os
-import re
 import sys
 import tempfile
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .cost import compare_decoders, min_spacetime_costs
 from .errors import ConfigError, InfeasibleError
@@ -46,9 +44,13 @@ from .models import (
     EmpiricalRuntime,
     HeuristicFailure,
     InstantaneousRuntime,
+    check_keys,
+    integer,
+    json_integer,
+    json_number,
+    json_object,
     load_decoder_config,
     make_reference_decoders,
-    sample_trace,
 )
 from .ranges import (
     GateSchedule,
@@ -56,14 +58,9 @@ from .ranges import (
     range_curve,
     required_distance,
 )
-from .stopping import stopping_curve
-from .trace import (
-    RuntimeTrace,
-    build_distribution,
-    parse_trace,
-    write_metadata,
-    write_trace_csv,
-)
+
+if TYPE_CHECKING:
+    from .trace import EmpiricalRuntimeDistribution, RuntimeTrace
 
 BUILTIN_DECODERS = ("quadratic", "linear", "instantaneous")
 DEFAULT_SURFACE_ALPHAS = [round(0.05 * k, 2) for k in range(1, 21)]
@@ -80,40 +77,24 @@ class RunConfig:
     seed: int = 0
 
 
-def _json_integer(value) -> int:
-    return integer(str(value))
-
-
 def _schedule_from_json(raw) -> GateSchedule:
-    if not isinstance(raw, dict):
-        raise ValueError(f"must be a JSON object, got {type(raw).__name__}")
-    known = [f.name for f in fields(GateSchedule)]
-    unknown = sorted(set(raw) - set(known))
-    if unknown:
-        raise ValueError(f"unknown key(s) {', '.join(unknown)}; known: {', '.join(known)}")
-    return GateSchedule(**{key: _json_integer(value) for key, value in raw.items()})
+    check_keys(json_object(raw, "schedule"), [f.name for f in fields(GateSchedule)], "schedule")
+    return GateSchedule(**{key: json_integer(value) for key, value in raw.items()})
 
 
 # Config file key -> (RunConfig field, parser of the JSON value).
 CONFIG_KEYS = {
-    "epsilon": ("epsilon", float),
-    "t_sec_ns": ("t_sec_ns", _json_integer),
-    "min_failure_events": ("min_failure_events", _json_integer),
+    "epsilon": ("epsilon", json_number),
+    "t_sec_ns": ("t_sec_ns", json_integer),
+    "min_failure_events": ("min_failure_events", json_integer),
     "schedule": ("schedule", _schedule_from_json),
     "format": ("output_format", str),
-    "seed": ("seed", _json_integer),
+    "seed": ("seed", json_integer),
 }
 
 
 def _config_from_json(raw, path: str) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must hold a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - set(CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(
-            f"unknown config key(s) in {path}: {', '.join(unknown)}; "
-            f"known: {', '.join(CONFIG_KEYS)}"
-        )
+    check_keys(json_object(raw, f"config {path}"), CONFIG_KEYS, f"config {path}")
     values = {}
     for key, value in raw.items():
         name, parse = CONFIG_KEYS[key]
@@ -179,12 +160,14 @@ ROWS_PER_BLOCK = 8192
 
 
 def _values(column) -> Sequence:
-    return column.tolist() if isinstance(column, np.ndarray) else column
+    return column.tolist() if hasattr(column, "tolist") else column
 
 
 def _format_column(column, lo: int, hi: int) -> Iterable[str]:
     """Cells ``lo:hi`` of one column, as :func:`_format_cell` writes them."""
-    if isinstance(column, np.ndarray):
+    if hasattr(column, "tolist"):  # a numpy array
+        import numpy as np
+
         part = column[lo:hi]
         if part.dtype.kind == "f" and not np.isinf(part).any():
             return map(repr, part.tolist())
@@ -285,38 +268,6 @@ def emit(blocks: Iterable[str], out: str | None) -> None:
 # Argument parsing helpers
 
 
-_INTEGER_RE = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
-# CPython's default limit on the digits of int(str); it also bounds the
-# exponent form, so "1e999999999" is refused instead of built.
-MAX_INTEGER_DIGITS = 4300
-
-
-def integer(text: str) -> int:
-    """Parse an integer argument strictly.
-
-    Accepts plain integers and ``1e6``-style values that are exactly
-    integral, computed in integers so nothing is lost above 2**53;
-    anything else (``1.7``, ``nan``, ``1e-3``) raises ``ValueError``.
-    """
-    match = _INTEGER_RE.fullmatch(text.strip())
-    if match is None:
-        raise ValueError(f"invalid integer {text!r}")
-    sign, whole, fraction, exponent = match.groups()
-    digits = whole + (fraction or "")
-    shift = int(exponent or 0) - len(fraction or "")  # value = digits * 10**shift
-    if len(digits) + max(shift, 0) > MAX_INTEGER_DIGITS:
-        raise ValueError(f"invalid integer {text!r}: more than {MAX_INTEGER_DIGITS} digits")
-    if shift >= 0:
-        value = int(digits) * 10**shift
-    else:
-        # An n-digit mantissa is below 10**n, so any deeper shift leaves it
-        # all as remainder; capping the divisor keeps 1e-999999999 cheap.
-        value, rest = divmod(int(digits), 10 ** min(-shift, len(digits)))
-        if rest:
-            raise ValueError(f"invalid integer {text!r}: not a whole number")
-    return -value if sign == "-" else value
-
-
 def _parse_int_list(text: str) -> list[int]:
     values = [integer(part) for part in text.split(",") if part.strip()]
     if not values:
@@ -353,13 +304,19 @@ def _metadata_overrides(args: argparse.Namespace) -> dict:
     }
 
 
-def _load_trace(args: argparse.Namespace) -> RuntimeTrace:
+def _load_trace(
+    args: argparse.Namespace,
+) -> tuple[RuntimeTrace, EmpiricalRuntimeDistribution]:
+    """The ``--trace`` file with its metadata, and its runtime distribution."""
+    from .trace import build_distribution, parse_trace
+
     meta = getattr(args, "meta", None)
     if meta is None:
         sidecar = Path(args.trace).with_suffix(".json")
         if sidecar.exists():
             meta = sidecar
-    return parse_trace(args.trace, meta, _metadata_overrides(args))
+    trace = parse_trace(args.trace, meta, _metadata_overrides(args))
+    return trace, build_distribution(trace)
 
 
 def _resolve_decoder(
@@ -383,8 +340,7 @@ def _resolve_decoder(
 
 def cmd_trace_stats(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
-    trace = _load_trace(args)
-    dist = build_distribution(trace)
+    trace, dist = _load_trace(args)
     header = [
         "shots",
         "mean_ns",
@@ -424,8 +380,10 @@ def cmd_trace_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_stop(args: argparse.Namespace) -> int:
+    from .stopping import stopping_curve
+
     config = _load_run_config(args)
-    curve = stopping_curve(build_distribution(_load_trace(args)))
+    curve = stopping_curve(_load_trace(args)[1])
     columns = [
         curve.stopping_time_ns,
         curve.timeout_probability,
@@ -441,11 +399,11 @@ def cmd_stop(args: argparse.Namespace) -> int:
 
 def cmd_range(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
-    trace = _load_trace(args)
+    trace, dist = _load_trace(args)
     d = trace.metadata.distance
     t_sec = args.t_sec_ns if args.t_sec_ns is not None else trace.metadata.sec_cycle_ns
     curve = range_curve(
-        build_distribution(trace),
+        dist,
         d,
         config.epsilon,
         t_sec_ns=t_sec,
@@ -484,8 +442,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
 def _mincost_inputs(args: argparse.Namespace, config: RunConfig):
     """Resolve (factory, p, distances, t_sec_ns, label) for mincost/compare."""
     if getattr(args, "trace", None):
-        trace = _load_trace(args)
-        dist = build_distribution(trace)
+        trace, dist = _load_trace(args)
         model = DecoderModel(
             name=Path(args.trace).stem,
             runtime=EmpiricalRuntime(dist),
@@ -574,6 +531,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     meta_path = out_path.with_suffix(".json")
     if meta_path == out_path:
         raise ConfigError(f"synth --out {args.out} would be overwritten by its .json sidecar")
+    from .models import sample_trace
+    from .trace import write_metadata, write_trace_csv
+
     model = _resolve_decoder(args.model, args.p)(args.d)
     trace = sample_trace(
         model.runtime,
@@ -730,17 +690,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"stopcost: warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning  # one line each, no source
+            return args.func(args)
     except InfeasibleError as exc:
         print(f"stopcost: infeasible: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         # covers TraceParseError, TraceIntegrityError, ConfigError
         print(f"stopcost: error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # an input beyond the float or int64 range, e.g. --nT 1e400
+        print(f"stopcost: error: number out of range: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"stopcost: io error: {exc}", file=sys.stderr)

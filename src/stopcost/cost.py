@@ -21,10 +21,10 @@ are float('inf').
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence, Union
-
-import numpy as np
 
 from .models import (
     BinomialRuntime,
@@ -34,7 +34,6 @@ from .models import (
     binomial_survival,
 )
 from .ranges import (
-    RANGE_SATURATION_CAP,
     GateSchedule,
     decoder_range,
     range_curve,
@@ -174,7 +173,7 @@ def stopping_candidates(
 
 
 def _as_list(column) -> list:
-    return column.tolist() if isinstance(column, np.ndarray) else column
+    return column.tolist() if hasattr(column, "tolist") else column
 
 
 def _candidate_columns(
@@ -227,7 +226,7 @@ def _candidate_table(
     t_sec_ns: int,
     schedule: GateSchedule,
     min_events: int,
-) -> list[tuple[int, Sequence[int], np.ndarray, str]]:
+) -> list[tuple[int, Sequence[int], list[int], str]]:
     """Per distance, ascending: ``(d, M column, reach, rate method)``.
 
     ``reach[i]`` is the largest range among the first ``i + 1`` stopping
@@ -250,8 +249,7 @@ def _candidate_table(
         m, _, n_T, method = _candidate_columns(
             model, d, p, epsilon, t_sec_ns, schedule, min_events, ladders
         )
-        reach = np.maximum.accumulate(np.asarray(n_T, dtype=np.int64))
-        table.append((d, m, reach, method))
+        table.append((d, m, list(accumulate(_as_list(n_T), max)), method))
     return table
 
 
@@ -279,19 +277,17 @@ def min_spacetime_costs(
     # Within one distance the cost per gate, 2 d**2 (cycles_per_gate(d) +
     # ceil(M / t_sec)), does not decrease in M, so the cheapest stopping
     # time covering n_T is the first whose reach does, and a later one of
-    # equal cost would lose the smaller-M tie anyway.  A range never
-    # passes RANGE_SATURATION_CAP, so larger n_T are clamped to stay int64.
-    keys = np.array(
-        [min(n_T, RANGE_SATURATION_CAP + 1) for n_T in n_T_values], dtype=np.int64
+    # equal cost would lose the smaller-M tie anyway.  A range never passes
+    # RANGE_SATURATION_CAP, so no row covers a larger n_T.
+    best = [MinCostResult(cost=math.inf, distance=None, stopping_time_ns=None)] * len(
+        n_T_values
     )
-    best = [MinCostResult(cost=math.inf, distance=None, stopping_time_ns=None)] * len(keys)
     for d, m, reach, method in table:
-        for j, i in enumerate(np.searchsorted(reach, keys).tolist()):
+        for j, n_T in enumerate(n_T_values):
+            i = bisect_left(reach, n_T)
             if i == len(reach):
                 continue
-            point = spacetime_cost(
-                n_T_values[j], d, int(m[i]), int(reach[i]), t_sec_ns, schedule
-            )
+            point = spacetime_cost(n_T, d, int(m[i]), reach[i], t_sec_ns, schedule)
             # Distances ascend, so strict improvement keeps the smaller d.
             if point.cost < best[j].cost:
                 best[j] = MinCostResult(point.cost, d, point.stopping_time_ns, method)

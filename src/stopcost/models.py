@@ -17,23 +17,18 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .errors import ConfigError
-from .trace import (
-    EmpiricalRuntimeDistribution,
-    RuntimeTrace,
-    TraceMetadata,
-    aggregate_runtimes,
-    build_distribution,
-    merge_histograms,
-    parse_trace,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .trace import EmpiricalRuntimeDistribution, RuntimeTrace
 
 HEURISTIC_VALIDITY_P = 1e-2
 
@@ -283,6 +278,8 @@ class BinomialRuntime:
         return binomial_survival(self.trials, self.step_probability, int(units))
 
     def sample_ns(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        import numpy as np
+
         draws = rng.binomial(self.trials, self.step_probability, size=n)
         return draws.astype(np.int64) * self.unit_ns
 
@@ -305,6 +302,8 @@ class InstantaneousRuntime:
         return 0.0
 
     def sample_ns(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        import numpy as np
+
         return np.zeros(n, dtype=np.int64)
 
 
@@ -326,6 +325,8 @@ class EmpiricalRuntime:
         return self.distribution.survival(stopping_time_ns)
 
     def sample_ns(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        import numpy as np
+
         dist = self.distribution
         weights = dist.counts().astype(float)
         weights /= weights.sum()
@@ -388,6 +389,8 @@ def _sample_chunk(
     seed: int,
     chunk_index: int,
 ) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
     runtimes = runtime.sample_ns(rng, n)
     failed = rng.random(n) < rate
@@ -409,6 +412,10 @@ def sample_trace(
     Deterministic for a given seed.  Runtime and failure are sampled
     independently; no joint model is assumed.
     """
+    import numpy as np
+
+    from .trace import RuntimeTrace, TraceMetadata, aggregate_runtimes, merge_histograms
+
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rate = failure.rate(d, p)
@@ -424,63 +431,164 @@ def sample_trace(
 
 
 # ---------------------------------------------------------------------------
+# Strict values: command-line integers and JSON config files
+
+
+_INTEGER_RE = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
+# CPython's default limit on the digits of int(str); it also bounds the
+# exponent form, so "1e999999999" is refused instead of built.
+MAX_INTEGER_DIGITS = 4300
+
+
+def integer(text: str) -> int:
+    """Parse an integer strictly.
+
+    Accepts plain integers and ``1e6``-style values that are exactly
+    integral, computed in integers so nothing is lost above 2**53;
+    anything else (``1.7``, ``nan``, ``1e-3``) raises ``ValueError``.
+    """
+    match = _INTEGER_RE.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"invalid integer {text!r}")
+    sign, whole, fraction, exponent = match.groups()
+    digits = whole + (fraction or "")
+    shift = int(exponent or 0) - len(fraction or "")  # value = digits * 10**shift
+    if len(digits) + max(shift, 0) > MAX_INTEGER_DIGITS:
+        raise ValueError(f"invalid integer {text!r}: more than {MAX_INTEGER_DIGITS} digits")
+    if shift >= 0:
+        value = int(digits) * 10**shift
+    else:
+        # An n-digit mantissa is below 10**n, so any deeper shift leaves it
+        # all as remainder; capping the divisor keeps 1e-999999999 cheap.
+        value, rest = divmod(int(digits), 10 ** min(-shift, len(digits)))
+        if rest:
+            raise ValueError(f"invalid integer {text!r}: not a whole number")
+    return -value if sign == "-" else value
+
+
+def json_integer(value) -> int:
+    """A JSON value read by :func:`integer`; ``null`` and booleans fail."""
+    if value is None or isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return integer(str(value))
+
+
+def json_number(value) -> float:
+    """A JSON value read by ``float``; ``null`` and booleans fail."""
+    if value is None or isinstance(value, bool):
+        raise ValueError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def json_object(raw, what: str) -> dict:
+    """``raw`` if it is a JSON object; ``what`` names it in the error."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def check_keys(raw: dict, known, what: str) -> None:
+    """Refuse any key of ``raw`` outside ``known``."""
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) in {what}: {', '.join(unknown)}; known: {', '.join(known)}"
+        )
+
+
+# ---------------------------------------------------------------------------
 # Decoder config files
 
 
-def _failure_from_config(cfg: dict) -> FailureModel:
-    kind = cfg.get("kind")
+def _json_string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+# Section -> kind -> the known keys besides "kind", each with the parser of
+# its JSON value.
+DECODER_CONFIG_KEYS = {
+    "runtime": {
+        "binomial": {"N": json_integer, "Q": json_number, "unit_ns": json_integer},
+        "instantaneous": {},
+        "empirical": {"trace": _json_string, "meta": _json_string},
+    },
+    "failure": {
+        "heuristic": {"A": json_number, "B": json_number},
+        "accuracy": {"alpha": json_number},
+        "empirical": {"rate": json_number, "events": json_integer},
+    },
+}
+
+
+def _config_section(raw, section: str) -> tuple[str, dict]:
+    # (kind, parsed values) of one section; a missing key is absent.
+    raw = json_object(raw, repr(section))
+    kinds = DECODER_CONFIG_KEYS[section]
+    kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {section} model kind {kind!r}")
+    parsers = kinds[kind]
+    check_keys(raw, ["kind", *parsers], f"{kind} {section}")
+    values = {}
+    for key, parse in parsers.items():
+        if key in raw:
+            try:
+                values[key] = parse(raw[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{kind} {section} key {key!r}: {exc}") from exc
+    return kind, values
+
+
+def _failure_from_config(raw) -> FailureModel:
+    kind, cfg = _config_section(raw, "failure")
     if kind == "heuristic":
-        scale = float(cfg.get("B", 100.0))
+        scale = cfg.get("B", 100.0)
         if scale <= 0:
             raise ConfigError(f"heuristic B must be positive, got {scale}")
-        return HeuristicFailure(
-            prefactor=float(cfg.get("A", 0.1)), threshold=1.0 / scale
-        )
+        return HeuristicFailure(prefactor=cfg.get("A", 0.1), threshold=1.0 / scale)
     if kind == "accuracy":
         if "alpha" not in cfg:
             raise ConfigError("accuracy failure model requires 'alpha'")
-        return AccuracyScaledFailure(base=HeuristicFailure(), alpha=float(cfg["alpha"]))
-    if kind == "empirical":
-        if "rate" not in cfg:
-            raise ConfigError("empirical failure model requires 'rate'")
-        return EmpiricalFailure(
-            failure_rate=float(cfg["rate"]), failure_events=int(cfg.get("events", 0))
-        )
-    raise ConfigError(f"unknown failure model kind {kind!r}")
+        return AccuracyScaledFailure(base=HeuristicFailure(), alpha=cfg["alpha"])
+    if "rate" not in cfg:
+        raise ConfigError("empirical failure model requires 'rate'")
+    return EmpiricalFailure(failure_rate=cfg["rate"], failure_events=cfg.get("events", 0))
 
 
-def _runtime_from_config(cfg: dict, base_dir: Path) -> RuntimeModel:
-    kind = cfg.get("kind")
+def _runtime_from_config(raw, base_dir: Path) -> RuntimeModel:
+    kind, cfg = _config_section(raw, "runtime")
     if kind == "binomial":
         for key in ("N", "Q"):
             if key not in cfg:
                 raise ConfigError(f"binomial runtime model requires {key!r}")
         return BinomialRuntime(
-            trials=int(cfg["N"]),
-            step_probability=float(cfg["Q"]),
-            unit_ns=int(cfg.get("unit_ns", 1000)),
+            trials=cfg["N"], step_probability=cfg["Q"], unit_ns=cfg.get("unit_ns", 1000)
         )
     if kind == "instantaneous":
         return InstantaneousRuntime()
-    if kind == "empirical":
-        if "trace" not in cfg:
-            raise ConfigError("empirical runtime model requires 'trace'")
-        trace_path = base_dir / cfg["trace"]
-        if "meta" in cfg:
-            meta_path = base_dir / cfg["meta"]
-        else:
-            meta_path = trace_path.with_suffix(".json")
-        trace = parse_trace(trace_path, meta_path)
-        return EmpiricalRuntime(build_distribution(trace))
-    raise ConfigError(f"unknown runtime model kind {kind!r}")
+    if "trace" not in cfg:
+        raise ConfigError("empirical runtime model requires 'trace'")
+    from .trace import build_distribution, parse_trace
+
+    trace_path = base_dir / cfg["trace"]
+    if "meta" in cfg:
+        meta_path = base_dir / cfg["meta"]
+    else:
+        meta_path = trace_path.with_suffix(".json")
+    trace = parse_trace(trace_path, meta_path)
+    return EmpiricalRuntime(build_distribution(trace))
 
 
 def load_decoder_config(path: str | Path) -> DecoderModel:
     """Load a decoder model from its JSON description.
 
-    Relative trace paths inside the config resolve against the config
-    file's directory; the metadata sidecar defaults to the trace path with
-    a ``.json`` suffix.
+    Each section is a JSON object whose keys must be known for its
+    ``kind``; integers are read strictly, and ``null`` or a boolean is
+    refused where a number belongs.  Relative trace paths inside the
+    config resolve against the config file's directory; the metadata
+    sidecar defaults to the trace path with a ``.json`` suffix.
     """
     path = Path(path)
     with open(path) as fh:
@@ -488,11 +596,19 @@ def load_decoder_config(path: str | Path) -> DecoderModel:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid decoder config JSON in {path}: {exc}") from exc
-    for key in ("runtime", "failure"):
-        if key not in cfg:
-            raise ConfigError(f"decoder config missing {key!r} section")
-    return DecoderModel(
-        name=str(cfg.get("name", path.stem)),
-        runtime=_runtime_from_config(cfg["runtime"], path.parent),
-        failure=_failure_from_config(cfg["failure"]),
-    )
+    try:
+        cfg = json_object(cfg, "the config")
+        check_keys(cfg, ["name", "runtime", "failure"], "the config")
+        for key in ("runtime", "failure"):
+            if key not in cfg:
+                raise ConfigError(f"missing {key!r} section")
+        name = cfg.get("name", path.stem)
+        if not isinstance(name, str):
+            raise ConfigError(f"'name' must be a string, got {type(name).__name__}")
+        return DecoderModel(
+            name=name,
+            runtime=_runtime_from_config(cfg["runtime"], path.parent),
+            failure=_failure_from_config(cfg["failure"]),
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"decoder config {path}: {exc}") from exc

@@ -13,17 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .models import FailureModel, HeuristicFailure, _validate_probability
 
-from .models import FailureModel, HeuristicFailure
-from .stopping import (
-    TraceLike,
-    _as_distribution,
-    _insignificant,
-    significant_stopping_times,
-    stopping_curve,
-)
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .stopping import TraceLike
 
 RANGE_SATURATION_CAP = 10**18
 
@@ -87,6 +84,10 @@ class RangeCurve:
         time.  Raises :class:`~stopcost.errors.InfeasibleError` when the
         curve has no rows.
         """
+        import numpy as np
+
+        from .stopping import _insignificant
+
         if self.n_T.size == 0:
             raise _insignificant(self.min_events)
         i = int(np.argmax(self.n_T))
@@ -171,6 +172,7 @@ def required_distance(
     """
     if n_T < 1:
         raise ValueError(f"n_T must be >= 1, got {n_T}")
+    _validate_probability(p, "p")
     if d_max < 3 or d_max % 2 == 0:
         raise ValueError(f"d_max must be an odd integer >= 3, got {d_max}")
     if failure_model is None:
@@ -251,6 +253,10 @@ def range_curve(
     results at or above ``saturation_cap`` (or at a zero rate) clamped and
     flagged.  Every value equals the scalar path's exactly.
     """
+    import numpy as np
+
+    from .stopping import _as_distribution, significant_stopping_times, stopping_curve
+
     _validate_distance_epsilon(d, epsilon)
     if t_sec_ns < 1:
         raise ValueError(f"t_sec_ns must be >= 1, got {t_sec_ns}")
@@ -315,6 +321,8 @@ def accuracy_surface(
     if failure_model is None:
         failure_model = HeuristicFailure()
     base_rate = failure_model.rate(d, p)
+    if base_rate == 0.0:
+        raise ValueError(f"failure rate at d={d}, p={p} is 0, so the range is unbounded")
     gate_cycles = schedule.cycles_per_gate(d)
     rows = []
     for alpha in alphas:

@@ -37,11 +37,18 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, TraceIntegrityError, TraceParseError
+from .models import json_integer, json_number
 
 PER_SHOT_HEADER = ("runtime_ns", "failed")
 HISTOGRAM_HEADER = ("runtime_ns", "count_total", "count_failed")
 
-METADATA_FIELDS = ("distance", "physical_error_rate", "shots", "sec_cycle_ns")
+# Metadata field -> parser of its JSON value.
+METADATA_FIELDS = {
+    "distance": json_integer,
+    "physical_error_rate": json_number,
+    "shots": json_integer,
+    "sec_cycle_ns": json_integer,
+}
 
 INT64_MAX = 2**63 - 1
 
@@ -324,7 +331,8 @@ def load_metadata(
 ) -> TraceMetadata:
     """Read a metadata sidecar JSON, applying CLI-style field overrides.
 
-    Every field in ``METADATA_FIELDS`` must be present after overrides.
+    Every field in ``METADATA_FIELDS`` must be present after overrides;
+    integers are read strictly, and ``null`` or a boolean fails.
     """
     raw: dict[str, object] = {}
     if path is not None:
@@ -333,17 +341,22 @@ def load_metadata(
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"invalid metadata JSON in {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(
+                f"metadata {path} must hold a JSON object, got {type(raw).__name__}"
+            )
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     missing = [f for f in METADATA_FIELDS if f not in raw]
     if missing:
         raise ConfigError(f"missing metadata field(s): {', '.join(missing)}")
-    return TraceMetadata(
-        distance=int(raw["distance"]),
-        physical_error_rate=float(raw["physical_error_rate"]),
-        shots=int(raw["shots"]),
-        sec_cycle_ns=int(raw["sec_cycle_ns"]),
-    )
+    values = {}
+    for name, parse in METADATA_FIELDS.items():
+        try:
+            values[name] = parse(raw[name])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"metadata field {name!r}: {exc}") from exc
+    return TraceMetadata(**values)
 
 
 def _parse_int(value: str, name: str, line: int) -> int:

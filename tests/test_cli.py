@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,21 @@ class TestSurface:
         assert table[("0.2", "0")] == 14285714
         assert table[("0.8", "500")] == 9917355
 
+    def test_library_warning_is_one_line(self, capsys):
+        show = warnings.showwarning
+        assert main(["surface", "--d", "15", "--p", "0.05", "--alphas", "1", "--m-cycles", "0"]) == 0
+        assert capsys.readouterr().err == (
+            "stopcost: warning: heuristic failure rate evaluated at p=0.05, at or above "
+            "its validity threshold 0.01\n"
+        )
+        assert warnings.showwarning is show
+
+    def test_zero_failure_rate_is_one_error_line(self, capsys):
+        assert main(["surface", "--d", "31", "--p", "1e-320"]) == 2
+        assert capsys.readouterr().err == (
+            "stopcost: error: failure rate at d=31, p=1e-320 is 0, so the range is unbounded\n"
+        )
+
 
 class TestMincostAndCompare:
     def test_row_count_contract(self, capsys):
@@ -250,6 +266,18 @@ class TestRequiredDistance:
 
     def test_infeasible_exits_3(self, capsys):
         assert main(["required-distance", "--nT", "1000000", "--p", "5e-3", "--d-max", "3"]) == 3
+
+    def test_zero_physical_error_rate_is_one_error_line(self, capsys):
+        assert main(["required-distance", "--nT", "10", "--p", "0"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "stopcost: error: p must be in (0, 1), got 0.0\n"
+
+    def test_number_beyond_float_range_is_one_error_line(self, capsys):
+        assert main(["required-distance", "--nT", "1e400"]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("stopcost: error: number out of range: ")
+        assert out.err.count("\n") == 1
 
 
 class TestOutputContracts:

@@ -1,0 +1,105 @@
+"""Import-time contracts: the package exports its names lazily, and only the
+commands that read, sweep or sample a trace load numpy."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stopcost
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+# Runs ``cli.main(argv)`` with stdout discarded, then prints the exit code
+# and whether numpy was imported.
+PROBE = """
+import contextlib, io, json, sys
+import stopcost.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = stopcost.cli.main(json.loads(sys.argv[1]))
+print(code, "numpy" in sys.modules)
+"""
+
+BINOMIAL_CONFIG = {
+    "name": "wide",
+    "runtime": {"kind": "binomial", "N": 100000, "Q": 0.0005, "unit_ns": 1000},
+    "failure": {"kind": "heuristic"},
+}
+
+
+ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+
+
+def probe(argv, cwd):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        cwd=cwd,
+        env=ENV,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, numpy_loaded = proc.stdout.split()
+    return int(code), numpy_loaded == "True"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surface", "--d", "15", "--p", "1e-3"],
+        ["required-distance", "--nT", "1000", "--p", "1e-3"],
+        ["mincost", "--decoder", "quadratic", "--nT", "10,1000,100000"],
+        ["compare", "--decoder-a", "linear", "--decoder-b", "instantaneous", "--nT", "10,1000"],
+        ["mincost", "--decoder", "wide.json", "--nT", "10,1000"],
+        ["compare", "--decoder-a", "wide.json", "--decoder-b", "quadratic", "--nT", "10,1000"],
+    ],
+    ids=["surface", "required-distance", "mincost", "compare", "mincost-binomial-config",
+         "compare-binomial-config"],
+)
+def test_analytic_commands_do_not_import_numpy(tmp_path, argv):
+    (tmp_path / "wide.json").write_text(json.dumps(BINOMIAL_CONFIG))
+    assert probe(argv, tmp_path) == (0, False)
+
+
+def test_trace_command_imports_numpy(tmp_path):
+    argv = ["stop", "--trace", str(INPUTS / "ns.csv")]
+    assert probe(argv, tmp_path) == (0, True)
+
+
+def test_bare_package_import_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stopcost; print(sorted(m for m in sys.modules"
+         " if m == 'numpy' or m.startswith('stopcost')))"],
+        env=ENV,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.split() == ["['stopcost']"]
+
+
+class TestLazyExports:
+    def test_every_name_resolves_to_its_definition(self):
+        for name, module in stopcost._EXPORTS.items():
+            defined = getattr(importlib.import_module(f"stopcost.{module}"), name)
+            assert getattr(stopcost, name) is defined
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from stopcost import *", namespace)
+        assert set(stopcost.__all__) <= set(namespace)
+
+    def test_dir_lists_the_exports(self):
+        assert set(stopcost.__all__) <= set(dir(stopcost))
+        assert "__version__" in dir(stopcost)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            stopcost.no_such_name
+        assert not hasattr(stopcost, "cli_main")

@@ -347,3 +347,52 @@ class TestDecoderConfig:
         )
         with pytest.raises(ConfigError):
             load_decoder_config(path)
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({"runtime": 5}, "'runtime' must be a JSON object, got int"),
+            ({"failure": {"kind": "heuristic", "A": None}}, "key 'A': expected a number, got null"),
+            ({"failure": {"kind": "accuracy", "alpha": True}}, "expected a number, got true"),
+            ({"runtime": {"kind": "binomial", "N": 1.7, "Q": 0.25}}, "invalid integer '1.7'"),
+            ({"runtime": {"kind": "binomial", "N": None, "Q": 0.25}}, "expected an integer, got null"),
+            ({"runtime": {"kind": "binomial", "N": 100, "Q": 0.25, "unit_ns": False}},
+             "expected an integer, got false"),
+            ({"failure": {"kind": "empirical", "rate": 0.1, "events": 2.5}}, "invalid integer"),
+            ({"runtime": {"kind": "instantaneous", "N": 100}}, "unknown key(s) in instantaneous runtime: N"),
+            ({"failure": {"kind": "heuristic", "alpha": 0.5}}, "unknown key(s) in heuristic failure: alpha"),
+            ({"extra": 1}, "unknown key(s) in the config: extra"),
+            ({"runtime": {"kind": ["binomial"]}}, "unknown runtime model kind ['binomial']"),
+            ({"runtime": {"kind": "empirical", "trace": 5}}, "key 'trace': expected a string, got int"),
+            ({"name": None}, "'name' must be a string, got NoneType"),
+        ],
+        ids=["runtime-not-object", "A-null", "alpha-bool", "N-fraction", "N-null",
+             "unit-bool", "events-fraction", "unknown-runtime-key", "unknown-failure-key",
+             "unknown-top-level-key", "kind-unhashable", "trace-not-string", "name-null"],
+    )
+    def test_malformed_config_rejected(self, tmp_path, cfg, message):
+        base = {
+            "runtime": {"kind": "binomial", "N": 100, "Q": 0.25},
+            "failure": {"kind": "heuristic"},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**base, **cfg}))
+        with pytest.raises(ConfigError) as err:
+            load_decoder_config(path)
+        assert str(err.value).startswith(f"decoder config {path}: ")
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("top", [[1], "x", None])
+    def test_config_must_be_an_object(self, tmp_path, top):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(top))
+        with pytest.raises(ConfigError, match="the config must be a JSON object"):
+            load_decoder_config(path)
+
+    def test_integral_float_and_exponent_counts_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            '{"runtime": {"kind": "binomial", "N": 1e2, "Q": 0.25, "unit_ns": 500.0},'
+            ' "failure": {"kind": "heuristic"}}'
+        )
+        assert load_decoder_config(path).runtime == BinomialRuntime(100, 0.25, 500)
