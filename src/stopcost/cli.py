@@ -591,19 +591,26 @@ def cmd_required_distance(args: argparse.Namespace) -> int:
 # Parser
 
 
+def nonempty(text: str) -> str:
+    """A file path or decoder name argument, which must not be empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=float, default=None, help="logical circuit error budget (default 0.5)")
     parser.add_argument("--t-sec-ns", dest="t_sec_ns", type=integer, default=None, help="SEC cycle time in ns (default 1000)")
     parser.add_argument("--min-events", dest="min_events", type=integer, default=None, help="failure events needed for significance (default 20)")
     parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format (default csv)")
-    parser.add_argument("--out", default=None, help="output file (default stdout); written atomically")
+    parser.add_argument("--out", type=nonempty, default=None, help="output file (default stdout); written atomically")
     parser.add_argument("--seed", type=integer, default=None, help="RNG seed for synthetic sampling (default 0)")
-    parser.add_argument("--config", default=None, help="JSON settings file; flags take precedence")
+    parser.add_argument("--config", type=nonempty, default=None, help="JSON settings file; flags take precedence")
 
 
 def _add_trace_inputs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trace", required=True, help="trace CSV (per-shot or histogram layout)")
-    parser.add_argument("--meta", default=None, help="metadata sidecar JSON (default: trace path with .json)")
+    parser.add_argument("--trace", type=nonempty, required=True, help="trace CSV (per-shot or histogram layout)")
+    parser.add_argument("--meta", type=nonempty, default=None, help="metadata sidecar JSON (default: trace path with .json)")
     parser.add_argument("--distance", type=integer, default=None, help="override metadata distance")
     parser.add_argument("--p", type=float, default=None, help="override metadata physical error rate")
     parser.add_argument("--shots", type=integer, default=None, help="override metadata shot count")
@@ -649,9 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_surface.set_defaults(func=cmd_surface)
 
     p_mincost = sub.add_parser("mincost", help="minimum spacetime cost per workload size")
-    p_mincost.add_argument("--decoder", default=None, help=f"decoder config JSON or one of {', '.join(BUILTIN_DECODERS)}")
-    p_mincost.add_argument("--trace", default=None, help="trace CSV for a measured decoder")
-    p_mincost.add_argument("--meta", default=None, help="metadata sidecar for --trace")
+    p_mincost.add_argument("--decoder", type=nonempty, default=None, help=f"decoder config JSON or one of {', '.join(BUILTIN_DECODERS)}")
+    p_mincost.add_argument("--trace", type=nonempty, default=None, help="trace CSV for a measured decoder")
+    p_mincost.add_argument("--meta", type=nonempty, default=None, help="metadata sidecar for --trace")
     p_mincost.add_argument("--distance", type=integer, default=None, help="override metadata distance")
     p_mincost.add_argument("--shots", type=integer, default=None, help="override metadata shot count")
     p_mincost.add_argument("--sec-cycle-ns", dest="sec_cycle_ns", type=integer, default=None, help="override metadata SEC cycle time")
@@ -662,8 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mincost.set_defaults(func=cmd_mincost)
 
     p_compare = sub.add_parser("compare", help="spacetime cost ratio of two decoders")
-    p_compare.add_argument("--decoder-a", dest="decoder_a", required=True)
-    p_compare.add_argument("--decoder-b", dest="decoder_b", required=True)
+    p_compare.add_argument("--decoder-a", dest="decoder_a", type=nonempty, required=True)
+    p_compare.add_argument("--decoder-b", dest="decoder_b", type=nonempty, required=True)
     p_compare.add_argument("--p", type=float, default=None, help="physical error rate (default 1e-3)")
     p_compare.add_argument("--nT", required=True, help="comma list of T-gate counts")
     p_compare.add_argument("--distances", default=None, help="odd distances (default 3:31)")
@@ -671,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.set_defaults(func=cmd_compare)
 
     p_synth = sub.add_parser("synth", help="sample a synthetic trace from a decoder model")
-    p_synth.add_argument("--model", required=True, help="quadratic, linear, instantaneous, or a decoder config JSON")
+    p_synth.add_argument("--model", type=nonempty, required=True, help="quadratic, linear, instantaneous, or a decoder config JSON")
     p_synth.add_argument("--d", type=integer, required=True, help="code distance")
     p_synth.add_argument("--p", type=float, required=True, help="physical error rate")
     p_synth.add_argument("--shots", required=True, help="number of shots (accepts 1e6 style)")
@@ -715,6 +722,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"stopcost: io error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        # an input that asks for more than fits, e.g. --distances 3:1e13
+        print("stopcost: error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -278,10 +278,10 @@ class BinomialRuntime:
         return binomial_survival(self.trials, self.step_probability, int(units))
 
     def sample_ns(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        import numpy as np
-
         draws = rng.binomial(self.trials, self.step_probability, size=n)
-        return draws.astype(np.int64) * self.unit_ns
+        draws = draws.astype("int64", copy=False)  # a copy only where C long is 32-bit
+        draws *= self.unit_ns
+        return draws
 
 
 @dataclass(frozen=True)
@@ -325,12 +325,10 @@ class EmpiricalRuntime:
         return self.distribution.survival(stopping_time_ns)
 
     def sample_ns(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        import numpy as np
-
         dist = self.distribution
         weights = dist.counts().astype(float)
         weights /= weights.sum()
-        return rng.choice(dist.runtimes_ns, size=n, p=weights).astype(np.int64)
+        return rng.choice(dist.runtimes_ns, size=n, p=weights)
 
 
 RuntimeModel = Union[BinomialRuntime, InstantaneousRuntime, EmpiricalRuntime]
@@ -412,9 +410,7 @@ def sample_trace(
     Deterministic for a given seed.  Runtime and failure are sampled
     independently; no joint model is assumed.
     """
-    import numpy as np
-
-    from .trace import RuntimeTrace, TraceMetadata, aggregate_runtimes, merge_histograms
+    from .trace import RuntimeTrace, TraceMetadata, aggregate_shots, merge_histograms
 
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -423,7 +419,7 @@ def sample_trace(
     for chunk_index, start in enumerate(range(0, shots, SAMPLE_CHUNK_SHOTS)):
         n = min(SAMPLE_CHUNK_SHOTS, shots - start)
         runtimes, failed = _sample_chunk(runtime, rate, n, seed, chunk_index)
-        parts.append(aggregate_runtimes(runtimes, np.ones(n, dtype=np.int64), failed))
+        parts.append(aggregate_shots(runtimes, failed))
     metadata = TraceMetadata(
         distance=d, physical_error_rate=p, shots=shots, sec_cycle_ns=sec_cycle_ns
     )

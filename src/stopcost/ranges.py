@@ -324,6 +324,8 @@ def accuracy_surface(
     if base_rate == 0.0:
         raise ValueError(f"failure rate at d={d}, p={p} is 0, so the range is unbounded")
     gate_cycles = schedule.cycles_per_gate(d)
+    if math.isinf(epsilon * d / (base_rate * gate_cycles)):  # largest at alpha 1, M 0
+        raise ValueError(f"failure rate at d={d}, p={p} is {base_rate:.3g}, so the range overflows")
     rows = []
     for alpha in alphas:
         if not 0.0 < alpha <= 1.0:

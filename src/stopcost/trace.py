@@ -21,8 +21,10 @@ timeout failures are derived later, per stopping time (see
 Trace integers are ASCII digits only (``[0-9]+``) and must be below 2**63.
 A canonical file (the exact header on line 1, then only digits, commas
 and ``\n``, every field 1-18 digits, a final newline) is read block-wise
-with numpy; any other file is read by the row validator, which is the one
-definition of the grammar and the source of every line-numbered error.
+with numpy and checked by reductions over each block; any other file is
+read by the row validator, which is the one definition of the grammar and
+the source of every line-numbered error.  One-shot rows are aggregated by
+sorting their runtimes, and the failed shots' runtimes.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ METADATA_FIELDS = {
 INT64_MAX = 2**63 - 1
 
 # Bytes per read of the canonical fast path.  Blocks of 64 KiB keep the
-# parse of a 1e6-row per-shot trace at ~34 MiB peak RSS (1 MiB blocks:
-# ~67 MiB; the whole file: ~149 MiB) at no measurable cost in time.
+# parse of a 1e6-row per-shot trace at ~30 MiB peak RSS, ~1 MiB over the
+# import (1 MiB blocks: ~41 MiB; whole file: ~96 MiB) at no cost in time.
 BLOCK_BYTES = 1 << 16
 # Per-shot runs of equal lines are written as repeated strings of at most
 # about this many bytes.
@@ -63,16 +65,12 @@ WRITE_BYTES = 1 << 16
 # The canonical grammar: fields of 1-18 ASCII digits (so every value fits
 # int64), ',' between fields, '\n' after each row.
 _CANONICAL_DIGITS = 18
-_CANONICAL_BYTES = np.zeros(256, dtype=bool)
-_CANONICAL_BYTES[[ord(c) for c in "0123456789,\n"]] = True
 _CANONICAL_HEADERS = {
     (",".join(header) + "\n").encode(): len(header)
     for header in (PER_SHOT_HEADER, HISTOGRAM_HEADER)
 }
 # Longest canonical row: three 18-digit fields, two commas and '\n'.
 _CANONICAL_ROW_BYTES = 3 * _CANONICAL_DIGITS + 3
-# The separator bytes of one row, per field count.
-_ROW_SEPARATORS = {n: np.array([ord(",")] * (n - 1) + [ord("\n")]) for n in (2, 3)}
 # The row validator aggregates its rows in batches of this size.
 _VALIDATOR_BATCH_ROWS = 1 << 16
 
@@ -91,13 +89,30 @@ def aggregate_runtimes(
     failed = np.asarray(failed, dtype=np.int64)
     if runtimes.size == 0:
         return runtimes, totals, failed
-    order = np.argsort(runtimes, kind="stable")
+    order = np.argsort(runtimes)  # exact integer sums need no stable order
     runtimes = runtimes[order]
     starts = np.flatnonzero(np.concatenate(([True], runtimes[1:] != runtimes[:-1])))
     totals = np.add.reduceat(totals[order], starts)
     failed = np.add.reduceat(failed[order], starts)
     keep = totals > 0
     return runtimes[starts][keep], totals[keep], failed[keep]
+
+
+def aggregate_shots(
+    runtimes: np.ndarray, failed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`aggregate_runtimes` of one-shot rows (runtime, failed flag), by
+    sorting the runtimes and, for the failure counts, the failed ones."""
+    runtimes = np.asarray(runtimes, dtype=np.int64)
+    failures = np.sort(runtimes[np.asarray(failed, dtype=bool)])
+    runtimes = np.sort(runtimes)
+    if runtimes.size == 0:
+        return runtimes, runtimes, runtimes
+    starts = np.flatnonzero(np.concatenate(([True], runtimes[1:] != runtimes[:-1])))
+    distinct = runtimes[starts]
+    totals = np.diff(starts, append=runtimes.size)
+    failed_counts = np.diff(np.searchsorted(failures, distinct, side="right"), prepend=0)
+    return distinct, totals, failed_counts
 
 
 def merge_histograms(
@@ -177,12 +192,8 @@ class RuntimeTrace:
         cls, metadata: TraceMetadata, records: Iterable[tuple[int, bool]]
     ) -> "RuntimeTrace":
         """Aggregate an iterable of (runtime_ns, failed) pairs."""
-        pairs = np.array([(int(r), bool(f)) for r, f in records], dtype=np.int64)
-        pairs = pairs.reshape(-1, 2)
-        return cls(
-            metadata,
-            *aggregate_runtimes(pairs[:, 0], np.ones(len(pairs), np.int64), pairs[:, 1]),
-        )
+        pairs = np.array([(int(r), bool(f)) for r, f in records], np.int64).reshape(-1, 2)
+        return cls(metadata, *aggregate_shots(pairs[:, 0], pairs[:, 1]))
 
     @property
     def record_count(self) -> int:
@@ -458,32 +469,42 @@ def _validated_columns(
 def _parse_block(
     block: bytes, fields: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Rows of one block of whole canonical lines, or None if it is not canonical."""
+    """One block of whole canonical lines aggregated, or None if not canonical."""
     buf = np.frombuffer(block, dtype=np.uint8)
-    if not _CANONICAL_BYTES[buf].all():
+    # No byte is above '9', and every byte below '0' is a separator.  When
+    # each fields-th one is a '\n' and all the others are commas, every row
+    # is fields - 1 commas and a '\n'; then each field must be 1-18 digits.
+    seps = np.flatnonzero(buf < ord("0"))
+    rows, extra = divmod(seps.size, fields)
+    ends = seps[fields - 1 :: fields]
+    steps = seps[1:] - seps[:-1]  # each field's width plus one
+    if (
+        buf.max() > ord("9")
+        or extra
+        or np.count_nonzero(buf == ord(",")) != seps.size - rows
+        or (buf[ends] != ord("\n")).any()
+        or steps.min(initial=seps[0] + 1) < 2
+        or steps.max(initial=seps[0] + 1) > _CANONICAL_DIGITS + 1
+    ):
         return None
-    seps = np.flatnonzero(buf < ord("0"))  # the ',' and '\n' bytes
-    if seps.size % fields or not (
-        buf[seps].reshape(-1, fields) == _ROW_SEPARATORS[fields]
-    ).all():
-        return None
-    lengths = np.diff(seps, prepend=-1) - 1
-    if lengths.min() < 1 or lengths.max() > _CANONICAL_DIGITS:
-        return None
+    if fields == 2:
+        # The flag is the one byte between each row's comma and its '\n'.
+        flags = buf[ends - 1]
+        if (buf[ends - 2] != ord(",")).any() or flags.max() > ord("1"):
+            return None
+        text = buf.copy()  # blank each ',flag' to convert only the runtimes
+        text[ends - 2] = text[ends - 1] = ord(" ")
+        runtimes = np.fromstring(text.tobytes(), dtype=np.int64, sep="\n")
+        if runtimes.size != rows:
+            return None
+        return aggregate_shots(runtimes, flags == ord("1"))
     values = np.fromstring(block[:-1].replace(b"\n", b","), dtype=np.int64, sep=",")
     if values.size != seps.size:
         return None
-    values = values.reshape(-1, fields)
-    runtimes = values[:, 0]
-    if fields == 2:
-        if lengths[1::2].max() != 1 or values[:, 1].max() > 1:
-            return None
-        totals, failed = np.ones(len(values), dtype=np.int64), values[:, 1]
-    else:
-        totals, failed = values[:, 1], values[:, 2]
-        if (failed > totals).any() or int(totals.max()) > INT64_MAX // len(values):
-            return None  # invalid, or its sum could overflow int64
-    return runtimes, totals, failed
+    runtimes, totals, failed = values.reshape(-1, 3).T
+    if (failed > totals).any() or int(totals.max()) > INT64_MAX // rows:
+        return None  # invalid, or its sum could overflow int64
+    return aggregate_runtimes(runtimes, totals, failed)
 
 
 def _canonical_columns(
@@ -506,13 +527,13 @@ def _canonical_columns(
                 return None
             if not cut:
                 continue
-            rows = _parse_block(data[:cut], fields)
-            if rows is None:
+            part = _parse_block(data[:cut], fields)
+            if part is None:
                 return None
-            shots += int(rows[1].sum())
+            shots += int(part[1].sum())
             if shots > INT64_MAX:
                 return None
-            parts.append(aggregate_runtimes(*rows))
+            parts.append(part)
     if pending:
         return None  # no final newline
     return merge_histograms(parts)

@@ -187,6 +187,13 @@ class TestSurface:
             "stopcost: error: failure rate at d=31, p=1e-320 is 0, so the range is unbounded\n"
         )
 
+    def test_subnormal_failure_rate_is_one_error_line(self, capsys):
+        # The rate is a subnormal float, so epsilon * d / rate overflows.
+        assert main(["surface", "--d", "3", "--p", "3e-157"]) == 2
+        assert capsys.readouterr().err == (
+            "stopcost: error: failure rate at d=3, p=3e-157 is 9e-311, so the range overflows\n"
+        )
+
 
 class TestMincostAndCompare:
     def test_row_count_contract(self, capsys):
@@ -464,6 +471,13 @@ class TestOneLineErrors:
             (["surface", "--d", "15.5", "--p", "1e-3"], "argument --d: invalid integer value: '15.5'"),
             (["surface", "--p", "1e-3"], "the following arguments are required: --d"),
             (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+            (["stop", "--trace", ""], "argument --trace: must not be empty"),
+            (["mincost", "--trace", "", "--nT", "10"], "argument --trace: must not be empty"),
+            (["stop", "--trace", "t.csv", "--meta", ""], "argument --meta: must not be empty"),
+            (["surface", "--d", "3", "--p", "1e-3", "--out", ""], "argument --out: must not be empty"),
+            (["surface", "--d", "3", "--p", "1e-3", "--config", ""], "argument --config: must not be empty"),
+            (["compare", "--decoder-a", "", "--decoder-b", "linear", "--nT", "10"], "argument --decoder-a: must not be empty"),
+            (["synth", "--model", "", "--d", "3", "--p", "1e-3", "--shots", "10"], "argument --model: must not be empty"),
         ],
     )
     def test_usage_error_is_one_line(self, capsys, argv, message):
@@ -490,6 +504,28 @@ class TestOneLineErrors:
         err = capsys.readouterr().err
         assert err.startswith("stopcost: error: line ")
         assert err.count("\n") == 1
+
+
+def _limit_address_space():
+    import resource
+
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux-only")
+def test_memory_error_is_one_error_line():
+    # 5e12 distances cannot be listed in 1 GiB of address space.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stopcost.cli", "mincost", "--decoder", "quadratic",
+         "--nT", "10", "--distances", "3:10000000000001"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "stopcost: error: out of memory\n"
 
 
 # ---------------------------------------------------------------------------

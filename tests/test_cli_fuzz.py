@@ -177,7 +177,7 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-# Inputs that crashed with a traceback before this fuzz test.
+# Inputs that once crashed with a traceback, or failed naming no argument.
 MINCOST = ["mincost", "--decoder", DECODER_FILE, "--nT", "10"]
 HEURISTIC = {"kind": "heuristic"}
 
@@ -207,6 +207,8 @@ HEURISTIC = {"kind": "heuristic"}
 @example(argv=["required-distance", "--nT", "10", "--p", "0"], decoder_config={}, run_config={})
 @example(argv=["required-distance", "--nT", "1e400"], decoder_config={}, run_config={})
 @example(argv=["surface", "--d", "31", "--p", "1e-320"], decoder_config={}, run_config={})
+@example(argv=["surface", "--d", "3", "--p", "3e-157"], decoder_config={}, run_config={})
+@example(argv=["stop", "--trace", ""], decoder_config={}, run_config={})
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 def test_cli_exits_cleanly_on_any_input(workdir, argv, decoder_config, run_config):

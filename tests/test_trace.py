@@ -8,18 +8,22 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stopcost import models as models_module
 from stopcost import trace as trace_module
 from stopcost import (
+    BinomialRuntime,
     ConfigError,
+    EmpiricalFailure,
     RuntimeTrace,
     TraceIntegrityError,
     TraceMetadata,
     TraceParseError,
     build_distribution,
     parse_trace,
+    sample_trace,
     write_trace_csv,
 )
 
@@ -327,10 +331,11 @@ def _columns(trace_columns):
 
 
 def _outcome(parse, path):
-    """A parse's columns, or its error type and message."""
+    """A parse's columns, or its error type and message (a byte that is not
+    UTF-8 fails in decoding)."""
     try:
         return _columns(parse(path))
-    except TraceParseError as exc:
+    except (TraceParseError, UnicodeDecodeError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -461,6 +466,94 @@ def test_malformed_row_deep_in_file_gives_validator_error(bad, case, position, b
         if bad != '"1,1':  # an open quote swallows the rest of the file
             line = int(got[1].split(":")[0].removeprefix("line "))
             assert position + 2 <= line <= position + 2 + bad.count("\n")
+
+
+# Bytes a mutation inserts or writes: the grammar's own bytes, and bytes
+# just below '0' or above '9' that a reduction over the block must catch.
+_NEAR_CANONICAL_BYTES = b"/: \t\r\x00\xff-,\n0123456789"
+
+
+@st.composite
+def mutated_texts(draw):
+    """A canonical trace text with one to three single-byte insertions,
+    replacements or deletions."""
+    layout, rows = draw(trace_rows())
+    data = bytearray(_canonical_text(layout, rows).encode())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from(_NEAR_CANONICAL_BYTES))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert":
+            data.insert(at, byte)
+        elif at < len(data) and edit == "replace":
+            data[at] = byte
+        elif at < len(data):
+            del data[at]
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_texts(), st.sampled_from([1, 7, 16, 64, 1 << 16]))
+def test_mutated_bytes_parse_like_the_validator(data, block_bytes):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        trace_module, "BLOCK_BYTES", block_bytes
+    ):
+        path = _write(tmp, "t.csv", data)
+        fast = trace_module._canonical_columns(path)
+        if fast is not None:
+            assert _columns(fast) == _columns(trace_module._validated_columns(path))
+        expected = _outcome(_validator_columns, path)
+        shots = sum(expected[1]) if isinstance(expected[1], list) else 1
+        parse = functools.partial(_parse_columns, shots=shots)
+        assert _outcome(parse, path) == expected
+
+
+# ---------------------------------------------------------------------------
+# Shot aggregation against aggregate_runtimes and the dict oracle
+
+
+@st.composite
+def shot_rows(draw):
+    """Unsorted one-shot rows: heavy duplicates, high cardinality, the int64
+    extremes, and flags that are random, all 0 or all 1."""
+    runtime = st.one_of(
+        st.integers(0, 3), st.integers(0, 2**63 - 1), st.sampled_from([0, 2**63 - 1])
+    )
+    flag = draw(st.sampled_from([st.integers(0, 1), st.just(0), st.just(1)]))
+    return draw(st.lists(st.tuples(runtime, flag), max_size=200))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shot_rows())
+@example([])
+def test_aggregate_shots_matches_aggregate_runtimes(rows):
+    runtimes = np.array([r for r, _ in rows], dtype=np.int64)
+    failed = np.array([f for _, f in rows], dtype=bool)
+    got = trace_module.aggregate_shots(runtimes, failed)
+    assert all(column.dtype == np.int64 for column in got)
+    assert _columns(got) == _columns(
+        trace_module.aggregate_runtimes(runtimes, np.ones(len(rows), np.int64), failed)
+    )
+    assert _columns(got) == _dict_oracle([(r, 1, f) for r, f in rows])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    chunk=st.sampled_from([1, 3, 64]),
+    shots=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    rate=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_sample_trace_chunks_aggregate_like_the_oracle(chunk, shots, seed, rate):
+    runtime = BinomialRuntime(trials=20, step_probability=0.4, unit_ns=7)
+    with mock.patch.object(models_module, "SAMPLE_CHUNK_SHOTS", chunk):
+        trace = sample_trace(runtime, EmpiricalFailure(rate), 5, 1e-3, shots, seed)
+    rows = []
+    for index, start in enumerate(range(0, shots, chunk)):
+        n = min(chunk, shots - start)
+        runtimes, failed = models_module._sample_chunk(runtime, rate, n, seed, index)
+        rows += [(r, 1, int(f)) for r, f in zip(runtimes.tolist(), failed.tolist())]
+    assert _columns((trace.runtimes_ns, trace.counts, trace.failed_counts)) == _dict_oracle(rows)
 
 
 # ---------------------------------------------------------------------------
