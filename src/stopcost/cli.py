@@ -30,20 +30,18 @@ import json
 import math
 import os
 import sys
-import tempfile
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .cost import compare_decoders, min_spacetime_costs
 from .errors import ConfigError, InfeasibleError
 from .models import (
     DecoderModel,
     EmpiricalRuntime,
     HeuristicFailure,
     InstantaneousRuntime,
+    _validate_distance,
     check_keys,
     integer,
     json_integer,
@@ -51,6 +49,7 @@ from .models import (
     json_object,
     load_decoder_config,
     make_reference_decoders,
+    python_values,
 )
 from .ranges import (
     GateSchedule,
@@ -67,8 +66,7 @@ DEFAULT_SURFACE_ALPHAS = [round(0.05 * k, 2) for k in range(1, 21)]
 DEFAULT_SURFACE_CYCLES = [0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000]
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     epsilon: float = 0.5
     t_sec_ns: int = 1000
     min_failure_events: int = 20
@@ -78,18 +76,19 @@ class RunConfig:
 
 
 def _schedule_from_json(raw) -> GateSchedule:
-    check_keys(json_object(raw, "schedule"), [f.name for f in fields(GateSchedule)], "schedule")
+    check_keys(json_object(raw, "schedule"), GateSchedule._fields, "schedule")
     return GateSchedule(**{key: json_integer(value) for key, value in raw.items()})
 
 
-# Config file key -> (RunConfig field, parser of the JSON value).
+# Config file key -> (RunConfig field, parser of the JSON value, the
+# argparse dest of the flag that overrides it, if any).
 CONFIG_KEYS = {
-    "epsilon": ("epsilon", json_number),
-    "t_sec_ns": ("t_sec_ns", json_integer),
-    "min_failure_events": ("min_failure_events", json_integer),
-    "schedule": ("schedule", _schedule_from_json),
-    "format": ("output_format", str),
-    "seed": ("seed", json_integer),
+    "epsilon": ("epsilon", json_number, "epsilon"),
+    "t_sec_ns": ("t_sec_ns", json_integer, "t_sec_ns"),
+    "min_failure_events": ("min_failure_events", json_integer, "min_events"),
+    "schedule": ("schedule", _schedule_from_json, None),
+    "format": ("output_format", str, "format"),
+    "seed": ("seed", json_integer, "seed"),
 }
 
 
@@ -97,7 +96,7 @@ def _config_from_json(raw, path: str) -> RunConfig:
     check_keys(json_object(raw, f"config {path}"), CONFIG_KEYS, f"config {path}")
     values = {}
     for key, value in raw.items():
-        name, parse = CONFIG_KEYS[key]
+        name, parse, _ = CONFIG_KEYS[key]
         try:
             values[name] = parse(value)
         except (TypeError, ValueError) as exc:
@@ -114,19 +113,12 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"invalid config JSON in {args.config}: {exc}") from exc
         config = _config_from_json(raw, args.config)
-    overrides = {}
-    if getattr(args, "epsilon", None) is not None:
-        overrides["epsilon"] = args.epsilon
-    if getattr(args, "t_sec_ns", None) is not None:
-        overrides["t_sec_ns"] = args.t_sec_ns
-    if getattr(args, "min_events", None) is not None:
-        overrides["min_failure_events"] = args.min_events
-    if getattr(args, "format", None) is not None:
-        overrides["output_format"] = args.format
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        config = replace(config, **overrides)
+    overrides = {
+        name: value
+        for name, _, flag in CONFIG_KEYS.values()
+        if flag and (value := getattr(args, flag, None)) is not None
+    }
+    config = config._replace(**overrides)
     if not 0.0 < config.epsilon < 1.0:
         raise ConfigError(f"epsilon must be in (0, 1), got {config.epsilon}")
     if config.output_format not in ("csv", "json"):
@@ -157,10 +149,6 @@ def _json_safe(value):
 # Rows per CSV block: a block is formatted column by column and written
 # whole, so memory stays bounded whatever the table length.
 ROWS_PER_BLOCK = 8192
-
-
-def _values(column) -> Sequence:
-    return column.tolist() if hasattr(column, "tolist") else column
 
 
 def _format_column(column, lo: int, hi: int) -> Iterable[str]:
@@ -195,7 +183,7 @@ def render_table(
             "command": command,
             **{k: _json_safe(v) for k, v in extras.items()},
             "columns": list(header),
-            "rows": [[_json_safe(v) for v in row] for row in zip(*map(_values, columns))],
+            "rows": [[_json_safe(v) for v in row] for row in zip(*map(python_values, columns))],
         }
         yield json.dumps(payload, indent=2) + "\n"
         return
@@ -215,6 +203,8 @@ def _atomic_path(out_path: Path) -> Iterator[str]:
     The temp file comes from ``mkstemp``, so every output gets its 0600
     mode; on any failure it is removed and ``out_path`` is left untouched.
     """
+    import tempfile
+
     fd, tmp_name = tempfile.mkstemp(
         dir=out_path.parent, prefix=out_path.name, suffix=".tmp"
     )
@@ -290,8 +280,7 @@ def _parse_distances(text: str) -> list[int]:
     else:
         distances = _parse_int_list(text)
     for d in distances:
-        if d < 3 or d % 2 == 0:
-            raise ValueError(f"distances must be odd integers >= 3, got {d}")
+        _validate_distance(d)
     return distances
 
 
@@ -367,11 +356,7 @@ def cmd_trace_stats(args: argparse.Namespace) -> int:
         trace.failure_count / trace.metadata.shots,
         trace.failure_count,
     ]
-    extras = {
-        "distance": trace.metadata.distance,
-        "physical_error_rate": trace.metadata.physical_error_rate,
-        "sec_cycle_ns": trace.metadata.sec_cycle_ns,
-    }
+    extras = {k: v for k, v in trace.metadata._asdict().items() if k != "shots"}
     emit(
         render_table("trace-stats", header, [[v] for v in row], config.output_format, extras),
         args.out,
@@ -458,6 +443,8 @@ def _mincost_inputs(args: argparse.Namespace, config: RunConfig):
 
 
 def cmd_mincost(args: argparse.Namespace) -> int:
+    from .cost import min_spacetime_costs
+
     config = _load_run_config(args)
     if bool(args.trace) == bool(args.decoder):
         raise ConfigError("mincost requires exactly one of --decoder or --trace")
@@ -473,12 +460,8 @@ def cmd_mincost(args: argparse.Namespace) -> int:
         schedule=config.schedule,
         min_events=config.min_failure_events,
     )
-    columns = [
-        n_T_values,
-        [r.cost if r.feasible else math.inf for r in results],
-        [r.distance for r in results],
-        [r.stopping_time_ns for r in results],
-    ]
+    costs, chosen_d, chosen_m, _ = zip(*results)
+    columns = [n_T_values, costs, chosen_d, chosen_m]
     rate_method = "exact" if getattr(args, "trace", None) else "upper_bound"
     extras = {"decoder": label, "physical_error_rate": p, "rate_method": rate_method}
     header = ["n_T", "cost", "distance", "M_ns"]
@@ -494,6 +477,8 @@ def cmd_mincost(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .cost import compare_decoders
+
     config = _load_run_config(args)
     p = args.p if args.p is not None else 1e-3
     distances = _parse_distances(args.distances) if args.distances else list(range(3, 32, 2))
@@ -508,12 +493,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         schedule=config.schedule,
         min_events=config.min_failure_events,
     )
-    columns = [
-        [r.n_T for r in rows],
-        [r.cost_a for r in rows],
-        [r.cost_b for r in rows],
-        [r.ratio for r in rows],
-    ]
+    columns = list(zip(*rows))  # n_T, cost_a, cost_b, ratio
     extras = {"decoder_a": args.decoder_a, "decoder_b": args.decoder_b, "physical_error_rate": p}
     header = ["n_T", "cost_a", "cost_b", "ratio"]
     emit(render_table("compare", header, columns, config.output_format, extras), args.out)

@@ -21,10 +21,9 @@ are float('inf').
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_right
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .models import (
     BinomialRuntime,
@@ -32,6 +31,7 @@ from .models import (
     EmpiricalRuntime,
     InstantaneousRuntime,
     binomial_survival,
+    python_values,
 )
 from .ranges import (
     GateSchedule,
@@ -45,8 +45,7 @@ QUANTILE_TAIL_EXPONENTS = range(1, 17)
 DecoderFactory = Callable[[int], Union[DecoderModel, None]]
 
 
-@dataclass(frozen=True)
-class CostPoint:
+class CostPoint(NamedTuple):
     """Spacetime cost of one (distance, stopping time) choice."""
 
     distance: int
@@ -60,8 +59,7 @@ class CostPoint:
         return not math.isinf(self.cost)
 
 
-@dataclass(frozen=True)
-class StoppingCandidate:
+class StoppingCandidate(NamedTuple):
     """A stopping time with its interrupted failure rate and range."""
 
     stopping_time_ns: int
@@ -70,8 +68,7 @@ class StoppingCandidate:
     rate_method: str  # "exact" or "upper_bound"
 
 
-@dataclass(frozen=True)
-class MinCostResult:
+class MinCostResult(NamedTuple):
     """Minimum spacetime cost and the (d, M) pair achieving it."""
 
     cost: int | float
@@ -84,8 +81,7 @@ class MinCostResult:
         return not (isinstance(self.cost, float) and math.isinf(self.cost))
 
 
-@dataclass(frozen=True)
-class CompareRow:
+class CompareRow(NamedTuple):
     n_T: int
     cost_a: int | float
     cost_b: int | float
@@ -106,7 +102,7 @@ def spacetime_cost(
     if range_at_point < n_T:
         cost: int | float = math.inf
     else:
-        cost = 2 * d * d * sec_depth(n_T, d, stopping_time_ns, t_sec_ns, schedule)
+        cost = n_T * _gate_cost(d, stopping_time_ns, t_sec_ns, schedule)
     return CostPoint(
         distance=d,
         stopping_time_ns=int(stopping_time_ns),
@@ -114,6 +110,11 @@ def spacetime_cost(
         cost=cost,
         range_at_point=range_at_point,
     )
+
+
+def _gate_cost(d: int, stopping_time_ns: int, t_sec_ns: int, schedule: GateSchedule) -> int:
+    # The one cost formula, per T gate: 2 d**2 (cycles_per_gate(d) + ceil(M / t_sec)).
+    return 2 * d * d * sec_depth(1, d, stopping_time_ns, t_sec_ns, schedule)
 
 
 def _binomial_quantile_units(runtime: BinomialRuntime) -> list[tuple[int, float]]:
@@ -168,12 +169,8 @@ def stopping_candidates(
     )
     return [
         StoppingCandidate(*row, method)
-        for row in zip(_as_list(m), _as_list(rate), _as_list(n_T))
+        for row in zip(python_values(m), python_values(rate), python_values(n_T))
     ]
-
-
-def _as_list(column) -> list:
-    return column.tolist() if hasattr(column, "tolist") else column
 
 
 def _candidate_columns(
@@ -226,13 +223,11 @@ def _candidate_table(
     t_sec_ns: int,
     schedule: GateSchedule,
     min_events: int,
-) -> list[tuple[int, Sequence[int], list[int], str]]:
-    """Per distance, ascending: ``(d, M column, reach, rate method)``.
-
-    ``reach[i]`` is the largest range among the first ``i + 1`` stopping
-    times, so the cheapest stopping time that covers n_T is the first one
-    whose reach does (see :func:`min_spacetime_costs`).
-    """
+) -> list[tuple[int, int, int, int, str]]:
+    """The frontier: ``(range, cost per gate, d, M, rate method)`` rows, by
+    range descending.  Per distance it keeps the rows where the running
+    maximum range over ascending M rises; any other row is dominated by an
+    earlier one, which covers as much at no more cost per gate."""
     factory: DecoderFactory
     if isinstance(decoder, DecoderModel):
         factory = lambda _d: decoder  # noqa: E731 - constant family
@@ -241,7 +236,7 @@ def _candidate_table(
     # One quantile ladder per runtime law, shared by every distance of
     # this table (a fixed decoder has the same law at every distance).
     ladders: dict[BinomialRuntime, list[tuple[int, float]]] = {}
-    table = []
+    rows = []
     for d in sorted(set(d_candidates)):
         model = factory(d)
         if model is None:
@@ -249,8 +244,13 @@ def _candidate_table(
         m, _, n_T, method = _candidate_columns(
             model, d, p, epsilon, t_sec_ns, schedule, min_events, ladders
         )
-        table.append((d, m, list(accumulate(_as_list(n_T), max)), method))
-    return table
+        reach = 0  # no workload n_T >= 1 is covered by a range of 0
+        for mi, ri in zip(python_values(m), python_values(n_T)):
+            if ri > reach:
+                reach = ri
+                rows.append((ri, _gate_cost(d, mi, t_sec_ns, schedule), d, mi, method))
+    rows.sort(key=lambda row: row[0], reverse=True)
+    return rows
 
 
 def min_spacetime_costs(
@@ -264,34 +264,30 @@ def min_spacetime_costs(
     min_events: int = 20,
 ) -> list[MinCostResult]:
     """:func:`min_spacetime_cost` for each workload in ``n_T_values``, in
-    order, from one candidate table built once."""
+    order, from one frontier built once."""
     n_T_values = list(n_T_values)
     if not d_candidates:
         raise ValueError("d_candidates must be nonempty")
     for n_T in n_T_values:
         if n_T < 1:
             raise ValueError(f"n_T must be >= 1, got {n_T}")
-    table = _candidate_table(
+    rows = _candidate_table(
         decoder, p, d_candidates, epsilon, t_sec_ns, schedule, min_events
     )
-    # Within one distance the cost per gate, 2 d**2 (cycles_per_gate(d) +
-    # ceil(M / t_sec)), does not decrease in M, so the cheapest stopping
-    # time covering n_T is the first whose reach does, and a later one of
-    # equal cost would lose the smaller-M tie anyway.  A range never passes
-    # RANGE_SATURATION_CAP, so no row covers a larger n_T.
-    best = [MinCostResult(cost=math.inf, distance=None, stopping_time_ns=None)] * len(
-        n_T_values
-    )
-    for d, m, reach, method in table:
-        for j, n_T in enumerate(n_T_values):
-            i = bisect_left(reach, n_T)
-            if i == len(reach):
-                continue
-            point = spacetime_cost(n_T, d, int(m[i]), reach[i], t_sec_ns, schedule)
-            # Distances ascend, so strict improvement keeps the smaller d.
-            if point.cost < best[j].cost:
-                best[j] = MinCostResult(point.cost, d, point.stopping_time_ns, method)
-    return best
+    # The rows of range >= n_T, a prefix, cover n_T, and n_T * g is least
+    # where the cost per gate g is: the answer is the prefix minimum of
+    # (g, d, M), so ties go to the smaller d, then the smaller M.
+    negated = [-row[0] for row in rows]
+    best = list(accumulate((row[1:] for row in rows), min))
+    results = []
+    for n_T in n_T_values:
+        k = bisect_right(negated, -n_T)
+        if k == 0:
+            results.append(MinCostResult(math.inf, None, None))
+        else:
+            g, d, m, method = best[k - 1]
+            results.append(MinCostResult(n_T * g, d, m, method))
+    return results
 
 
 def min_spacetime_cost(

@@ -19,9 +19,8 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .errors import ConfigError
 
@@ -36,9 +35,9 @@ HEURISTIC_VALIDITY_P = 1e-2
 SAMPLE_CHUNK_SHOTS = 1 << 20
 
 
-def _validate_distance(d: int) -> None:
+def _validate_distance(d: int, name: str = "distance") -> None:
     if d < 3 or d % 2 == 0:
-        raise ValueError(f"distance must be an odd integer >= 3, got {d}")
+        raise ValueError(f"{name} must be an odd integer >= 3, got {d}")
 
 
 def _validate_probability(p: float, name: str) -> None:
@@ -46,12 +45,21 @@ def _validate_probability(p: float, name: str) -> None:
         raise ValueError(f"{name} must be in (0, 1), got {p}")
 
 
+def python_values(column) -> Sequence:
+    """A numpy column's ``tolist()``; any other sequence as it is."""
+    return column.tolist() if hasattr(column, "tolist") else column
+
+
 # ---------------------------------------------------------------------------
 # Failure models
 
 
-@dataclass(frozen=True)
-class HeuristicFailure:
+class _HeuristicFailure(NamedTuple):
+    prefactor: float = 0.1
+    threshold: float = 0.01
+
+
+class HeuristicFailure(_HeuristicFailure):
     """Below-threshold failure-rate heuristic for matching decoders.
 
     rate = prefactor * (p / threshold) ** ((d + 1) / 2).
@@ -61,12 +69,13 @@ class HeuristicFailure:
     threshold; evaluating at p >= 1e-2 warns but does not fail.
     """
 
-    prefactor: float = 0.1
-    threshold: float = 0.01
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.prefactor <= 0 or self.threshold <= 0:
             raise ValueError("prefactor and threshold must be positive")
+        return self
 
     def rate(self, d: int, p: float) -> float:
         _validate_distance(d)
@@ -85,37 +94,47 @@ class HeuristicFailure:
 FITTED_MATCHING_FAILURE = HeuristicFailure(prefactor=0.04)
 
 
-@dataclass(frozen=True)
-class AccuracyScaledFailure:
+class _AccuracyScaledFailure(NamedTuple):
+    base: FailureModel
+    alpha: float
+
+
+class AccuracyScaledFailure(_AccuracyScaledFailure):
     """Failure rate of a decoder with relative accuracy alpha in (0, 1].
 
     A decoder of accuracy alpha fails at base_rate / alpha; alpha = 1
     recovers the base model exactly.
     """
 
-    base: "FailureModel"
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"accuracy must be in (0, 1], got {self.alpha}")
+        return self
 
     def rate(self, d: int, p: float) -> float:
         return min(1.0, self.base.rate(d, p) / self.alpha)
 
 
-@dataclass(frozen=True)
-class EmpiricalFailure:
-    """Directly measured failure rate with its supporting event count."""
-
+class _EmpiricalFailure(NamedTuple):
     failure_rate: float
     failure_events: int = 0
 
-    def __post_init__(self):
+
+class EmpiricalFailure(_EmpiricalFailure):
+    """Directly measured failure rate with its supporting event count."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.failure_rate <= 1.0:
             raise ValueError(f"failure rate must be in [0, 1], got {self.failure_rate}")
         if self.failure_events < 0:
             raise ValueError("failure_events must be >= 0")
+        return self
 
     def rate(self, d: int, p: float) -> float:
         _validate_distance(d)
@@ -246,24 +265,29 @@ def binomial_survival(trials: int, step_probability: float, threshold: int) -> f
 # Runtime models
 
 
-@dataclass(frozen=True)
-class BinomialRuntime:
+class _BinomialRuntime(NamedTuple):
+    trials: int
+    step_probability: float
+    unit_ns: int = 1000
+
+
+class BinomialRuntime(_BinomialRuntime):
     """Runtime of ``trials`` Bernoulli steps, each taking ``unit_ns``.
 
     Mean runtime is trials * step_probability units; the worst case is
     exactly ``trials`` units.
     """
 
-    trials: int
-    step_probability: float
-    unit_ns: int = 1000
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         _validate_probability(self.step_probability, "step probability")
         if self.unit_ns < 1:
             raise ValueError(f"unit_ns must be >= 1, got {self.unit_ns}")
+        return self
 
     @property
     def mean_ns(self) -> float:
@@ -284,9 +308,20 @@ class BinomialRuntime:
         return draws
 
 
-@dataclass(frozen=True)
 class InstantaneousRuntime:
-    """Zero-delay decoder: the runtime is identically 0."""
+    """Zero-delay decoder: the runtime is identically 0.  A plain class: a
+    NamedTuple without fields would be an empty, and so false, tuple."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "InstantaneousRuntime()"
+
+    def __eq__(self, other) -> bool:
+        return type(other) is InstantaneousRuntime
+
+    def __hash__(self) -> int:
+        return hash(InstantaneousRuntime)
 
     @property
     def mean_ns(self) -> float:
@@ -307,8 +342,7 @@ class InstantaneousRuntime:
         return np.zeros(n, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class EmpiricalRuntime:
+class EmpiricalRuntime(NamedTuple):
     """Runtime distribution backed by a measured trace."""
 
     distribution: EmpiricalRuntimeDistribution
@@ -334,8 +368,7 @@ class EmpiricalRuntime:
 RuntimeModel = Union[BinomialRuntime, InstantaneousRuntime, EmpiricalRuntime]
 
 
-@dataclass(frozen=True)
-class DecoderModel:
+class DecoderModel(NamedTuple):
     """A named decoder: a runtime law plus a failure-rate law."""
 
     name: str

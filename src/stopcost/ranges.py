@@ -12,10 +12,9 @@ stopping time is the interruption point maximizing that T-depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .models import FailureModel, HeuristicFailure, _validate_probability
+from .models import FailureModel, HeuristicFailure, _validate_distance, _validate_probability
 
 if TYPE_CHECKING:
     import numpy as np
@@ -25,19 +24,24 @@ if TYPE_CHECKING:
 RANGE_SATURATION_CAP = 10**18
 
 
-@dataclass(frozen=True)
-class GateSchedule:
-    """Per-T-gate cycle counts, as multipliers of the code distance."""
-
+class _GateSchedule(NamedTuple):
     h_cycles: int = 2
     s_cycles: int = 2
     conditional_s_cycles: int = 2
     measure_cycles: int = 1
 
-    def __post_init__(self):
-        for name in ("h_cycles", "s_cycles", "conditional_s_cycles", "measure_cycles"):
-            if getattr(self, name) <= 0:
+
+class GateSchedule(_GateSchedule):
+    """Per-T-gate cycle counts, as multipliers of the code distance."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, cycles in zip(self._fields, self):
+            if cycles <= 0:
                 raise ValueError(f"{name} must be positive")
+        return self
 
     def cycles_per_gate(self, d: int) -> int:
         """SEC cycles per T gate excluding the decoding delay (7d default)."""
@@ -46,8 +50,7 @@ class GateSchedule:
         ) * d
 
 
-@dataclass(frozen=True)
-class RangeResult:
+class RangeResult(NamedTuple):
     """Achievable reliable T-depth at one (distance, stopping time) point."""
 
     n_T: int
@@ -58,8 +61,7 @@ class RangeResult:
     saturated: bool = False
 
 
-@dataclass(frozen=True)
-class RangeCurve:
+class RangeCurve(NamedTuple):
     """Decoder range at each significant stopping time of a trace, column-wise.
 
     Row ``i`` holds what :func:`decoder_range` returns for
@@ -102,8 +104,7 @@ class RangeCurve:
         )
 
 
-@dataclass(frozen=True)
-class RequiredDistance:
+class RequiredDistance(NamedTuple):
     """Smallest viable odd code distance, or None when the search failed.
 
     ``no_encoding_sufficient`` flags workloads short enough to run on bare
@@ -147,10 +148,8 @@ def unencoded_range(p: float, epsilon: float) -> int:
     floor(epsilon / (3p)); the factor 3 counts the H, S and T of each
     compiled HST block.  Encoding is only worthwhile above this depth.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    _validate_probability(p, "p")
+    _validate_probability(epsilon, "epsilon")
     return math.floor(epsilon / (3.0 * p))
 
 
@@ -173,8 +172,7 @@ def required_distance(
     if n_T < 1:
         raise ValueError(f"n_T must be >= 1, got {n_T}")
     _validate_probability(p, "p")
-    if d_max < 3 or d_max % 2 == 0:
-        raise ValueError(f"d_max must be an odd integer >= 3, got {d_max}")
+    _validate_distance(d_max, "d_max")
     if failure_model is None:
         failure_model = HeuristicFailure()
     no_encoding = n_T < epsilon / (3.0 * p)
@@ -185,13 +183,6 @@ def required_distance(
             found = d
             break
     return RequiredDistance(distance=found, no_encoding_sufficient=no_encoding, d_max=d_max)
-
-
-def _validate_distance_epsilon(d: int, epsilon: float) -> None:
-    if d < 3 or d % 2 == 0:
-        raise ValueError(f"distance must be an odd integer >= 3, got {d}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
 
 
 def decoder_range(
@@ -210,22 +201,17 @@ def decoder_range(
     useful integer ranges, so results at or above ``saturation_cap`` are
     clamped and flagged instead of silently returned.
     """
-    _validate_distance_epsilon(d, epsilon)
+    _validate_distance(d)
+    _validate_probability(epsilon, "epsilon")
     if not 0.0 <= failure_rate <= 1.0:
         raise ValueError(f"failure rate must be in [0, 1], got {failure_rate}")
     cycles = schedule.cycles_per_gate(d) + delay_cycles(stopping_time_ns, t_sec_ns)
     if failure_rate == 0.0:
-        return RangeResult(
-            n_T=saturation_cap,
-            stopping_time_ns=int(stopping_time_ns),
-            failure_rate_used=failure_rate,
-            distance=d,
-            epsilon=epsilon,
-            saturated=True,
-        )
-    raw = epsilon * d / (failure_rate * cycles)
-    saturated = raw >= saturation_cap
-    n_T = saturation_cap if saturated else math.floor(raw)
+        n_T, saturated = saturation_cap, True
+    else:
+        raw = epsilon * d / (failure_rate * cycles)
+        saturated = raw >= saturation_cap
+        n_T = saturation_cap if saturated else math.floor(raw)
     return RangeResult(
         n_T=n_T,
         stopping_time_ns=int(stopping_time_ns),
@@ -257,7 +243,8 @@ def range_curve(
 
     from .stopping import _as_distribution, significant_stopping_times, stopping_curve
 
-    _validate_distance_epsilon(d, epsilon)
+    _validate_distance(d)
+    _validate_probability(epsilon, "epsilon")
     if t_sec_ns < 1:
         raise ValueError(f"t_sec_ns must be >= 1, got {t_sec_ns}")
     dist = _as_distribution(data)

@@ -17,8 +17,7 @@ is t <= M throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -28,8 +27,7 @@ from .trace import EmpiricalRuntimeDistribution, RuntimeTrace, build_distributio
 TraceLike = Union[RuntimeTrace, EmpiricalRuntimeDistribution]
 
 
-@dataclass(frozen=True)
-class InterruptedStats:
+class InterruptedStats(NamedTuple):
     """Failure accounting for a decoder interrupted at a stopping time."""
 
     stopping_time_ns: int
@@ -116,8 +114,7 @@ def interrupted_failure_bound(
     return upper, lower
 
 
-@dataclass(frozen=True)
-class StoppingCurve:
+class StoppingCurve(NamedTuple):
     """Interrupted failure statistics at many stopping times, column-wise.
 
     Row ``i`` holds the values :func:`interrupted_failure_exact` returns

@@ -32,14 +32,13 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, TraceIntegrityError, TraceParseError
-from .models import json_integer, json_number
+from .models import _validate_distance, _validate_probability, json_integer, json_number
 
 PER_SHOT_HEADER = ("runtime_ns", "failed")
 HISTOGRAM_HEADER = ("runtime_ns", "count_total", "count_failed")
@@ -125,27 +124,27 @@ def merge_histograms(
     return aggregate_runtimes(*(np.concatenate(column) for column in zip(*parts)))
 
 
-@dataclass(frozen=True)
-class TraceMetadata:
-    """Measurement context for a runtime trace."""
-
+class _TraceMetadata(NamedTuple):
     distance: int
     physical_error_rate: float
     shots: int
     sec_cycle_ns: int
 
-    def __post_init__(self):
-        d = self.distance
-        if d < 3 or d % 2 == 0:
-            raise ValueError(f"distance must be an odd integer >= 3, got {d}")
-        if not 0.0 < self.physical_error_rate < 1.0:
-            raise ValueError(
-                f"physical_error_rate must be in (0, 1), got {self.physical_error_rate}"
-            )
+
+class TraceMetadata(_TraceMetadata):
+    """Measurement context for a runtime trace."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        _validate_distance(self.distance)
+        _validate_probability(self.physical_error_rate, "physical_error_rate")
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.sec_cycle_ns < 1:
             raise ValueError(f"sec_cycle_ns must be >= 1, got {self.sec_cycle_ns}")
+        return self
 
 
 class RuntimeTrace:
@@ -512,7 +511,11 @@ def _canonical_columns(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The fast path: the aggregated columns of a canonical trace file, read
     in blocks of ``BLOCK_BYTES``, or None for any file that is not canonical."""
+    # parts[0] is the histogram merged so far.  The parts read since are
+    # folded into it once their rows outnumber its own, so a merge takes at
+    # most about twice the distinct runtimes, not every row of the file.
     parts = []
+    rows = 0  # of all the parts
     shots = 0
     with open(path, "rb") as fh:
         fields = _CANONICAL_HEADERS.get(fh.readline(_CANONICAL_ROW_BYTES))
@@ -534,6 +537,10 @@ def _canonical_columns(
             if shots > INT64_MAX:
                 return None
             parts.append(part)
+            rows += part[0].size
+            if rows > 2 * parts[0][0].size:
+                parts = [merge_histograms(parts)]
+                rows = parts[0][0].size
     if pending:
         return None  # no final newline
     return merge_histograms(parts)
@@ -587,12 +594,6 @@ def write_trace_csv(
 
 
 def write_metadata(metadata: TraceMetadata, path: str | Path) -> None:
-    payload = {
-        "distance": metadata.distance,
-        "physical_error_rate": metadata.physical_error_rate,
-        "shots": metadata.shots,
-        "sec_cycle_ns": metadata.sec_cycle_ns,
-    }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(metadata._asdict(), fh, indent=2)
         fh.write("\n")

@@ -478,6 +478,42 @@ def test_frontier_matches_scan_on_analytic_laws(runtime, failure_rate, distances
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    distances=st.lists(st.integers(1, 8).map(lambda k: 2 * k + 1), min_size=2, max_size=5,
+                       unique=True),
+    scale=st.integers(2**64, 2**80),
+    failure_rate=st.sampled_from([0.0, 1e-40, 1e-35, 1e-30]),
+    n_T_values=n_T_lists,
+    t_sec_ns=st.sampled_from([1, 1000]),
+)
+def test_frontier_matches_scan_on_tied_costs_past_int64(distances, scale, failure_rate,
+                                                        n_T_values, t_sec_ns):
+    # At each distance d, a one-step law whose only stopping time is its
+    # maximum M_d = t_sec * (G / d**2 - 7d), above 2**63: every row costs the
+    # same 2 G per gate, so the covering rows tie and the smallest d wins.
+    tied = math.lcm(*(d * d for d in distances)) * scale
+    models = {
+        d: DecoderModel(
+            "tied",
+            BinomialRuntime(1, 0.3, t_sec_ns * (tied // (d * d) - 7 * d)),
+            EmpiricalFailure(failure_rate),
+        )
+        for d in distances
+    }
+    n_T_values = [1, *n_T_values]
+    results = assert_frontier_matches_scan(
+        models.get, 1e-3, n_T_values, distances, 0.5, t_sec_ns=t_sec_ns
+    )
+    for n_T, result in zip(n_T_values, results):
+        if result.feasible:
+            assert result.cost == n_T * 2 * tied
+            assert type(result.cost) is int and type(result.stopping_time_ns) is int
+            assert result.stopping_time_ns > 2**63
+    if failure_rate == 0.0:
+        assert results[0].distance == min(distances)
+
+
 def test_frontier_picks_the_saturated_row_exactly_at_the_cap():
     decoder = DecoderModel("perfect", InstantaneousRuntime(), EmpiricalFailure(0.0))
     at_cap, past_cap = min_spacetime_costs(decoder, 1e-3, [10**18, 10**18 + 1], [3, 5], 0.5)

@@ -1,5 +1,7 @@
-"""Import-time contracts: the package exports its names lazily, and only the
-commands that read, sweep or sample a trace load numpy."""
+"""Import-time contracts: the package exports its names lazily, only the
+commands that read, sweep or sample a trace load numpy, the analytic
+commands load neither ``dataclasses`` nor ``inspect``, and only ``mincost``
+and ``compare`` load the cost module."""
 
 import importlib
 import json
@@ -15,14 +17,17 @@ import stopcost
 SRC = Path(__file__).resolve().parents[1] / "src"
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
+# Modules whose loading the probe reports.
+WATCHED = ("numpy", "dataclasses", "inspect", "stopcost.cost")
+
 # Runs ``cli.main(argv)`` with stdout discarded, then prints the exit code
-# and whether numpy was imported.
-PROBE = """
+# and which of the watched modules were imported.
+PROBE = f"""
 import contextlib, io, json, sys
 import stopcost.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = stopcost.cli.main(json.loads(sys.argv[1]))
-print(code, "numpy" in sys.modules)
+print(json.dumps([code, [m for m in {WATCHED!r} if m in sys.modules]]))
 """
 
 BINOMIAL_CONFIG = {
@@ -44,8 +49,8 @@ def probe(argv, cwd):
         text=True,
         check=True,
     )
-    code, numpy_loaded = proc.stdout.split()
-    return int(code), numpy_loaded == "True"
+    code, loaded = json.loads(proc.stdout)
+    return code, set(loaded)
 
 
 @pytest.mark.parametrize(
@@ -62,13 +67,19 @@ def probe(argv, cwd):
          "compare-binomial-config"],
 )
 def test_analytic_commands_do_not_import_numpy(tmp_path, argv):
+    # Nor dataclasses and inspect (numpy imports the latter): records are
+    # NamedTuples, so defining them runs no dataclass code generation.
     (tmp_path / "wide.json").write_text(json.dumps(BINOMIAL_CONFIG))
-    assert probe(argv, tmp_path) == (0, False)
+    cost = {"stopcost.cost"} if argv[0] in ("mincost", "compare") else set()
+    assert probe(argv, tmp_path) == (0, cost)
 
 
 def test_trace_command_imports_numpy(tmp_path):
-    argv = ["stop", "--trace", str(INPUTS / "ns.csv")]
-    assert probe(argv, tmp_path) == (0, True)
+    for command in ("stop", "trace-stats"):
+        code, loaded = probe([command, "--trace", str(INPUTS / "ns.csv")], tmp_path)
+        assert code == 0
+        assert "numpy" in loaded
+        assert "stopcost.cost" not in loaded, command
 
 
 def test_bare_package_import_loads_no_submodule():

@@ -396,3 +396,50 @@ class TestDecoderConfig:
             ' "failure": {"kind": "heuristic"}}'
         )
         assert load_decoder_config(path).runtime == BinomialRuntime(100, 0.25, 500)
+
+
+class TestRecords:
+    """Every record type: a NamedTuple, except the fieldless
+    InstantaneousRuntime, and read-only either way."""
+
+    @staticmethod
+    def record_types():
+        import stopcost
+        import stopcost.cli
+
+        exported = [getattr(stopcost, name) for name in stopcost.__all__]
+        return [
+            cls
+            for cls in [stopcost.cli.RunConfig, *exported]
+            if isinstance(cls, type) and issubclass(cls, tuple) and hasattr(cls, "_fields")
+        ]
+
+    def test_assigning_a_field_raises(self):
+        types = self.record_types()
+        assert len(types) == 18
+        for cls in types:
+            record = cls._make(range(len(cls._fields)))
+            for field in cls._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                record.not_a_field = None
+        with pytest.raises(AttributeError):
+            InstantaneousRuntime().not_a_field = None
+
+    def test_validated_records_keep_their_values(self):
+        assert HeuristicFailure(0.2, 0.5).prefactor == 0.2
+        assert FITTED_MATCHING_FAILURE.prefactor == 0.04
+        assert BinomialRuntime(7, 0.5, 3)[2] == BinomialRuntime(7, 0.5, 3).unit_ns == 3
+        assert repr(EmpiricalFailure(0.25)) == (
+            "EmpiricalFailure(failure_rate=0.25, failure_events=0)"
+        )
+
+    def test_instantaneous_runtime_is_a_true_value(self):
+        runtime = InstantaneousRuntime()
+        assert runtime and runtime == InstantaneousRuntime()
+        assert hash(runtime) == hash(InstantaneousRuntime())
+        assert repr(DecoderModel("x", runtime, HeuristicFailure())) == (
+            "DecoderModel(name='x', runtime=InstantaneousRuntime(), "
+            "failure=HeuristicFailure(prefactor=0.1, threshold=0.01))"
+        )

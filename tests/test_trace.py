@@ -407,6 +407,35 @@ def test_fast_path_equals_row_validator(case, block_bytes):
         assert _outcome(parse, path) == _outcome(_validator_columns, path)
 
 
+@pytest.mark.parametrize("block_bytes", [64, 1000, 1 << 12])
+def test_high_cardinality_per_shot_merge_stays_bounded(tmp_path, block_bytes):
+    # ~5,800 distinct runtimes among 20,000 unsorted shots: each small block
+    # keeps nearly all of its rows, so the parts are folded into the running
+    # histogram many times, and no merge may take more than twice the
+    # distinct runtimes plus one block's rows.
+    rng = np.random.default_rng(block_bytes)
+    runtimes = rng.integers(0, 3000, 20_000) * 997 + rng.integers(0, 2, 20_000) * 10**17
+    failed = rng.random(20_000) < 0.3
+    rows = [(int(r), 1, int(f)) for r, f in zip(runtimes, failed)]
+    path = _write(tmp_path, "t.csv", _canonical_text("per_shot", rows))
+    merged_rows = []
+    real_merge = trace_module.merge_histograms
+
+    def counted_merge(parts):
+        merged_rows.append(sum(part[0].size for part in parts))
+        return real_merge(parts)
+
+    with mock.patch.object(trace_module, "BLOCK_BYTES", block_bytes), mock.patch.object(
+        trace_module, "merge_histograms", counted_merge
+    ):
+        fast = trace_module._canonical_columns(path)
+    assert _columns(fast) == _columns(trace_module._validated_columns(path))
+    assert _columns(fast) == _dict_oracle(rows)
+    distinct = fast[0].size
+    assert len(merged_rows) > 5
+    assert max(merged_rows) <= 2 * distinct + block_bytes < len(rows)
+
+
 def _variants(text):
     """Non-canonical spellings of a canonical trace text, all meaning the same trace."""
     header, *body = text.splitlines()
