@@ -23,7 +23,6 @@ _EXPORTS = {
     "DecoderModel": "models",
     "EmpiricalFailure": "models",
     "EmpiricalRuntime": "models",
-    "EmpiricalRuntimeDistribution": "trace",
     "FITTED_MATCHING_FAILURE": "models",
     "FailureModel": "models",
     "GateSchedule": "ranges",
@@ -48,8 +47,6 @@ _EXPORTS = {
     "compare_decoders": "cost",
     "decoder_range": "ranges",
     "delay_cycles": "ranges",
-    "interrupted_distribution": "stopping",
-    "interrupted_failure_bound": "stopping",
     "interrupted_failure_exact": "stopping",
     "load_decoder_config": "models",
     "load_metadata": "trace",

@@ -59,7 +59,7 @@ from .ranges import (
 )
 
 if TYPE_CHECKING:
-    from .trace import EmpiricalRuntimeDistribution, RuntimeTrace
+    from .trace import RuntimeTrace
 
 BUILTIN_DECODERS = ("quadratic", "linear", "instantaneous")
 DEFAULT_SURFACE_ALPHAS = [round(0.05 * k, 2) for k in range(1, 21)]
@@ -92,7 +92,8 @@ CONFIG_KEYS = {
 }
 
 
-def _config_from_json(raw, path: str) -> RunConfig:
+def _config_from_json(raw, path: str) -> dict:
+    """The RunConfig fields a config file sets, by name."""
     check_keys(json_object(raw, f"config {path}"), CONFIG_KEYS, f"config {path}")
     values = {}
     for key, value in raw.items():
@@ -101,18 +102,20 @@ def _config_from_json(raw, path: str) -> RunConfig:
             values[name] = parse(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r} in {path}: {exc}") from exc
-    return RunConfig(**values)
+    return values
 
 
-def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
+def _load_run_config(
+    args: argparse.Namespace, config: RunConfig = RunConfig()
+) -> RunConfig:
+    """``config`` (the defaults) updated by the config file, then the flags."""
     if getattr(args, "config", None):
         with open(args.config) as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"invalid config JSON in {args.config}: {exc}") from exc
-        config = _config_from_json(raw, args.config)
+        config = config._replace(**_config_from_json(raw, args.config))
     overrides = {
         name: value
         for name, _, flag in CONFIG_KEYS.values()
@@ -293,19 +296,16 @@ def _metadata_overrides(args: argparse.Namespace) -> dict:
     }
 
 
-def _load_trace(
-    args: argparse.Namespace,
-) -> tuple[RuntimeTrace, EmpiricalRuntimeDistribution]:
-    """The ``--trace`` file with its metadata, and its runtime distribution."""
-    from .trace import build_distribution, parse_trace
+def _load_trace(args: argparse.Namespace) -> RuntimeTrace:
+    """The ``--trace`` file with its metadata."""
+    from .trace import parse_trace
 
     meta = getattr(args, "meta", None)
     if meta is None:
         sidecar = Path(args.trace).with_suffix(".json")
         if sidecar.exists():
             meta = sidecar
-    trace = parse_trace(args.trace, meta, _metadata_overrides(args))
-    return trace, build_distribution(trace)
+    return parse_trace(args.trace, meta, _metadata_overrides(args))
 
 
 def _resolve_decoder(
@@ -329,7 +329,7 @@ def _resolve_decoder(
 
 def cmd_trace_stats(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
-    trace, dist = _load_trace(args)
+    trace = _load_trace(args)
     header = [
         "shots",
         "mean_ns",
@@ -344,16 +344,16 @@ def cmd_trace_stats(args: argparse.Namespace) -> int:
         "failure_events",
     ]
     row = [
-        dist.shots,
-        dist.mean_ns(),
-        dist.std_ns(),
-        dist.max_runtime_ns,
-        dist.percentile(0.50),
-        dist.percentile(0.90),
-        dist.percentile(0.99),
-        dist.percentile(0.999),
-        dist.percentile(1.0),
-        trace.failure_count / trace.metadata.shots,
+        trace.shots,
+        trace.mean_ns(),
+        trace.std_ns(),
+        trace.max_runtime_ns,
+        trace.percentile(0.50),
+        trace.percentile(0.90),
+        trace.percentile(0.99),
+        trace.percentile(0.999),
+        trace.percentile(1.0),
+        trace.failure_count / trace.shots,
         trace.failure_count,
     ]
     extras = {k: v for k, v in trace.metadata._asdict().items() if k != "shots"}
@@ -368,7 +368,7 @@ def cmd_stop(args: argparse.Namespace) -> int:
     from .stopping import stopping_curve
 
     config = _load_run_config(args)
-    curve = stopping_curve(_load_trace(args)[1])
+    curve = stopping_curve(_load_trace(args))
     columns = [
         curve.stopping_time_ns,
         curve.timeout_probability,
@@ -383,15 +383,14 @@ def cmd_stop(args: argparse.Namespace) -> int:
 
 
 def cmd_range(args: argparse.Namespace) -> int:
-    config = _load_run_config(args)
-    trace, dist = _load_trace(args)
+    trace = _load_trace(args)
+    config = _load_run_config(args, RunConfig(t_sec_ns=trace.metadata.sec_cycle_ns))
     d = trace.metadata.distance
-    t_sec = args.t_sec_ns if args.t_sec_ns is not None else trace.metadata.sec_cycle_ns
     curve = range_curve(
-        dist,
+        trace,
         d,
         config.epsilon,
-        t_sec_ns=t_sec,
+        t_sec_ns=config.t_sec_ns,
         min_events=config.min_failure_events,
         schedule=config.schedule,
     )
@@ -424,31 +423,34 @@ def cmd_surface(args: argparse.Namespace) -> int:
     return 0
 
 
-def _mincost_inputs(args: argparse.Namespace, config: RunConfig):
-    """Resolve (factory, p, distances, t_sec_ns, label) for mincost/compare."""
-    if getattr(args, "trace", None):
-        trace, dist = _load_trace(args)
+def _mincost_inputs(args: argparse.Namespace):
+    """Resolve (factory, p, distances, label, default config) for mincost.
+
+    A trace's metadata supplies the default SEC cycle time.
+    """
+    if args.trace:
+        trace = _load_trace(args)
         model = DecoderModel(
             name=Path(args.trace).stem,
-            runtime=EmpiricalRuntime(dist),
+            runtime=EmpiricalRuntime(trace),
             failure=HeuristicFailure(),
         )
         meta = trace.metadata
         factory = lambda d: model if d == meta.distance else None  # noqa: E731
-        t_sec = args.t_sec_ns if args.t_sec_ns is not None else meta.sec_cycle_ns
-        return factory, meta.physical_error_rate, [meta.distance], t_sec, model.name
+        defaults = RunConfig(t_sec_ns=meta.sec_cycle_ns)
+        return factory, meta.physical_error_rate, [meta.distance], model.name, defaults
     p = args.p if args.p is not None else 1e-3
     distances = _parse_distances(args.distances) if args.distances else list(range(3, 32, 2))
-    return _resolve_decoder(args.decoder, p), p, distances, config.t_sec_ns, args.decoder
+    return _resolve_decoder(args.decoder, p), p, distances, args.decoder, RunConfig()
 
 
 def cmd_mincost(args: argparse.Namespace) -> int:
     from .cost import min_spacetime_costs
 
-    config = _load_run_config(args)
     if bool(args.trace) == bool(args.decoder):
         raise ConfigError("mincost requires exactly one of --decoder or --trace")
-    factory, p, distances, t_sec, label = _mincost_inputs(args, config)
+    factory, p, distances, label, defaults = _mincost_inputs(args)
+    config = _load_run_config(args, defaults)
     n_T_values = _parse_int_list(args.nT)
     results = min_spacetime_costs(
         factory,
@@ -456,13 +458,13 @@ def cmd_mincost(args: argparse.Namespace) -> int:
         n_T_values,
         distances,
         config.epsilon,
-        t_sec_ns=t_sec,
+        t_sec_ns=config.t_sec_ns,
         schedule=config.schedule,
         min_events=config.min_failure_events,
     )
     costs, chosen_d, chosen_m, _ = zip(*results)
     columns = [n_T_values, costs, chosen_d, chosen_m]
-    rate_method = "exact" if getattr(args, "trace", None) else "upper_bound"
+    rate_method = "exact" if args.trace else "upper_bound"
     extras = {"decoder": label, "physical_error_rate": p, "rate_method": rate_method}
     header = ["n_T", "cost", "distance", "M_ns"]
     emit(render_table("mincost", header, columns, config.output_format, extras), args.out)
@@ -580,7 +582,7 @@ def nonempty(text: str) -> str:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=float, default=None, help="logical circuit error budget (default 0.5)")
-    parser.add_argument("--t-sec-ns", dest="t_sec_ns", type=integer, default=None, help="SEC cycle time in ns (default 1000)")
+    parser.add_argument("--t-sec-ns", dest="t_sec_ns", type=integer, default=None, help="SEC cycle time in ns (default 1000, or the trace's sec_cycle_ns for range and mincost --trace)")
     parser.add_argument("--min-events", dest="min_events", type=integer, default=None, help="failure events needed for significance (default 20)")
     parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format (default csv)")
     parser.add_argument("--out", type=nonempty, default=None, help="output file (default stdout); written atomically")

@@ -190,9 +190,7 @@ def _candidate_columns(
     # ladder per runtime law.
     runtime = decoder.runtime
     if isinstance(runtime, EmpiricalRuntime):
-        curve = range_curve(
-            runtime.distribution, d, epsilon, t_sec_ns, min_events, schedule
-        )
+        curve = range_curve(runtime.trace, d, epsilon, t_sec_ns, min_events, schedule)
         return curve.stopping_time_ns, curve.failure_rate, curve.n_T, "exact"
     if isinstance(runtime, BinomialRuntime):
         if runtime not in ladders:

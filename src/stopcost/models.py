@@ -27,7 +27,7 @@ from .errors import ConfigError
 if TYPE_CHECKING:
     import numpy as np
 
-    from .trace import EmpiricalRuntimeDistribution, RuntimeTrace
+    from .trace import RuntimeTrace
 
 HEURISTIC_VALIDITY_P = 1e-2
 
@@ -345,24 +345,23 @@ class InstantaneousRuntime:
 class EmpiricalRuntime(NamedTuple):
     """Runtime distribution backed by a measured trace."""
 
-    distribution: EmpiricalRuntimeDistribution
+    trace: RuntimeTrace
 
     @property
     def mean_ns(self) -> float:
-        return self.distribution.mean_ns()
+        return self.trace.mean_ns()
 
     @property
     def max_runtime_ns(self) -> int:
-        return self.distribution.max_runtime_ns
+        return self.trace.max_runtime_ns
 
     def survival(self, stopping_time_ns: int) -> float:
-        return self.distribution.survival(stopping_time_ns)
+        return self.trace.survival(stopping_time_ns)
 
     def sample_ns(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        dist = self.distribution
-        weights = dist.counts().astype(float)
+        weights = self.trace.counts.astype(float)
         weights /= weights.sum()
-        return rng.choice(dist.runtimes_ns, size=n, p=weights)
+        return rng.choice(self.trace.runtimes_ns, size=n, p=weights)
 
 
 RuntimeModel = Union[BinomialRuntime, InstantaneousRuntime, EmpiricalRuntime]
@@ -599,15 +598,14 @@ def _runtime_from_config(raw, base_dir: Path) -> RuntimeModel:
         return InstantaneousRuntime()
     if "trace" not in cfg:
         raise ConfigError("empirical runtime model requires 'trace'")
-    from .trace import build_distribution, parse_trace
+    from .trace import parse_trace
 
     trace_path = base_dir / cfg["trace"]
     if "meta" in cfg:
         meta_path = base_dir / cfg["meta"]
     else:
         meta_path = trace_path.with_suffix(".json")
-    trace = parse_trace(trace_path, meta_path)
-    return EmpiricalRuntime(build_distribution(trace))
+    return EmpiricalRuntime(parse_trace(trace_path, meta_path))
 
 
 def load_decoder_config(path: str | Path) -> DecoderModel:

@@ -19,7 +19,7 @@ from .models import FailureModel, HeuristicFailure, _validate_distance, _validat
 if TYPE_CHECKING:
     import numpy as np
 
-    from .stopping import TraceLike
+    from .trace import RuntimeTrace
 
 RANGE_SATURATION_CAP = 10**18
 
@@ -223,7 +223,7 @@ def decoder_range(
 
 
 def range_curve(
-    data: TraceLike,
+    trace: RuntimeTrace,
     d: int,
     epsilon: float,
     t_sec_ns: int = 1000,
@@ -241,16 +241,15 @@ def range_curve(
     """
     import numpy as np
 
-    from .stopping import _as_distribution, significant_stopping_times, stopping_curve
+    from .stopping import significant_stopping_times, stopping_curve
 
     _validate_distance(d)
     _validate_probability(epsilon, "epsilon")
     if t_sec_ns < 1:
         raise ValueError(f"t_sec_ns must be >= 1, got {t_sec_ns}")
-    dist = _as_distribution(data)
     # Selecting through significant_stopping_times keeps one definition of
     # significance; the second pass over the kept rows costs milliseconds.
-    curve = stopping_curve(dist, significant_stopping_times(dist, min_events))
+    curve = stopping_curve(trace, significant_stopping_times(trace, min_events))
     m = curve.stopping_time_ns
     delay = -(-m // t_sec_ns)
     rate = curve.exact_failure_rate
@@ -271,7 +270,7 @@ def range_curve(
 
 
 def range_optimized_stopping_time(
-    data: TraceLike,
+    trace: RuntimeTrace,
     d: int,
     epsilon: float,
     t_sec_ns: int = 1000,
@@ -285,7 +284,7 @@ def range_optimized_stopping_time(
     :class:`~stopcost.errors.InfeasibleError` when no stopping time has
     enough failure events.
     """
-    return range_curve(data, d, epsilon, t_sec_ns, min_events, schedule).optimum()
+    return range_curve(trace, d, epsilon, t_sec_ns, min_events, schedule).optimum()
 
 
 def accuracy_surface(

@@ -2,9 +2,8 @@
 
 A decoder interrupted at stopping time M fails in two ways: it returns a
 wrong correction (decode failure) or it does not terminate within M
-(timeout failure).  This module computes the truncated runtime
-distribution, the exact interrupted failure rate from joint
-(runtime, failed) counts, and the cheap bound
+(timeout failure).  This module computes the exact interrupted failure
+rate from joint (runtime, failed) counts, and the cheap bound
 
     max(p_fail, P(t > M)) <= p_fail^(M) <= p_fail + P(t > M)
 
@@ -17,14 +16,12 @@ is t <= M throughout.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InfeasibleError
-from .trace import EmpiricalRuntimeDistribution, RuntimeTrace, build_distribution
-
-TraceLike = Union[RuntimeTrace, EmpiricalRuntimeDistribution]
+from .trace import RuntimeTrace
 
 
 class InterruptedStats(NamedTuple):
@@ -39,49 +36,18 @@ class InterruptedStats(NamedTuple):
     failure_events: int
 
 
-def _as_distribution(data: TraceLike) -> EmpiricalRuntimeDistribution:
-    if isinstance(data, RuntimeTrace):
-        return build_distribution(data)
-    return data
-
-
-def interrupted_distribution(
-    dist: EmpiricalRuntimeDistribution, stopping_time_ns: int
-) -> EmpiricalRuntimeDistribution:
-    """Runtime distribution conditioned on finishing within the stopping time.
-
-    Truncates the support to runtimes <= M and renormalizes by P(t <= M);
-    because the result is again a counts-backed histogram (over the
-    surviving shots), the renormalized masses sum to 1 exactly.
-    """
-    kept = dist.count_at_or_below(stopping_time_ns)
-    if kept == 0:
-        raise ValueError(
-            f"all shots time out at stopping time {stopping_time_ns} ns; "
-            "the conditional distribution is empty"
-        )
-    idx = int(np.searchsorted(dist.runtimes_ns, stopping_time_ns, side="right"))
-    return EmpiricalRuntimeDistribution(
-        dist.runtimes_ns[:idx],
-        dist.cum_total[:idx],
-        dist.cum_failed[:idx],
-        kept,
-    )
-
-
-def interrupted_failure_exact(data: TraceLike, stopping_time_ns: int) -> InterruptedStats:
+def interrupted_failure_exact(trace: RuntimeTrace, stopping_time_ns: int) -> InterruptedStats:
     """Exact interrupted failure rate from joint runtime/failure counts.
 
     Counts every shot that either times out (t > M) or completes with a
     decode failure.  This never double-counts a shot that would both time
     out and decode wrongly, unlike the additive upper bound.
     """
-    dist = _as_distribution(data)
-    shots = dist.shots
-    timeouts = shots - dist.count_at_or_below(stopping_time_ns)
-    completed_failures = dist.failed_at_or_below(stopping_time_ns)
+    shots = trace.shots
+    timeouts = shots - trace.count_at_or_below(stopping_time_ns)
+    completed_failures = trace.failed_at_or_below(stopping_time_ns)
     events = timeouts + completed_failures
-    total_failures = int(dist.cum_failed[-1])
+    total_failures = int(trace.cum_failed[-1])
     # Each rate is a single division of integer counts: rounded division is
     # monotone, so lower <= exact <= upper survives into floats exactly.
     return InterruptedStats(
@@ -93,25 +59,6 @@ def interrupted_failure_exact(data: TraceLike, stopping_time_ns: int) -> Interru
         lower_bound_rate=max(total_failures, timeouts) / shots,
         failure_events=events,
     )
-
-
-def interrupted_failure_bound(
-    decode_failure_rate: float, timeout_probability: float
-) -> tuple[float, float]:
-    """(upper, lower) bounds on the interrupted failure rate.
-
-    upper = min(1, p_fail + timeout); lower = max(p_fail, timeout).
-    The lower bound is always >= upper / 2.
-    """
-    for name, value in (
-        ("decode failure rate", decode_failure_rate),
-        ("timeout probability", timeout_probability),
-    ):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
-    upper = min(1.0, decode_failure_rate + timeout_probability)
-    lower = max(decode_failure_rate, timeout_probability)
-    return upper, lower
 
 
 class StoppingCurve(NamedTuple):
@@ -130,7 +77,7 @@ class StoppingCurve(NamedTuple):
     lower_bound_rate: np.ndarray
 
 
-def stopping_curve(data: TraceLike, stopping_times_ns=None) -> StoppingCurve:
+def stopping_curve(trace: RuntimeTrace, stopping_times_ns=None) -> StoppingCurve:
     """Interrupted failure statistics at every stopping time in one pass.
 
     The stopping times default to the distinct observed runtimes; any other
@@ -140,18 +87,17 @@ def stopping_curve(data: TraceLike, stopping_times_ns=None) -> StoppingCurve:
     every float equals :func:`interrupted_failure_exact`'s bit for bit and
     ``lower <= exact <= upper`` holds exactly.
     """
-    dist = _as_distribution(data)
-    shots = dist.shots
+    shots = trace.shots
     if stopping_times_ns is None:
-        m = dist.runtimes_ns.copy()
+        m = trace.runtimes_ns.copy()
     else:
         m = np.asarray(stopping_times_ns, dtype=np.int64)
-    idx = np.searchsorted(dist.runtimes_ns, m, side="right")
-    completed = np.concatenate(([0], dist.cum_total))[idx]
-    completed_failures = np.concatenate(([0], dist.cum_failed))[idx]
+    idx = np.searchsorted(trace.runtimes_ns, m, side="right")
+    completed = np.concatenate(([0], trace.cum_total))[idx]
+    completed_failures = np.concatenate(([0], trace.cum_failed))[idx]
     timeouts = shots - completed
     events = timeouts + completed_failures
-    total_failures = int(dist.cum_failed[-1])
+    total_failures = int(trace.cum_failed[-1])
     return StoppingCurve(
         stopping_time_ns=m,
         timeouts=timeouts,
@@ -163,25 +109,18 @@ def stopping_curve(data: TraceLike, stopping_times_ns=None) -> StoppingCurve:
     )
 
 
-def significant_stopping_times(
-    data: TraceLike,
-    min_events: int = 20,
-    extra_candidates: Iterable[int] = (),
-) -> list[int]:
+def significant_stopping_times(trace: RuntimeTrace, min_events: int = 20) -> list[int]:
     """Candidate stopping times with enough failures to be statistically
     meaningful.
 
     The candidate grid is the distinct observed runtimes (between them
-    every interrupted statistic is constant) plus any caller-supplied
-    values; a candidate survives when its exact interrupted failure count
-    is at least ``min_events``.  Returned sorted ascending.
+    every interrupted statistic is constant); a candidate survives when
+    its exact interrupted failure count is at least ``min_events``.
+    Returned sorted ascending.
     """
     if min_events < 1:
         raise ValueError(f"min_events must be >= 1, got {min_events}")
-    dist = _as_distribution(data)
-    extra = np.fromiter((int(m) for m in extra_candidates), dtype=np.int64)
-    candidates = np.union1d(dist.runtimes_ns, extra) if extra.size else None
-    curve = stopping_curve(dist, candidates)
+    curve = stopping_curve(trace)
     return curve.stopping_time_ns[curve.failure_events >= min_events].tolist()
 
 
@@ -190,15 +129,3 @@ def _insignificant(min_events: int) -> InfeasibleError:
         f"no stopping time accumulates {min_events} failure events; "
         "collect more shots or lower --min-events"
     )
-
-
-def require_significant_stopping_times(
-    data: TraceLike,
-    min_events: int = 20,
-    extra_candidates: Iterable[int] = (),
-) -> list[int]:
-    """Like :func:`significant_stopping_times` but raising when empty."""
-    times = significant_stopping_times(data, min_events, extra_candidates)
-    if not times:
-        raise _insignificant(min_events)
-    return times

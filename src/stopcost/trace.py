@@ -1,4 +1,4 @@
-"""Decoder runtime traces and empirical runtime distributions.
+"""Decoder runtime traces: empirical runtime distributions with failure counts.
 
 A trace is a collection of per-shot (runtime, decode-failed) measurements
 of a decoder running against a fixed code distance and physical error
@@ -33,7 +33,8 @@ import csv
 import json
 import warnings
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -148,11 +149,15 @@ class TraceMetadata(_TraceMetadata):
 
 
 class RuntimeTrace:
-    """Per-shot decoder runtime/failure records, stored aggregated.
+    """A decoder's empirical runtime distribution, with joint failure counts.
 
     ``runtimes_ns`` holds the distinct observed runtimes sorted ascending;
     ``counts`` and ``failed_counts`` hold, per distinct runtime, the number
     of shots and the number of decode failures among them.
+    ``cum_total[i]`` / ``cum_failed[i]`` count the shots / decode failures
+    with runtime <= ``runtimes_ns[i]``, computed on first use.  No
+    interpolation or smoothing is applied anywhere; all queries are exact
+    counts over the sample.
     """
 
     def __init__(
@@ -185,81 +190,20 @@ class RuntimeTrace:
         self.runtimes_ns = runtimes_ns
         self.counts = counts
         self.failed_counts = failed_counts
+        self.shots = total
 
-    @classmethod
-    def from_records(
-        cls, metadata: TraceMetadata, records: Iterable[tuple[int, bool]]
-    ) -> "RuntimeTrace":
-        """Aggregate an iterable of (runtime_ns, failed) pairs."""
-        pairs = np.array([(int(r), bool(f)) for r, f in records], np.int64).reshape(-1, 2)
-        return cls(metadata, *aggregate_shots(pairs[:, 0], pairs[:, 1]))
+    @cached_property
+    def cum_total(self) -> np.ndarray:
+        return np.cumsum(self.counts)
 
-    @property
-    def record_count(self) -> int:
-        return int(self.counts.sum())
+    @cached_property
+    def cum_failed(self) -> np.ndarray:
+        return np.cumsum(self.failed_counts)
 
     @property
     def failure_count(self) -> int:
         """Decode failures of the uninterrupted decoder."""
         return int(self.failed_counts.sum())
-
-    @property
-    def max_runtime_ns(self) -> int:
-        return int(self.runtimes_ns[-1])
-
-    def iter_records(self) -> Iterator[tuple[int, bool]]:
-        """Expand to per-shot records, sorted by runtime, successes first."""
-        for runtime, total, failed in zip(
-            self.runtimes_ns, self.counts, self.failed_counts
-        ):
-            for _ in range(int(total - failed)):
-                yield int(runtime), False
-            for _ in range(int(failed)):
-                yield int(runtime), True
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RuntimeTrace):
-            return NotImplemented
-        return (
-            self.metadata == other.metadata
-            and np.array_equal(self.runtimes_ns, other.runtimes_ns)
-            and np.array_equal(self.counts, other.counts)
-            and np.array_equal(self.failed_counts, other.failed_counts)
-        )
-
-
-class EmpiricalRuntimeDistribution:
-    """Step-function runtime distribution with cumulative failure counts.
-
-    ``cum_total[i]`` / ``cum_failed[i]`` count the shots / decode failures
-    with runtime <= ``runtimes_ns[i]``.  No interpolation or smoothing is
-    applied anywhere; all queries are exact counts over the sample.
-    """
-
-    def __init__(
-        self,
-        runtimes_ns: np.ndarray,
-        cum_total: np.ndarray,
-        cum_failed: np.ndarray,
-        shots: int,
-    ):
-        runtimes_ns = np.asarray(runtimes_ns, dtype=np.int64)
-        cum_total = np.asarray(cum_total, dtype=np.int64)
-        cum_failed = np.asarray(cum_failed, dtype=np.int64)
-        if runtimes_ns.size == 0:
-            raise ValueError("distribution must contain at least one point")
-        if np.any(np.diff(runtimes_ns) <= 0):
-            raise ValueError("runtimes must be strictly increasing")
-        if np.any(np.diff(cum_total) <= 0) or np.any(np.diff(cum_failed) < 0):
-            raise ValueError("cumulative counts must be non-decreasing")
-        if int(cum_total[-1]) != shots:
-            raise ValueError("final cumulative total must equal the shot count")
-        if np.any(cum_failed > cum_total):
-            raise ValueError("cumulative failures cannot exceed cumulative totals")
-        self.runtimes_ns = runtimes_ns
-        self.cum_total = cum_total
-        self.cum_failed = cum_failed
-        self.shots = int(shots)
 
     @property
     def max_runtime_ns(self) -> int:
@@ -269,17 +213,6 @@ class EmpiricalRuntimeDistribution:
     @property
     def min_runtime_ns(self) -> int:
         return int(self.runtimes_ns[0])
-
-    def points(self) -> list[tuple[int, int, int]]:
-        """(runtime_ns, cumulative total, cumulative failed) triples."""
-        return [
-            (int(r), int(t), int(f))
-            for r, t, f in zip(self.runtimes_ns, self.cum_total, self.cum_failed)
-        ]
-
-    def counts(self) -> np.ndarray:
-        """Non-cumulative shot counts per distinct runtime."""
-        return np.diff(self.cum_total, prepend=0)
 
     def count_at_or_below(self, runtime_ns: int) -> int:
         """Number of shots that finished within ``runtime_ns``."""
@@ -309,8 +242,7 @@ class EmpiricalRuntimeDistribution:
         return int(self.runtimes_ns[idx])
 
     def mean_ns(self) -> float:
-        counts = self.counts()
-        return float(np.dot(self.runtimes_ns.astype(float), counts)) / self.shots
+        return float(np.dot(self.runtimes_ns.astype(float), self.counts)) / self.shots
 
     def std_ns(self) -> float:
         """Corrected (n-1) sample standard deviation; 0 for a single shot."""
@@ -320,20 +252,27 @@ class EmpiricalRuntimeDistribution:
                 stacklevel=2,
             )
             return 0.0
-        counts = self.counts()
-        mean = self.mean_ns()
-        dev = self.runtimes_ns.astype(float) - mean
-        return float(np.sqrt(np.dot(counts, dev * dev) / (self.shots - 1)))
+        dev = self.runtimes_ns.astype(float) - self.mean_ns()
+        return float(np.sqrt(np.dot(self.counts, dev * dev) / (self.shots - 1)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RuntimeTrace):
+            return NotImplemented
+        return (
+            self.metadata == other.metadata
+            and np.array_equal(self.runtimes_ns, other.runtimes_ns)
+            and np.array_equal(self.counts, other.counts)
+            and np.array_equal(self.failed_counts, other.failed_counts)
+        )
 
 
-def build_distribution(trace: RuntimeTrace) -> EmpiricalRuntimeDistribution:
-    """Turn a trace into its empirical runtime distribution."""
-    return EmpiricalRuntimeDistribution(
-        trace.runtimes_ns,
-        np.cumsum(trace.counts),
-        np.cumsum(trace.failed_counts),
-        trace.metadata.shots,
-    )
+def build_distribution(trace: RuntimeTrace) -> RuntimeTrace:
+    """Return ``trace``, which is its own empirical runtime distribution.
+
+    Kept for compatibility: every function that reads a distribution takes
+    the trace itself.
+    """
+    return trace
 
 
 def load_metadata(
@@ -573,8 +512,8 @@ def write_trace_csv(
 ) -> None:
     """Write a trace in histogram (default) or per-shot CSV layout.
 
-    Per-shot rows come out sorted by runtime, successes first, as
-    :meth:`RuntimeTrace.iter_records` yields them.
+    Per-shot rows come out sorted by runtime, successes first within each
+    runtime.
     """
     columns = zip(
         trace.runtimes_ns.tolist(), trace.counts.tolist(), trace.failed_counts.tolist()

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import iter_records, trace_from_records
 from stopcost import (
-    RuntimeTrace,
     TraceMetadata,
     BinomialRuntime,
     DecoderModel,
@@ -21,7 +21,6 @@ from stopcost import (
     HeuristicFailure,
     accuracy_surface,
     binomial_survival,
-    build_distribution,
     compare_decoders,
     decoder_range,
     interrupted_failure_exact,
@@ -30,7 +29,7 @@ from stopcost import (
     range_optimized_stopping_time,
     required_distance,
     sample_trace,
-    significant_stopping_times,
+    stopping_curve,
     unencoded_range,
 )
 from stopcost.cli import main as cli_main
@@ -44,7 +43,7 @@ def make_trace(records):
     meta = TraceMetadata(
         distance=5, physical_error_rate=1e-3, shots=len(records), sec_cycle_ns=1000
     )
-    return RuntimeTrace.from_records(meta, records)
+    return trace_from_records(meta, records)
 
 
 def test_criterion_1_unencoded_range():
@@ -107,10 +106,9 @@ def test_criterion_4_bound_sandwich_and_factor_two():
         else:
             # correlate failures with slow shots
             failed = rng.random(shots) < 0.6 * runtimes / runtimes.max()
-        dist = build_distribution(
-            make_trace(list(zip(runtimes.tolist(), failed.tolist())))
-        )
-        for m in significant_stopping_times(dist, min_events=20, extra_candidates=[0]):
+        dist = make_trace(list(zip(runtimes.tolist(), failed.tolist())))
+        curve = stopping_curve(dist, np.union1d(dist.runtimes_ns, [0]))
+        for m in curve.stopping_time_ns[curve.failure_events >= 20].tolist():
             stats = interrupted_failure_exact(dist, m)
             assert stats.lower_bound_rate <= stats.exact_failure_rate
             assert stats.exact_failure_rate <= stats.upper_bound_rate
@@ -155,7 +153,7 @@ def test_criterion_5_stopping_time_oracle_equivalence():
         if expected is None:
             continue
         m, result = range_optimized_stopping_time(
-            build_distribution(make_trace(records)), 5, 0.5, min_events=20
+            make_trace(records), 5, 0.5, min_events=20
         )
         assert (m, result.n_T) == expected
         compared += 1
@@ -191,15 +189,14 @@ def test_criterion_7_sampler_statistics():
         shots=shots,
         seed=20240501,
     )
-    dist = build_distribution(trace)
     mean_se = math.sqrt(100 * 0.3 * 0.7 / shots)
-    assert abs(dist.mean_ns() - 30.0) <= 3 * mean_se
+    assert abs(trace.mean_ns() - 30.0) <= 3 * mean_se
     expected_survival = binomial_survival(100, 0.3, 30)
     survival_se = math.sqrt(expected_survival * (1 - expected_survival) / shots)
-    assert abs(dist.survival(30) - expected_survival) <= 3 * survival_se
+    assert abs(trace.survival(30) - expected_survival) <= 3 * survival_se
     report(
         7,
-        f"sampled mean {dist.mean_ns():.4f} and survival {dist.survival(30):.5f} "
+        f"sampled mean {trace.mean_ns():.4f} and survival {trace.survival(30):.5f} "
         f"sit within 3 standard errors of the binomial law",
     )
 
@@ -229,9 +226,7 @@ def test_criterion_8_monotonicity_suite():
         shots = int(rng.integers(20, 400))
         runtimes = rng.integers(1, 80, size=shots)
         failed = rng.random(shots) < rng.uniform(0, 0.5)
-        dist = build_distribution(
-            make_trace(list(zip(runtimes.tolist(), failed.tolist())))
-        )
+        dist = make_trace(list(zip(runtimes.tolist(), failed.tolist())))
         rates = [
             interrupted_failure_exact(dist, m).exact_failure_rate
             for m in [0, *dist.runtimes_ns.tolist()]
@@ -281,10 +276,10 @@ def test_criterion_9_synthetic_pipeline_stands_in_for_machine_data(tmp_path, cap
     from stopcost import parse_trace
 
     parsed = parse_trace(trace_path, trace_path.with_suffix(".json"))
-    records = list(parsed.iter_records())
+    records = list(iter_records(parsed))
     expected = brute_force_optimum(records, 9, 0.5, 1000, min_events=20)
     m, result = range_optimized_stopping_time(
-        build_distribution(parsed), 9, 0.5, min_events=20
+        parsed, 9, 0.5, min_events=20
     )
     assert (m, result.n_T) == expected
     assert optimal_m == expected[0]

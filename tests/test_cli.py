@@ -16,6 +16,7 @@ from stopcost import GateSchedule, accuracy_surface
 from stopcost.cli import _format_cell, _json_safe, integer, main, render_table
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 META = {"distance": 5, "physical_error_rate": 1e-3, "shots": 6, "sec_cycle_ns": 1000}
 
@@ -359,6 +360,42 @@ class TestConfigPrecedence:
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["epsilon"] == 0.25
+
+    @pytest.mark.parametrize("command", [["range"], ["mincost", "--nT", "1,1000"]])
+    def test_config_t_sec_ns_beats_trace_metadata(self, tmp_path, capsys, command):
+        # The trace's sec_cycle_ns is only the default SEC cycle time.
+        cfg = tmp_path / "settings.json"
+        cfg.write_text(json.dumps({"t_sec_ns": 100}))
+        outputs = []
+        for extra in (
+            [],
+            ["--config", str(cfg)],
+            ["--t-sec-ns", "100"],
+            ["--config", str(cfg), "--t-sec-ns", "1000"],
+        ):
+            assert main([*command, "--trace", str(INPUTS / "ns.csv"), *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        from_metadata, from_config, from_flag, flag_over_config = outputs
+        assert from_config == from_flag != from_metadata
+        assert flag_over_config == from_metadata
+
+    @pytest.mark.parametrize("command", [["range"], ["mincost", "--nT", "1,1000"]])
+    def test_config_without_t_sec_ns_keeps_trace_metadata(self, tmp_path, capsys, command):
+        # A config file that does not set t_sec_ns leaves the trace's
+        # sec_cycle_ns (here 500, not RunConfig's 1000) in force.
+        cfg = tmp_path / "settings.json"
+        cfg.write_text(json.dumps({"epsilon": 0.4}))
+        trace = ["--trace", str(INPUTS / "ns.csv")]
+        outputs = []
+        for extra in (
+            ["--sec-cycle-ns", "500", "--config", str(cfg)],
+            ["--sec-cycle-ns", "500", "--epsilon", "0.4"],
+            ["--epsilon", "0.4"],
+        ):
+            assert main([*command, *trace, *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        from_config, from_flag, at_1000 = outputs
+        assert from_config == from_flag != at_1000
 
     def test_invalid_config_value_rejected(self, tmp_path):
         cfg = tmp_path / "settings.json"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import stopcost.cost as cost_module
 import stopcost.models as models_module
+from oracles import trace_from_records
 from stopcost import (
     BinomialRuntime,
     DecoderModel,
@@ -20,7 +21,6 @@ from stopcost import (
     StoppingCandidate,
     TraceMetadata,
     binomial_survival,
-    build_distribution,
     compare_decoders,
     decoder_range,
     make_reference_decoders,
@@ -81,7 +81,7 @@ class TestStoppingCandidates:
         meta = TraceMetadata(
             distance=5, physical_error_rate=1e-3, shots=100, sec_cycle_ns=1000
         )
-        dist = build_distribution(RuntimeTrace.from_records(meta, records))
+        dist = trace_from_records(meta, records)
         decoder = DecoderModel("measured", EmpiricalRuntime(dist), EmpiricalFailure(0.3, 30))
         cands = stopping_candidates(decoder, 5, 1e-3, 0.5)
         assert [c.stopping_time_ns for c in cands] == [1000, 5000]
@@ -151,7 +151,7 @@ class TestMinSpacetimeCost:
         meta = TraceMetadata(
             distance=5, physical_error_rate=1e-3, shots=10000, sec_cycle_ns=1000
         )
-        dist = build_distribution(RuntimeTrace.from_records(meta, records))
+        dist = trace_from_records(meta, records)
         measured = DecoderModel("measured", EmpiricalRuntime(dist), EmpiricalFailure(0.0025, 25))
         factory = lambda d: measured if d == 5 else None  # noqa: E731
         result = min_spacetime_cost(factory, 1e-3, 10, range(3, 32, 2), 0.5)
@@ -409,7 +409,7 @@ def histograms(draw):
     failed = [draw(st.integers(0, c)) for c in counts]
     meta = TraceMetadata(distance=5, physical_error_rate=1e-3, shots=sum(counts),
                          sec_cycle_ns=1000)
-    return build_distribution(RuntimeTrace(meta, runtimes, counts, failed))
+    return RuntimeTrace(meta, runtimes, counts, failed)
 
 
 n_T_lists = st.lists(
@@ -528,7 +528,7 @@ def test_equal_costs_go_to_the_smaller_distance():
     # 79-cycle stopping time and d = 5 covers it at 1 cycle, and both cost
     # 1,800,000 = 2*9*(21+79)*1000 = 2*25*(35+1)*1000.
     meta = TraceMetadata(distance=3, physical_error_rate=1e-3, shots=10**6, sec_cycle_ns=1000)
-    dist = build_distribution(RuntimeTrace(meta, [1000, 79000], [999_931, 69], [0, 10]))
+    dist = RuntimeTrace(meta, [1000, 79000], [999_931, 69], [0, 10])
     model = DecoderModel("trace", EmpiricalRuntime(dist), HeuristicFailure())
     (result,) = assert_frontier_matches_scan(model, 1e-3, [1000], [5, 3], 0.5, min_events=1)
     assert (result.cost, result.distance, result.stopping_time_ns) == (1_800_000, 3, 79000)

@@ -6,6 +6,7 @@ code did.  Counts stay below 2**53, so every float must match bit for bit
 (compared through ``repr``, which also tells 0.0 from -0.0).
 """
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,6 @@ from stopcost import (
     RuntimeTrace,
     StoppingCandidate,
     TraceMetadata,
-    build_distribution,
     decoder_range,
     interrupted_failure_exact,
     range_curve,
@@ -36,7 +36,7 @@ def make_dist(runtimes, counts, failed):
     meta = TraceMetadata(
         distance=5, physical_error_rate=1e-3, shots=sum(counts), sec_cycle_ns=1000
     )
-    return build_distribution(RuntimeTrace(meta, runtimes, counts, failed))
+    return RuntimeTrace(meta, runtimes, counts, failed)
 
 
 # 0.6 * 7 / (0.1 * 42) is exactly 1.0, but 0.6 * (7 / (0.1 * 42)) floors to 0:
@@ -129,9 +129,10 @@ def test_stopping_curve_matches_scalar(dist, extra):
 @settings(max_examples=200, deadline=None)
 @given(dist=distributions(), min_events=min_events_st, extra=extra_st)
 def test_significant_stopping_times_matches_scalar(dist, min_events, extra):
-    assert significant_stopping_times(dist, min_events, extra) == scalar_significant(
-        dist, min_events, extra
-    )
+    assert significant_stopping_times(dist, min_events) == scalar_significant(dist, min_events)
+    curve = stopping_curve(dist, np.union1d(dist.runtimes_ns, extra))
+    significant = curve.stopping_time_ns[curve.failure_events >= min_events].tolist()
+    assert significant == scalar_significant(dist, min_events, extra)
 
 
 @settings(max_examples=200, deadline=None)

@@ -114,3 +114,20 @@ class TestLazyExports:
         with pytest.raises(AttributeError, match="no_such_name"):
             stopcost.no_such_name
         assert not hasattr(stopcost, "cli_main")
+
+    def test_documented_entry_points_and_no_test_only_names(self):
+        for name in (
+            "parse_trace", "build_distribution", "stopping_curve", "range_curve",
+            "range_optimized_stopping_time", "decoder_range", "interrupted_failure_exact",
+            "min_spacetime_costs", "compare_decoders",
+        ):
+            assert name in stopcost.__all__ and callable(getattr(stopcost, name))
+        for name in (
+            "EmpiricalRuntimeDistribution", "interrupted_distribution",
+            "interrupted_failure_bound", "require_significant_stopping_times",
+        ):
+            assert name not in stopcost.__all__
+        for attr in ("from_records", "iter_records", "points", "record_count"):
+            assert not hasattr(stopcost.RuntimeTrace, attr)
+        trace = stopcost.parse_trace(INPUTS / "ns.csv", INPUTS / "ns.json")
+        assert stopcost.build_distribution(trace) is trace

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import trace_from_records
 from stopcost import (
     FITTED_MATCHING_FAILURE,
     AccuracyScaledFailure,
@@ -15,10 +16,8 @@ from stopcost import (
     EmpiricalRuntime,
     HeuristicFailure,
     InstantaneousRuntime,
-    RuntimeTrace,
     TraceMetadata,
     binomial_survival,
-    build_distribution,
     load_decoder_config,
     make_reference_decoders,
     sample_trace,
@@ -200,7 +199,7 @@ class TestSampling:
             InstantaneousRuntime(), HeuristicFailure(), d=5, p=1e-3, shots=1000, seed=4
         )
         assert list(trace.runtimes_ns) == [0]
-        assert trace.record_count == 1000
+        assert trace.shots == 1000
 
     def test_binomial_sample_mean_within_three_sigma(self):
         shots = 10**6
@@ -212,9 +211,8 @@ class TestSampling:
             shots=shots,
             seed=11,
         )
-        dist = build_distribution(trace)
         se = math.sqrt(100 * 0.3 * 0.7 / shots)
-        assert abs(dist.mean_ns() - 30.0) < 3 * se
+        assert abs(trace.mean_ns() - 30.0) < 3 * se
 
     def test_same_seed_reproduces(self):
         kwargs = dict(
@@ -247,7 +245,7 @@ class TestSampling:
         r1, f1 = _sample_chunk(runtime, 0.1, 12345, 3, 1)
         runtimes = np.concatenate([r0, r1])
         failed = np.concatenate([f0, f1])
-        manual = RuntimeTrace.from_records(
+        manual = trace_from_records(
             self.metadata(shots), zip(runtimes.tolist(), failed.tolist())
         )
         assert np.array_equal(trace.runtimes_ns, manual.runtimes_ns)
@@ -255,15 +253,15 @@ class TestSampling:
         assert np.array_equal(trace.failed_counts, manual.failed_counts)
 
     def test_empirical_runtime_resampling(self):
-        base = RuntimeTrace.from_records(
+        base = trace_from_records(
             self.metadata(4), [(10, False), (10, False), (30, True), (50, False)]
         )
-        model = EmpiricalRuntime(build_distribution(base))
+        model = EmpiricalRuntime(base)
         trace = sample_trace(
             model, EmpiricalFailure(0.0), d=5, p=1e-3, shots=2000, seed=8
         )
         assert set(trace.runtimes_ns.tolist()) <= {10, 30, 50}
-        assert trace.record_count == 2000
+        assert trace.shots == 2000
 
 
 class TestRuntimeModels:

@@ -4,14 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import trace_from_records
 from stopcost import (
     GateSchedule,
     HeuristicFailure,
     InfeasibleError,
-    RuntimeTrace,
     TraceMetadata,
     accuracy_surface,
-    build_distribution,
     decoder_range,
     range_optimized_stopping_time,
     required_distance,
@@ -24,7 +23,7 @@ def make_trace(records):
     meta = TraceMetadata(
         distance=5, physical_error_rate=1e-3, shots=len(records), sec_cycle_ns=1000
     )
-    return RuntimeTrace.from_records(meta, records)
+    return trace_from_records(meta, records)
 
 
 class TestSecDepth:
@@ -193,7 +192,7 @@ class TestRangeOptimizedStoppingTime:
             if expected is None:
                 continue
             m, result = range_optimized_stopping_time(
-                build_distribution(make_trace(records)), 5, 0.5, min_events=20
+                make_trace(records), 5, 0.5, min_events=20
             )
             assert (m, result.n_T) == expected
 
@@ -203,19 +202,19 @@ class TestRangeOptimizedStoppingTime:
         records = (
             [(10, False)] * 20 + [(10, True)] * 30 + [(20, True)] * 50
         )
-        dist = build_distribution(make_trace(records))
+        dist = make_trace(records)
         m, _ = range_optimized_stopping_time(dist, 5, 0.5, min_events=20)
         assert m == 10
 
     def test_singleton_grid(self):
         records = [(7, True)] * 25 + [(7, False)] * 75
-        dist = build_distribution(make_trace(records))
+        dist = make_trace(records)
         m, result = range_optimized_stopping_time(dist, 5, 0.5, min_events=20)
         assert m == 7
         assert result.failure_rate_used == pytest.approx(0.25)
 
     def test_no_significant_candidate_raises(self):
-        dist = build_distribution(make_trace([(5, False)] * 10))
+        dist = make_trace([(5, False)] * 10)
         with pytest.raises(InfeasibleError):
             range_optimized_stopping_time(dist, 5, 0.5, min_events=20)
 
@@ -225,9 +224,7 @@ class TestRangeOptimizedStoppingTime:
             shots = int(rng.integers(100, 500))
             runtimes = rng.integers(1, 30, size=shots) * 1000
             failed = rng.random(shots) < 0.3
-            dist = build_distribution(
-                make_trace(list(zip(runtimes.tolist(), failed.tolist())))
-            )
+            dist = make_trace(list(zip(runtimes.tolist(), failed.tolist())))
             try:
                 _, result = range_optimized_stopping_time(dist, 5, 0.5, min_events=20)
             except InfeasibleError:

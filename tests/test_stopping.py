@@ -1,24 +1,27 @@
 import numpy as np
 import pytest
 
-from stopcost import (
-    InfeasibleError,
-    RuntimeTrace,
-    TraceMetadata,
-    build_distribution,
+from oracles import (
     interrupted_distribution,
     interrupted_failure_bound,
+    points,
+    require_significant_stopping_times,
+    trace_from_records,
+)
+from stopcost import (
+    InfeasibleError,
+    TraceMetadata,
     interrupted_failure_exact,
     significant_stopping_times,
+    stopping_curve,
 )
-from stopcost.stopping import require_significant_stopping_times
 
 
 def make_dist(records):
     meta = TraceMetadata(
         distance=5, physical_error_rate=1e-3, shots=len(records), sec_cycle_ns=1000
     )
-    return build_distribution(RuntimeTrace.from_records(meta, records))
+    return trace_from_records(meta, records)
 
 
 def random_records(rng, shots, fail_prob=None, max_runtime=150):
@@ -39,14 +42,14 @@ class TestInterruptedDistribution:
         dist = make_dist([(1, False), (2, False), (3, True)])
         for m in (3, 4, 100):
             cut = interrupted_distribution(dist, m)
-            assert cut.points() == dist.points()
+            assert points(cut) == points(dist)
             assert cut.shots == dist.shots
 
     def test_uniform_renormalization(self):
         dist = make_dist([(1, False), (2, False), (3, False), (4, False)])
         cut = interrupted_distribution(dist, 2)
         assert cut.shots == 2
-        counts = cut.counts()
+        counts = cut.counts
         masses = counts / cut.shots
         assert list(cut.runtimes_ns) == [1, 2]
         assert masses.tolist() == [0.5, 0.5]
@@ -62,7 +65,7 @@ class TestInterruptedDistribution:
             dist = make_dist(random_records(rng, int(rng.integers(2, 300))))
             for m in dist.runtimes_ns.tolist():
                 cut = interrupted_distribution(dist, m)
-                assert abs(cut.counts().sum() / cut.shots - 1.0) < 1e-12
+                assert abs(cut.counts.sum() / cut.shots - 1.0) < 1e-12
 
 
 class TestExactFailureRate:
@@ -90,7 +93,7 @@ class TestExactFailureRate:
         meta = TraceMetadata(
             distance=5, physical_error_rate=1e-3, shots=2, sec_cycle_ns=1000
         )
-        trace = RuntimeTrace.from_records(meta, [(5, True), (9, False)])
+        trace = trace_from_records(meta, [(5, True), (9, False)])
         assert interrupted_failure_exact(trace, 5).failure_events == 2
 
     def test_non_increasing_in_stopping_time(self):
@@ -145,7 +148,8 @@ class TestSignificantStoppingTimes:
     def test_timeout_count_dominates_early_candidates(self):
         records = [(50, False)] * 1000
         dist = make_dist(records)
-        times = significant_stopping_times(dist, min_events=20, extra_candidates=[10])
+        curve = stopping_curve(dist, np.union1d(dist.runtimes_ns, [10]))
+        times = curve.stopping_time_ns[curve.failure_events >= 20].tolist()
         assert 10 in times  # 1000 timeouts at M=10
         assert 50 not in times  # zero events at M=50
 

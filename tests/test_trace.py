@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import iter_records, points, trace_from_records
 from stopcost import models as models_module
 from stopcost import trace as trace_module
 from stopcost import (
@@ -21,7 +22,6 @@ from stopcost import (
     TraceIntegrityError,
     TraceMetadata,
     TraceParseError,
-    build_distribution,
     parse_trace,
     sample_trace,
     write_trace_csv,
@@ -43,7 +43,7 @@ def test_parse_per_shot(tmp_path):
         tmp_path, "runtime_ns,failed\n500,0\n700,1\n500,0\n"
     )
     trace = parse_trace(trace_path, meta_path)
-    assert trace.record_count == 3
+    assert trace.shots == 3
     assert trace.failure_count == 1
     assert list(trace.runtimes_ns) == [500, 700]
     assert list(trace.counts) == [2, 1]
@@ -174,18 +174,18 @@ def make_trace(records, **meta_overrides):
         distance=5, physical_error_rate=1e-3, shots=len(records), sec_cycle_ns=1000
     )
     meta.update(meta_overrides)
-    return RuntimeTrace.from_records(TraceMetadata(**meta), records)
+    return trace_from_records(TraceMetadata(**meta), records)
 
 
 def test_build_distribution_hand_counts():
-    dist = build_distribution(make_trace([(5, False), (5, True), (9, False)]))
-    assert dist.points() == [(5, 2, 1), (9, 3, 1)]
+    dist = make_trace([(5, False), (5, True), (9, False)])
+    assert points(dist) == [(5, 2, 1), (9, 3, 1)]
     assert dist.max_runtime_ns == 9
 
 
 def test_build_distribution_singleton():
-    dist = build_distribution(make_trace([(0, False)]))
-    assert dist.points() == [(0, 1, 0)]
+    dist = make_trace([(0, False)])
+    assert points(dist) == [(0, 1, 0)]
     assert dist.max_runtime_ns == 0
 
 
@@ -196,7 +196,7 @@ def test_empty_trace_rejected():
 
 
 def test_survival_hand_counts():
-    dist = build_distribution(make_trace([(5, False), (5, True), (9, False)]))
+    dist = make_trace([(5, False), (5, True), (9, False)])
     assert dist.survival(5) == 1 / 3
     assert dist.survival(9) == 0.0
     assert dist.survival(10) == 0.0
@@ -206,7 +206,7 @@ def test_survival_hand_counts():
 
 
 def test_percentile_hand_counts():
-    dist = build_distribution(make_trace([(5, False), (5, True), (9, False)]))
+    dist = make_trace([(5, False), (5, True), (9, False)])
     assert dist.percentile(1.0) == 9
     assert dist.percentile(0.99) == 9
     assert dist.percentile(0.0) == 5
@@ -227,7 +227,7 @@ def random_trace(rng, max_runtime=200, max_shots=400):
 def test_survival_properties_random_traces():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        dist = build_distribution(random_trace(rng))
+        dist = random_trace(rng)
         grid = [0, *dist.runtimes_ns.tolist(), dist.max_runtime_ns + 5]
         values = [dist.survival(m) for m in grid]
         assert all(a >= b for a, b in zip(values, values[1:]))
@@ -239,7 +239,7 @@ def test_survival_properties_random_traces():
 def test_percentile_properties_random_traces():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        dist = build_distribution(random_trace(rng))
+        dist = random_trace(rng)
         qs = np.linspace(0, 1, 23)
         values = [dist.percentile(q) for q in qs]
         assert all(a <= b for a, b in zip(values, values[1:]))
@@ -249,7 +249,7 @@ def test_percentile_properties_random_traces():
 
 
 def test_single_shot_std_is_zero_with_warning():
-    dist = build_distribution(make_trace([(500, False)]))
+    dist = make_trace([(500, False)])
     with pytest.warns(UserWarning, match="degenerate"):
         assert dist.std_ns() == 0.0
 
@@ -258,9 +258,8 @@ def test_count_conservation_random_traces():
     rng = np.random.default_rng(13)
     for _ in range(20):
         trace = random_trace(rng)
-        dist = build_distribution(trace)
-        assert int(dist.counts().sum()) == trace.metadata.shots
-        assert int(dist.cum_total[-1]) == trace.metadata.shots
+        assert int(trace.counts.sum()) == trace.metadata.shots
+        assert int(trace.cum_total[-1]) == trace.metadata.shots
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +593,7 @@ def _csv_writer_bytes(trace, per_shot):
     writer = csv.writer(out, lineterminator="\n")
     if per_shot:
         writer.writerow(["runtime_ns", "failed"])
-        for runtime, failed in trace.iter_records():
+        for runtime, failed in iter_records(trace):
             writer.writerow([runtime, int(failed)])
     else:
         writer.writerow(["runtime_ns", "count_total", "count_failed"])
