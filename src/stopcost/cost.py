@@ -30,6 +30,7 @@ from .models import (
     DecoderModel,
     EmpiricalRuntime,
     InstantaneousRuntime,
+    _log_pmf,
     binomial_survival,
     python_values,
 )
@@ -41,6 +42,9 @@ from .ranges import (
 )
 
 QUANTILE_TAIL_EXPONENTS = range(1, 17)
+# Largest spread sqrt(N*Q*(1-Q)), in units, of a binomial runtime law that
+# gets a quantile ladder: its sweep and survival sums take O(spread) steps.
+LADDER_SPREAD_LIMIT = 10**5
 
 DecoderFactory = Callable[[int], Union[DecoderModel, None]]
 
@@ -118,35 +122,75 @@ def _gate_cost(d: int, stopping_time_ns: int, t_sec_ns: int, schedule: GateSched
 
 
 def _binomial_quantile_units(runtime: BinomialRuntime) -> list[tuple[int, float]]:
-    # (M, P(T > M)) in units, sorted by M: the smallest M with
-    # P(T > M) <= 10**-k for each k, plus the uninterrupted maximum.  The
-    # computed survival S does not increase on [mode, n], so each M is found
-    # by galloping up from the previous one (the mode for k = 1) at offsets
-    # 1, 2, 4, ... and bisecting the last step: O(log width) survival
-    # calls per quantile, with the units an upward walk would give.
+    # (M, P(T > M)) in units, sorted by M: the smallest M >= mode with
+    # P(T > M) <= 10**-k for each k, plus the uninterrupted maximum.  One
+    # sweep of the pmf past the mode locates every quantile, and exact
+    # binomial_survival calls confirm each, so the units and survivals are
+    # those of an upward walk over the survival, which does not increase
+    # past the mode.
     n, q = runtime.trials, runtime.step_probability
-    m = min(n, int((n + 1) * q))
-    s = binomial_survival(n, q, m)
-    ladder = {n: 0.0}
-    for k in QUANTILE_TAIL_EXPONENTS:
+    if n > LADDER_SPREAD_LIMIT**2 / (q * (1.0 - q)):
+        raise ValueError(
+            f"binomial runtime N={n}, Q={q!r} is too wide for the quantile ladder: "
+            f"its spread sqrt(N*Q*(1-Q)) is above {LADDER_SPREAD_LIMIT:g}"
+        )
+    mode = min(n, int((n + 1) * q))
+    # Up from the mode with _upper_tail's recurrence, to the last t whose
+    # term is above 1e-30 (or n).  Dropping the terms past it only lowers
+    # the approximate survival S~, so a candidate can only come out too
+    # low, which the walk up below corrects.
+    top, t, odds = mode, mode + 1, q / (1.0 - q)
+    term = math.exp(_log_pmf(n, q, t)) if t <= n else 0.0
+    while term > 1e-30:
+        top = t
+        if t == n:
+            break
+        term *= (n - t) * odds / (t + 1)
+        t += 1
+    # Back down from top, smallest terms first: after adding pmf(t), total
+    # is S~(t - 1).  For k = 16 down to 1, record the candidate (first M
+    # with S~(M) <= 10**-k) and S~ just below it; the mode bounds them all.
+    located: list[tuple[int, float]] = []
+    targets = iter([10.0**-k for k in reversed(QUANTILE_TAIL_EXPONENTS)])
+    target, total = next(targets), 0.0
+    term = math.exp(_log_pmf(n, q, top))
+    for t in range(top, mode, -1):
+        total += term
+        if total > target:
+            while total > target:
+                located.append((t, total))
+                target = next(targets, math.inf)
+            if len(located) == len(QUANTILE_TAIL_EXPONENTS):
+                break
+        term *= t / ((n - t + 1) * odds)
+    located += [(mode, math.inf)] * (len(QUANTILE_TAIL_EXPONENTS) - len(located))
+    # Confirm each candidate c with the exact S = binomial_survival: walk
+    # down while S(c - 1) <= 10**-k, never below the previous quantile, then
+    # up while S(c) > 10**-k.  Each recurrence step and each addition is off
+    # by ~1e-16 relative, so over the ~1e6 steps of a law within the spread
+    # limit S~ stays within ~1e-9 relative of the true survival (S within
+    # ~1e-10), and dropping terms only lowers S~.  So where S~(c - 1) is
+    # above the target by more than 1e-6 relative, a band far wider than
+    # either error, S(c - 1) is above it too: that probe is skipped.
+    exact: dict[int, float] = {}
+
+    def survival(m: int) -> float:
+        if m not in exact:
+            exact[m] = binomial_survival(n, q, m)
+        return exact[m]
+
+    ladder, lo = {n: 0.0}, mode
+    for k, (c, below) in zip(QUANTILE_TAIL_EXPONENTS, reversed(located)):
         target = 10.0**-k
-        if s > target:
-            lo, offset = m, 1
-            while True:  # ends by M = n, where the survival is 0
-                hi = min(n, m + offset)
-                s_hi = binomial_survival(n, q, hi)
-                if s_hi <= target:
-                    break
-                lo, offset = hi, 2 * offset
-            while hi - lo > 1:  # S(lo) > target >= S(hi)
-                mid = (lo + hi) // 2
-                s_mid = binomial_survival(n, q, mid)
-                if s_mid <= target:
-                    hi, s_hi = mid, s_mid
-                else:
-                    lo = mid
-            m, s = hi, s_hi
-        ladder[m] = s
+        if c <= lo:
+            c = lo
+        elif below <= target * (1.0 + 1e-6):
+            while c > lo and survival(c - 1) <= target:
+                c -= 1
+        while survival(c) > target:  # ends by M = n, where the survival is 0
+            c += 1
+        ladder[c] = exact[c]
+        lo = c
     return sorted(ladder.items())
 
 

@@ -241,18 +241,17 @@ def range_curve(
     """
     import numpy as np
 
-    from .stopping import significant_stopping_times, stopping_curve
+    from .stopping import _significant_rows, stopping_curve
 
     _validate_distance(d)
     _validate_probability(epsilon, "epsilon")
     if t_sec_ns < 1:
         raise ValueError(f"t_sec_ns must be >= 1, got {t_sec_ns}")
-    # Selecting through significant_stopping_times keeps one definition of
-    # significance; the second pass over the kept rows costs milliseconds.
-    curve = stopping_curve(trace, significant_stopping_times(trace, min_events))
-    m = curve.stopping_time_ns
+    curve = stopping_curve(trace)
+    keep = _significant_rows(curve, min_events)
+    m, rate = curve.stopping_time_ns[keep], curve.exact_failure_rate[keep]
+    del curve, keep  # free the full curve before the columns below are built
     delay = -(-m // t_sec_ns)
-    rate = curve.exact_failure_rate
     with np.errstate(divide="ignore"):
         raw = epsilon * d / (rate * (schedule.cycles_per_gate(d) + delay))
     saturated = (rate == 0.0) | (raw >= saturation_cap)

@@ -118,10 +118,16 @@ def significant_stopping_times(trace: RuntimeTrace, min_events: int = 20) -> lis
     its exact interrupted failure count is at least ``min_events``.
     Returned sorted ascending.
     """
+    curve = stopping_curve(trace)
+    return curve.stopping_time_ns[_significant_rows(curve, min_events)].tolist()
+
+
+def _significant_rows(curve: StoppingCurve, min_events: int) -> np.ndarray:
+    # The one definition of significance: a mask of the rows with at least
+    # min_events failure events.
     if min_events < 1:
         raise ValueError(f"min_events must be >= 1, got {min_events}")
-    curve = stopping_curve(trace)
-    return curve.stopping_time_ns[curve.failure_events >= min_events].tolist()
+    return curve.failure_events >= min_events
 
 
 def _insignificant(min_events: int) -> InfeasibleError:

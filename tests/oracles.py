@@ -1,9 +1,8 @@
 """Reference helpers that only the tests use.
 
-Per-record constructors and expansions of a trace, the truncated runtime
-distribution, the additive interrupted-failure bound from rates, and a
-raising variant of :func:`stopcost.stopping.significant_stopping_times`.
-The tests compare the package's vectorised paths against these.
+Per-record constructors and expansions of a trace, and the binomial
+quantile ladder found by galloping and bisection.  The tests compare the
+package's fast paths against these.
 """
 
 from __future__ import annotations
@@ -12,7 +11,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from stopcost.stopping import _insignificant, significant_stopping_times
+from stopcost.cost import QUANTILE_TAIL_EXPONENTS
+from stopcost.models import binomial_survival
 from stopcost.trace import RuntimeTrace, TraceMetadata, aggregate_shots
 
 
@@ -41,50 +41,35 @@ def points(trace: RuntimeTrace) -> list[tuple[int, int, int]]:
     ]
 
 
-def interrupted_distribution(trace: RuntimeTrace, stopping_time_ns: int) -> RuntimeTrace:
-    """Runtime distribution conditioned on finishing within the stopping time.
+def bisect_ladder(n: int, q: float) -> list[tuple[int, float]]:
+    """The quantile ladder of Binomial(n, q) in units, as (M, P(T > M)).
 
-    Truncates the support to runtimes <= M and renormalizes by P(t <= M);
-    because the result is again a counts-backed histogram (over the
-    surviving shots), the renormalized masses sum to 1 exactly.
+    For each k the smallest M with P(T > M) <= 10**-k, found by galloping up
+    from the previous one (the mode for k = 1) at offsets 1, 2, 4, ... and
+    bisecting the last step, plus the uninterrupted maximum n.  The
+    survival does not increase past the mode, so this gives the units of a
+    unit-by-unit walk with O(log width) survival calls per quantile.
     """
-    kept = trace.count_at_or_below(stopping_time_ns)
-    if kept == 0:
-        raise ValueError(
-            f"all shots time out at stopping time {stopping_time_ns} ns; "
-            "the conditional distribution is empty"
-        )
-    idx = int(np.searchsorted(trace.runtimes_ns, stopping_time_ns, side="right"))
-    return RuntimeTrace(
-        trace.metadata._replace(shots=kept),
-        trace.runtimes_ns[:idx],
-        trace.counts[:idx],
-        trace.failed_counts[:idx],
-    )
-
-
-def interrupted_failure_bound(
-    decode_failure_rate: float, timeout_probability: float
-) -> tuple[float, float]:
-    """(upper, lower) bounds on the interrupted failure rate.
-
-    upper = min(1, p_fail + timeout); lower = max(p_fail, timeout).
-    The lower bound is always >= upper / 2.
-    """
-    for name, value in (
-        ("decode failure rate", decode_failure_rate),
-        ("timeout probability", timeout_probability),
-    ):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
-    upper = min(1.0, decode_failure_rate + timeout_probability)
-    lower = max(decode_failure_rate, timeout_probability)
-    return upper, lower
-
-
-def require_significant_stopping_times(trace: RuntimeTrace, min_events: int = 20) -> list[int]:
-    """Like :func:`significant_stopping_times` but raising when empty."""
-    times = significant_stopping_times(trace, min_events)
-    if not times:
-        raise _insignificant(min_events)
-    return times
+    m = min(n, int((n + 1) * q))
+    s = binomial_survival(n, q, m)
+    ladder = {n: 0.0}
+    for k in QUANTILE_TAIL_EXPONENTS:
+        target = 10.0**-k
+        if s > target:
+            lo, offset = m, 1
+            while True:  # ends by M = n, where the survival is 0
+                hi = min(n, m + offset)
+                s_hi = binomial_survival(n, q, hi)
+                if s_hi <= target:
+                    break
+                lo, offset = hi, 2 * offset
+            while hi - lo > 1:  # S(lo) > target >= S(hi)
+                mid = (lo + hi) // 2
+                s_mid = binomial_survival(n, q, mid)
+                if s_mid <= target:
+                    hi, s_hi = mid, s_mid
+                else:
+                    lo = mid
+            m, s = hi, s_hi
+        ladder[m] = s
+    return sorted(ladder.items())

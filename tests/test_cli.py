@@ -249,6 +249,35 @@ class TestMincostAndCompare:
         _, rows = read_csv_table(capsys.readouterr().out)
         assert rows[0][1] == "378"
 
+    def test_large_distance_answers(self, capsys):
+        # Spread sqrt(N*Q*(1-Q)) ~5.2e3: within the ladder's limit.
+        argv = ["mincost", "--decoder", "quadratic", "--nT", "10", "--distances", "3001"]
+        assert main(argv) == 0
+        _, rows = read_csv_table(capsys.readouterr().out)
+        assert rows == [["10", "4876340849174620", "3001", "27051724000"]]
+
+    @pytest.mark.parametrize(
+        "argv, law",
+        [
+            (["--decoder", "quadratic", "--distances", "30001"],
+             "N=729145812150540013500180001, Q=3.70333335802332e-17"),
+            (["--decoder", "@/wide.json"], "N=1000000000000000000000000000000, Q=0.5"),
+        ],
+        ids=["quadratic-d30001", "config-N1e30"],
+    )
+    def test_law_past_the_spread_limit_is_one_error_line(self, tmp_path, capsys, argv, law):
+        (tmp_path / "wide.json").write_text(json.dumps({
+            "runtime": {"kind": "binomial", "N": 10**30, "Q": 0.5, "unit_ns": 1000},
+            "failure": {"kind": "heuristic"},
+        }))
+        argv = [str(tmp_path) + arg[1:] if arg.startswith("@") else arg for arg in argv]
+        assert main(["mincost", "--nT", "10", *argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            f"stopcost: error: binomial runtime {law} is too wide for the quantile ladder: "
+            "its spread sqrt(N*Q*(1-Q)) is above 100000\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

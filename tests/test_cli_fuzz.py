@@ -5,8 +5,8 @@ stderr, and no traceback escapes.
 The argv comes from the parser's own subcommands and options, with values
 drawn from pools of valid, boundary and malformed text; the decoder and
 run config files hold random JSON.  Values that only make the work large
-(the ``synth`` shot count, the list of distances to search) stay small, so
-that every example finishes quickly; the parsers of those values are
+(the ``synth`` shot count, the list of distances to search) stay small
+enough that every example finishes quickly; the parsers of those values are
 still fed malformed text.  Every file a call may write is in a temporary
 directory.
 """
@@ -38,7 +38,7 @@ GOOD = {
     "distance": ["5", "7"],
     "p": ["1e-3", "5e-4", "0.05"],
     "nT": ["10", "1,10,1000", "1e6", "1e30"],
-    "distances": ["3:7", "3,5", "9", "3:31"],
+    "distances": ["3:7", "3,5", "9", "3:31", "101", "3:101"],
     "alphas": ["0.2,0.8", "1"],
     "m_cycles": ["0,10", "5"],
     "epsilon": ["0.5", "0.1"],
@@ -202,6 +202,12 @@ HEURISTIC = {"kind": "heuristic"}
 @example(
     argv=MINCOST,
     decoder_config={"runtime": {"kind": "instantaneous"}, "failure": {"kind": "heuristic", "B": 1e300}},
+    run_config={},
+)
+@example(
+    argv=MINCOST,
+    decoder_config={"runtime": {"kind": "binomial", "N": 10**30, "Q": 0.5, "unit_ns": 1000},
+                    "failure": HEURISTIC},
     run_config={},
 )
 @example(argv=["required-distance", "--nT", "10", "--p", "0"], decoder_config={}, run_config={})

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import stopcost.cost as cost_module
 import stopcost.models as models_module
-from oracles import trace_from_records
+from oracles import bisect_ladder, trace_from_records
 from stopcost import (
     BinomialRuntime,
     DecoderModel,
@@ -336,6 +336,71 @@ def test_fixed_decoder_builds_one_ladder(monkeypatch):
     assert ladders == [WIDE_TAIL.runtime]
     # The upward walk made ~18,000 calls for this table (~1,200 per distance).
     assert len(survival_calls) < 500, len(survival_calls)
+
+
+# ---------------------------------------------------------------------------
+# The one-sweep ladder against the gallop-and-bisect search it replaced,
+# on laws too wide for the unit walk
+
+
+@st.composite
+def wide_binomial_laws(draw):
+    # Variance n*q*(1-q) <= 1e5; q near 0, and near 1 as well.
+    n = draw(st.integers(1, 10**12))
+    q = draw(st.floats(min_value=1e-12, max_value=min(0.5, 1e5 / n)))
+    if draw(st.booleans()):
+        q = 1.0 - q
+    return n, q
+
+
+def reference_law(name, d, p=1e-3):
+    decoder = dict(zip(("quadratic", "linear"), make_reference_decoders(d, p)))[name]
+    return decoder.runtime.trials, decoder.runtime.step_probability
+
+
+@settings(max_examples=200, deadline=None)
+@given(law=wide_binomial_laws())
+@example(law=(WIDE_TAIL.runtime.trials, WIDE_TAIL.runtime.step_probability))
+@example(law=reference_law("quadratic", 101))
+@example(law=reference_law("linear", 101))
+@example(law=reference_law("quadratic", 1001))
+@example(law=reference_law("linear", 1001))
+@example(law=(30, 0.3384008014614815))  # S(13) = 0.1 exactly
+@example(law=(34, 0.32269355361707214))  # S(17) = 0.01 exactly
+def test_ladder_matches_bisection(law):
+    n, q = law
+    ladder = cost_module._binomial_quantile_units(BinomialRuntime(n, q))
+    assert repr(ladder) == repr(bisect_ladder(n, q))
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        (WIDE_TAIL.runtime.trials, WIDE_TAIL.runtime.step_probability),
+        reference_law("quadratic", 31),
+        reference_law("quadratic", 101),
+        reference_law("quadratic", 1001),
+    ],
+)
+def test_ladder_makes_at_most_two_survival_calls_per_quantile(law, monkeypatch):
+    calls = []
+    real_survival = cost_module.binomial_survival
+
+    def counted_survival(*args):
+        calls.append(args)
+        return real_survival(*args)
+
+    monkeypatch.setattr(cost_module, "binomial_survival", counted_survival)
+    cost_module._binomial_quantile_units(BinomialRuntime(*law))
+    assert len(calls) <= 2 * len(cost_module.QUANTILE_TAIL_EXPONENTS) + 1, len(calls)
+
+
+def test_ladder_refuses_a_law_past_the_spread_limit():
+    limit = cost_module.LADDER_SPREAD_LIMIT
+    # Spreads of 1.6e5, 5e14 and ~5e199.
+    for n, q in [reference_law("quadratic", 30001), (10**30, 0.5), (10**400, 0.5)]:
+        with pytest.raises(ValueError, match=f"N={n}, Q={q!r} .* above {limit:g}"):
+            cost_module._binomial_quantile_units(BinomialRuntime(n, q))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import (
-    interrupted_distribution,
-    interrupted_failure_bound,
-    points,
-    require_significant_stopping_times,
-    trace_from_records,
-)
+from oracles import trace_from_records
 from stopcost import (
-    InfeasibleError,
     TraceMetadata,
     interrupted_failure_exact,
     significant_stopping_times,
@@ -35,37 +28,6 @@ def random_records(rng, shots, fail_prob=None, max_runtime=150):
     else:
         failed = rng.random(shots) < fail_prob
     return list(zip(runtimes.tolist(), failed.tolist()))
-
-
-class TestInterruptedDistribution:
-    def test_truncation_beyond_support_is_identity(self):
-        dist = make_dist([(1, False), (2, False), (3, True)])
-        for m in (3, 4, 100):
-            cut = interrupted_distribution(dist, m)
-            assert points(cut) == points(dist)
-            assert cut.shots == dist.shots
-
-    def test_uniform_renormalization(self):
-        dist = make_dist([(1, False), (2, False), (3, False), (4, False)])
-        cut = interrupted_distribution(dist, 2)
-        assert cut.shots == 2
-        counts = cut.counts
-        masses = counts / cut.shots
-        assert list(cut.runtimes_ns) == [1, 2]
-        assert masses.tolist() == [0.5, 0.5]
-
-    def test_below_minimum_runtime_rejected(self):
-        dist = make_dist([(10, False), (20, False)])
-        with pytest.raises(ValueError, match="time out"):
-            interrupted_distribution(dist, 9)
-
-    def test_masses_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            dist = make_dist(random_records(rng, int(rng.integers(2, 300))))
-            for m in dist.runtimes_ns.tolist():
-                cut = interrupted_distribution(dist, m)
-                assert abs(cut.counts.sum() / cut.shots - 1.0) < 1e-12
 
 
 class TestExactFailureRate:
@@ -108,25 +70,25 @@ class TestExactFailureRate:
 
 
 class TestBounds:
+    # The bounds max(p_fail, P(t > M)) <= exact <= min(1, p_fail + P(t > M))
+    # that interrupted_failure_exact returns beside the exact rate.
     def test_no_timeouts(self):
-        assert interrupted_failure_bound(1e-7, 0.0) == (1e-7, 1e-7)
+        stats = interrupted_failure_exact(make_dist([(5, True), (7, False)]), 7)
+        assert stats.timeout_probability == 0.0
+        assert stats.upper_bound_rate == stats.lower_bound_rate == 0.5
 
     def test_equality_point_of_factor_two(self):
-        upper, lower = interrupted_failure_bound(1e-7, 1e-7)
-        assert upper == pytest.approx(2e-7)
-        assert lower == pytest.approx(1e-7)
-        assert lower >= upper / 2
+        # One decode failure and one (other) timeout in four shots.
+        records = [(5, True), (5, False), (5, False), (9, False)]
+        stats = interrupted_failure_exact(make_dist(records), 5)
+        assert (stats.upper_bound_rate, stats.lower_bound_rate) == (0.5, 0.25)
+        assert stats.lower_bound_rate == stats.upper_bound_rate / 2
 
     def test_clamped_to_one(self):
-        upper, lower = interrupted_failure_bound(0.9, 0.9)
-        assert upper == 1.0
-        assert lower == 0.9
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            interrupted_failure_bound(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            interrupted_failure_bound(0.5, 1.1)
+        records = [(5, True), (9, True), (9, False)]
+        stats = interrupted_failure_exact(make_dist(records), 5)
+        assert stats.upper_bound_rate == stats.exact_failure_rate == 1.0
+        assert stats.lower_bound_rate == 2 / 3
 
     def test_sandwich_on_random_traces(self):
         rng = np.random.default_rng(23)
@@ -161,8 +123,3 @@ class TestSignificantStoppingTimes:
         dist = make_dist([(5, False)])
         with pytest.raises(ValueError):
             significant_stopping_times(dist, min_events=0)
-
-    def test_require_raises_infeasible(self):
-        dist = make_dist([(5, False)] * 10)
-        with pytest.raises(InfeasibleError, match="more shots"):
-            require_significant_stopping_times(dist, min_events=20)
