@@ -149,23 +149,24 @@ def _json_safe(value):
     return value
 
 
-# Rows per CSV block: a block is formatted column by column and written
-# whole, so memory stays bounded whatever the table length.
+# Rows per CSV block: a block is formatted with one format string and
+# written whole, so memory stays bounded whatever the table length.
 ROWS_PER_BLOCK = 8192
 
 
-def _format_column(column, lo: int, hi: int) -> Iterable[str]:
-    """Cells ``lo:hi`` of one column, as :func:`_format_cell` writes them."""
+def _format_column(column, lo: int, hi: int) -> tuple[str, list]:
+    """Cells ``lo:hi`` of one column as a ``%`` spec and the values it takes,
+    so that each cell formats as :func:`_format_cell` writes it."""
     if hasattr(column, "tolist"):  # a numpy array
         import numpy as np
 
         part = column[lo:hi]
-        if part.dtype.kind == "f" and not np.isinf(part).any():
-            return map(repr, part.tolist())
         if part.dtype.kind in "iu":
-            return map(str, part.tolist())
-        return map(_format_cell, part.tolist())
-    return map(_format_cell, column[lo:hi])
+            return "%d", part.tolist()
+        if part.dtype.kind == "f" and not np.isinf(part).any():
+            return "%r", part.tolist()
+        return "%s", list(map(_format_cell, part.tolist()))
+    return "%s", list(map(_format_cell, column[lo:hi]))
 
 
 def render_table(
@@ -178,7 +179,8 @@ def render_table(
     """The table as text blocks: CSV in ``ROWS_PER_BLOCK``-row blocks, JSON whole.
 
     ``columns`` are equal-length numpy arrays or Python lists, one per
-    header name.
+    header name.  A CSV block is one ``%`` format: one spec per column,
+    repeated per row, over the block's cells in row order.
     """
     extras = extras or {}
     if fmt == "json":
@@ -193,10 +195,15 @@ def render_table(
     lines = [f"# {key}: {_format_cell(value)}\n" for key, value in extras.items()]
     yield "".join(lines) + ",".join(header) + "\n"
     n_rows = len(columns[0]) if columns else 0
+    width = len(columns)
     for lo in range(0, n_rows, ROWS_PER_BLOCK):
         hi = min(lo + ROWS_PER_BLOCK, n_rows)
-        block = [_format_column(column, lo, hi) for column in columns]
-        yield "\n".join(map(",".join, zip(*block))) + "\n"
+        cells = [None] * ((hi - lo) * width)
+        specs = []
+        for j, column in enumerate(columns):
+            spec, cells[j::width] = _format_column(column, lo, hi)
+            specs.append(spec)
+        yield ((",".join(specs) + "\n") * (hi - lo)) % tuple(cells)
 
 
 @contextmanager

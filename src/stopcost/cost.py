@@ -287,9 +287,10 @@ def _candidate_table(
             model, d, p, epsilon, t_sec_ns, schedule, min_events, ladders
         )
         reach = 0  # no workload n_T >= 1 is covered by a range of 0
-        for mi, ri in zip(python_values(m), python_values(n_T)):
+        for i, ri in enumerate(python_values(n_T)):
             if ri > reach:
                 reach = ri
+                mi = int(m[i])  # only the frontier's stopping times become ints
                 rows.append((ri, _gate_cost(d, mi, t_sec_ns, schedule), d, mi, method))
     rows.sort(key=lambda row: row[0], reverse=True)
     return rows

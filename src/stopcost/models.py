@@ -62,7 +62,8 @@ class _HeuristicFailure(NamedTuple):
 class HeuristicFailure(_HeuristicFailure):
     """Below-threshold failure-rate heuristic for matching decoders.
 
-    rate = prefactor * (p / threshold) ** ((d + 1) / 2).
+    rate = min(1, prefactor * (p / threshold) ** ((d + 1) / 2)), also where
+    the power alone passes the float range.
 
     The defaults reproduce the standard minimum-weight-matching heuristic
     with threshold 1e-2.  The heuristic is only trusted for p below the
@@ -86,7 +87,13 @@ class HeuristicFailure(_HeuristicFailure):
                 f"validity threshold {HEURISTIC_VALIDITY_P}",
                 stacklevel=2,
             )
-        return min(1.0, self.prefactor * (p / self.threshold) ** ((d + 1) // 2))
+        exponent = (d + 1) // 2
+        try:
+            power = (p / self.threshold) ** exponent
+        except OverflowError:  # p / threshold > 1: compare in log space
+            log_rate = math.log(self.prefactor) + exponent * math.log(p / self.threshold)
+            return 1.0 if log_rate >= 0.0 else math.exp(log_rate)
+        return min(1.0, self.prefactor * power)
 
 
 # Fitted rate of a software matching decoder at p = 1e-3, measured with an
@@ -442,20 +449,21 @@ def sample_trace(
     Deterministic for a given seed.  Runtime and failure are sampled
     independently; no joint model is assumed.
     """
-    from .trace import RuntimeTrace, TraceMetadata, aggregate_shots, merge_histograms
+    from .trace import RuntimeTrace, TraceMetadata, aggregate_shots, fold_histograms
 
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rate = failure.rate(d, p)
-    parts = []
-    for chunk_index, start in enumerate(range(0, shots, SAMPLE_CHUNK_SHOTS)):
-        n = min(SAMPLE_CHUNK_SHOTS, shots - start)
-        runtimes, failed = _sample_chunk(runtime, rate, n, seed, chunk_index)
-        parts.append(aggregate_shots(runtimes, failed))
+    parts = (
+        aggregate_shots(
+            *_sample_chunk(runtime, rate, min(SAMPLE_CHUNK_SHOTS, shots - start), seed, index)
+        )
+        for index, start in enumerate(range(0, shots, SAMPLE_CHUNK_SHOTS))
+    )
     metadata = TraceMetadata(
         distance=d, physical_error_rate=p, shots=shots, sec_cycle_ns=sec_cycle_ns
     )
-    return RuntimeTrace(metadata, *merge_histograms(parts))
+    return RuntimeTrace(metadata, *fold_histograms(parts))
 
 
 # ---------------------------------------------------------------------------

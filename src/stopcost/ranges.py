@@ -22,6 +22,9 @@ if TYPE_CHECKING:
     from .trace import RuntimeTrace
 
 RANGE_SATURATION_CAP = 10**18
+# Largest d_max that required_distance searches up to: it tries every odd
+# distance in turn, ~2.6 us each, so a search to the limit takes ~0.13 s.
+D_MAX_LIMIT = 100_001
 
 
 class _GateSchedule(NamedTuple):
@@ -173,6 +176,8 @@ def required_distance(
         raise ValueError(f"n_T must be >= 1, got {n_T}")
     _validate_probability(p, "p")
     _validate_distance(d_max, "d_max")
+    if d_max > D_MAX_LIMIT:
+        raise ValueError(f"d_max must be at most {D_MAX_LIMIT} (ranges.D_MAX_LIMIT), got {d_max}")
     if failure_model is None:
         failure_model = HeuristicFailure()
     no_encoding = n_T < epsilon / (3.0 * p)
@@ -233,29 +238,32 @@ def range_curve(
 ) -> RangeCurve:
     """Decoder range at every significant stopping time of a trace.
 
-    Vectorised :func:`decoder_range` over the significant rows of
-    :func:`~stopcost.stopping.stopping_curve`, with the same operations in
-    the same order: ``(epsilon * d) / (rate * cycles)``, then floor, with
-    results at or above ``saturation_cap`` (or at a zero rate) clamped and
-    flagged.  Every value equals the scalar path's exactly.
+    Vectorised :func:`decoder_range` over the significant observed
+    runtimes, at the exact rates :func:`~stopcost.stopping.stopping_curve`
+    gives them, with the same operations in the same order:
+    ``(epsilon * d) / (rate * cycles)``, then floor, with results at or
+    above ``saturation_cap`` (or at a zero rate) clamped and flagged.
+    Every value equals the scalar path's exactly.
     """
     import numpy as np
 
-    from .stopping import _significant_rows, stopping_curve
+    from .stopping import _failure_counts, _significant_rows
 
     _validate_distance(d)
     _validate_probability(epsilon, "epsilon")
     if t_sec_ns < 1:
         raise ValueError(f"t_sec_ns must be >= 1, got {t_sec_ns}")
-    curve = stopping_curve(trace)
-    keep = _significant_rows(curve, min_events)
-    m, rate = curve.stopping_time_ns[keep], curve.exact_failure_rate[keep]
-    del curve, keep  # free the full curve before the columns below are built
+    m, timeouts, events = _failure_counts(trace)
+    keep = _significant_rows(events, min_events)
+    m, rate = m[keep], events[keep] / trace.shots
+    del timeouts, events, keep  # free the full-length columns before the rest are built
     delay = -(-m // t_sec_ns)
     with np.errstate(divide="ignore"):
-        raw = epsilon * d / (rate * (schedule.cycles_per_gate(d) + delay))
+        raw = np.divide(epsilon * d, rate * (schedule.cycles_per_gate(d) + delay))
     saturated = (rate == 0.0) | (raw >= saturation_cap)
-    floored = np.floor(np.where(saturated, 0.0, raw)).astype(np.int64)
+    raw[saturated] = 0.0
+    n_T = np.floor(raw, out=raw).astype(np.int64)
+    n_T[saturated] = saturation_cap
     return RangeCurve(
         distance=d,
         epsilon=epsilon,
@@ -263,7 +271,7 @@ def range_curve(
         stopping_time_ns=m,
         delay_cycles=delay,
         failure_rate=rate,
-        n_T=np.where(saturated, saturation_cap, floored),
+        n_T=n_T,
         saturated=saturated,
     )
 

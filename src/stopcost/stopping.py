@@ -80,23 +80,17 @@ class StoppingCurve(NamedTuple):
 def stopping_curve(trace: RuntimeTrace, stopping_times_ns=None) -> StoppingCurve:
     """Interrupted failure statistics at every stopping time in one pass.
 
-    The stopping times default to the distinct observed runtimes; any other
-    values are read through one ``searchsorted`` (``t <= M`` completes).
-    Failure events are ``(shots - cum_total) + cum_failed`` and each rate is
-    a single division of integer counts, so while counts stay below 2**53
-    every float equals :func:`interrupted_failure_exact`'s bit for bit and
+    The stopping times default to the distinct observed runtimes (the
+    curve's first column is then ``trace.runtimes_ns`` itself), whose
+    counts are the trace's cumulative ones; any other values are read
+    through one ``searchsorted`` (``t <= M`` completes).  Failure events are
+    ``(shots - completed) + completed failures`` and each rate is a single
+    division of integer counts, so while counts stay below 2**53 every float
+    equals :func:`interrupted_failure_exact`'s bit for bit and
     ``lower <= exact <= upper`` holds exactly.
     """
     shots = trace.shots
-    if stopping_times_ns is None:
-        m = trace.runtimes_ns.copy()
-    else:
-        m = np.asarray(stopping_times_ns, dtype=np.int64)
-    idx = np.searchsorted(trace.runtimes_ns, m, side="right")
-    completed = np.concatenate(([0], trace.cum_total))[idx]
-    completed_failures = np.concatenate(([0], trace.cum_failed))[idx]
-    timeouts = shots - completed
-    events = timeouts + completed_failures
+    m, timeouts, events = _failure_counts(trace, stopping_times_ns)
     total_failures = int(trace.cum_failed[-1])
     return StoppingCurve(
         stopping_time_ns=m,
@@ -109,6 +103,27 @@ def stopping_curve(trace: RuntimeTrace, stopping_times_ns=None) -> StoppingCurve
     )
 
 
+def _failure_counts(
+    trace: RuntimeTrace, stopping_times_ns=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stopping times, and the timeouts and failure events at each.
+
+    The one definition of a failure event: a shot that runs past the
+    stopping time, or completes within it with a decode failure.  At the
+    default stopping times, the observed runtimes, the completed counts
+    are the trace's cumulative counts as they are.
+    """
+    if stopping_times_ns is None:
+        m, completed, completed_failures = trace.runtimes_ns, trace.cum_total, trace.cum_failed
+    else:
+        m = np.asarray(stopping_times_ns, dtype=np.int64)
+        idx = np.searchsorted(trace.runtimes_ns, m, side="right")
+        completed = np.concatenate(([0], trace.cum_total))[idx]
+        completed_failures = np.concatenate(([0], trace.cum_failed))[idx]
+    timeouts = trace.shots - completed
+    return m, timeouts, timeouts + completed_failures
+
+
 def significant_stopping_times(trace: RuntimeTrace, min_events: int = 20) -> list[int]:
     """Candidate stopping times with enough failures to be statistically
     meaningful.
@@ -118,16 +133,16 @@ def significant_stopping_times(trace: RuntimeTrace, min_events: int = 20) -> lis
     its exact interrupted failure count is at least ``min_events``.
     Returned sorted ascending.
     """
-    curve = stopping_curve(trace)
-    return curve.stopping_time_ns[_significant_rows(curve, min_events)].tolist()
+    m, _, events = _failure_counts(trace)
+    return m[_significant_rows(events, min_events)].tolist()
 
 
-def _significant_rows(curve: StoppingCurve, min_events: int) -> np.ndarray:
+def _significant_rows(failure_events: np.ndarray, min_events: int) -> np.ndarray:
     # The one definition of significance: a mask of the rows with at least
     # min_events failure events.
     if min_events < 1:
         raise ValueError(f"min_events must be >= 1, got {min_events}")
-    return curve.failure_events >= min_events
+    return failure_events >= min_events
 
 
 def _insignificant(min_events: int) -> InfeasibleError:

@@ -24,7 +24,9 @@ and ``\n``, every field 1-18 digits, a final newline) is read block-wise
 with numpy and checked by reductions over each block; any other file is
 read by the row validator, which is the one definition of the grammar and
 the source of every line-numbered error.  One-shot rows are aggregated by
-sorting their runtimes, and the failed shots' runtimes.
+sorting their runtimes, and the failed shots' runtimes.  Rows that are
+already a sorted histogram pass through unsorted and uncopied, and the
+parts of a file are folded as they are read (:func:`fold_histograms`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import json
 import warnings
 from pathlib import Path
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,21 +83,27 @@ def aggregate_runtimes(
     """Merge (runtime, total, failed) rows into a sorted histogram.
 
     Returns the distinct runtimes ascending with their summed shot and
-    failure counts; runtimes whose total is 0 are dropped.  Sums are exact
-    int64: callers keep the sum of ``totals`` below 2**63.
+    failure counts; runtimes whose total is 0 are dropped.  Rows whose
+    runtimes already strictly increase are a histogram: they are not
+    sorted, and come back as they are unless a zero total is dropped.
+    Sums are exact int64: callers keep the sum of ``totals`` below 2**63.
     """
     runtimes = np.asarray(runtimes, dtype=np.int64)
     totals = np.asarray(totals, dtype=np.int64)
     failed = np.asarray(failed, dtype=np.int64)
     if runtimes.size == 0:
         return runtimes, totals, failed
-    order = np.argsort(runtimes)  # exact integer sums need no stable order
-    runtimes = runtimes[order]
-    starts = np.flatnonzero(np.concatenate(([True], runtimes[1:] != runtimes[:-1])))
-    totals = np.add.reduceat(totals[order], starts)
-    failed = np.add.reduceat(failed[order], starts)
+    if not (runtimes[1:] > runtimes[:-1]).all():
+        order = np.argsort(runtimes)  # exact integer sums need no stable order
+        runtimes = runtimes[order]
+        starts = np.flatnonzero(np.concatenate(([True], runtimes[1:] != runtimes[:-1])))
+        runtimes = runtimes[starts]
+        totals = np.add.reduceat(totals[order], starts)
+        failed = np.add.reduceat(failed[order], starts)
     keep = totals > 0
-    return runtimes[starts][keep], totals[keep], failed[keep]
+    if keep.all():
+        return runtimes, totals, failed
+    return runtimes[keep], totals[keep], failed[keep]
 
 
 def aggregate_shots(
@@ -122,7 +130,31 @@ def merge_histograms(
     if not parts:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
+    if len(parts) == 1:
+        return parts[0]
     return aggregate_runtimes(*(np.concatenate(column) for column in zip(*parts)))
+
+
+def fold_histograms(
+    parts: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`merge_histograms` of aggregated parts, taken one at a time.
+
+    The first part held is the histogram merged so far.  The parts taken
+    since are folded into it once their rows outnumber its own, so a merge
+    takes at most about twice the distinct runtimes plus one part's rows,
+    and the memory held does not grow with the number of parts.  Parts
+    that follow each other in ascending runtimes are folded without a sort.
+    """
+    held: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    rows = 0  # of all the held parts
+    for part in parts:
+        held.append(part)
+        rows += part[0].size
+        if rows > 2 * held[0][0].size:
+            held = [merge_histograms(held)]
+            rows = held[0][0].size
+    return merge_histograms(held)
 
 
 class _TraceMetadata(NamedTuple):
@@ -172,7 +204,7 @@ class RuntimeTrace:
         failed_counts = np.asarray(failed_counts, dtype=np.int64)
         if runtimes_ns.size == 0:
             raise ValueError("trace must contain at least one record")
-        if np.any(np.diff(runtimes_ns) <= 0):
+        if (runtimes_ns[1:] <= runtimes_ns[:-1]).any():
             raise ValueError("runtimes must be strictly increasing")
         if runtimes_ns[0] < 0:
             raise ValueError("runtimes must be non-negative")
@@ -347,7 +379,13 @@ def _validated_columns(
     This is the one definition of the trace grammar; every parse error
     names its line.  Returns the aggregated histogram columns.
     """
-    parts = []
+    return fold_histograms(_validated_parts(path))
+
+
+def _validated_parts(
+    path: str | Path,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The rows of :func:`_validated_columns`, aggregated in batches."""
     rows: list[tuple[int, int, int]] = []
     shots = 0
     header: Sequence[str] | None = None
@@ -395,13 +433,12 @@ def _validated_columns(
                 )
             rows.append((runtime, total, failed))
             if len(rows) == _VALIDATOR_BATCH_ROWS:
-                parts.append(aggregate_runtimes(*np.array(rows, dtype=np.int64).T))
+                yield aggregate_runtimes(*np.array(rows, dtype=np.int64).T)
                 rows.clear()
     if header is None:
         raise TraceParseError("trace file has no header row")
     if rows:
-        parts.append(aggregate_runtimes(*np.array(rows, dtype=np.int64).T))
-    return merge_histograms(parts)
+        yield aggregate_runtimes(*np.array(rows, dtype=np.int64).T)
 
 
 def _parse_block(
@@ -445,44 +482,49 @@ def _parse_block(
     return aggregate_runtimes(runtimes, totals, failed)
 
 
+class _NotCanonical(Exception):
+    """The fast path met bytes outside the canonical grammar."""
+
+
 def _canonical_columns(
     path: str | Path,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The fast path: the aggregated columns of a canonical trace file, read
     in blocks of ``BLOCK_BYTES``, or None for any file that is not canonical."""
-    # parts[0] is the histogram merged so far.  The parts read since are
-    # folded into it once their rows outnumber its own, so a merge takes at
-    # most about twice the distinct runtimes, not every row of the file.
-    parts = []
-    rows = 0  # of all the parts
-    shots = 0
     with open(path, "rb") as fh:
         fields = _CANONICAL_HEADERS.get(fh.readline(_CANONICAL_ROW_BYTES))
         if fields is None:
             return None
-        pending = b""
-        while chunk := fh.read(BLOCK_BYTES):
-            data = pending + chunk
-            cut = data.rfind(b"\n") + 1
-            pending = data[cut:]
-            if len(pending) > _CANONICAL_ROW_BYTES:
-                return None
-            if not cut:
-                continue
-            part = _parse_block(data[:cut], fields)
-            if part is None:
-                return None
-            shots += int(part[1].sum())
-            if shots > INT64_MAX:
-                return None
-            parts.append(part)
-            rows += part[0].size
-            if rows > 2 * parts[0][0].size:
-                parts = [merge_histograms(parts)]
-                rows = parts[0][0].size
+        try:
+            return fold_histograms(_canonical_parts(fh, fields))
+        except _NotCanonical:
+            return None
+
+
+def _canonical_parts(
+    fh, fields: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each block of ``fh`` aggregated; raises :class:`_NotCanonical` at the
+    first block that is not canonical."""
+    shots = 0
+    pending = b""
+    while chunk := fh.read(BLOCK_BYTES):
+        data = pending + chunk
+        cut = data.rfind(b"\n") + 1
+        pending = data[cut:]
+        if len(pending) > _CANONICAL_ROW_BYTES:
+            raise _NotCanonical
+        if not cut:
+            continue
+        part = _parse_block(data[:cut], fields)
+        if part is None:
+            raise _NotCanonical
+        shots += int(part[1].sum())
+        if shots > INT64_MAX:
+            raise _NotCanonical
+        yield part
     if pending:
-        return None  # no final newline
-    return merge_histograms(parts)
+        raise _NotCanonical  # no final newline
 
 
 def parse_trace(

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import stopcost.cli as cli
 from stopcost import GateSchedule, accuracy_surface
+from stopcost import ranges
 from stopcost.cli import _format_cell, _json_safe, integer, main, render_table
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -315,6 +316,60 @@ class TestRequiredDistance:
         out = capsys.readouterr()
         assert out.err.startswith("stopcost: error: number out of range: ")
         assert out.err.count("\n") == 1
+
+
+    def test_d_max_past_the_limit_is_one_error_line(self, capsys):
+        assert main(["required-distance", "--nT", "1000", "--d-max", "100003"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "stopcost: error: d_max must be at most 100001 (ranges.D_MAX_LIMIT), got 100003\n"
+        )
+
+    def test_search_up_to_the_limit_finishes(self, capsys):
+        # Just below the threshold no distance up to the limit is enough, so
+        # every odd distance up to it is tried.
+        argv = ["required-distance", "--nT", "1e300", "--p", "0.0099999"]
+        assert main(argv + ["--d-max", str(ranges.D_MAX_LIMIT)]) == 3
+        assert capsys.readouterr().err.endswith(
+            f"no odd distance up to {ranges.D_MAX_LIMIT} meets the error budget\n"
+        )
+
+
+class TestRatePastTheFloatRange:
+    """Where (p / threshold) ** ((d + 1) // 2) passes the float range, the
+    heuristic failure rate is 1, as it is at the distances just below."""
+
+    @pytest.mark.parametrize(
+        "argv, code, rows",
+        [
+            (["surface", "--d", "2049", "--p", "0.02", "--alphas", "1", "--m-cycles", "0"],
+             0, [["1.0", "0", "0"]]),
+            (["required-distance", "--nT", "1000", "--p", "0.02", "--d-max", "2099"],
+             3, [["1000", "0.02", "0", "0.5", "2099", "", "0"]]),
+            (["mincost", "--decoder", "linear", "--p", "0.02", "--nT", "10", "--distances", "2049"],
+             3, [["10", "inf", "", ""]]),
+            (["mincost", "--decoder", "@/b1000.json", "--p", "0.5", "--nT", "10",
+              "--distances", "231"],
+             3, [["10", "inf", "", ""]]),
+        ],
+        ids=["surface", "required-distance", "mincost-linear", "mincost-config-B1000"],
+    )
+    def test_analysis_answers(self, tmp_path, capsys, argv, code, rows):
+        (tmp_path / "b1000.json").write_text(json.dumps({
+            "runtime": {"kind": "instantaneous"}, "failure": {"kind": "heuristic", "B": 1000},
+        }))
+        argv = [str(tmp_path) + arg[1:] if arg.startswith("@") else arg for arg in argv]
+        assert main(argv) == code
+        out = capsys.readouterr()
+        assert read_csv_table(out.out)[1] == rows
+        assert "stopcost: error" not in out.err
+
+    def test_synth_fails_every_shot(self, tmp_path):
+        out = tmp_path / "s.csv"
+        argv = ["synth", "--model", "instantaneous", "--d", "2049", "--p", "0.02", "--shots", "100"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == "runtime_ns,count_total,count_failed\n0,100,100\n"
 
 
 class TestOutputContracts:
@@ -657,6 +712,25 @@ def tables(draw):
 @example(
     table=([np.array(SPECIAL_FLOATS)], [[v] for v in SPECIAL_FLOATS]),
     rows_per_block=3, fmt="csv", extras={},
+)
+@example(
+    # A % in a string cell, integers past 2**53 in int64, uint64 and list
+    # columns, and nan in a float column that takes the %r spec.
+    table=(
+        [
+            np.array([2**64 - 1, 2**53 + 1, 0], dtype=np.uint64),
+            np.array([2**53 + 1, -(2**63), 2**63 - 1], dtype=np.int64),
+            ["50%", "%s%%d", "%"],
+            [2**53 + 1, -(2**70), 3],
+            np.array([math.nan, 0.5, -0.0]),
+        ],
+        [
+            [2**64 - 1, 2**53 + 1, "50%", 2**53 + 1, math.nan],
+            [2**53 + 1, -(2**63), "%s%%d", -(2**70), 0.5],
+            [0, 2**63 - 1, "%", 3, -0.0],
+        ],
+    ),
+    rows_per_block=2, fmt="csv", extras={},
 )
 def test_render_table_matches_per_cell_oracle(table, rows_per_block, fmt, extras):
     columns, rows = table

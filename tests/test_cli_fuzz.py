@@ -34,11 +34,11 @@ CONFIG_FILE = "@/config.json"
 
 # Typical values of each option, and malformed or extreme ones by type.
 GOOD = {
-    "d": ["3", "5", "15", "1.5e1"],
+    "d": ["3", "5", "15", "1.5e1", "2049"],
     "distance": ["5", "7"],
-    "p": ["1e-3", "5e-4", "0.05"],
+    "p": ["1e-3", "5e-4", "0.02", "0.05"],
     "nT": ["10", "1,10,1000", "1e6", "1e30"],
-    "distances": ["3:7", "3,5", "9", "3:31", "101", "3:101"],
+    "distances": ["3:7", "3,5", "9", "3:31", "101", "3:101", "2049", "2045:2051"],
     "alphas": ["0.2,0.8", "1"],
     "m_cycles": ["0,10", "5"],
     "epsilon": ["0.5", "0.1"],
@@ -48,7 +48,7 @@ GOOD = {
     "shots": ["100", "1e3", "20000"],
     "sec_cycle_ns": ["1000"],
     "delay_ns": ["0", "1000"],
-    "d_max": ["3", "99"],
+    "d_max": ["3", "99", "2099"],
     "out": ["@/out.csv"],
     "trace": ["@/ns.csv", "@/linear.csv", "@/quadratic.csv"],
     "meta": ["@/ns.json", "@/linear.json"],
@@ -83,7 +83,7 @@ json_values = st.recursive(
 )
 GOOD_JSON = {
     "N": [100, 1e3, 100000], "Q": [0.25, 0.0005], "unit_ns": [1000, 500], "A": [0.1],
-    "B": [100, 1e300], "alpha": [0.5], "rate": [1e-3, 0.0], "events": [10],
+    "B": [100, 1000, 1e300], "alpha": [0.5], "rate": [1e-3, 0.0], "events": [10],
     "trace": ["ns.csv"], "meta": ["ns.json"],
     "epsilon": [0.25], "t_sec_ns": [1000], "min_failure_events": [5], "format": ["json"],
     "seed": [3], "schedule": [{"h_cycles": 1}],
@@ -210,6 +210,28 @@ HEURISTIC = {"kind": "heuristic"}
                     "failure": HEURISTIC},
     run_config={},
 )
+# Heuristic rates whose power passes the float range, and a search past
+# the distance limit.
+@example(
+    argv=[*MINCOST, "--p", "0.5", "--distances", "231"],
+    decoder_config={"runtime": {"kind": "instantaneous"}, "failure": {"kind": "heuristic", "B": 1000}},
+    run_config={},
+)
+@example(argv=["surface", "--d", "2049", "--p", "0.02"], decoder_config={}, run_config={})
+@example(
+    argv=["required-distance", "--nT", "1000", "--p", "0.02", "--d-max", "2099"],
+    decoder_config={}, run_config={},
+)
+@example(
+    argv=["mincost", "--decoder", "linear", "--p", "0.02", "--nT", "10", "--distances", "2049"],
+    decoder_config={}, run_config={},
+)
+@example(
+    argv=["synth", "--model", "instantaneous", "--d", "2049", "--p", "0.02", "--shots", "100",
+          "--out", "@/out.csv"],
+    decoder_config={}, run_config={},
+)
+@example(argv=["required-distance", "--nT", "10", "--d-max", "100003"], decoder_config={}, run_config={})
 @example(argv=["required-distance", "--nT", "10", "--p", "0"], decoder_config={}, run_config={})
 @example(argv=["required-distance", "--nT", "1e400"], decoder_config={}, run_config={})
 @example(argv=["surface", "--d", "31", "--p", "1e-320"], decoder_config={}, run_config={})

@@ -6,6 +6,8 @@ code did.  Counts stay below 2**53, so every float must match bit for bit
 (compared through ``repr``, which also tells 0.0 from -0.0).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -127,6 +129,17 @@ def test_stopping_curve_matches_scalar(dist, extra):
 
 
 @settings(max_examples=200, deadline=None)
+@given(dist=distributions())
+def test_default_stopping_times_match_explicit_ones_bit_for_bit(dist):
+    # The default reads the cumulative counts; explicit times go through
+    # searchsorted.  Both give the same columns, dtype and bytes.
+    default = stopping_curve(dist)
+    explicit = stopping_curve(dist, dist.runtimes_ns)
+    for name, a, b in zip(default._fields, default, explicit):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+
+@settings(max_examples=200, deadline=None)
 @given(dist=distributions(), min_events=min_events_st, extra=extra_st)
 def test_significant_stopping_times_matches_scalar(dist, min_events, extra):
     assert significant_stopping_times(dist, min_events) == scalar_significant(dist, min_events)
@@ -207,3 +220,29 @@ def test_range_curve_rejects_what_decoder_range_rejects():
         args = {"d": 5, "epsilon": 0.5, "t_sec_ns": 1000, **kwargs}
         with pytest.raises(ValueError):
             range_curve(dist, **args)
+
+
+def test_range_curve_builds_only_what_it_returns():
+    # 1e5 significant rows: the curve's peak stays near the bytes of the
+    # columns it returns, with no six-column stopping curve behind them
+    # (building one first peaked at 2.7 times those bytes).
+    n = 100_000
+    rng = np.random.default_rng(3)
+    counts = rng.integers(1, 20, n)
+    dist = make_dist(np.cumsum(rng.integers(1, 50, n)), counts, rng.integers(0, counts + 1))
+    dist.cum_total, dist.cum_failed  # built on first use, by any reader
+    tracemalloc.start()
+    try:
+        curve = range_curve(dist, 15, 0.5, min_events=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.n_T.size == n
+    returned = sum(
+        column.nbytes
+        for column in (
+            curve.stopping_time_ns, curve.delay_cycles, curve.failure_rate, curve.n_T,
+            curve.saturated,
+        )
+    )
+    assert peak < 1.6 * returned

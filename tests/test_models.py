@@ -54,6 +54,28 @@ class TestFailureModels:
         with pytest.warns(UserWarning):
             assert HeuristicFailure().rate(3, 0.5) == 1.0
 
+    @pytest.mark.parametrize(
+        "d, p, threshold",
+        # p / threshold = 2 at d = 2049 and 500 at d = 231 (config B = 1000):
+        # the power alone passes the float range.
+        [(2049, 0.02, 1e-2), (2099, 0.02, 1e-2), (231, 0.5, 1e-3)],
+    )
+    def test_rate_clamped_where_the_power_overflows(self, d, p, threshold):
+        with pytest.warns(UserWarning):
+            assert HeuristicFailure(threshold=threshold).rate(d, p) == 1.0
+
+    def test_tiny_prefactor_brings_an_overflowing_power_back_below_one(self):
+        # 5e-324 * 2**1025 = 2**-49, though 2.0**1025 overflows.
+        with pytest.warns(UserWarning):
+            rate = HeuristicFailure(prefactor=5e-324).rate(2049, 0.02)
+        assert rate == pytest.approx(math.ldexp(5e-324, 1025), rel=1e-9)
+
+    @pytest.mark.parametrize("d, p, threshold", [(2045, 0.02, 1e-2), (227, 0.5, 1e-3)])
+    def test_largest_powers_in_range_keep_their_formula(self, d, p, threshold):
+        model = HeuristicFailure(threshold=threshold)
+        with pytest.warns(UserWarning):
+            assert model.rate(d, p) == min(1.0, 0.1 * (p / threshold) ** ((d + 1) // 2))
+
     @pytest.mark.parametrize("d", [2, 1, 4, 0])
     def test_invalid_distance(self, d):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -563,6 +564,102 @@ def test_aggregate_shots_matches_aggregate_runtimes(rows):
         trace_module.aggregate_runtimes(runtimes, np.ones(len(rows), np.int64), failed)
     )
     assert _columns(got) == _dict_oracle([(r, 1, f) for r, f in rows])
+
+
+@st.composite
+def histogram_rows(draw):
+    """(runtime, total, failed) rows whose runtimes strictly increase, are one
+    row, repeat in adjacent runs or come in any order; totals may be 0."""
+    shape = draw(st.sampled_from(["increasing", "single", "adjacent", "unsorted"]))
+    runtime = st.one_of(st.integers(0, 40), st.integers(0, 2**63 - 1))
+    if shape == "increasing":
+        runtimes = sorted(draw(st.sets(runtime, max_size=40)))
+    elif shape == "single":
+        runtimes = [draw(runtime)]
+    elif shape == "adjacent":
+        runs = draw(st.lists(st.tuples(runtime, st.integers(1, 3)), max_size=20))
+        runtimes = [r for r, repeat in sorted(runs) for _ in range(repeat)]
+    else:
+        runtimes = draw(st.lists(runtime, max_size=40))
+    total = st.one_of(st.just(0), st.integers(0, 5), st.integers(0, 10**15))
+    rows = []
+    for r in runtimes:
+        t = draw(total)
+        rows.append((r, t, draw(st.integers(0, t))))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(histogram_rows())
+@example([])
+@example([(7, 0, 0)])
+@example([(1, 2, 1), (2, 0, 0), (3, 1, 0)])
+@example([(1, 1, 0), (1, 2, 1), (2, 1, 1)])
+@example([(3, 1, 0), (1, 2, 1)])
+def test_aggregate_runtimes_matches_dict_oracle(rows):
+    columns = tuple(np.array([row[i] for row in rows], dtype=np.int64) for i in range(3))
+    got = trace_module.aggregate_runtimes(*columns)
+    assert all(column.dtype == np.int64 for column in got)
+    assert _columns(got) == _dict_oracle(rows)
+    runtimes, totals, _ = columns
+    if (runtimes[1:] > runtimes[:-1]).all() and (totals > 0).all():
+        # Already a histogram: its own columns come back, not copies.
+        assert all(g is c for g, c in zip(got, columns))
+
+
+@pytest.mark.parametrize("chunk", [64, 1000])
+def test_sample_trace_folds_chunks_as_it_goes(chunk):
+    # ~3,000 distinct runtimes among 20,000 shots: the chunks' histograms
+    # are folded into the running one as they come, so no merge takes more
+    # than twice the distinct runtimes plus one chunk's rows.
+    runtime = BinomialRuntime(trials=10**6, step_probability=0.5, unit_ns=1)
+    shots, seed, rate = 20_000, 7, 0.3
+    merged_rows = []
+    real_merge = trace_module.merge_histograms
+
+    def counted_merge(parts):
+        merged_rows.append(sum(part[0].size for part in parts))
+        return real_merge(parts)
+
+    with mock.patch.object(models_module, "SAMPLE_CHUNK_SHOTS", chunk), mock.patch.object(
+        trace_module, "merge_histograms", counted_merge
+    ):
+        trace = sample_trace(runtime, EmpiricalFailure(rate), 5, 1e-3, shots, seed)
+    rows = []
+    for index, start in enumerate(range(0, shots, chunk)):
+        n = min(chunk, shots - start)
+        runtimes, failed = models_module._sample_chunk(runtime, rate, n, seed, index)
+        rows += [(r, 1, int(f)) for r, f in zip(runtimes.tolist(), failed.tolist())]
+    assert _columns((trace.runtimes_ns, trace.counts, trace.failed_counts)) == _dict_oracle(rows)
+    assert len(merged_rows) > 5
+    assert max(merged_rows) <= 2 * trace.runtimes_ns.size + chunk < shots
+
+
+def test_sorted_histogram_parse_makes_no_sorting_copies(tmp_path):
+    # A sorted canonical histogram of 1e5 distinct runtimes is read with no
+    # argsort, gather or reduceat of its blocks or folds: the parse peaks
+    # near twice the bytes of the columns it returns (the parts held and
+    # their concatenation), where sorting them again peaked near 4.7 times.
+    n = 100_000
+    rng = np.random.default_rng(5)
+    runtimes = 90_000 + np.cumsum(rng.integers(1, 5, n))
+    counts = rng.integers(1, 20, n)
+    failed = rng.integers(0, counts + 1)
+    body = "".join(
+        f"{r},{c},{f}\n" for r, c, f in zip(runtimes.tolist(), counts.tolist(), failed.tolist())
+    )
+    path = _write(tmp_path, "t.csv", "runtime_ns,count_total,count_failed\n" + body)
+    del body
+    tracemalloc.start()
+    try:
+        trace = parse_trace(path, None, dict(META, shots=int(counts.sum())))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _columns((trace.runtimes_ns, trace.counts, trace.failed_counts)) == _columns(
+        (runtimes, counts, failed)
+    )
+    assert peak < 3 * (3 * 8 * n)
 
 
 @settings(max_examples=40, deadline=None)
