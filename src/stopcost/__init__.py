@@ -19,7 +19,6 @@ _EXPORTS = {
     "BinomialRuntime": "models",
     "CompareRow": "cost",
     "ConfigError": "errors",
-    "CostPoint": "cost",
     "DecoderModel": "models",
     "EmpiricalFailure": "models",
     "EmpiricalRuntime": "models",
@@ -29,7 +28,6 @@ _EXPORTS = {
     "HeuristicFailure": "models",
     "InfeasibleError": "errors",
     "InstantaneousRuntime": "models",
-    "InterruptedStats": "stopping",
     "MinCostResult": "cost",
     "RangeCurve": "ranges",
     "RangeResult": "ranges",
@@ -43,24 +41,18 @@ _EXPORTS = {
     "TraceParseError": "errors",
     "accuracy_surface": "ranges",
     "binomial_survival": "models",
-    "build_distribution": "trace",
     "compare_decoders": "cost",
     "decoder_range": "ranges",
     "delay_cycles": "ranges",
-    "interrupted_failure_exact": "stopping",
     "load_decoder_config": "models",
     "load_metadata": "trace",
     "make_reference_decoders": "models",
-    "min_spacetime_cost": "cost",
     "min_spacetime_costs": "cost",
     "parse_trace": "trace",
     "range_curve": "ranges",
-    "range_optimized_stopping_time": "ranges",
     "required_distance": "ranges",
     "sample_trace": "models",
     "sec_depth": "ranges",
-    "significant_stopping_times": "stopping",
-    "spacetime_cost": "cost",
     "stopping_candidates": "cost",
     "stopping_curve": "stopping",
     "unencoded_range": "ranges",

@@ -521,15 +521,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if meta_path == out_path:
         raise ConfigError(f"synth --out {args.out} would be overwritten by its .json sidecar")
     from .models import sample_trace
-    from .trace import write_metadata, write_trace_csv
+    from .trace import check_per_shot_rows, write_metadata, write_trace_csv
 
     model = _resolve_decoder(args.model, args.p)(args.d)
+    shots = integer(args.shots)
+    if args.per_shot:
+        check_per_shot_rows(shots)  # before sampling, not after
     trace = sample_trace(
         model.runtime,
         model.failure,
         d=args.d,
         p=args.p,
-        shots=integer(args.shots),
+        shots=shots,
         seed=config.seed,
         sec_cycle_ns=config.t_sec_ns,
     )
@@ -621,20 +624,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_stats = sub.add_parser("trace-stats", help="runtime/failure summary of a trace")
-    _add_trace_inputs(p_stats)
-    _add_common(p_stats)
-    p_stats.set_defaults(func=cmd_trace_stats)
-
-    p_stop = sub.add_parser("stop", help="interrupted failure statistics per stopping time")
-    _add_trace_inputs(p_stop)
-    _add_common(p_stop)
-    p_stop.set_defaults(func=cmd_stop)
-
-    p_range = sub.add_parser("range", help="decoder range per significant stopping time")
-    _add_trace_inputs(p_range)
-    _add_common(p_range)
-    p_range.set_defaults(func=cmd_range)
+    for name, help_text, func in (
+        ("trace-stats", "runtime/failure summary of a trace", cmd_trace_stats),
+        ("stop", "interrupted failure statistics per stopping time", cmd_stop),
+        ("range", "decoder range per significant stopping time", cmd_range),
+    ):
+        p_trace = sub.add_parser(name, help=help_text)
+        _add_trace_inputs(p_trace)
+        _add_common(p_trace)
+        p_trace.set_defaults(func=func)
 
     p_surface = sub.add_parser("surface", help="range vs accuracy and stopping time")
     p_surface.add_argument("--d", type=integer, required=True, help="code distance")

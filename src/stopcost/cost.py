@@ -49,20 +49,6 @@ LADDER_SPREAD_LIMIT = 10**5
 DecoderFactory = Callable[[int], Union[DecoderModel, None]]
 
 
-class CostPoint(NamedTuple):
-    """Spacetime cost of one (distance, stopping time) choice."""
-
-    distance: int
-    stopping_time_ns: int
-    n_T: int
-    cost: int | float  # exact integer when feasible, inf otherwise
-    range_at_point: int
-
-    @property
-    def feasible(self) -> bool:
-        return not math.isinf(self.cost)
-
-
 class StoppingCandidate(NamedTuple):
     """A stopping time with its interrupted failure rate and range."""
 
@@ -90,30 +76,6 @@ class CompareRow(NamedTuple):
     cost_a: int | float
     cost_b: int | float
     ratio: float
-
-
-def spacetime_cost(
-    n_T: int,
-    d: int,
-    stopping_time_ns: int,
-    range_at_point: int,
-    t_sec_ns: int = 1000,
-    schedule: GateSchedule = GateSchedule(),
-) -> CostPoint:
-    """2 d**2 patches times SEC depth, or infinity when out of range."""
-    if n_T < 1:
-        raise ValueError(f"n_T must be >= 1, got {n_T}")
-    if range_at_point < n_T:
-        cost: int | float = math.inf
-    else:
-        cost = n_T * _gate_cost(d, stopping_time_ns, t_sec_ns, schedule)
-    return CostPoint(
-        distance=d,
-        stopping_time_ns=int(stopping_time_ns),
-        n_T=n_T,
-        cost=cost,
-        range_at_point=range_at_point,
-    )
 
 
 def _gate_cost(d: int, stopping_time_ns: int, t_sec_ns: int, schedule: GateSchedule) -> int:
@@ -306,8 +268,14 @@ def min_spacetime_costs(
     schedule: GateSchedule = GateSchedule(),
     min_events: int = 20,
 ) -> list[MinCostResult]:
-    """:func:`min_spacetime_cost` for each workload in ``n_T_values``, in
-    order, from one frontier built once."""
+    """Minimum spacetime cost of each workload in ``n_T_values``, in order,
+    over all candidate (distance, stopping time) pairs, ties broken toward
+    smaller d then smaller M; one frontier answers them all.
+
+    ``decoder`` is either a fixed model (used at every distance) or a
+    factory mapping a distance to a model, returning None to skip
+    distances it cannot describe (e.g. a trace measured at a single d).
+    """
     n_T_values = list(n_T_values)
     if not d_candidates:
         raise ValueError("d_candidates must be nonempty")
@@ -331,28 +299,6 @@ def min_spacetime_costs(
             g, d, m, method = best[k - 1]
             results.append(MinCostResult(n_T * g, d, m, method))
     return results
-
-
-def min_spacetime_cost(
-    decoder: DecoderModel | DecoderFactory,
-    p: float,
-    n_T: int,
-    d_candidates: Sequence[int],
-    epsilon: float,
-    t_sec_ns: int = 1000,
-    schedule: GateSchedule = GateSchedule(),
-    min_events: int = 20,
-) -> MinCostResult:
-    """Minimum spacetime cost over all candidate (distance, stopping time)
-    pairs, ties broken toward smaller d then smaller M.
-
-    ``decoder`` is either a fixed model (used at every distance) or a
-    factory mapping a distance to a model, returning None to skip
-    distances it cannot describe (e.g. a trace measured at a single d).
-    """
-    return min_spacetime_costs(
-        decoder, p, [n_T], d_candidates, epsilon, t_sec_ns, schedule, min_events
-    )[0]
 
 
 def compare_decoders(

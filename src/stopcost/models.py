@@ -31,6 +31,9 @@ if TYPE_CHECKING:
 
 HEURISTIC_VALIDITY_P = 1e-2
 
+# Trace integers (runtimes in ns, counts) are int64 and so below 2**63.
+INT64_MAX = 2**63 - 1
+
 # Shots per sampling substream; parallel generation must use the same value.
 SAMPLE_CHUNK_SHOTS = 1 << 20
 
@@ -296,21 +299,18 @@ class BinomialRuntime(_BinomialRuntime):
             raise ValueError(f"unit_ns must be >= 1, got {self.unit_ns}")
         return self
 
-    @property
-    def mean_ns(self) -> float:
-        return self.trials * self.step_probability * self.unit_ns
-
-    @property
-    def max_runtime_ns(self) -> int:
-        return self.trials * self.unit_ns
-
-    def survival(self, stopping_time_ns: int) -> float:
-        units = stopping_time_ns // self.unit_ns  # completed units within budget
-        return binomial_survival(self.trials, self.step_probability, int(units))
-
     def sample_ns(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        # Trace runtimes are int64 ns: refuse a law whose draws would wrap.
+        law = f"binomial runtime N={self.trials}, Q={self.step_probability!r}, unit_ns={self.unit_ns}"
+        if self.trials > INT64_MAX:
+            raise ValueError(f"{law} cannot be sampled: N must be below the 2**63 trace limit")
         draws = rng.binomial(self.trials, self.step_probability, size=n)
         draws = draws.astype("int64", copy=False)  # a copy only where C long is 32-bit
+        if draws.max(initial=0) > INT64_MAX // self.unit_ns:
+            raise ValueError(
+                f"{law} cannot be sampled: a draw of {int(draws.max())} units "
+                "passes the 2**63 ns trace limit"
+            )
         draws *= self.unit_ns
         return draws
 
@@ -330,19 +330,6 @@ class InstantaneousRuntime:
     def __hash__(self) -> int:
         return hash(InstantaneousRuntime)
 
-    @property
-    def mean_ns(self) -> float:
-        return 0.0
-
-    @property
-    def max_runtime_ns(self) -> int:
-        return 0
-
-    def survival(self, stopping_time_ns: int) -> float:
-        if stopping_time_ns < 0:
-            return 1.0
-        return 0.0
-
     def sample_ns(self, rng: np.random.Generator, n: int) -> np.ndarray:
         import numpy as np
 
@@ -353,17 +340,6 @@ class EmpiricalRuntime(NamedTuple):
     """Runtime distribution backed by a measured trace."""
 
     trace: RuntimeTrace
-
-    @property
-    def mean_ns(self) -> float:
-        return self.trace.mean_ns()
-
-    @property
-    def max_runtime_ns(self) -> int:
-        return self.trace.max_runtime_ns
-
-    def survival(self, stopping_time_ns: int) -> float:
-        return self.trace.survival(stopping_time_ns)
 
     def sample_ns(self, rng: np.random.Generator, n: int) -> np.ndarray:
         weights = self.trace.counts.astype(float)

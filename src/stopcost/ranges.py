@@ -276,24 +276,6 @@ def range_curve(
     )
 
 
-def range_optimized_stopping_time(
-    trace: RuntimeTrace,
-    d: int,
-    epsilon: float,
-    t_sec_ns: int = 1000,
-    min_events: int = 20,
-    schedule: GateSchedule = GateSchedule(),
-) -> tuple[int, RangeResult]:
-    """Stopping time maximizing the decoder range over the trace's
-    significant candidates, using the exact interrupted failure rate.
-
-    Ties break toward the smaller stopping time.  Raises
-    :class:`~stopcost.errors.InfeasibleError` when no stopping time has
-    enough failure events.
-    """
-    return range_curve(trace, d, epsilon, t_sec_ns, min_events, schedule).optimum()
-
-
 def accuracy_surface(
     d: int,
     p: float,

@@ -24,48 +24,11 @@ from .errors import InfeasibleError
 from .trace import RuntimeTrace
 
 
-class InterruptedStats(NamedTuple):
-    """Failure accounting for a decoder interrupted at a stopping time."""
-
-    stopping_time_ns: int
-    timeout_probability: float
-    decode_failure_rate: float
-    exact_failure_rate: float | None
-    upper_bound_rate: float
-    lower_bound_rate: float
-    failure_events: int
-
-
-def interrupted_failure_exact(trace: RuntimeTrace, stopping_time_ns: int) -> InterruptedStats:
-    """Exact interrupted failure rate from joint runtime/failure counts.
-
-    Counts every shot that either times out (t > M) or completes with a
-    decode failure.  This never double-counts a shot that would both time
-    out and decode wrongly, unlike the additive upper bound.
-    """
-    shots = trace.shots
-    timeouts = shots - trace.count_at_or_below(stopping_time_ns)
-    completed_failures = trace.failed_at_or_below(stopping_time_ns)
-    events = timeouts + completed_failures
-    total_failures = int(trace.cum_failed[-1])
-    # Each rate is a single division of integer counts: rounded division is
-    # monotone, so lower <= exact <= upper survives into floats exactly.
-    return InterruptedStats(
-        stopping_time_ns=int(stopping_time_ns),
-        timeout_probability=timeouts / shots,
-        decode_failure_rate=total_failures / shots,
-        exact_failure_rate=events / shots,
-        upper_bound_rate=min(1.0, (total_failures + timeouts) / shots),
-        lower_bound_rate=max(total_failures, timeouts) / shots,
-        failure_events=events,
-    )
-
-
 class StoppingCurve(NamedTuple):
     """Interrupted failure statistics at many stopping times, column-wise.
 
-    Row ``i`` holds the values :func:`interrupted_failure_exact` returns
-    for ``stopping_time_ns[i]``.
+    Row ``i`` is the decoder interrupted at ``stopping_time_ns[i]``: its
+    timeouts, its failure events and the rates each divides into.
     """
 
     stopping_time_ns: np.ndarray
@@ -86,8 +49,8 @@ def stopping_curve(trace: RuntimeTrace, stopping_times_ns=None) -> StoppingCurve
     through one ``searchsorted`` (``t <= M`` completes).  Failure events are
     ``(shots - completed) + completed failures`` and each rate is a single
     division of integer counts, so while counts stay below 2**53 every float
-    equals :func:`interrupted_failure_exact`'s bit for bit and
-    ``lower <= exact <= upper`` holds exactly.
+    is its counts' correctly rounded ratio and ``lower <= exact <= upper``
+    holds exactly.  ``stopping_curve(trace, [M])`` is the one-point query.
     """
     shots = trace.shots
     m, timeouts, events = _failure_counts(trace, stopping_times_ns)
@@ -122,19 +85,6 @@ def _failure_counts(
         completed_failures = np.concatenate(([0], trace.cum_failed))[idx]
     timeouts = trace.shots - completed
     return m, timeouts, timeouts + completed_failures
-
-
-def significant_stopping_times(trace: RuntimeTrace, min_events: int = 20) -> list[int]:
-    """Candidate stopping times with enough failures to be statistically
-    meaningful.
-
-    The candidate grid is the distinct observed runtimes (between them
-    every interrupted statistic is constant); a candidate survives when
-    its exact interrupted failure count is at least ``min_events``.
-    Returned sorted ascending.
-    """
-    m, _, events = _failure_counts(trace)
-    return m[_significant_rows(events, min_events)].tolist()
 
 
 def _significant_rows(failure_events: np.ndarray, min_events: int) -> np.ndarray:

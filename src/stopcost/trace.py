@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, TraceIntegrityError, TraceParseError
-from .models import _validate_distance, _validate_probability, json_integer, json_number
+from .models import INT64_MAX, _validate_distance, _validate_probability, json_integer, json_number
 
 PER_SHOT_HEADER = ("runtime_ns", "failed")
 HISTOGRAM_HEADER = ("runtime_ns", "count_total", "count_failed")
@@ -54,8 +54,6 @@ METADATA_FIELDS = {
     "sec_cycle_ns": json_integer,
 }
 
-INT64_MAX = 2**63 - 1
-
 # Bytes per read of the canonical fast path.  Blocks of 64 KiB keep the
 # parse of a 1e6-row per-shot trace at ~30 MiB peak RSS, ~1 MiB over the
 # import (1 MiB blocks: ~41 MiB; whole file: ~96 MiB) at no cost in time.
@@ -63,6 +61,9 @@ BLOCK_BYTES = 1 << 16
 # Per-shot runs of equal lines are written as repeated strings of at most
 # about this many bytes.
 WRITE_BYTES = 1 << 16
+# Most shots a per-shot trace is written with: ~9 GB at ~9 bytes per row,
+# the ~1e9 shots per distance of a production measurement.
+PER_SHOT_ROWS_LIMIT = 10**9
 
 # The canonical grammar: fields of 1-18 ASCII digits (so every value fits
 # int64), ',' between fields, '\n' after each row.
@@ -242,32 +243,13 @@ class RuntimeTrace:
         """Largest runtime observed with nonzero probability (t_max)."""
         return int(self.runtimes_ns[-1])
 
-    @property
-    def min_runtime_ns(self) -> int:
-        return int(self.runtimes_ns[0])
-
-    def count_at_or_below(self, runtime_ns: int) -> int:
-        """Number of shots that finished within ``runtime_ns``."""
-        idx = int(np.searchsorted(self.runtimes_ns, runtime_ns, side="right"))
-        return 0 if idx == 0 else int(self.cum_total[idx - 1])
-
-    def failed_at_or_below(self, runtime_ns: int) -> int:
-        """Number of decode failures among shots finishing within ``runtime_ns``."""
-        idx = int(np.searchsorted(self.runtimes_ns, runtime_ns, side="right"))
-        return 0 if idx == 0 else int(self.cum_failed[idx - 1])
-
-    def survival(self, stopping_time_ns: int) -> float:
-        """Probability that the decoder runs longer than the stopping time."""
-        if stopping_time_ns < 0:
-            raise ValueError("stopping time must be non-negative")
-        return (self.shots - self.count_at_or_below(stopping_time_ns)) / self.shots
-
     def percentile(self, q: float) -> int:
-        """Smallest runtime t with count_at_or_below(t) / shots >= q."""
+        """Smallest observed runtime within which at least a fraction ``q``
+        of the shots finish."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"percentile fraction must be in [0, 1], got {q}")
         # Compare cum/shots >= q in the same float arithmetic the caller
-        # sees, so percentile(count_at_or_below(t) / shots) never overshoots t.
+        # sees, so percentile(cum_total[i] / shots) never overshoots runtimes_ns[i].
         fractions = self.cum_total / self.shots
         idx = int(np.searchsorted(fractions, q, side="left"))
         idx = min(idx, len(self.runtimes_ns) - 1)
@@ -296,15 +278,6 @@ class RuntimeTrace:
             and np.array_equal(self.counts, other.counts)
             and np.array_equal(self.failed_counts, other.failed_counts)
         )
-
-
-def build_distribution(trace: RuntimeTrace) -> RuntimeTrace:
-    """Return ``trace``, which is its own empirical runtime distribution.
-
-    Kept for compatibility: every function that reads a distribution takes
-    the trace itself.
-    """
-    return trace
 
 
 def load_metadata(
@@ -549,14 +522,25 @@ def parse_trace(
     return RuntimeTrace(metadata, *columns)
 
 
+def check_per_shot_rows(shots: int) -> None:
+    """Refuse a per-shot trace of more than ``PER_SHOT_ROWS_LIMIT`` shots."""
+    if shots > PER_SHOT_ROWS_LIMIT:
+        raise ValueError(
+            f"per-shot output of {shots} shots is above the {PER_SHOT_ROWS_LIMIT}-row "
+            "limit (trace.PER_SHOT_ROWS_LIMIT); write a histogram instead"
+        )
+
+
 def write_trace_csv(
     trace: RuntimeTrace, path: str | Path, per_shot: bool = False
 ) -> None:
     """Write a trace in histogram (default) or per-shot CSV layout.
 
     Per-shot rows come out sorted by runtime, successes first within each
-    runtime.
+    runtime; a trace of more than ``PER_SHOT_ROWS_LIMIT`` shots is refused.
     """
+    if per_shot:
+        check_per_shot_rows(trace.shots)
     columns = zip(
         trace.runtimes_ns.tolist(), trace.counts.tolist(), trace.failed_counts.tolist()
     )

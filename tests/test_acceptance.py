@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import iter_records, trace_from_records
+from oracles import interrupted_failure_exact, iter_records, trace_from_records
 from stopcost import (
     TraceMetadata,
     BinomialRuntime,
@@ -23,10 +23,9 @@ from stopcost import (
     binomial_survival,
     compare_decoders,
     decoder_range,
-    interrupted_failure_exact,
     make_reference_decoders,
-    min_spacetime_cost,
-    range_optimized_stopping_time,
+    min_spacetime_costs,
+    range_curve,
     required_distance,
     sample_trace,
     stopping_curve,
@@ -152,9 +151,7 @@ def test_criterion_5_stopping_time_oracle_equivalence():
         expected = brute_force_optimum(records, 5, 0.5, 1000, min_events=20)
         if expected is None:
             continue
-        m, result = range_optimized_stopping_time(
-            make_trace(records), 5, 0.5, min_events=20
-        )
+        m, result = range_curve(make_trace(records), 5, 0.5, min_events=20).optimum()
         assert (m, result.n_T) == expected
         compared += 1
     assert compared >= 30
@@ -193,10 +190,11 @@ def test_criterion_7_sampler_statistics():
     assert abs(trace.mean_ns() - 30.0) <= 3 * mean_se
     expected_survival = binomial_survival(100, 0.3, 30)
     survival_se = math.sqrt(expected_survival * (1 - expected_survival) / shots)
-    assert abs(trace.survival(30) - expected_survival) <= 3 * survival_se
+    sampled_survival = stopping_curve(trace, [30]).timeout_probability[0]
+    assert abs(sampled_survival - expected_survival) <= 3 * survival_se
     report(
         7,
-        f"sampled mean {trace.mean_ns():.4f} and survival {trace.survival(30):.5f} "
+        f"sampled mean {trace.mean_ns():.4f} and survival {sampled_survival:.5f} "
         f"sit within 3 standard errors of the binomial law",
     )
 
@@ -216,8 +214,10 @@ def test_criterion_8_monotonicity_suite():
             HeuristicFailure(),
         )
         costs = [
-            min_spacetime_cost(decoder, 1e-3, n_T, range(3, 22, 2), 0.5).cost
-            for n_T in (1, 4, 16, 64, 256, 1024, 4096)
+            result.cost
+            for result in min_spacetime_costs(
+                decoder, 1e-3, [1, 4, 16, 64, 256, 1024, 4096], range(3, 22, 2), 0.5
+            )
         ]
         assert all(a <= b for a, b in zip(costs, costs[1:]))
 
@@ -278,9 +278,7 @@ def test_criterion_9_synthetic_pipeline_stands_in_for_machine_data(tmp_path, cap
     parsed = parse_trace(trace_path, trace_path.with_suffix(".json"))
     records = list(iter_records(parsed))
     expected = brute_force_optimum(records, 9, 0.5, 1000, min_events=20)
-    m, result = range_optimized_stopping_time(
-        parsed, 9, 0.5, min_events=20
-    )
+    m, result = range_curve(parsed, 9, 0.5, min_events=20).optimum()
     assert (m, result.n_T) == expected
     assert optimal_m == expected[0]
 

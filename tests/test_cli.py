@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import stopcost.cli as cli
 from stopcost import GateSchedule, accuracy_surface
-from stopcost import ranges
+from stopcost import models, ranges
 from stopcost.cli import _format_cell, _json_safe, integer, main, render_table
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -105,6 +106,55 @@ class TestSynth:
             "synth", "--model", "linear", "--d", "5", "--p", "1e-3",
             "--shots", shots, "--out", str(out),
         ]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "model, d, p, law, reason",
+        [
+            ("@/big.json", "5", "0.001", "N=4000000000000000, Q=0.5, unit_ns=10000",
+             "a draw of [0-9]+ units passes the 2\\*\\*63 ns trace limit"),
+            ("quadratic", "2049", "0.02",
+             "N=74003413131604275201, Q=2.3248991593676e-12, unit_ns=1000",
+             "N must be below the 2\\*\\*63 trace limit"),
+        ],
+        ids=["runtimes-past-2**63", "N-past-2**63"],
+    )
+    def test_law_past_the_int64_trace_limit_is_one_error_line(
+        self, tmp_path, capsys, model, d, p, law, reason
+    ):
+        # Runtimes of ~2e19 ns used to wrap in int64 and be written as ~1.55e18.
+        (tmp_path / "big.json").write_text(json.dumps({
+            "runtime": {"kind": "binomial", "N": 4 * 10**15, "Q": 0.5, "unit_ns": 10000},
+            "failure": {"kind": "heuristic"},
+        }))
+        out = tmp_path / "w.csv"
+        model = str(tmp_path) + model[1:] if model.startswith("@") else model
+        argv = ["synth", "--model", model, "--d", d, "--p", p, "--shots", "1000"]
+        assert main(argv + ["--out", str(out)]) == 2
+        errors = [l for l in capsys.readouterr().err.splitlines() if "stopcost: error:" in l]
+        assert len(errors) == 1
+        assert re.fullmatch(
+            f"stopcost: error: binomial runtime {re.escape(law)} cannot be sampled: {reason}",
+            errors[0],
+        )
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["big.json"]
+
+    def test_per_shot_rows_past_the_limit_rejected_before_sampling(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking --shots")
+
+        monkeypatch.setattr(models, "sample_trace", no_sampling)
+        out = tmp_path / "t.csv"
+        assert main([
+            "synth", "--model", "linear", "--d", "5", "--p", "1e-3", "--per-shot",
+            "--shots", "1000000001", "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "stopcost: error: per-shot output of 1000000001 shots is above the "
+            "1000000000-row limit (trace.PER_SHOT_ROWS_LIMIT); write a histogram instead\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import stopcost.cost as cost_module
 import stopcost.models as models_module
-from oracles import bisect_ladder, trace_from_records
+from oracles import bisect_ladder, max_runtime_ns, spacetime_cost, survival, trace_from_records
 from stopcost import (
     BinomialRuntime,
     DecoderModel,
@@ -24,10 +24,8 @@ from stopcost import (
     compare_decoders,
     decoder_range,
     make_reference_decoders,
-    min_spacetime_cost,
     min_spacetime_costs,
     sec_depth,
-    spacetime_cost,
     stopping_candidates,
 )
 from stopcost.ranges import RANGE_SATURATION_CAP
@@ -68,10 +66,10 @@ class TestStoppingCandidates:
         quadratic, _ = make_reference_decoders(5, 1e-3)
         cands = stopping_candidates(quadratic, 5, 1e-3, 0.5)
         runtime = quadratic.runtime
-        assert cands[-1].stopping_time_ns == runtime.max_runtime_ns
+        assert cands[-1].stopping_time_ns == max_runtime_ns(runtime)
         for cand in cands:
             units = cand.stopping_time_ns // runtime.unit_ns
-            expected = min(1.0, 1e-4 + runtime.survival(cand.stopping_time_ns))
+            expected = min(1.0, 1e-4 + survival(runtime, cand.stopping_time_ns))
             assert cand.failure_rate == pytest.approx(expected, rel=1e-12)
             assert cand.rate_method == "upper_bound"
             assert 0 <= units <= runtime.trials
@@ -92,13 +90,13 @@ class TestStoppingCandidates:
 
 class TestMinSpacetimeCost:
     def test_instantaneous_minimal_workload(self):
-        result = min_spacetime_cost(INSTANT, 1e-3, 1, range(3, 32, 2), 0.5)
+        result = min_spacetime_costs(INSTANT, 1e-3, [1], range(3, 32, 2), 0.5)[0]
         assert result.cost == 378
         assert result.distance == 3
         assert result.stopping_time_ns == 0
 
     def test_workload_beyond_every_range_is_infeasible(self):
-        result = min_spacetime_cost(INSTANT, 1e-3, 10**30, range(3, 12, 2), 0.5)
+        result = min_spacetime_costs(INSTANT, 1e-3, [10**30], range(3, 12, 2), 0.5)[0]
         assert not result.feasible
         assert result.distance is None
 
@@ -107,7 +105,7 @@ class TestMinSpacetimeCost:
         factory = lambda d: make_reference_decoders(d, 1e-3)[0]  # noqa: E731
         distances = [3, 5, 7, 9, 11]
         for n_T in (1, 10, 100, 1000):
-            result = min_spacetime_cost(factory, 1e-3, n_T, distances, 0.5)
+            result = min_spacetime_costs(factory, 1e-3, [n_T], distances, 0.5)[0]
             for d in distances:
                 model = factory(d)
                 for cand in stopping_candidates(model, d, 1e-3, 0.5):
@@ -127,7 +125,7 @@ class TestMinSpacetimeCost:
             )
             costs = []
             for n_T in (1, 5, 25, 125, 625, 3125):
-                result = min_spacetime_cost(decoder, 1e-3, n_T, range(3, 22, 2), 0.5)
+                result = min_spacetime_costs(decoder, 1e-3, [n_T], range(3, 22, 2), 0.5)[0]
                 costs.append(result.cost)
             assert all(a <= b for a, b in zip(costs, costs[1:]))
 
@@ -135,7 +133,7 @@ class TestMinSpacetimeCost:
         factory = lambda d: make_reference_decoders(d, 1e-3)[0]  # noqa: E731
         distances = list(range(3, 22, 2))
         results = {
-            n_T: min_spacetime_cost(factory, 1e-3, n_T, distances, 0.5)
+            n_T: min_spacetime_costs(factory, 1e-3, [n_T], distances, 0.5)[0]
             for n_T in range(1, 120)
         }
         for n_T in range(2, 120):
@@ -154,7 +152,7 @@ class TestMinSpacetimeCost:
         dist = trace_from_records(meta, records)
         measured = DecoderModel("measured", EmpiricalRuntime(dist), EmpiricalFailure(0.0025, 25))
         factory = lambda d: measured if d == 5 else None  # noqa: E731
-        result = min_spacetime_cost(factory, 1e-3, 10, range(3, 32, 2), 0.5)
+        result = min_spacetime_costs(factory, 1e-3, [10], range(3, 32, 2), 0.5)[0]
         assert result.distance == 5
         assert result.stopping_time_ns == 1000
         assert result.rate_method == "exact"
@@ -162,16 +160,16 @@ class TestMinSpacetimeCost:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            min_spacetime_cost(INSTANT, 1e-3, 1, [], 0.5)
+            min_spacetime_costs(INSTANT, 1e-3, [1], [], 0.5)
         with pytest.raises(ValueError):
-            min_spacetime_cost(INSTANT, 1e-3, 0, [3], 0.5)
+            min_spacetime_costs(INSTANT, 1e-3, [0], [3], 0.5)
 
     def test_many_workloads_from_one_table(self, monkeypatch):
         factory = lambda d: make_reference_decoders(d, 1e-3)[0]  # noqa: E731
         distances = list(range(3, 16, 2))
         n_T_values = [10**6, 1, 37, 1, 10**30, 5000]
         expected = [
-            min_spacetime_cost(factory, 1e-3, n_T, distances, 0.5) for n_T in n_T_values
+            min_spacetime_costs(factory, 1e-3, [n_T], distances, 0.5)[0] for n_T in n_T_values
         ]
         builds = []
         real_table = cost_module._candidate_table
@@ -305,7 +303,7 @@ def test_binomial_candidates_match_walk_and_survival(d, p):
         expected = []
         for units, _ in walk_ladder(runtime.trials, runtime.step_probability):
             m_ns = units * runtime.unit_ns
-            rate = min(1.0, base + runtime.survival(m_ns))
+            rate = min(1.0, base + survival(runtime, m_ns))
             n_T = decoder_range(d, m_ns, rate, 0.5).n_T
             expected.append(StoppingCandidate(m_ns, rate, n_T, "upper_bound"))
         assert repr(stopping_candidates(decoder, d, p, 0.5)) == repr(expected)
@@ -325,8 +323,8 @@ def test_fixed_decoder_builds_one_ladder(monkeypatch):
         ladders.append(runtime)
         return real_ladder(runtime)
 
-    # Both namespaces, so a second survival pass through
-    # BinomialRuntime.survival would be counted too.
+    # Both namespaces, so a second survival pass through the models
+    # module would be counted too.
     monkeypatch.setattr(cost_module, "binomial_survival", counted_survival)
     monkeypatch.setattr(models_module, "binomial_survival", counted_survival)
     monkeypatch.setattr(cost_module, "_binomial_quantile_units", counted_ladder)

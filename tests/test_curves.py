@@ -1,9 +1,10 @@
 """Differential property tests: the vectorised curves against a scalar loop.
 
-The scalar reference below calls :func:`interrupted_failure_exact` and
-:func:`decoder_range` once per stopping time, exactly as the per-candidate
-code did.  Counts stay below 2**53, so every float must match bit for bit
-(compared through ``repr``, which also tells 0.0 from -0.0).
+The scalar reference below calls the oracle ``interrupted_failure_exact``
+and :func:`decoder_range` once per stopping time, exactly as the
+per-candidate code did.  Counts stay below 2**53, so every float must
+match bit for bit (compared through ``repr``, which also tells 0.0 from
+-0.0).
 """
 
 import tracemalloc
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import count_at_or_below, interrupted_failure_exact
 from stopcost import (
     DecoderModel,
     EmpiricalRuntime,
@@ -23,13 +25,11 @@ from stopcost import (
     StoppingCandidate,
     TraceMetadata,
     decoder_range,
-    interrupted_failure_exact,
     range_curve,
-    range_optimized_stopping_time,
-    significant_stopping_times,
     stopping_candidates,
     stopping_curve,
 )
+from stopcost.stopping import _significant_rows
 
 MAX_RUNTIME_NS = 10**6
 
@@ -110,7 +110,7 @@ def assert_curve_matches(curve, dist, times):
     stats = [interrupted_failure_exact(dist, m) for m in times]
     assert len(curve.stopping_time_ns) == len(times)
     assert curve.stopping_time_ns.tolist() == [s.stopping_time_ns for s in stats]
-    assert curve.timeouts.tolist() == [dist.shots - dist.count_at_or_below(m) for m in times]
+    assert curve.timeouts.tolist() == [dist.shots - count_at_or_below(dist, m) for m in times]
     assert curve.failure_events.tolist() == [s.failure_events for s in stats]
     for column, field in (
         ("timeout_probability", "timeout_probability"),
@@ -142,10 +142,12 @@ def test_default_stopping_times_match_explicit_ones_bit_for_bit(dist):
 @settings(max_examples=200, deadline=None)
 @given(dist=distributions(), min_events=min_events_st, extra=extra_st)
 def test_significant_stopping_times_matches_scalar(dist, min_events, extra):
-    assert significant_stopping_times(dist, min_events) == scalar_significant(dist, min_events)
-    curve = stopping_curve(dist, np.union1d(dist.runtimes_ns, extra))
-    significant = curve.stopping_time_ns[curve.failure_events >= min_events].tolist()
-    assert significant == scalar_significant(dist, min_events, extra)
+    for times in (None, np.union1d(dist.runtimes_ns, extra)):
+        curve = stopping_curve(dist, times)
+        mask = _significant_rows(curve.failure_events, min_events)
+        assert curve.stopping_time_ns[mask].tolist() == scalar_significant(
+            dist, min_events, () if times is None else extra
+        )
 
 
 @settings(max_examples=200, deadline=None)
@@ -180,11 +182,12 @@ def test_range_curve_matches_scalar(dist, min_events, point, cap):
 @example(dist=BOUNDARY_DIST, min_events=1, point=BOUNDARY_POINT)
 def test_range_optimized_stopping_time_matches_scalar(dist, min_events, point):
     best = scalar_optimum(scalar_ranges(dist, min_events, **point))
+    curve = range_curve(dist, min_events=min_events, **point)
     if best is None:
         with pytest.raises(InfeasibleError):
-            range_optimized_stopping_time(dist, min_events=min_events, **point)
+            curve.optimum()
         return
-    m, result = range_optimized_stopping_time(dist, min_events=min_events, **point)
+    m, result = curve.optimum()
     assert m == best.stopping_time_ns
     assert result == best
     assert type(result.n_T) is int and type(result.failure_rate_used) is float

@@ -117,17 +117,28 @@ class TestLazyExports:
 
     def test_documented_entry_points_and_no_test_only_names(self):
         for name in (
-            "parse_trace", "build_distribution", "stopping_curve", "range_curve",
-            "range_optimized_stopping_time", "decoder_range", "interrupted_failure_exact",
+            "parse_trace", "stopping_curve", "range_curve", "decoder_range",
             "min_spacetime_costs", "compare_decoders",
+            # bench/tests pins the tracer's wrapping of stopping_candidates.
+            "stopping_candidates",
         ):
             assert name in stopcost.__all__ and callable(getattr(stopcost, name))
         for name in (
             "EmpiricalRuntimeDistribution", "interrupted_distribution",
             "interrupted_failure_bound", "require_significant_stopping_times",
+            "build_distribution", "range_optimized_stopping_time", "min_spacetime_cost",
+            "significant_stopping_times", "interrupted_failure_exact", "InterruptedStats",
+            "spacetime_cost", "CostPoint",
         ):
             assert name not in stopcost.__all__
-        for attr in ("from_records", "iter_records", "points", "record_count"):
+            assert not hasattr(stopcost, name)
+        assert len(stopcost.__all__) == 43
+        for attr in (
+            "from_records", "iter_records", "points", "record_count",
+            "count_at_or_below", "failed_at_or_below", "survival", "min_runtime_ns",
+        ):
             assert not hasattr(stopcost.RuntimeTrace, attr)
-        trace = stopcost.parse_trace(INPUTS / "ns.csv", INPUTS / "ns.json")
-        assert stopcost.build_distribution(trace) is trace
+        for runtime in (stopcost.BinomialRuntime, stopcost.InstantaneousRuntime,
+                        stopcost.EmpiricalRuntime):
+            for attr in ("survival", "mean_ns", "max_runtime_ns"):
+                assert not hasattr(runtime, attr), (runtime.__name__, attr)

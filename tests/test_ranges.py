@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import trace_from_records
+from oracles import interrupted_failure_exact, trace_from_records
 from stopcost import (
     GateSchedule,
     HeuristicFailure,
@@ -12,7 +12,7 @@ from stopcost import (
     TraceMetadata,
     accuracy_surface,
     decoder_range,
-    range_optimized_stopping_time,
+    range_curve,
     required_distance,
     sec_depth,
     unencoded_range,
@@ -191,9 +191,7 @@ class TestRangeOptimizedStoppingTime:
             expected = brute_force_optimum(records, 5, 0.5, 1000, min_events=20)
             if expected is None:
                 continue
-            m, result = range_optimized_stopping_time(
-                make_trace(records), 5, 0.5, min_events=20
-            )
+            m, result = range_curve(make_trace(records), 5, 0.5, min_events=20).optimum()
             assert (m, result.n_T) == expected
 
     def test_tie_breaks_toward_smaller_stopping_time(self):
@@ -203,20 +201,20 @@ class TestRangeOptimizedStoppingTime:
             [(10, False)] * 20 + [(10, True)] * 30 + [(20, True)] * 50
         )
         dist = make_trace(records)
-        m, _ = range_optimized_stopping_time(dist, 5, 0.5, min_events=20)
+        m, _ = range_curve(dist, 5, 0.5, min_events=20).optimum()
         assert m == 10
 
     def test_singleton_grid(self):
         records = [(7, True)] * 25 + [(7, False)] * 75
         dist = make_trace(records)
-        m, result = range_optimized_stopping_time(dist, 5, 0.5, min_events=20)
+        m, result = range_curve(dist, 5, 0.5, min_events=20).optimum()
         assert m == 7
         assert result.failure_rate_used == pytest.approx(0.25)
 
     def test_no_significant_candidate_raises(self):
         dist = make_trace([(5, False)] * 10)
         with pytest.raises(InfeasibleError):
-            range_optimized_stopping_time(dist, 5, 0.5, min_events=20)
+            range_curve(dist, 5, 0.5, min_events=20).optimum()
 
     def test_optimum_at_least_uninterrupted(self):
         rng = np.random.default_rng(61)
@@ -226,11 +224,9 @@ class TestRangeOptimizedStoppingTime:
             failed = rng.random(shots) < 0.3
             dist = make_trace(list(zip(runtimes.tolist(), failed.tolist())))
             try:
-                _, result = range_optimized_stopping_time(dist, 5, 0.5, min_events=20)
+                _, result = range_curve(dist, 5, 0.5, min_events=20).optimum()
             except InfeasibleError:
                 continue
-            from stopcost import interrupted_failure_exact
-
             t_max = dist.max_runtime_ns
             full = interrupted_failure_exact(dist, t_max)
             if full.failure_events >= 20:

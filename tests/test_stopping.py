@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import trace_from_records
-from stopcost import (
-    TraceMetadata,
-    interrupted_failure_exact,
-    significant_stopping_times,
-    stopping_curve,
-)
+from oracles import interrupted_failure_exact, trace_from_records
+from stopcost import TraceMetadata, stopping_curve
+from stopcost.stopping import _significant_rows
 
 
 def make_dist(records):
@@ -15,6 +11,12 @@ def make_dist(records):
         distance=5, physical_error_rate=1e-3, shots=len(records), sec_cycle_ns=1000
     )
     return trace_from_records(meta, records)
+
+
+def significant(dist, min_events):
+    """The observed runtimes the significance mask keeps."""
+    curve = stopping_curve(dist)
+    return curve.stopping_time_ns[_significant_rows(curve.failure_events, min_events)].tolist()
 
 
 def random_records(rng, shots, fail_prob=None, max_runtime=150):
@@ -105,7 +107,7 @@ class TestSignificantStoppingTimes:
     def test_below_threshold_everywhere(self):
         # 19 decode failures total and no timeouts at the max runtime.
         records = [(10, True)] * 19 + [(10, False)] * 81
-        assert significant_stopping_times(make_dist(records), min_events=20) == []
+        assert significant(make_dist(records), min_events=20) == []
 
     def test_timeout_count_dominates_early_candidates(self):
         records = [(50, False)] * 1000
@@ -117,9 +119,9 @@ class TestSignificantStoppingTimes:
 
     def test_min_events_one(self):
         dist = make_dist([(5, True), (9, False)])
-        assert significant_stopping_times(dist, min_events=1) == [5, 9]
+        assert significant(dist, min_events=1) == [5, 9]
 
     def test_min_events_validation(self):
         dist = make_dist([(5, False)])
         with pytest.raises(ValueError):
-            significant_stopping_times(dist, min_events=0)
+            significant(dist, min_events=0)

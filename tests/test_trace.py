@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import iter_records, points, trace_from_records
+from oracles import count_at_or_below, iter_records, points, survival, trace_from_records
 from stopcost import models as models_module
 from stopcost import trace as trace_module
 from stopcost import (
@@ -25,6 +25,7 @@ from stopcost import (
     TraceParseError,
     parse_trace,
     sample_trace,
+    stopping_curve,
     write_trace_csv,
 )
 
@@ -198,12 +199,11 @@ def test_empty_trace_rejected():
 
 def test_survival_hand_counts():
     dist = make_trace([(5, False), (5, True), (9, False)])
-    assert dist.survival(5) == 1 / 3
-    assert dist.survival(9) == 0.0
-    assert dist.survival(10) == 0.0
-    assert dist.survival(4) == 1.0
+    expected = [1 / 3, 0.0, 0.0, 1.0]
+    assert [survival(dist, m) for m in (5, 9, 10, 4)] == expected
+    assert stopping_curve(dist, [5, 9, 10, 4]).timeout_probability.tolist() == expected
     with pytest.raises(ValueError):
-        dist.survival(-1)
+        survival(dist, -1)
 
 
 def test_percentile_hand_counts():
@@ -230,11 +230,13 @@ def test_survival_properties_random_traces():
     for _ in range(50):
         dist = random_trace(rng)
         grid = [0, *dist.runtimes_ns.tolist(), dist.max_runtime_ns + 5]
-        values = [dist.survival(m) for m in grid]
+        values = [survival(dist, m) for m in grid]
+        assert stopping_curve(dist, grid).timeout_probability.tolist() == values
         assert all(a >= b for a, b in zip(values, values[1:]))
-        assert dist.survival(dist.max_runtime_ns) == 0.0
-        if dist.min_runtime_ns > 0:
-            assert dist.survival(dist.min_runtime_ns - 1) == 1.0
+        assert survival(dist, dist.max_runtime_ns) == 0.0
+        first = int(dist.runtimes_ns[0])
+        if first > 0:
+            assert survival(dist, first - 1) == 1.0
 
 
 def test_percentile_properties_random_traces():
@@ -245,7 +247,7 @@ def test_percentile_properties_random_traces():
         values = [dist.percentile(q) for q in qs]
         assert all(a <= b for a, b in zip(values, values[1:]))
         for t in dist.runtimes_ns.tolist():
-            q = dist.count_at_or_below(t) / dist.shots
+            q = count_at_or_below(dist, t) / dist.shots
             assert dist.percentile(q) <= t
 
 
@@ -731,3 +733,15 @@ def test_writer_matches_csv_writer_oracle(rows, write_bytes, per_shot):
         write_trace_csv(trace, path, per_shot=per_shot)
         assert path.read_bytes() == _csv_writer_bytes(trace, per_shot)
         assert parse_trace(path, None, {**META, "shots": meta.shots}) == trace
+
+
+def test_per_shot_writer_refuses_more_rows_than_the_limit(tmp_path):
+    shots = trace_module.PER_SHOT_ROWS_LIMIT + 1
+    meta = TraceMetadata(distance=5, physical_error_rate=1e-3, shots=shots, sec_cycle_ns=1000)
+    trace = RuntimeTrace(meta, [7], [shots], [0])
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="PER_SHOT_ROWS_LIMIT"):
+        write_trace_csv(trace, path, per_shot=True)
+    assert not path.exists()
+    write_trace_csv(trace, path)  # a histogram has no such limit
+    assert path.read_text() == f"runtime_ns,count_total,count_failed\n7,{shots},0\n"
