@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import math
 import os
 import sys
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .errors import ConfigError, InfeasibleError
 from .models import (
@@ -110,6 +109,8 @@ def _load_run_config(
 ) -> RunConfig:
     """``config`` (the defaults) updated by the config file, then the flags."""
     if getattr(args, "config", None):
+        import json
+
         with open(args.config) as fh:
             try:
                 raw = json.load(fh)
@@ -184,6 +185,8 @@ def render_table(
     """
     extras = extras or {}
     if fmt == "json":
+        import json
+
         payload = {
             "command": command,
             **{k: _json_safe(v) for k, v in extras.items()},
@@ -715,5 +718,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """Run :func:`main` on the command line and end the process with its
+    exit code, without the interpreter's teardown.
+
+    This is the ``stopcost`` console script and ``python -m stopcost.cli``.
+    Skipping teardown is safe because every output file is closed and
+    renamed before ``main`` returns and the program registers no
+    ``atexit`` handler, so only the standard streams are left to flush.
+    An exception out of ``main`` (argparse's ``SystemExit``, a bug) or out
+    of a flush takes the normal exit, so its exit code and stderr are the
+    interpreter's own.  Code that needs its ``atexit`` handlers to run
+    calls ``main(argv)`` instead.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)  # the interpreter's final flush reports it
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

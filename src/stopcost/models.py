@@ -15,7 +15,6 @@ output record for record.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import warnings
@@ -481,6 +480,8 @@ def integer(text: str) -> int:
 def json_integer(value) -> int:
     """A JSON value read by :func:`integer`; ``null`` and booleans fail."""
     if value is None or isinstance(value, bool):
+        import json
+
         raise ValueError(f"expected an integer, got {json.dumps(value)}")
     return integer(str(value))
 
@@ -488,6 +489,8 @@ def json_integer(value) -> int:
 def json_number(value) -> float:
     """A JSON value read by ``float``; ``null`` and booleans fail."""
     if value is None or isinstance(value, bool):
+        import json
+
         raise ValueError(f"expected a number, got {json.dumps(value)}")
     return float(value)
 
@@ -601,6 +604,8 @@ def load_decoder_config(path: str | Path) -> DecoderModel:
     config resolve against the config file's directory; the metadata
     sidecar defaults to the trace path with a ``.json`` suffix.
     """
+    import json
+
     path = Path(path)
     with open(path) as fh:
         try:

@@ -31,7 +31,6 @@ parts of a file are folded as they are read (:func:`fold_histograms`).
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from pathlib import Path
@@ -331,6 +330,8 @@ def _records(fh) -> Iterator[tuple[int, list[str]]]:
     """Each CSV record of ``fh`` with the physical line it starts on (a
     quoted field can span lines); a malformed record raises
     :class:`TraceParseError` naming that line."""
+    import csv
+
     reader = csv.reader(fh)
     line_no = 1
     while True:

@@ -817,3 +817,114 @@ def test_closed_stdout_is_one_io_error_line(tmp_path, unbuffered):
     assert proc.wait(timeout=120) == 4
     assert err.startswith("stopcost: io error: ")
     assert err.count("\n") == 1, err
+
+
+# ---------------------------------------------------------------------------
+# The command-line exit path: ``cli.run()`` ends the process without
+# interpreter teardown; what it prints and returns is ``cli.main``'s.
+
+# How the ``stopcost`` console script calls its target.
+CONSOLE_SCRIPT = "import sys; from stopcost.cli import run; sys.exit(run())"
+
+# Runs ``cli.main(argv)`` with stdout discarded and prints the exit code and
+# the atexit callback count before and after the call.
+ATEXIT_PROBE = """
+import atexit, contextlib, io, sys
+import stopcost.cli
+before = atexit._ncallbacks()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = stopcost.cli.main(sys.argv[1:])
+print(code, before, atexit._ncallbacks())
+"""
+
+
+def _child(tmp_path, entry, argv):
+    # A buffered stdout, so output still held in a buffer at exit would show.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run(
+        [sys.executable, *entry, *argv], cwd=tmp_path, env=env, capture_output=True,
+        timeout=120,
+    )
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out.encode(), err
+
+
+def _mask_temp_name(err: str) -> str:
+    # An io error on --out names the mkstemp file beside it, whose middle is random.
+    return re.sub(r"(?<=x\.csv)\w{8}(?=\.tmp)", "XXXXXXXX", err)
+
+
+EXIT_CASES = {
+    "stop-csv": (["stop", "--trace", str(INPUTS / "ns.csv")], 0),
+    "stop-json": (["stop", "--trace", str(INPUTS / "ns.csv"), "--format", "json"], 0),
+    "usage-error": (["surface", "--p", "1e-3"], 2),
+    "number-out-of-range": (["required-distance", "--nT", "1e400"], 2),
+    "infeasible": (
+        ["mincost", "--decoder", "quadratic", "--nT", "1000000000000000", "--distances", "3"],
+        3,
+    ),
+    "io-error": (["required-distance", "--nT", "1000", "--out", "{missing}/x.csv"], 4),
+}
+
+
+@pytest.mark.parametrize("entry", [["-m", "stopcost.cli"], ["-c", CONSOLE_SCRIPT]],
+                         ids=["module", "console-script"])
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_command_line_matches_main(tmp_path, capsys, entry, case):
+    argv, code = EXIT_CASES[case]
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    main_code, out, err = _in_process(capsys, argv)
+    assert main_code == code
+    proc = _child(tmp_path, entry, argv)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert _mask_temp_name(proc.stderr.decode()) == _mask_temp_name(err)
+    if code:
+        assert err.startswith("stopcost: ") and err.count("\n") == 1, err
+    else:
+        assert err == "" and out
+
+
+def test_command_line_synth_leaves_a_complete_pair(tmp_path):
+    argv = ["synth", "--model", "linear", "--d", "5", "--p", "1e-3", "--shots", "20000",
+            "--seed", "3", "--per-shot", "--out"]
+    (tmp_path / "child").mkdir()
+    (tmp_path / "main").mkdir()
+    proc = _child(tmp_path, ["-m", "stopcost.cli"], [*argv, "child/t.csv"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert main([*argv, str(tmp_path / "main" / "t.csv")]) == 0
+    for name in ("t.csv", "t.json"):
+        assert (tmp_path / "child" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "child").iterdir()) == ["t.csv", "t.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stop", "--trace", str(INPUTS / "ns.csv")],
+        ["mincost", "--decoder", "quadratic", "--nT", "10,1000", "--format", "json"],
+        ["synth", "--model", "quadratic", "--d", "5", "--p", "1e-3", "--shots", "1000",
+         "--out", "t.csv"],
+    ],
+    ids=["stop", "mincost-json", "synth"],
+)
+def test_a_call_registers_no_atexit_handler(tmp_path, argv):
+    # Counted in the child around the call: the interpreter's site may
+    # register handlers of its own before any stopcost code runs.
+    proc = _child(tmp_path, ["-c", ATEXIT_PROBE], argv)
+    code, before, after = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert after == before
+
+
+def test_console_script_target_is_run():
+    # Read as text: tomllib is not in every supported Python.
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    assert re.search(r'^\[project\.scripts\]\nstopcost = "stopcost\.cli:run"$', pyproject, re.M)

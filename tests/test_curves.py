@@ -29,6 +29,7 @@ from stopcost import (
     stopping_candidates,
     stopping_curve,
 )
+from stopcost.ranges import RANGE_SATURATION_CAP
 from stopcost.stopping import _significant_rows
 
 MAX_RUNTIME_NS = 10**6
@@ -159,6 +160,7 @@ def test_significant_stopping_times_matches_scalar(dist, min_events, extra):
 )
 @example(dist=BOUNDARY_DIST, min_events=1, point=BOUNDARY_POINT, cap=1)
 @example(dist=BOUNDARY_DIST, min_events=1, point=BOUNDARY_POINT, cap=2)
+@example(dist=BOUNDARY_DIST, min_events=1, point=BOUNDARY_POINT, cap=RANGE_SATURATION_CAP)
 def test_range_curve_matches_scalar(dist, min_events, point, cap):
     curve = range_curve(dist, min_events=min_events, saturation_cap=cap, **point)
     expected = scalar_ranges(dist, min_events, saturation_cap=cap, **point)
@@ -174,23 +176,9 @@ def test_range_curve_matches_scalar(dist, min_events, point, cap):
         with pytest.raises(InfeasibleError):
             curve.optimum()
     else:
-        assert curve.optimum() == (best.stopping_time_ns, best)
-
-
-@settings(max_examples=200, deadline=None)
-@given(dist=distributions(), min_events=min_events_st, point=point_st)
-@example(dist=BOUNDARY_DIST, min_events=1, point=BOUNDARY_POINT)
-def test_range_optimized_stopping_time_matches_scalar(dist, min_events, point):
-    best = scalar_optimum(scalar_ranges(dist, min_events, **point))
-    curve = range_curve(dist, min_events=min_events, **point)
-    if best is None:
-        with pytest.raises(InfeasibleError):
-            curve.optimum()
-        return
-    m, result = curve.optimum()
-    assert m == best.stopping_time_ns
-    assert result == best
-    assert type(result.n_T) is int and type(result.failure_rate_used) is float
+        m, result = curve.optimum()
+        assert (m, result) == (best.stopping_time_ns, best)
+        assert type(result.n_T) is int and type(result.failure_rate_used) is float
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,7 +1,10 @@
 """Import-time contracts: the package exports its names lazily, only the
 commands that read, sweep or sample a trace load numpy, the analytic
 commands load neither ``dataclasses`` nor ``inspect``, and only ``mincost``
-and ``compare`` load the cost module."""
+and ``compare`` load the cost module.  ``json`` loads only where JSON is
+read or written (a config file, a trace's sidecar, ``--format json``), and
+``csv`` only where the row validator parses a trace that is not in the
+canonical layout."""
 
 import importlib
 import json
@@ -18,16 +21,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 # Modules whose loading the probe reports.
-WATCHED = ("numpy", "dataclasses", "inspect", "stopcost.cost")
+WATCHED = ("numpy", "dataclasses", "inspect", "stopcost.cost", "json", "csv")
 
 # Runs ``cli.main(argv)`` with stdout discarded, then prints the exit code
-# and which of the watched modules were imported.
+# and which of the watched modules were imported.  The probe itself imports
+# none of them.
 PROBE = f"""
-import contextlib, io, json, sys
+import contextlib, io, sys
 import stopcost.cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = stopcost.cli.main(json.loads(sys.argv[1]))
-print(json.dumps([code, [m for m in {WATCHED!r} if m in sys.modules]]))
+    code = stopcost.cli.main(sys.argv[1:])
+print(code, *[m for m in {WATCHED!r} if m in sys.modules])
 """
 
 BINOMIAL_CONFIG = {
@@ -42,44 +46,64 @@ ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 
 def probe(argv, cwd):
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        [sys.executable, "-c", PROBE, *argv],
         cwd=cwd,
         env=ENV,
         capture_output=True,
         text=True,
         check=True,
     )
-    code, loaded = json.loads(proc.stdout)
-    return code, set(loaded)
+    code, *loaded = proc.stdout.split()
+    return int(code), set(loaded)
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, reads_json",
     [
-        ["surface", "--d", "15", "--p", "1e-3"],
-        ["required-distance", "--nT", "1000", "--p", "1e-3"],
-        ["mincost", "--decoder", "quadratic", "--nT", "10,1000,100000"],
-        ["compare", "--decoder-a", "linear", "--decoder-b", "instantaneous", "--nT", "10,1000"],
-        ["mincost", "--decoder", "wide.json", "--nT", "10,1000"],
-        ["compare", "--decoder-a", "wide.json", "--decoder-b", "quadratic", "--nT", "10,1000"],
+        (["surface", "--d", "15", "--p", "1e-3"], False),
+        (["required-distance", "--nT", "1000", "--p", "1e-3"], False),
+        (["mincost", "--decoder", "quadratic", "--nT", "10,1000,100000"], False),
+        (["compare", "--decoder-a", "linear", "--decoder-b", "instantaneous",
+          "--nT", "10,1000"], False),
+        (["mincost", "--decoder", "wide.json", "--nT", "10,1000"], True),
+        (["compare", "--decoder-a", "wide.json", "--decoder-b", "quadratic",
+          "--nT", "10,1000"], True),
+        (["surface", "--d", "15", "--p", "1e-3", "--format", "json"], True),
     ],
     ids=["surface", "required-distance", "mincost", "compare", "mincost-binomial-config",
-         "compare-binomial-config"],
+         "compare-binomial-config", "surface-json"],
 )
-def test_analytic_commands_do_not_import_numpy(tmp_path, argv):
+def test_analytic_commands_do_not_import_numpy(tmp_path, argv, reads_json):
     # Nor dataclasses and inspect (numpy imports the latter): records are
     # NamedTuples, so defining them runs no dataclass code generation.
+    # Built-in decoders read and write no JSON, so they do not load json.
     (tmp_path / "wide.json").write_text(json.dumps(BINOMIAL_CONFIG))
     cost = {"stopcost.cost"} if argv[0] in ("mincost", "compare") else set()
-    assert probe(argv, tmp_path) == (0, cost)
+    expected = (cost | {"json"}) if reads_json else cost
+    assert probe(argv, tmp_path) == (0, expected)
 
 
 def test_trace_command_imports_numpy(tmp_path):
+    # A canonical trace never reaches the row validator, the one csv user;
+    # every trace call reads its sidecar with json.
     for command in ("stop", "trace-stats"):
         code, loaded = probe([command, "--trace", str(INPUTS / "ns.csv")], tmp_path)
         assert code == 0
-        assert "numpy" in loaded
+        assert {"numpy", "json"} <= loaded, command
         assert "stopcost.cost" not in loaded, command
+        assert "csv" not in loaded, command
+
+
+def test_row_validator_imports_csv(tmp_path):
+    # A quoted field is outside the canonical layout.
+    trace = tmp_path / "t.csv"
+    trace.write_text('runtime_ns,failed\n"10",0\n20,1\n')
+    (tmp_path / "t.json").write_text(json.dumps(
+        {"distance": 5, "physical_error_rate": 1e-3, "shots": 2, "sec_cycle_ns": 1000}
+    ))
+    code, loaded = probe(["stop", "--trace", str(trace)], tmp_path)
+    assert code == 0
+    assert "csv" in loaded
 
 
 def test_bare_package_import_loads_no_submodule():
