@@ -16,10 +16,13 @@ Common flags: --epsilon, --t-sec-ns, --min-events, --format {csv,json},
 (precedence: flags > config file > defaults).  Exit codes: 0 success,
 2 usage/validation error, 3 infeasible analysis, 4 I/O error.
 
-Outputs are plot-ready tables.  CSV and JSON carry identical numerals
-(shortest round-trip decimals); infeasible costs appear as ``inf`` in CSV
-and ``null`` in JSON.  CSV is written in blocks of ``ROWS_PER_BLOCK``
-rows.  Files are written atomically (temp file + rename).
+Outputs are plot-ready tables.  Each subcommand returns its ``Table``
+and ``main`` renders and writes it; ``synth`` writes its own trace pair.
+CSV and JSON carry identical numerals (shortest round-trip decimals);
+infeasible costs appear as ``inf`` in CSV and ``null`` in JSON.  Both are
+written in blocks of ``ROWS_PER_BLOCK`` rows, JSON with the bytes of
+``json.dumps(..., indent=2)``.  Files are written atomically (temp file +
+rename).
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .models import (
     json_object,
     load_decoder_config,
     make_reference_decoders,
-    python_values,
 )
 from .ranges import (
     GateSchedule,
@@ -72,6 +74,19 @@ class RunConfig(NamedTuple):
     schedule: GateSchedule = GateSchedule()
     output_format: str = "csv"
     seed: int = 0
+
+
+class Table(NamedTuple):
+    """A subcommand's result, which ``main`` renders and writes.
+
+    ``infeasible`` is the reason the analysis has no feasible answer, if
+    it has none: the table is still written, then the call exits 3.
+    """
+
+    config: RunConfig
+    columns: dict  # header name -> column
+    extras: dict | None = None
+    infeasible: str | None = None
 
 
 def _schedule_from_json(raw) -> GateSchedule:
@@ -108,7 +123,7 @@ def _load_run_config(
     args: argparse.Namespace, config: RunConfig = RunConfig()
 ) -> RunConfig:
     """``config`` (the defaults) updated by the config file, then the flags."""
-    if getattr(args, "config", None):
+    if args.config:
         import json
 
         with open(args.config) as fh:
@@ -120,7 +135,7 @@ def _load_run_config(
     overrides = {
         name: value
         for name, _, flag in CONFIG_KEYS.values()
-        if flag and (value := getattr(args, flag, None)) is not None
+        if flag and (value := getattr(args, flag)) is not None
     }
     config = config._replace(**overrides)
     if not 0.0 < config.epsilon < 1.0:
@@ -150,63 +165,70 @@ def _json_safe(value):
     return value
 
 
-# Rows per CSV block: a block is formatted with one format string and
-# written whole, so memory stays bounded whatever the table length.
+# Rows per block: a block is formatted with one format string and written
+# whole, so memory stays bounded whatever the table length.
 ROWS_PER_BLOCK = 8192
 
 
-def _format_column(column, lo: int, hi: int) -> tuple[str, list]:
+def _format_column(column, lo: int, hi: int, cell: Callable) -> tuple[str, list]:
     """Cells ``lo:hi`` of one column as a ``%`` spec and the values it takes,
-    so that each cell formats as :func:`_format_cell` writes it."""
+    so that each cell formats as ``cell`` writes it."""
     if hasattr(column, "tolist"):  # a numpy array
         import numpy as np
 
         part = column[lo:hi]
         if part.dtype.kind in "iu":
             return "%d", part.tolist()
-        if part.dtype.kind == "f" and not np.isinf(part).any():
+        if part.dtype.kind == "f" and np.isfinite(part).all():
             return "%r", part.tolist()
-        return "%s", list(map(_format_cell, part.tolist()))
-    return "%s", list(map(_format_cell, column[lo:hi]))
+        return "%s", list(map(cell, part.tolist()))
+    return "%s", list(map(cell, column[lo:hi]))
 
 
 def render_table(
-    command: str,
-    header: Sequence[str],
-    columns: Sequence,
-    fmt: str,
-    extras: dict | None = None,
+    command: str, columns: dict, fmt: str, extras: dict | None = None
 ) -> Iterator[str]:
-    """The table as text blocks: CSV in ``ROWS_PER_BLOCK``-row blocks, JSON whole.
+    """The table as text blocks: a head, one block per ``ROWS_PER_BLOCK``
+    rows, and for JSON a close.
 
-    ``columns`` are equal-length numpy arrays or Python lists, one per
-    header name.  A CSV block is one ``%`` format: one spec per column,
-    repeated per row, over the block's cells in row order.
+    ``columns`` maps each header name to its column, an equal-length numpy
+    array or Python list.  A block is one ``%`` format: a row template with
+    one spec per column, repeated per row and joined by the row separator,
+    over the block's cells in row order.  JSON has the bytes of one
+    ``json.dumps(..., indent=2)`` of the whole table.
     """
     extras = extras or {}
+    header, columns = list(columns), list(columns.values())
+    n_rows = len(columns[0]) if columns else 0
     if fmt == "json":
         import json
 
-        payload = {
-            "command": command,
-            **{k: _json_safe(v) for k, v in extras.items()},
-            "columns": list(header),
-            "rows": [[_json_safe(v) for v in row] for row in zip(*map(python_values, columns))],
-        }
-        yield json.dumps(payload, indent=2) + "\n"
-        return
-    lines = [f"# {key}: {_format_cell(value)}\n" for key, value in extras.items()]
-    yield "".join(lines) + ",".join(header) + "\n"
-    n_rows = len(columns[0]) if columns else 0
+        dumps = json.dumps
+        cell = lambda value: dumps(_json_safe(value))  # noqa: E731
+        safe_extras = {key: _json_safe(value) for key, value in extras.items()}
+        payload = {"command": command, **safe_extras, "columns": header, "rows": []}
+        before, after = dumps(payload, indent=2).rsplit("[]", 1)
+        head, tail = before + "[", ("\n  ]" if n_rows else "]") + after + "\n"
+        open_row, between_cells, close_row = "\n    [\n      ", ",\n      ", "\n    ]"
+        between_rows = ","
+    else:
+        cell = _format_cell
+        lines = [f"# {key}: {_format_cell(value)}\n" for key, value in extras.items()]
+        head, tail = "".join(lines) + ",".join(header) + "\n", ""
+        open_row, between_cells, close_row, between_rows = "", ",", "\n", ""
+    yield head
     width = len(columns)
     for lo in range(0, n_rows, ROWS_PER_BLOCK):
         hi = min(lo + ROWS_PER_BLOCK, n_rows)
         cells = [None] * ((hi - lo) * width)
         specs = []
         for j, column in enumerate(columns):
-            spec, cells[j::width] = _format_column(column, lo, hi)
+            spec, cells[j::width] = _format_column(column, lo, hi, cell)
             specs.append(spec)
-        yield ((",".join(specs) + "\n") * (hi - lo)) % tuple(cells)
+        row = open_row + between_cells.join(specs) + close_row
+        yield ((between_rows if lo else "") + between_rows.join([row] * (hi - lo))) % tuple(cells)
+    if tail:
+        yield tail
 
 
 @contextmanager
@@ -215,12 +237,16 @@ def _atomic_path(out_path: Path) -> Iterator[str]:
 
     The temp file comes from ``mkstemp``, so every output gets its 0600
     mode; on any failure it is removed and ``out_path`` is left untouched.
+    A temp file that cannot be made is reported under ``out_path``'s name.
     """
     import tempfile
 
-    fd, tmp_name = tempfile.mkstemp(
-        dir=out_path.parent, prefix=out_path.name, suffix=".tmp"
-    )
+    try:
+        fd, tmp_name = tempfile.mkstemp(
+            dir=out_path.parent, prefix=out_path.name, suffix=".tmp"
+        )
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(out_path)) from None
     os.close(fd)
     try:
         yield tmp_name
@@ -271,17 +297,11 @@ def emit(blocks: Iterable[str], out: str | None) -> None:
 # Argument parsing helpers
 
 
-def _parse_int_list(text: str) -> list[int]:
-    values = [integer(part) for part in text.split(",") if part.strip()]
+def _parse_list(text: str, parse: Callable = integer) -> list:
+    """A comma list of at least one value, each read by ``parse``."""
+    values = [parse(part) for part in text.split(",") if part.strip()]
     if not values:
-        raise ValueError(f"empty integer list {text!r}")
-    return values
-
-
-def _parse_float_list(text: str) -> list[float]:
-    values = [float(part) for part in text.split(",") if part.strip()]
-    if not values:
-        raise ValueError(f"empty float list {text!r}")
+        raise ValueError(f"empty {'integer' if parse is integer else 'float'} list {text!r}")
     return values
 
 
@@ -291,31 +311,28 @@ def _parse_distances(text: str) -> list[int]:
         lo, hi = integer(lo_s), integer(hi_s)
         distances = list(range(lo, hi + 1, 2))
     else:
-        distances = _parse_int_list(text)
+        distances = _parse_list(text)
     for d in distances:
         _validate_distance(d)
     return distances
 
 
-def _metadata_overrides(args: argparse.Namespace) -> dict:
-    return {
-        "distance": getattr(args, "distance", None),
-        "physical_error_rate": getattr(args, "p", None),
-        "shots": getattr(args, "shots", None),
-        "sec_cycle_ns": getattr(args, "sec_cycle_ns", None),
-    }
-
-
 def _load_trace(args: argparse.Namespace) -> RuntimeTrace:
-    """The ``--trace`` file with its metadata."""
+    """The ``--trace`` file with its metadata, as the flags override it."""
     from .trace import parse_trace
 
-    meta = getattr(args, "meta", None)
+    meta = args.meta
     if meta is None:
         sidecar = Path(args.trace).with_suffix(".json")
         if sidecar.exists():
             meta = sidecar
-    return parse_trace(args.trace, meta, _metadata_overrides(args))
+    overrides = {
+        "distance": args.distance,
+        "physical_error_rate": args.p,
+        "shots": args.shots,
+        "sec_cycle_ns": args.sec_cycle_ns,
+    }
+    return parse_trace(args.trace, meta, overrides)
 
 
 def _resolve_decoder(
@@ -337,62 +354,43 @@ def _resolve_decoder(
 # Subcommands
 
 
-def cmd_trace_stats(args: argparse.Namespace) -> int:
+def cmd_trace_stats(args: argparse.Namespace) -> Table:
     config = _load_run_config(args)
     trace = _load_trace(args)
-    header = [
-        "shots",
-        "mean_ns",
-        "std_ns",
-        "t_max_ns",
-        "p50_ns",
-        "p90_ns",
-        "p99_ns",
-        "p99_9_ns",
-        "p100_ns",
-        "failure_rate",
-        "failure_events",
-    ]
-    row = [
-        trace.shots,
-        trace.mean_ns(),
-        trace.std_ns(),
-        trace.max_runtime_ns,
-        trace.percentile(0.50),
-        trace.percentile(0.90),
-        trace.percentile(0.99),
-        trace.percentile(0.999),
-        trace.percentile(1.0),
-        trace.failure_count / trace.shots,
-        trace.failure_count,
-    ]
+    row = {
+        "shots": trace.shots,
+        "mean_ns": trace.mean_ns(),
+        "std_ns": trace.std_ns(),
+        "t_max_ns": trace.max_runtime_ns,
+        "p50_ns": trace.percentile(0.50),
+        "p90_ns": trace.percentile(0.90),
+        "p99_ns": trace.percentile(0.99),
+        "p99_9_ns": trace.percentile(0.999),
+        "p100_ns": trace.percentile(1.0),
+        "failure_rate": trace.failure_count / trace.shots,
+        "failure_events": trace.failure_count,
+    }
     extras = {k: v for k, v in trace.metadata._asdict().items() if k != "shots"}
-    emit(
-        render_table("trace-stats", header, [[v] for v in row], config.output_format, extras),
-        args.out,
-    )
-    return 0
+    return Table(config, {name: [value] for name, value in row.items()}, extras)
 
 
-def cmd_stop(args: argparse.Namespace) -> int:
+def cmd_stop(args: argparse.Namespace) -> Table:
     from .stopping import stopping_curve
 
     config = _load_run_config(args)
     curve = stopping_curve(_load_trace(args))
-    columns = [
-        curve.stopping_time_ns,
-        curve.timeout_probability,
-        curve.exact_failure_rate,
-        curve.upper_bound_rate,
-        curve.lower_bound_rate,
-        curve.failure_events,
-    ]
-    header = ["M_ns", "timeout_prob", "exact_rate", "upper_bound", "lower_bound", "failure_events"]
-    emit(render_table("stop", header, columns, config.output_format), args.out)
-    return 0
+    columns = {
+        "M_ns": curve.stopping_time_ns,
+        "timeout_prob": curve.timeout_probability,
+        "exact_rate": curve.exact_failure_rate,
+        "upper_bound": curve.upper_bound_rate,
+        "lower_bound": curve.lower_bound_rate,
+        "failure_events": curve.failure_events,
+    }
+    return Table(config, columns)
 
 
-def cmd_range(args: argparse.Namespace) -> int:
+def cmd_range(args: argparse.Namespace) -> Table:
     trace = _load_trace(args)
     config = _load_run_config(args, RunConfig(t_sec_ns=trace.metadata.sec_cycle_ns))
     d = trace.metadata.distance
@@ -411,57 +409,47 @@ def cmd_range(args: argparse.Namespace) -> int:
         "optimal_M_ns": m,
         "optimal_range": best.n_T,
     }
-    columns = [curve.stopping_time_ns, curve.delay_cycles, curve.failure_rate, curve.n_T]
-    header = ["M_ns", "M_cycles", "exact_rate", "range"]
-    emit(render_table("range", header, columns, config.output_format, extras), args.out)
-    return 0
+    columns = {
+        "M_ns": curve.stopping_time_ns,
+        "M_cycles": curve.delay_cycles,
+        "exact_rate": curve.failure_rate,
+        "range": curve.n_T,
+    }
+    return Table(config, columns, extras)
 
 
-def cmd_surface(args: argparse.Namespace) -> int:
+def cmd_surface(args: argparse.Namespace) -> Table:
     config = _load_run_config(args)
-    alphas = _parse_float_list(args.alphas) if args.alphas else DEFAULT_SURFACE_ALPHAS
-    cycles = _parse_int_list(args.m_cycles) if args.m_cycles else DEFAULT_SURFACE_CYCLES
+    alphas = _parse_list(args.alphas, float) if args.alphas else DEFAULT_SURFACE_ALPHAS
+    cycles = _parse_list(args.m_cycles) if args.m_cycles else DEFAULT_SURFACE_CYCLES
     rows = accuracy_surface(
         args.d, args.p, config.epsilon, alphas, cycles, schedule=config.schedule
     )
     extras = {"distance": args.d, "physical_error_rate": args.p, "epsilon": config.epsilon}
-    header = ["alpha", "M_cycles", "range"]
-    emit(
-        render_table("surface", header, list(zip(*rows)), config.output_format, extras),
-        args.out,
-    )
-    return 0
+    return Table(config, dict(zip(("alpha", "M_cycles", "range"), zip(*rows))), extras)
 
 
-def _mincost_inputs(args: argparse.Namespace):
-    """Resolve (factory, p, distances, label, default config) for mincost.
-
-    A trace's metadata supplies the default SEC cycle time.
-    """
-    if args.trace:
-        trace = _load_trace(args)
-        model = DecoderModel(
-            name=Path(args.trace).stem,
-            runtime=EmpiricalRuntime(trace),
-            failure=HeuristicFailure(),
-        )
-        meta = trace.metadata
-        factory = lambda d: model if d == meta.distance else None  # noqa: E731
-        defaults = RunConfig(t_sec_ns=meta.sec_cycle_ns)
-        return factory, meta.physical_error_rate, [meta.distance], model.name, defaults
-    p = args.p if args.p is not None else 1e-3
-    distances = _parse_distances(args.distances) if args.distances else list(range(3, 32, 2))
-    return _resolve_decoder(args.decoder, p), p, distances, args.decoder, RunConfig()
-
-
-def cmd_mincost(args: argparse.Namespace) -> int:
+def cmd_mincost(args: argparse.Namespace) -> Table:
+    """A trace prices its own distance, with its metadata's SEC cycle time
+    as the default; a decoder prices every ``--distances`` value."""
     from .cost import min_spacetime_costs
 
     if bool(args.trace) == bool(args.decoder):
         raise ConfigError("mincost requires exactly one of --decoder or --trace")
-    factory, p, distances, label, defaults = _mincost_inputs(args)
-    config = _load_run_config(args, defaults)
-    n_T_values = _parse_int_list(args.nT)
+    if args.trace:
+        trace = _load_trace(args)
+        meta = trace.metadata
+        label = Path(args.trace).stem
+        model = DecoderModel(label, EmpiricalRuntime(trace), HeuristicFailure())
+        factory = lambda d: model if d == meta.distance else None  # noqa: E731
+        p, distances = meta.physical_error_rate, [meta.distance]
+        config = _load_run_config(args, RunConfig(t_sec_ns=meta.sec_cycle_ns))
+    else:
+        label, p = args.decoder, (1e-3 if args.p is None else args.p)
+        distances = _parse_distances(args.distances)
+        factory = _resolve_decoder(label, p)
+        config = _load_run_config(args)
+    n_T_values = _parse_list(args.nT)
     results = min_spacetime_costs(
         factory,
         p,
@@ -473,49 +461,44 @@ def cmd_mincost(args: argparse.Namespace) -> int:
         min_events=config.min_failure_events,
     )
     costs, chosen_d, chosen_m, _ = zip(*results)
-    columns = [n_T_values, costs, chosen_d, chosen_m]
+    columns = {"n_T": n_T_values, "cost": costs, "distance": chosen_d, "M_ns": chosen_m}
     rate_method = "exact" if args.trace else "upper_bound"
     extras = {"decoder": label, "physical_error_rate": p, "rate_method": rate_method}
-    header = ["n_T", "cost", "distance", "M_ns"]
-    emit(render_table("mincost", header, columns, config.output_format, extras), args.out)
+    infeasible = None
     if not any(r.feasible for r in results):
-        print(
-            "stopcost: infeasible: no (distance, stopping time) pair reaches "
-            "any requested n_T",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+        infeasible = "no (distance, stopping time) pair reaches any requested n_T"
+    return Table(config, columns, extras, infeasible)
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> Table:
     from .cost import compare_decoders
 
     config = _load_run_config(args)
-    p = args.p if args.p is not None else 1e-3
-    distances = _parse_distances(args.distances) if args.distances else list(range(3, 32, 2))
+    distances = _parse_distances(args.distances)
     rows = compare_decoders(
-        _resolve_decoder(args.decoder_a, p),
-        _resolve_decoder(args.decoder_b, p),
-        p,
-        _parse_int_list(args.nT),
+        _resolve_decoder(args.decoder_a, args.p),
+        _resolve_decoder(args.decoder_b, args.p),
+        args.p,
+        _parse_list(args.nT),
         distances,
         config.epsilon,
         t_sec_ns=config.t_sec_ns,
         schedule=config.schedule,
         min_events=config.min_failure_events,
     )
-    columns = list(zip(*rows))  # n_T, cost_a, cost_b, ratio
-    extras = {"decoder_a": args.decoder_a, "decoder_b": args.decoder_b, "physical_error_rate": p}
-    header = ["n_T", "cost_a", "cost_b", "ratio"]
-    emit(render_table("compare", header, columns, config.output_format, extras), args.out)
+    columns = dict(zip(("n_T", "cost_a", "cost_b", "ratio"), zip(*rows)))
+    extras = {
+        "decoder_a": args.decoder_a,
+        "decoder_b": args.decoder_b,
+        "physical_error_rate": args.p,
+    }
+    infeasible = None
     if all(math.isinf(r.ratio) for r in rows):
-        print("stopcost: infeasible: no workload is feasible for both decoders", file=sys.stderr)
-        return 3
-    return 0
+        infeasible = "no workload is feasible for both decoders"
+    return Table(config, columns, extras, infeasible)
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> None:
     config = _load_run_config(args)
     if args.out is None:
         raise ConfigError("synth requires --out for the trace file")
@@ -545,41 +528,33 @@ def cmd_synth(args: argparse.Namespace) -> int:
     with _atomic_path(out_path) as trace_tmp, _atomic_path(meta_path) as meta_tmp:
         write_trace_csv(trace, trace_tmp, per_shot=args.per_shot)
         write_metadata(trace.metadata, meta_tmp)
-    return 0
 
 
-def cmd_required_distance(args: argparse.Namespace) -> int:
+def cmd_required_distance(args: argparse.Namespace) -> Table:
     config = _load_run_config(args)
-    p = args.p if args.p is not None else 1e-3
     result = required_distance(
         args.nT,
-        p,
+        args.p,
         args.delay_ns,
         config.epsilon,
         schedule=config.schedule,
         d_max=args.d_max,
         t_sec_ns=config.t_sec_ns,
     )
-    header = ["n_T", "p", "delay_ns", "epsilon", "d_max", "distance", "no_encoding_sufficient"]
-    row = [
-        args.nT,
-        p,
-        args.delay_ns,
-        config.epsilon,
-        args.d_max,
-        result.distance,
-        int(result.no_encoding_sufficient),
-    ]
-    columns = [[v] for v in row]
-    emit(render_table("required-distance", header, columns, config.output_format), args.out)
+    row = {
+        "n_T": args.nT,
+        "p": args.p,
+        "delay_ns": args.delay_ns,
+        "epsilon": config.epsilon,
+        "d_max": args.d_max,
+        "distance": result.distance,
+        "no_encoding_sufficient": int(result.no_encoding_sufficient),
+    }
+    infeasible = None
     if result.distance is None and not result.no_encoding_sufficient:
-        print(
-            f"stopcost: infeasible: no odd distance up to {args.d_max} meets the "
-            f"error budget",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+        infeasible = f"no odd distance up to {args.d_max} meets the error budget"
+    columns = {name: [value] for name, value in row.items()}
+    return Table(config, columns, infeasible=infeasible)
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +578,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=nonempty, default=None, help="JSON settings file; flags take precedence")
 
 
-def _add_trace_inputs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trace", type=nonempty, required=True, help="trace CSV (per-shot or histogram layout)")
+def _add_trace_inputs(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    parser.add_argument("--trace", type=nonempty, required=required, help="trace CSV (per-shot or histogram layout)")
     parser.add_argument("--meta", type=nonempty, default=None, help="metadata sidecar JSON (default: trace path with .json)")
     parser.add_argument("--distance", type=integer, default=None, help="override metadata distance")
     parser.add_argument("--p", type=float, default=None, help="override metadata physical error rate")
@@ -646,24 +621,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_surface.set_defaults(func=cmd_surface)
 
     p_mincost = sub.add_parser("mincost", help="minimum spacetime cost per workload size")
-    p_mincost.add_argument("--decoder", type=nonempty, default=None, help=f"decoder config JSON or one of {', '.join(BUILTIN_DECODERS)}")
-    p_mincost.add_argument("--trace", type=nonempty, default=None, help="trace CSV for a measured decoder")
-    p_mincost.add_argument("--meta", type=nonempty, default=None, help="metadata sidecar for --trace")
-    p_mincost.add_argument("--distance", type=integer, default=None, help="override metadata distance")
-    p_mincost.add_argument("--shots", type=integer, default=None, help="override metadata shot count")
-    p_mincost.add_argument("--sec-cycle-ns", dest="sec_cycle_ns", type=integer, default=None, help="override metadata SEC cycle time")
-    p_mincost.add_argument("--p", type=float, default=None, help="physical error rate (default 1e-3 or trace metadata)")
+    p_mincost.add_argument("--decoder", type=nonempty, default=None, help=f"decoder config JSON or one of {', '.join(BUILTIN_DECODERS)}; --p sets its physical error rate (default 1e-3)")
+    _add_trace_inputs(p_mincost, required=False)
     p_mincost.add_argument("--nT", required=True, help="comma list of T-gate counts")
-    p_mincost.add_argument("--distances", default=None, help="odd distances, e.g. 3:31 or 3,5,7 (default 3:31)")
+    p_mincost.add_argument("--distances", default="3:31", help="odd distances, e.g. 3:31 or 3,5,7 (default 3:31)")
     _add_common(p_mincost)
     p_mincost.set_defaults(func=cmd_mincost)
 
     p_compare = sub.add_parser("compare", help="spacetime cost ratio of two decoders")
     p_compare.add_argument("--decoder-a", dest="decoder_a", type=nonempty, required=True)
     p_compare.add_argument("--decoder-b", dest="decoder_b", type=nonempty, required=True)
-    p_compare.add_argument("--p", type=float, default=None, help="physical error rate (default 1e-3)")
+    p_compare.add_argument("--p", type=float, default=1e-3, help="physical error rate (default 1e-3)")
     p_compare.add_argument("--nT", required=True, help="comma list of T-gate counts")
-    p_compare.add_argument("--distances", default=None, help="odd distances (default 3:31)")
+    p_compare.add_argument("--distances", default="3:31", help="odd distances (default 3:31)")
     _add_common(p_compare)
     p_compare.set_defaults(func=cmd_compare)
 
@@ -678,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reqd = sub.add_parser("required-distance", help="smallest viable code distance for a workload")
     p_reqd.add_argument("--nT", type=integer, required=True, help="number of T gates")
-    p_reqd.add_argument("--p", type=float, default=None, help="physical error rate (default 1e-3)")
+    p_reqd.add_argument("--p", type=float, default=1e-3, help="physical error rate (default 1e-3)")
     p_reqd.add_argument("--delay-ns", dest="delay_ns", type=integer, default=0, help="decoding delay per T gate in ns")
     p_reqd.add_argument("--d-max", dest="d_max", type=integer, default=99, help="largest odd distance to try")
     _add_common(p_reqd)
@@ -697,7 +667,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning  # one line each, no source
-            return args.func(args)
+            table = args.func(args)
+            if table is None:  # synth wrote its own files
+                return 0
+            fmt = table.config.output_format
+            emit(render_table(args.command, table.columns, fmt, table.extras), args.out)
+            if table.infeasible:
+                raise InfeasibleError(table.infeasible)
+            return 0
     except InfeasibleError as exc:
         print(f"stopcost: infeasible: {exc}", file=sys.stderr)
         return 3

@@ -756,9 +756,12 @@ def tables(draw):
     table=tables(),
     rows_per_block=st.integers(1, 7),
     fmt=st.sampled_from(["csv", "json"]),
-    extras=st.sampled_from([{}, {"decoder": "x", "epsilon": 0.5, "cost": math.inf}]),
+    extras=st.sampled_from([
+        {}, {"decoder": "x", "epsilon": 0.5, "cost": math.inf}, {"decoder": "décodeur ✓"},
+    ]),
 )
 @example(table=([np.array([], dtype=np.float64), []], []), rows_per_block=1, fmt="csv", extras={})
+@example(table=([np.array([], dtype=np.float64), []], []), rows_per_block=1, fmt="json", extras={})
 @example(
     table=([np.array(SPECIAL_FLOATS)], [[v] for v in SPECIAL_FLOATS]),
     rows_per_block=3, fmt="csv", extras={},
@@ -787,11 +790,10 @@ def test_render_table_matches_per_cell_oracle(table, rows_per_block, fmt, extras
     header = [f"c{i}" for i in range(len(columns))]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "ROWS_PER_BLOCK", rows_per_block)
-        blocks = list(render_table("t", header, columns, fmt, extras))
+        blocks = list(render_table("t", dict(zip(header, columns)), fmt, extras))
     assert "".join(blocks) == per_cell_render("t", header, rows, fmt, extras)
-    if fmt == "csv":
-        # The header block, then one block per ROWS_PER_BLOCK rows.
-        assert len(blocks) == 1 + -(-len(rows) // rows_per_block)
+    # The head, one block per ROWS_PER_BLOCK rows, and for JSON the close.
+    assert len(blocks) == 1 + -(-len(rows) // rows_per_block) + (fmt == "json")
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
@@ -857,11 +859,6 @@ def _in_process(capsys, argv):
     return code, out.encode(), err
 
 
-def _mask_temp_name(err: str) -> str:
-    # An io error on --out names the mkstemp file beside it, whose middle is random.
-    return re.sub(r"(?<=x\.csv)\w{8}(?=\.tmp)", "XXXXXXXX", err)
-
-
 EXIT_CASES = {
     "stop-csv": (["stop", "--trace", str(INPUTS / "ns.csv")], 0),
     "stop-json": (["stop", "--trace", str(INPUTS / "ns.csv"), "--format", "json"], 0),
@@ -872,6 +869,11 @@ EXIT_CASES = {
         3,
     ),
     "io-error": (["required-distance", "--nT", "1000", "--out", "{missing}/x.csv"], 4),
+    "synth-io-error": (
+        ["synth", "--model", "linear", "--d", "5", "--p", "1e-3", "--shots", "100",
+         "--out", "{missing}/x.csv"],
+        4,
+    ),
 }
 
 
@@ -885,7 +887,11 @@ def test_command_line_matches_main(tmp_path, capsys, entry, case):
     assert main_code == code
     proc = _child(tmp_path, entry, argv)
     assert (proc.returncode, proc.stdout) == (code, out)
-    assert _mask_temp_name(proc.stderr.decode()) == _mask_temp_name(err)
+    assert proc.stderr.decode() == err
+    if code == 4:
+        # The error names the --out path, not the temp file beside it.
+        missing = tmp_path / "missing" / "x.csv"
+        assert err == f"stopcost: io error: [Errno 2] No such file or directory: '{missing}'\n"
     if code:
         assert err.startswith("stopcost: ") and err.count("\n") == 1, err
     else:
