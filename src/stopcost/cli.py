@@ -44,13 +44,13 @@ from .models import (
     HeuristicFailure,
     InstantaneousRuntime,
     _validate_distance,
-    check_keys,
     integer,
+    json_fields,
     json_integer,
     json_number,
-    json_object,
     load_decoder_config,
     make_reference_decoders,
+    read_json,
 )
 from .ranges import (
     GateSchedule,
@@ -90,8 +90,8 @@ class Table(NamedTuple):
 
 
 def _schedule_from_json(raw) -> GateSchedule:
-    check_keys(json_object(raw, "schedule"), GateSchedule._fields, "schedule")
-    return GateSchedule(**{key: json_integer(value) for key, value in raw.items()})
+    parsers = dict.fromkeys(GateSchedule._fields, json_integer)
+    return GateSchedule(**json_fields(raw, parsers, "schedule"))
 
 
 # Config file key -> (RunConfig field, parser of the JSON value, the
@@ -106,32 +106,14 @@ CONFIG_KEYS = {
 }
 
 
-def _config_from_json(raw, path: str) -> dict:
-    """The RunConfig fields a config file sets, by name."""
-    check_keys(json_object(raw, f"config {path}"), CONFIG_KEYS, f"config {path}")
-    values = {}
-    for key, value in raw.items():
-        name, parse, _ = CONFIG_KEYS[key]
-        try:
-            values[name] = parse(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r} in {path}: {exc}") from exc
-    return values
-
-
 def _load_run_config(
     args: argparse.Namespace, config: RunConfig = RunConfig()
 ) -> RunConfig:
     """``config`` (the defaults) updated by the config file, then the flags."""
     if args.config:
-        import json
-
-        with open(args.config) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid config JSON in {args.config}: {exc}") from exc
-        config = config._replace(**_config_from_json(raw, args.config))
+        parsers = {key: parse for key, (_, parse, _) in CONFIG_KEYS.items()}
+        values = json_fields(read_json(args.config, "config"), parsers, f"config {args.config}")
+        config = config._replace(**{CONFIG_KEYS[key][0]: value for key, value in values.items()})
     overrides = {
         name: value
         for name, _, flag in CONFIG_KEYS.values()
@@ -237,7 +219,8 @@ def _atomic_path(out_path: Path) -> Iterator[str]:
 
     The temp file comes from ``mkstemp``, so every output gets its 0600
     mode; on any failure it is removed and ``out_path`` is left untouched.
-    A temp file that cannot be made is reported under ``out_path``'s name.
+    A temp file that cannot be made or renamed is reported under
+    ``out_path``'s name.
     """
     import tempfile
 
@@ -250,7 +233,10 @@ def _atomic_path(out_path: Path) -> Iterator[str]:
     os.close(fd)
     try:
         yield tmp_name
-        os.replace(tmp_name, out_path)
+        try:
+            os.replace(tmp_name, out_path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(out_path)) from None
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)

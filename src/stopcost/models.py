@@ -19,7 +19,7 @@ import math
 import re
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
 from .errors import ConfigError
 
@@ -442,7 +442,7 @@ def sample_trace(
 
 
 # ---------------------------------------------------------------------------
-# Strict values: command-line integers and JSON config files
+# Strict values: command-line integers and JSON files
 
 
 _INTEGER_RE = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
@@ -502,13 +502,42 @@ def json_object(raw, what: str) -> dict:
     return raw
 
 
-def check_keys(raw: dict, known, what: str) -> None:
-    """Refuse any key of ``raw`` outside ``known``."""
-    unknown = sorted(set(raw) - set(known))
+def read_json(path: str | Path, what: str):
+    """The JSON document in ``path``; a syntax error names ``what`` and
+    the path."""
+    import json
+
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid {what} JSON in {path}: {exc}") from exc
+
+
+def json_fields(raw, parsers: dict, what: str, required: Iterable[str] = ()) -> dict:
+    """The JSON object ``raw`` with each value read by its key's parser.
+
+    A key outside ``parsers`` or a missing ``required`` key is refused,
+    and a value its parser rejects is reported under its key; ``what``
+    names the object in every error.
+    """
+    raw = json_object(raw, what)
+    unknown = sorted(set(raw) - set(parsers))
     if unknown:
         raise ConfigError(
-            f"unknown key(s) in {what}: {', '.join(unknown)}; known: {', '.join(known)}"
+            f"unknown key(s) in {what}: {', '.join(unknown)}; known: {', '.join(parsers)}"
         )
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise ConfigError(f"missing key(s) in {what}: {', '.join(missing)}")
+    values = {}
+    for key, parse in parsers.items():
+        if key in raw:
+            try:
+                values[key] = parse(raw[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{what} key {key!r}: {exc}") from exc
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -537,23 +566,24 @@ DECODER_CONFIG_KEYS = {
 }
 
 
+# The keys a kind must set, by the name its errors give the section.
+_REQUIRED_KEYS = {
+    "binomial runtime": ("N", "Q"),
+    "empirical runtime": ("trace",),
+    "accuracy failure": ("alpha",),
+    "empirical failure": ("rate",),
+}
+
+
 def _config_section(raw, section: str) -> tuple[str, dict]:
-    # (kind, parsed values) of one section; a missing key is absent.
-    raw = json_object(raw, repr(section))
+    # (kind, parsed values) of one section; a missing optional key is absent.
     kinds = DECODER_CONFIG_KEYS[section]
-    kind = raw.get("kind")
+    kind = json_object(raw, repr(section)).get("kind")
     if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(f"unknown {section} model kind {kind!r}")
-    parsers = kinds[kind]
-    check_keys(raw, ["kind", *parsers], f"{kind} {section}")
-    values = {}
-    for key, parse in parsers.items():
-        if key in raw:
-            try:
-                values[key] = parse(raw[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{kind} {section} key {key!r}: {exc}") from exc
-    return kind, values
+    what = f"{kind} {section}"
+    parsers = {"kind": str, **kinds[kind]}
+    return kind, json_fields(raw, parsers, what, _REQUIRED_KEYS.get(what, ()))
 
 
 def _failure_from_config(raw) -> FailureModel:
@@ -564,27 +594,18 @@ def _failure_from_config(raw) -> FailureModel:
             raise ConfigError(f"heuristic B must be positive, got {scale}")
         return HeuristicFailure(prefactor=cfg.get("A", 0.1), threshold=1.0 / scale)
     if kind == "accuracy":
-        if "alpha" not in cfg:
-            raise ConfigError("accuracy failure model requires 'alpha'")
         return AccuracyScaledFailure(base=HeuristicFailure(), alpha=cfg["alpha"])
-    if "rate" not in cfg:
-        raise ConfigError("empirical failure model requires 'rate'")
     return EmpiricalFailure(failure_rate=cfg["rate"], failure_events=cfg.get("events", 0))
 
 
 def _runtime_from_config(raw, base_dir: Path) -> RuntimeModel:
     kind, cfg = _config_section(raw, "runtime")
     if kind == "binomial":
-        for key in ("N", "Q"):
-            if key not in cfg:
-                raise ConfigError(f"binomial runtime model requires {key!r}")
         return BinomialRuntime(
             trials=cfg["N"], step_probability=cfg["Q"], unit_ns=cfg.get("unit_ns", 1000)
         )
     if kind == "instantaneous":
         return InstantaneousRuntime()
-    if "trace" not in cfg:
-        raise ConfigError("empirical runtime model requires 'trace'")
     from .trace import parse_trace
 
     trace_path = base_dir / cfg["trace"]
@@ -604,20 +625,11 @@ def load_decoder_config(path: str | Path) -> DecoderModel:
     config resolve against the config file's directory; the metadata
     sidecar defaults to the trace path with a ``.json`` suffix.
     """
-    import json
-
     path = Path(path)
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid decoder config JSON in {path}: {exc}") from exc
+    raw = read_json(path, "decoder config")
     try:
-        cfg = json_object(cfg, "the config")
-        check_keys(cfg, ["name", "runtime", "failure"], "the config")
-        for key in ("runtime", "failure"):
-            if key not in cfg:
-                raise ConfigError(f"missing {key!r} section")
+        sections = dict.fromkeys(("name", "runtime", "failure"), lambda value: value)
+        cfg = json_fields(raw, sections, "the config", required=("runtime", "failure"))
         name = cfg.get("name", path.stem)
         if not isinstance(name, str):
             raise ConfigError(f"'name' must be a string, got {type(name).__name__}")

@@ -39,8 +39,9 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, TraceIntegrityError, TraceParseError
+from .errors import TraceIntegrityError, TraceParseError
 from .models import INT64_MAX, _validate_distance, _validate_probability, json_integer, json_number
+from .models import json_fields, json_object, read_json
 
 PER_SHOT_HEADER = ("runtime_ns", "failed")
 HISTOGRAM_HEADER = ("runtime_ns", "count_total", "count_failed")
@@ -284,32 +285,16 @@ def load_metadata(
 ) -> TraceMetadata:
     """Read a metadata sidecar JSON, applying CLI-style field overrides.
 
-    Every field in ``METADATA_FIELDS`` must be present after overrides;
-    integers are read strictly, and ``null`` or a boolean fails.
+    Only the ``METADATA_FIELDS`` keys are read, and other keys are
+    ignored.  Every field must be present after overrides; integers are
+    read strictly, and ``null`` or a boolean fails.
     """
-    raw: dict[str, object] = {}
-    if path is not None:
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid metadata JSON in {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(
-                f"metadata {path} must hold a JSON object, got {type(raw).__name__}"
-            )
+    what = "metadata" if path is None else f"metadata {path}"
+    raw = {} if path is None else json_object(read_json(path, "metadata"), what)
+    fields = {key: raw[key] for key in METADATA_FIELDS if key in raw}
     if overrides:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
-    missing = [f for f in METADATA_FIELDS if f not in raw]
-    if missing:
-        raise ConfigError(f"missing metadata field(s): {', '.join(missing)}")
-    values = {}
-    for name, parse in METADATA_FIELDS.items():
-        try:
-            values[name] = parse(raw[name])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"metadata field {name!r}: {exc}") from exc
-    return TraceMetadata(**values)
+        fields.update({k: v for k, v in overrides.items() if v is not None})
+    return TraceMetadata(**json_fields(fields, METADATA_FIELDS, what, required=METADATA_FIELDS))
 
 
 def _parse_int(value: str, name: str, line: int) -> int:

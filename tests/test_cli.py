@@ -676,6 +676,32 @@ class TestOneLineErrors:
         assert err.startswith("stopcost: error: line ")
         assert err.count("\n") == 1
 
+    # Each JSON reader, the argv that hands it a file, and its error for a
+    # top level that is not an object.
+    JSON_READERS = {
+        "config": (["surface", "--d", "9", "--p", "1e-3", "--config"],
+                   "config {path} must be a JSON object, got list"),
+        "decoder config": (["mincost", "--nT", "10", "--decoder"],
+                           "decoder config {path}: the config must be a JSON object, got list"),
+        "metadata": (["trace-stats", "--trace", str(INPUTS / "ns.csv"), "--meta"],
+                     "metadata {path} must be a JSON object, got list"),
+    }
+
+    @pytest.mark.parametrize("content", ['{"distance": 7', "[7]"], ids=["truncated", "list"])
+    @pytest.mark.parametrize("reader", JSON_READERS)
+    def test_malformed_json_file_is_one_line(self, tmp_path, capsys, reader, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        argv, object_error = self.JSON_READERS[reader]
+        assert main([*argv, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        if content.startswith("{"):
+            assert err.startswith(f"stopcost: error: invalid {reader} JSON in {path}: ")
+            assert err.count("\n") == 1
+        else:
+            assert err == f"stopcost: error: {object_error.format(path=path)}\n"
+
 
 def _limit_address_space():
     import resource
@@ -869,6 +895,7 @@ EXIT_CASES = {
         3,
     ),
     "io-error": (["required-distance", "--nT", "1000", "--out", "{missing}/x.csv"], 4),
+    "io-error-dir": (["required-distance", "--nT", "1000", "--out", "{adir}"], 4),
     "synth-io-error": (
         ["synth", "--model", "linear", "--d", "5", "--p", "1e-3", "--shots", "100",
          "--out", "{missing}/x.csv"],
@@ -882,16 +909,19 @@ EXIT_CASES = {
 @pytest.mark.parametrize("case", EXIT_CASES)
 def test_command_line_matches_main(tmp_path, capsys, entry, case):
     argv, code = EXIT_CASES[case]
-    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    (tmp_path / "adir").mkdir()
+    argv = [a.format(missing=tmp_path / "missing", adir=tmp_path / "adir") for a in argv]
     main_code, out, err = _in_process(capsys, argv)
     assert main_code == code
     proc = _child(tmp_path, entry, argv)
     assert (proc.returncode, proc.stdout) == (code, out)
     assert proc.stderr.decode() == err
     if code == 4:
-        # The error names the --out path, not the temp file beside it.
-        missing = tmp_path / "missing" / "x.csv"
-        assert err == f"stopcost: io error: [Errno 2] No such file or directory: '{missing}'\n"
+        # The error names the --out path, not the temp file beside it,
+        # and no temp file is left behind.
+        out_path = argv[argv.index("--out") + 1]
+        assert re.fullmatch(rf"stopcost: io error: \[Errno \d+\] [^:]+: '{re.escape(out_path)}'\n", err)
+        assert not list(tmp_path.rglob("*.tmp"))
     if code:
         assert err.startswith("stopcost: ") and err.count("\n") == 1, err
     else:

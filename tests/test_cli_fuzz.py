@@ -4,7 +4,7 @@ stderr, and no traceback escapes.
 
 The argv comes from the parser's own subcommands and options, with values
 drawn from pools of valid, boundary and malformed text; the decoder and
-run config files hold random JSON.  Values that only make the work large
+run config files and the metadata sidecar hold random JSON.  Values that only make the work large
 (the ``synth`` shot count, the list of distances to search) stay small
 enough that every example finishes quickly; the parsers of those values are
 still fed malformed text.  Every file a call may write is in a temporary
@@ -22,15 +22,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from stopcost import cli, models
+from stopcost import cli, models, trace
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 # A leading "@" in a drawn argument stands for the fixture directory.  It
-# holds copies of the golden input traces and the decoder and run config
-# files that each example writes; every file a call may write is in it.
+# holds copies of the golden input traces and the decoder config, run
+# config and sidecar files that each example writes; every file a call may
+# write is in it.
 DECODER_FILE = "@/decoder.json"
 CONFIG_FILE = "@/config.json"
+META_FILE = "@/meta.json"
 
 # Typical values of each option, and malformed or extreme ones by type.
 GOOD = {
@@ -51,7 +53,7 @@ GOOD = {
     "d_max": ["3", "99", "2099"],
     "out": ["@/out.csv"],
     "trace": ["@/ns.csv", "@/linear.csv", "@/quadratic.csv"],
-    "meta": ["@/ns.json", "@/linear.json"],
+    "meta": ["@/ns.json", "@/linear.json", META_FILE],
     "config": [CONFIG_FILE],
     "decoder": [DECODER_FILE, *cli.BUILTIN_DECODERS],
     "decoder_a": [DECODER_FILE, *cli.BUILTIN_DECODERS],
@@ -61,7 +63,8 @@ GOOD = {
 INTEGER_TEXT = ["0", "-1", "1.7", "1e-3", "", "x", "nan", "1e400", "9" * 25]
 FLOAT_TEXT = ["0", "1", "1.5", "-1", "nan", "inf", "1e-300", "1e-320", "", "x"]
 LIST_TEXT = ["10,0", "1e400", "1.7", ",", "", "x", "0.5,1"]
-PATH_TEXT = ["@/bad.csv", "@/missing.csv", "@", "", DECODER_FILE, CONFIG_FILE, "@/ns.json"]
+PATH_TEXT = ["@/bad.csv", "@/missing.csv", "@", "", DECODER_FILE, CONFIG_FILE, META_FILE,
+             "@/ns.json"]
 FILE_OPTIONS = ("trace", "meta", "config", "decoder", "decoder_a", "decoder_b", "model")
 # Malformed values chosen per option: --out names only paths in the fixture
 # directory, and the values that only make the work large stay small.
@@ -87,6 +90,7 @@ GOOD_JSON = {
     "trace": ["ns.csv"], "meta": ["ns.json"],
     "epsilon": [0.25], "t_sec_ns": [1000], "min_failure_events": [5], "format": ["json"],
     "seed": [3], "schedule": [{"h_cycles": 1}],
+    "distance": [7], "physical_error_rate": [0.001], "shots": [20000], "sec_cycle_ns": [1000],
 }
 
 
@@ -115,6 +119,11 @@ def decoder_configs(draw):
 
 
 run_configs = mutated([{}], keyed(list(cli.CONFIG_KEYS)) | json_values)
+# The sidecar of ns.csv, or one near it.
+meta_files = mutated(
+    [json.loads((INPUTS / "ns.json").read_text())],
+    keyed(list(trace.METADATA_FIELDS)) | json_values,
+)
 
 
 def _subcommands():
@@ -180,68 +189,76 @@ def run_main(argv):
 # Inputs that once crashed with a traceback, or failed naming no argument.
 MINCOST = ["mincost", "--decoder", DECODER_FILE, "--nT", "10"]
 HEURISTIC = {"kind": "heuristic"}
+# The run config and sidecar of an example that reads neither.
+NO_FILES = {"run_config": {}, "meta_file": {}}
 
 
-@given(argv=argvs(), decoder_config=decoder_configs(), run_config=run_configs)
-@example(argv=MINCOST, decoder_config={"runtime": 5, "failure": HEURISTIC}, run_config={})
+@given(argv=argvs(), decoder_config=decoder_configs(), run_config=run_configs,
+       meta_file=meta_files)
+@example(argv=MINCOST, decoder_config={"runtime": 5, "failure": HEURISTIC}, **NO_FILES)
 @example(
     argv=MINCOST,
     decoder_config={"runtime": {"kind": "instantaneous"}, "failure": {"kind": "heuristic", "A": None}},
-    run_config={},
+    **NO_FILES,
 )
 @example(
     argv=MINCOST,
     decoder_config={"runtime": {"kind": "binomial", "N": 1.7, "Q": 0.25}, "failure": HEURISTIC},
-    run_config={},
+    **NO_FILES,
 )
 @example(
     argv=MINCOST,
     decoder_config={"runtime": {"kind": "instantaneous", "N": 1}, "failure": HEURISTIC, "x": 1},
-    run_config={},
+    **NO_FILES,
 )
 @example(
     argv=MINCOST,
     decoder_config={"runtime": {"kind": "instantaneous"}, "failure": {"kind": "heuristic", "B": 1e300}},
-    run_config={},
+    **NO_FILES,
 )
 @example(
     argv=MINCOST,
     decoder_config={"runtime": {"kind": "binomial", "N": 10**30, "Q": 0.5, "unit_ns": 1000},
                     "failure": HEURISTIC},
-    run_config={},
+    **NO_FILES,
 )
 # Heuristic rates whose power passes the float range, and a search past
 # the distance limit.
 @example(
     argv=[*MINCOST, "--p", "0.5", "--distances", "231"],
     decoder_config={"runtime": {"kind": "instantaneous"}, "failure": {"kind": "heuristic", "B": 1000}},
-    run_config={},
+    **NO_FILES,
 )
-@example(argv=["surface", "--d", "2049", "--p", "0.02"], decoder_config={}, run_config={})
+@example(argv=["surface", "--d", "2049", "--p", "0.02"], decoder_config={}, **NO_FILES)
 @example(
     argv=["required-distance", "--nT", "1000", "--p", "0.02", "--d-max", "2099"],
-    decoder_config={}, run_config={},
+    decoder_config={}, **NO_FILES,
 )
 @example(
     argv=["mincost", "--decoder", "linear", "--p", "0.02", "--nT", "10", "--distances", "2049"],
-    decoder_config={}, run_config={},
+    decoder_config={}, **NO_FILES,
 )
 @example(
     argv=["synth", "--model", "instantaneous", "--d", "2049", "--p", "0.02", "--shots", "100",
           "--out", "@/out.csv"],
-    decoder_config={}, run_config={},
+    decoder_config={}, **NO_FILES,
 )
-@example(argv=["required-distance", "--nT", "10", "--d-max", "100003"], decoder_config={}, run_config={})
-@example(argv=["required-distance", "--nT", "10", "--p", "0"], decoder_config={}, run_config={})
-@example(argv=["required-distance", "--nT", "1e400"], decoder_config={}, run_config={})
-@example(argv=["surface", "--d", "31", "--p", "1e-320"], decoder_config={}, run_config={})
-@example(argv=["surface", "--d", "3", "--p", "3e-157"], decoder_config={}, run_config={})
-@example(argv=["stop", "--trace", ""], decoder_config={}, run_config={})
+@example(argv=["required-distance", "--nT", "10", "--d-max", "100003"], decoder_config={}, **NO_FILES)
+@example(argv=["required-distance", "--nT", "10", "--p", "0"], decoder_config={}, **NO_FILES)
+@example(argv=["required-distance", "--nT", "1e400"], decoder_config={}, **NO_FILES)
+@example(argv=["surface", "--d", "31", "--p", "1e-320"], decoder_config={}, **NO_FILES)
+@example(argv=["surface", "--d", "3", "--p", "3e-157"], decoder_config={}, **NO_FILES)
+@example(argv=["stop", "--trace", ""], decoder_config={}, **NO_FILES)
+@example(
+    argv=["trace-stats", "--trace", "@/ns.csv", "--meta", META_FILE],
+    decoder_config={}, run_config={}, meta_file={"distance": 7, "shots": None, "zz": 1},
+)
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-def test_cli_exits_cleanly_on_any_input(workdir, argv, decoder_config, run_config):
+def test_cli_exits_cleanly_on_any_input(workdir, argv, decoder_config, run_config, meta_file):
     (workdir / "decoder.json").write_text(json.dumps(decoder_config))
     (workdir / "config.json").write_text(json.dumps(run_config))
+    (workdir / "meta.json").write_text(json.dumps(meta_file))
     argv = [str(workdir) + arg[1:] if arg.startswith("@") else arg for arg in argv]
     cwd = os.getcwd()
     os.chdir(workdir)  # relative paths in a drawn argv stay in the fixture directory

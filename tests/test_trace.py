@@ -142,6 +142,13 @@ def test_missing_metadata_field(tmp_path):
         parse_trace(trace_path, meta_path)
 
 
+def test_sidecar_ignores_unknown_keys(tmp_path):
+    trace_path, meta_path = write_inputs(tmp_path, "runtime_ns,failed\n500,0\n700,1\n500,0\n")
+    extra_path = tmp_path / "extra.json"
+    extra_path.write_text(json.dumps({**META, "decoder": "pymatching"}))
+    assert parse_trace(trace_path, extra_path) == parse_trace(trace_path, meta_path)
+
+
 def test_metadata_overrides_fill_gaps(tmp_path):
     trace_path = tmp_path / "trace.csv"
     trace_path.write_text("runtime_ns,failed\n500,0\n")
