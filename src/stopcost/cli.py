@@ -48,6 +48,7 @@ from .models import (
     json_fields,
     json_integer,
     json_number,
+    json_string,
     load_decoder_config,
     make_reference_decoders,
     read_json,
@@ -89,6 +90,19 @@ class Table(NamedTuple):
     infeasible: str | None = None
 
 
+def _epsilon(value: float) -> float:
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"epsilon must be in (0, 1), got {value}")
+    return value
+
+
+def _output_format(value) -> str:
+    value = json_string(value)
+    if value not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {value!r}")
+    return value
+
+
 def _schedule_from_json(raw) -> GateSchedule:
     parsers = dict.fromkeys(GateSchedule._fields, json_integer)
     return GateSchedule(**json_fields(raw, parsers, "schedule"))
@@ -97,11 +111,11 @@ def _schedule_from_json(raw) -> GateSchedule:
 # Config file key -> (RunConfig field, parser of the JSON value, the
 # argparse dest of the flag that overrides it, if any).
 CONFIG_KEYS = {
-    "epsilon": ("epsilon", json_number, "epsilon"),
+    "epsilon": ("epsilon", lambda value: _epsilon(json_number(value)), "epsilon"),
     "t_sec_ns": ("t_sec_ns", json_integer, "t_sec_ns"),
     "min_failure_events": ("min_failure_events", json_integer, "min_events"),
     "schedule": ("schedule", _schedule_from_json, None),
-    "format": ("output_format", str, "format"),
+    "format": ("output_format", _output_format, "format"),
     "seed": ("seed", json_integer, "seed"),
 }
 
@@ -109,7 +123,11 @@ CONFIG_KEYS = {
 def _load_run_config(
     args: argparse.Namespace, config: RunConfig = RunConfig()
 ) -> RunConfig:
-    """``config`` (the defaults) updated by the config file, then the flags."""
+    """``config`` (the defaults) updated by the config file, then the flags.
+
+    A value from the file is checked as it is read, so its error names the
+    file; ``--format`` is one of its choices already.
+    """
     if args.config:
         parsers = {key: parse for key, (_, parse, _) in CONFIG_KEYS.items()}
         values = json_fields(read_json(args.config, "config"), parsers, f"config {args.config}")
@@ -120,10 +138,7 @@ def _load_run_config(
         if flag and (value := getattr(args, flag)) is not None
     }
     config = config._replace(**overrides)
-    if not 0.0 < config.epsilon < 1.0:
-        raise ConfigError(f"epsilon must be in (0, 1), got {config.epsilon}")
-    if config.output_format not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {config.output_format!r}")
+    _epsilon(config.epsilon)
     return config
 
 

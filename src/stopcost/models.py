@@ -35,6 +35,9 @@ INT64_MAX = 2**63 - 1
 
 # Shots per sampling substream; parallel generation must use the same value.
 SAMPLE_CHUNK_SHOTS = 1 << 20
+# Failure flags drawn at a time within a chunk; any slice size gives the
+# same stream, so this bounds memory without changing a single draw.
+FLAG_SLICE_SHOTS = 1 << 16
 
 
 def _validate_distance(d: int, name: str = "distance") -> None:
@@ -76,8 +79,11 @@ class HeuristicFailure(_HeuristicFailure):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.prefactor <= 0 or self.threshold <= 0:
-            raise ValueError("prefactor and threshold must be positive")
+        if not (0.0 < self.prefactor < math.inf and 0.0 < self.threshold < math.inf):
+            raise ValueError(
+                f"prefactor and threshold must be positive and finite, got "
+                f"{self.prefactor} and {self.threshold}"
+            )
         return self
 
     def rate(self, d: int, p: float) -> float:
@@ -400,13 +406,27 @@ def _sample_chunk(
     n: int,
     seed: int,
     chunk_index: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The aggregated histogram of one chunk of ``n`` shots, drawn from the
+    chunk's own (seed, chunk-index) substream: the runtimes, then the
+    failure flags.
+
+    The flags are drawn ``FLAG_SLICE_SHOTS`` at a time, which continues the
+    stream exactly as one ``rng.random(n)`` would, and each slice keeps only
+    its failed shots' runtimes, so the runtimes are the one array of ``n``
+    values the chunk holds.
+    """
     import numpy as np
+
+    from .trace import aggregate_shots
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
     runtimes = runtime.sample_ns(rng, n)
-    failed = rng.random(n) < rate
-    return runtimes, failed
+    failed = [runtimes[:0]]
+    for start in range(0, n, FLAG_SLICE_SHOTS):
+        shots = runtimes[start : start + FLAG_SLICE_SHOTS]
+        failed.append(shots[rng.random(shots.size) < rate])
+    return aggregate_shots(runtimes, np.concatenate(failed))
 
 
 def sample_trace(
@@ -424,15 +444,13 @@ def sample_trace(
     Deterministic for a given seed.  Runtime and failure are sampled
     independently; no joint model is assumed.
     """
-    from .trace import RuntimeTrace, TraceMetadata, aggregate_shots, fold_histograms
+    from .trace import RuntimeTrace, TraceMetadata, fold_histograms
 
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     rate = failure.rate(d, p)
     parts = (
-        aggregate_shots(
-            *_sample_chunk(runtime, rate, min(SAMPLE_CHUNK_SHOTS, shots - start), seed, index)
-        )
+        _sample_chunk(runtime, rate, min(SAMPLE_CHUNK_SHOTS, shots - start), seed, index)
         for index, start in enumerate(range(0, shots, SAMPLE_CHUNK_SHOTS))
     )
     metadata = TraceMetadata(
@@ -477,9 +495,14 @@ def integer(text: str) -> int:
     return -value if sign == "-" else value
 
 
+def _is_json_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def json_integer(value) -> int:
-    """A JSON value read by :func:`integer`; ``null`` and booleans fail."""
-    if value is None or isinstance(value, bool):
+    """A JSON number read by :func:`integer`, so a whole float such as
+    ``1e6`` passes; strings, ``null`` and booleans fail."""
+    if not _is_json_number(value):
         import json
 
         raise ValueError(f"expected an integer, got {json.dumps(value)}")
@@ -487,12 +510,26 @@ def json_integer(value) -> int:
 
 
 def json_number(value) -> float:
-    """A JSON value read by ``float``; ``null`` and booleans fail."""
-    if value is None or isinstance(value, bool):
+    """A JSON number as a finite float; strings, ``null``, booleans and
+    numbers beyond the float range (``1e999``) fail."""
+    if not _is_json_number(value):
         import json
 
         raise ValueError(f"expected a number, got {json.dumps(value)}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError("expected a number within the float range")
+    return number
+
+
+def json_string(value) -> str:
+    """A JSON string; any other value fails."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {type(value).__name__}")
+    return value
 
 
 def json_object(raw, what: str) -> dict:
@@ -503,14 +540,19 @@ def json_object(raw, what: str) -> dict:
 
 
 def read_json(path: str | Path, what: str):
-    """The JSON document in ``path``; a syntax error names ``what`` and
-    the path."""
+    """The JSON document in ``path``.  A syntax error, text that is not
+    UTF-8, an integer past Python's digit limit or one of the non-standard
+    ``NaN``, ``Infinity`` and ``-Infinity`` tokens names ``what`` and the
+    path."""
     import json
 
-    with open(path) as fh:
+    def refuse(token: str):
+        raise ValueError(f"{token} is not a JSON number")
+
+    with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh, parse_constant=refuse)
+        except ValueError as exc:
             raise ConfigError(f"invalid {what} JSON in {path}: {exc}") from exc
 
 
@@ -544,19 +586,13 @@ def json_fields(raw, parsers: dict, what: str, required: Iterable[str] = ()) -> 
 # Decoder config files
 
 
-def _json_string(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {type(value).__name__}")
-    return value
-
-
 # Section -> kind -> the known keys besides "kind", each with the parser of
 # its JSON value.
 DECODER_CONFIG_KEYS = {
     "runtime": {
         "binomial": {"N": json_integer, "Q": json_number, "unit_ns": json_integer},
         "instantaneous": {},
-        "empirical": {"trace": _json_string, "meta": _json_string},
+        "empirical": {"trace": json_string, "meta": json_string},
     },
     "failure": {
         "heuristic": {"A": json_number, "B": json_number},
@@ -586,23 +622,34 @@ def _config_section(raw, section: str) -> tuple[str, dict]:
     return kind, json_fields(raw, parsers, what, _REQUIRED_KEYS.get(what, ()))
 
 
+def _build(model, **fields):
+    # A model made from config values: its own range checks are config errors.
+    try:
+        return model(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _failure_from_config(raw) -> FailureModel:
     kind, cfg = _config_section(raw, "failure")
     if kind == "heuristic":
         scale = cfg.get("B", 100.0)
         if scale <= 0:
             raise ConfigError(f"heuristic B must be positive, got {scale}")
-        return HeuristicFailure(prefactor=cfg.get("A", 0.1), threshold=1.0 / scale)
+        return _build(HeuristicFailure, prefactor=cfg.get("A", 0.1), threshold=1.0 / scale)
     if kind == "accuracy":
-        return AccuracyScaledFailure(base=HeuristicFailure(), alpha=cfg["alpha"])
-    return EmpiricalFailure(failure_rate=cfg["rate"], failure_events=cfg.get("events", 0))
+        return _build(AccuracyScaledFailure, base=HeuristicFailure(), alpha=cfg["alpha"])
+    return _build(EmpiricalFailure, failure_rate=cfg["rate"], failure_events=cfg.get("events", 0))
 
 
 def _runtime_from_config(raw, base_dir: Path) -> RuntimeModel:
     kind, cfg = _config_section(raw, "runtime")
     if kind == "binomial":
-        return BinomialRuntime(
-            trials=cfg["N"], step_probability=cfg["Q"], unit_ns=cfg.get("unit_ns", 1000)
+        return _build(
+            BinomialRuntime,
+            trials=cfg["N"],
+            step_probability=cfg["Q"],
+            unit_ns=cfg.get("unit_ns", 1000),
         )
     if kind == "instantaneous":
         return InstantaneousRuntime()

@@ -108,16 +108,30 @@ def aggregate_runtimes(
 
 
 def aggregate_shots(
-    runtimes: np.ndarray, failed: np.ndarray
+    runtimes: np.ndarray, failed_runtimes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`aggregate_runtimes` of one-shot rows (runtime, failed flag), by
-    sorting the runtimes and, for the failure counts, the failed ones."""
+    """:func:`aggregate_runtimes` of one-shot rows, given every shot's
+    runtime and the runtimes of the failed shots.
+
+    Sorting ``runtimes`` gives the distinct runtimes and their counts, and
+    sorting the failed runtimes gives the failure counts.  Both are sorted
+    in place, so callers hand over arrays they own; failed runtimes that
+    are a view into another array (a slice of ``runtimes``, say) are
+    copied first.
+    """
+    failures = np.asarray(failed_runtimes, dtype=np.int64)
+    if failures.flags.owndata:
+        failures.sort()
+    else:
+        failures = np.sort(failures)
     runtimes = np.asarray(runtimes, dtype=np.int64)
-    failures = np.sort(runtimes[np.asarray(failed, dtype=bool)])
-    runtimes = np.sort(runtimes)
+    runtimes.sort()
     if runtimes.size == 0:
         return runtimes, runtimes, runtimes
-    starts = np.flatnonzero(np.concatenate(([True], runtimes[1:] != runtimes[:-1])))
+    run_start = np.empty(runtimes.size, dtype=bool)
+    run_start[0] = True
+    np.not_equal(runtimes[1:], runtimes[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
     distinct = runtimes[starts]
     totals = np.diff(starts, append=runtimes.size)
     failed_counts = np.diff(np.searchsorted(failures, distinct, side="right"), prepend=0)
@@ -431,7 +445,7 @@ def _parse_block(
         runtimes = np.fromstring(text.tobytes(), dtype=np.int64, sep="\n")
         if runtimes.size != rows:
             return None
-        return aggregate_shots(runtimes, flags == ord("1"))
+        return aggregate_shots(runtimes, runtimes[flags == ord("1")])
     values = np.fromstring(block[:-1].replace(b"\n", b","), dtype=np.int64, sep=",")
     if values.size != seps.size:
         return None

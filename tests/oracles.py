@@ -1,9 +1,9 @@
 """Reference helpers that only the tests use.
 
-Per-record constructors and expansions of a trace, per-point queries of a
-trace and of the runtime laws, the scalar interrupted failure accounting,
-the per-point spacetime cost, and the binomial quantile ladder found by
-galloping and bisection.  The tests compare the package's fast paths
+Per-record constructors and expansions of a trace, the one-shot draws of a
+sampling chunk, per-point queries of a trace and of the runtime laws, the
+scalar interrupted failure accounting, the per-point spacetime cost, and
+the binomial quantile ladder found by galloping and bisection.  The tests compare the package's fast paths
 against these.
 """
 
@@ -25,7 +25,16 @@ def trace_from_records(
 ) -> RuntimeTrace:
     """Aggregate an iterable of (runtime_ns, failed) pairs."""
     pairs = np.array([(int(r), bool(f)) for r, f in records], np.int64).reshape(-1, 2)
-    return RuntimeTrace(metadata, *aggregate_shots(pairs[:, 0], pairs[:, 1]))
+    return RuntimeTrace(metadata, *aggregate_shots(pairs[:, 0], pairs[pairs[:, 1] == 1, 0]))
+
+
+def chunk_draws(runtime, rate: float, n: int, seed: int, chunk_index: int):
+    """(runtimes, failed flags) of one sampling chunk, each drawn in one go
+    from the chunk's substream: ``runtime.sample_ns(rng, n)``, then
+    ``rng.random(n) < rate``."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
+    runtimes = runtime.sample_ns(rng, n)
+    return runtimes, rng.random(n) < rate
 
 
 def iter_records(trace: RuntimeTrace) -> Iterator[tuple[int, bool]]:

@@ -531,6 +531,31 @@ class TestConfigPrecedence:
         from_config, from_flag, at_1000 = outputs
         assert from_config == from_flag != at_1000
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ({"epsilon": 2.0}, "key 'epsilon': epsilon must be in (0, 1), got 2.0"),
+            ({"epsilon": "0.3"}, "key 'epsilon': expected a number, got \"0.3\""),
+            ({"format": 5}, "key 'format': expected a string, got int"),
+            ({"format": "xml"}, "key 'format': format must be csv or json, got 'xml'"),
+            ({"t_sec_ns": "1000"}, "key 't_sec_ns': expected an integer, got \"1000\""),
+        ],
+        ids=["epsilon-range", "epsilon-string", "format-number", "format-choice", "t-sec-string"],
+    )
+    def test_config_value_error_names_the_file(self, tmp_path, capsys, content, message):
+        # Checked as the file is read: a flag that overrides it does not hide it.
+        cfg = tmp_path / "settings.json"
+        cfg.write_text(json.dumps(content))
+        for flags in ([], ["--epsilon", "0.5", "--format", "csv"]):
+            assert main([
+                "surface", "--d", "9", "--p", "1e-3", "--config", str(cfg), *flags,
+            ]) == 2
+            assert capsys.readouterr().err == f"stopcost: error: config {cfg} {message}\n"
+
+    def test_epsilon_flag_error_keeps_its_message(self, capsys):
+        assert main(["surface", "--d", "9", "--p", "1e-3", "--epsilon", "2"]) == 2
+        assert capsys.readouterr().err == "stopcost: error: epsilon must be in (0, 1), got 2.0\n"
+
     def test_invalid_config_value_rejected(self, tmp_path):
         cfg = tmp_path / "settings.json"
         cfg.write_text(json.dumps({"epsilon": 2.0}))
@@ -687,7 +712,12 @@ class TestOneLineErrors:
                      "metadata {path} must be a JSON object, got list"),
     }
 
-    @pytest.mark.parametrize("content", ['{"distance": 7', "[7]"], ids=["truncated", "list"])
+    @pytest.mark.parametrize(
+        "content",
+        ['{"distance": 7', "[7]", '{"distance": NaN}', '{"distance": Infinity}',
+         '{"distance": -Infinity}'],
+        ids=["truncated", "list", "nan", "infinity", "minus-infinity"],
+    )
     @pytest.mark.parametrize("reader", JSON_READERS)
     def test_malformed_json_file_is_one_line(self, tmp_path, capsys, reader, content):
         path = tmp_path / "bad.json"
@@ -699,6 +729,9 @@ class TestOneLineErrors:
         if content.startswith("{"):
             assert err.startswith(f"stopcost: error: invalid {reader} JSON in {path}: ")
             assert err.count("\n") == 1
+            if content.endswith("}"):  # a non-standard constant, named
+                token = content.split(": ")[1][:-1]
+                assert err.endswith(f": {token} is not a JSON number\n")
         else:
             assert err == f"stopcost: error: {object_error.format(path=path)}\n"
 

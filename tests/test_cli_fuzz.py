@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 from pathlib import Path
 
@@ -74,9 +75,12 @@ BAD = {
     "shots": ["0", "-1", "1.7", "x", ""],
 }
 
+# Besides the JSON types, numbers written as strings and the non-standard
+# NaN, Infinity and -Infinity tokens (json.dumps writes them for these floats).
 json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-(10**30), 10**30), st.floats(allow_nan=True),
-    st.sampled_from(["x", "1e3", *models.DECODER_CONFIG_KEYS["runtime"],
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from(["x", "1e3", "0.3", "100", *models.DECODER_CONFIG_KEYS["runtime"],
                      *models.DECODER_CONFIG_KEYS["failure"]]),
 )
 json_values = st.recursive(
@@ -205,6 +209,31 @@ NO_FILES = {"run_config": {}, "meta_file": {}}
     argv=MINCOST,
     decoder_config={"runtime": {"kind": "binomial", "N": 1.7, "Q": 0.25}, "failure": HEURISTIC},
     **NO_FILES,
+)
+# Once an all-inf table and exit 3; numbers written as strings; a model's
+# own range check, and settings that named no file.
+@example(
+    argv=MINCOST,
+    decoder_config={"runtime": {"kind": "instantaneous"}, "failure": {"kind": "heuristic", "A": math.nan}},
+    **NO_FILES,
+)
+@example(
+    argv=MINCOST,
+    decoder_config={"runtime": {"kind": "binomial", "N": "100", "Q": "0.3"}, "failure": HEURISTIC},
+    **NO_FILES,
+)
+@example(
+    argv=MINCOST,
+    decoder_config={"runtime": {"kind": "binomial", "N": 100, "Q": 1.5}, "failure": HEURISTIC},
+    **NO_FILES,
+)
+@example(
+    argv=["required-distance", "--nT", "10", "--config", CONFIG_FILE],
+    decoder_config={}, run_config={"epsilon": 2.0, "format": 5}, meta_file={},
+)
+@example(
+    argv=["trace-stats", "--trace", "@/ns.csv", "--meta", META_FILE],
+    decoder_config={}, run_config={}, meta_file={"distance": 7, "shots": "100", "zz": math.inf},
 )
 @example(
     argv=MINCOST,

@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import max_runtime_ns, mean_ns, survival, trace_from_records
+from oracles import chunk_draws, max_runtime_ns, mean_ns, survival, trace_from_records
 from stopcost import (
     FITTED_MATCHING_FAILURE,
     AccuracyScaledFailure,
@@ -22,7 +23,8 @@ from stopcost import (
     make_reference_decoders,
     sample_trace,
 )
-from stopcost.models import SAMPLE_CHUNK_SHOTS, _sample_chunk
+from stopcost.models import FLAG_SLICE_SHOTS, SAMPLE_CHUNK_SHOTS, _sample_chunk
+from stopcost.trace import aggregate_runtimes
 
 
 class TestFailureModels:
@@ -33,6 +35,12 @@ class TestFailureModels:
     def test_heuristic_distance_independent_at_threshold(self, d):
         with pytest.warns(UserWarning):
             assert HeuristicFailure().rate(d, 1e-2) == pytest.approx(0.1, rel=1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["prefactor", "threshold"])
+    def test_heuristic_refuses_a_non_finite_or_non_positive_parameter(self, field, value):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            HeuristicFailure(**{field: value})
 
     def test_accuracy_one_is_identity(self):
         base = HeuristicFailure()
@@ -263,8 +271,8 @@ class TestSampling:
         trace = sample_trace(
             runtime, EmpiricalFailure(0.1), d=5, p=1e-3, shots=shots, seed=3
         )
-        r0, f0 = _sample_chunk(runtime, 0.1, SAMPLE_CHUNK_SHOTS, 3, 0)
-        r1, f1 = _sample_chunk(runtime, 0.1, 12345, 3, 1)
+        r0, f0 = chunk_draws(runtime, 0.1, SAMPLE_CHUNK_SHOTS, 3, 0)
+        r1, f1 = chunk_draws(runtime, 0.1, 12345, 3, 1)
         runtimes = np.concatenate([r0, r1])
         failed = np.concatenate([f0, f1])
         manual = trace_from_records(
@@ -273,6 +281,46 @@ class TestSampling:
         assert np.array_equal(trace.runtimes_ns, manual.runtimes_ns)
         assert np.array_equal(trace.counts, manual.counts)
         assert np.array_equal(trace.failed_counts, manual.failed_counts)
+
+    @pytest.mark.parametrize(
+        "runtime",
+        [
+            BinomialRuntime(trials=40, step_probability=0.5, unit_ns=3),
+            BinomialRuntime(trials=10**6, step_probability=1e-3, unit_ns=1),
+            InstantaneousRuntime(),
+            "empirical",
+        ],
+        ids=["binomial-np-20", "binomial-np-1000", "instantaneous", "empirical"],
+    )
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("n", [1, FLAG_SLICE_SHOTS - 1, FLAG_SLICE_SHOTS + 1, 200_001])
+    def test_sliced_flags_match_one_shot_draws(self, runtime, rate, n):
+        # numpy draws a binomial by inversion below n*p = 30 and by BTPE
+        # above, which use the stream differently; the flags follow either.
+        if runtime == "empirical":
+            records = [(10, False), (10, True), (30, False), (70, True)]
+            runtime = EmpiricalRuntime(trace_from_records(self.metadata(4), records))
+        got = _sample_chunk(runtime, rate, n, 5, 2)
+        runtimes, failed = chunk_draws(runtime, rate, n, 5, 2)
+        want = aggregate_runtimes(runtimes, np.ones(n, np.int64), failed)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
+
+    def test_chunk_holds_one_int64_per_shot(self):
+        # A chunk of the quadratic d = 15 law at a low failure rate peaks
+        # near its runtimes alone; drawing one flag per shot at once, and
+        # sorting a copy, peaked at 2.38 times their bytes.
+        runtime = make_reference_decoders(15, 1e-3)[0].runtime
+        shots = 1 << 20
+        _sample_chunk(runtime, 1e-3, shots, 0, 0)  # warm: imports and first calls
+        tracemalloc.start()
+        try:
+            _sample_chunk(runtime, 1e-3, shots, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * shots
 
     def test_empirical_runtime_resampling(self):
         base = trace_from_records(
@@ -386,10 +434,20 @@ class TestDecoderConfig:
             ({"runtime": {"kind": ["binomial"]}}, "unknown runtime model kind ['binomial']"),
             ({"runtime": {"kind": "empirical", "trace": 5}}, "key 'trace': expected a string, got int"),
             ({"name": None}, "'name' must be a string, got NoneType"),
+            ({"runtime": {"kind": "binomial", "N": "100", "Q": 0.25}},
+             "key 'N': expected an integer, got \"100\""),
+            ({"runtime": {"kind": "binomial", "N": 100, "Q": "0.3"}},
+             "key 'Q': expected a number, got \"0.3\""),
+            ({"failure": {"kind": "heuristic", "A": 10**400}},
+             "key 'A': expected a number within the float range"),
+            ({"runtime": {"kind": "binomial", "N": 100, "Q": 1.5}},
+             "step probability must be in (0, 1), got 1.5"),
+            ({"failure": {"kind": "accuracy", "alpha": 2.0}}, "accuracy must be in (0, 1], got 2.0"),
         ],
         ids=["runtime-not-object", "A-null", "alpha-bool", "N-fraction", "N-null",
              "unit-bool", "events-fraction", "unknown-runtime-key", "unknown-failure-key",
-             "unknown-top-level-key", "kind-unhashable", "trace-not-string", "name-null"],
+             "unknown-top-level-key", "kind-unhashable", "trace-not-string", "name-null",
+             "N-string", "Q-string", "A-past-float-range", "Q-out-of-range", "alpha-out-of-range"],
     )
     def test_malformed_config_rejected(self, tmp_path, cfg, message):
         base = {
@@ -402,6 +460,34 @@ class TestDecoderConfig:
             load_decoder_config(path)
         assert str(err.value).startswith(f"decoder config {path}: ")
         assert message in str(err.value)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", ["A", "B"])
+    def test_non_finite_tokens_rejected(self, tmp_path, token, key):
+        # Once read as an all-inf table (exit 3): refused where it is read.
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"runtime": {"kind": "instantaneous"}, '
+            f'"failure": {{"kind": "heuristic", "{key}": {token}}}}}'
+        )
+        with pytest.raises(ConfigError) as err:
+            load_decoder_config(path)
+        assert str(err.value) == (
+            f"invalid decoder config JSON in {path}: {token} is not a JSON number"
+        )
+
+    @pytest.mark.parametrize(
+        "content, detail",
+        [(b'{"N": 1' + b"0" * 5000 + b"}", "(4300 digits)"), (b'{"N": \xff}', "0xff")],
+        ids=["integer-past-digit-limit", "not-utf-8"],
+    )
+    def test_unreadable_json_names_the_file(self, tmp_path, content, detail):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError) as err:
+            load_decoder_config(path)
+        assert str(err.value).startswith(f"invalid decoder config JSON in {path}: ")
+        assert detail in str(err.value)
 
     @pytest.mark.parametrize("top", [[1], "x", None])
     def test_config_must_be_an_object(self, tmp_path, top):

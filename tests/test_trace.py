@@ -12,7 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import count_at_or_below, iter_records, points, survival, trace_from_records
+from oracles import (
+    chunk_draws,
+    count_at_or_below,
+    iter_records,
+    points,
+    survival,
+    trace_from_records,
+)
 from stopcost import models as models_module
 from stopcost import trace as trace_module
 from stopcost import (
@@ -140,6 +147,21 @@ def test_missing_metadata_field(tmp_path):
     meta_path.write_text(json.dumps({"distance": 5, "shots": 1}))
     with pytest.raises(ConfigError, match="physical_error_rate"):
         parse_trace(trace_path, meta_path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("shots", "3", 'expected an integer, got "3"'),
+        ("physical_error_rate", "0.001", 'expected a number, got "0.001"'),
+    ],
+)
+def test_metadata_numbers_must_be_json_numbers(tmp_path, field, value, message):
+    meta = {**META, field: value}
+    trace_path, meta_path = write_inputs(tmp_path, "runtime_ns,failed\n500,0\n", meta)
+    with pytest.raises(ConfigError) as err:
+        parse_trace(trace_path, meta_path)
+    assert str(err.value) == f"metadata {meta_path} key {field!r}: {message}"
 
 
 def test_sidecar_ignores_unknown_keys(tmp_path):
@@ -567,7 +589,7 @@ def shot_rows(draw):
 def test_aggregate_shots_matches_aggregate_runtimes(rows):
     runtimes = np.array([r for r, _ in rows], dtype=np.int64)
     failed = np.array([f for _, f in rows], dtype=bool)
-    got = trace_module.aggregate_shots(runtimes, failed)
+    got = trace_module.aggregate_shots(runtimes.copy(), runtimes[failed])
     assert all(column.dtype == np.int64 for column in got)
     assert _columns(got) == _columns(
         trace_module.aggregate_runtimes(runtimes, np.ones(len(rows), np.int64), failed)
@@ -637,7 +659,7 @@ def test_sample_trace_folds_chunks_as_it_goes(chunk):
     rows = []
     for index, start in enumerate(range(0, shots, chunk)):
         n = min(chunk, shots - start)
-        runtimes, failed = models_module._sample_chunk(runtime, rate, n, seed, index)
+        runtimes, failed = chunk_draws(runtime, rate, n, seed, index)
         rows += [(r, 1, int(f)) for r, f in zip(runtimes.tolist(), failed.tolist())]
     assert _columns((trace.runtimes_ns, trace.counts, trace.failed_counts)) == _dict_oracle(rows)
     assert len(merged_rows) > 5
@@ -685,7 +707,7 @@ def test_sample_trace_chunks_aggregate_like_the_oracle(chunk, shots, seed, rate)
     rows = []
     for index, start in enumerate(range(0, shots, chunk)):
         n = min(chunk, shots - start)
-        runtimes, failed = models_module._sample_chunk(runtime, rate, n, seed, index)
+        runtimes, failed = chunk_draws(runtime, rate, n, seed, index)
         rows += [(r, 1, int(f)) for r, f in zip(runtimes.tolist(), failed.tolist())]
     assert _columns((trace.runtimes_ns, trace.counts, trace.failed_counts)) == _dict_oracle(rows)
 
