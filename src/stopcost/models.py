@@ -422,7 +422,7 @@ def _sample_chunk(
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
     runtimes = runtime.sample_ns(rng, n)
-    failed = [runtimes[:0]]
+    failed = []
     for start in range(0, n, FLAG_SLICE_SHOTS):
         shots = runtimes[start : start + FLAG_SLICE_SHOTS]
         failed.append(shots[rng.random(shots.size) < rate])
@@ -511,7 +511,7 @@ def json_integer(value) -> int:
 
 def json_number(value) -> float:
     """A JSON number as a finite float; strings, ``null``, booleans and
-    numbers beyond the float range (``1e999``) fail."""
+    non-finite numbers (``1e999`` reads as inf) fail."""
     if not _is_json_number(value):
         import json
 
@@ -521,7 +521,7 @@ def json_number(value) -> float:
     except OverflowError:  # an integer past the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ValueError("expected a number within the float range")
+        raise ValueError(f"expected a finite number, got {number}")
     return number
 
 

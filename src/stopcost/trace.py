@@ -115,15 +115,11 @@ def aggregate_shots(
 
     Sorting ``runtimes`` gives the distinct runtimes and their counts, and
     sorting the failed runtimes gives the failure counts.  Both are sorted
-    in place, so callers hand over arrays they own; failed runtimes that
-    are a view into another array (a slice of ``runtimes``, say) are
-    copied first.
+    in place, so callers hand over arrays they own and do not read them
+    afterwards.
     """
     failures = np.asarray(failed_runtimes, dtype=np.int64)
-    if failures.flags.owndata:
-        failures.sort()
-    else:
-        failures = np.sort(failures)
+    failures.sort()
     runtimes = np.asarray(runtimes, dtype=np.int64)
     runtimes.sort()
     if runtimes.size == 0:
@@ -300,15 +296,19 @@ def load_metadata(
     """Read a metadata sidecar JSON, applying CLI-style field overrides.
 
     Only the ``METADATA_FIELDS`` keys are read, and other keys are
-    ignored.  Every field must be present after overrides; integers are
-    read strictly, and ``null`` or a boolean fails.
+    ignored.  Every field must be present after overrides; the file's
+    values are read strictly (``null``, a boolean or a string fails), and
+    the overrides, already typed, are only range-checked, so an error in
+    one does not name the file.
     """
     what = "metadata" if path is None else f"metadata {path}"
     raw = {} if path is None else json_object(read_json(path, "metadata"), what)
-    fields = {key: raw[key] for key in METADATA_FIELDS if key in raw}
-    if overrides:
-        fields.update({k: v for k, v in overrides.items() if v is not None})
-    return TraceMetadata(**json_fields(fields, METADATA_FIELDS, what, required=METADATA_FIELDS))
+    given = {key: value for key, value in (overrides or {}).items() if value is not None}
+    from_file = [key for key in METADATA_FIELDS if key not in given]
+    fields = json_fields(
+        {key: raw[key] for key in from_file if key in raw}, METADATA_FIELDS, what, required=from_file
+    )
+    return TraceMetadata(**fields, **given)
 
 
 def _parse_int(value: str, name: str, line: int) -> int:

@@ -439,7 +439,7 @@ class TestDecoderConfig:
             ({"runtime": {"kind": "binomial", "N": 100, "Q": "0.3"}},
              "key 'Q': expected a number, got \"0.3\""),
             ({"failure": {"kind": "heuristic", "A": 10**400}},
-             "key 'A': expected a number within the float range"),
+             "key 'A': expected a finite number, got inf"),
             ({"runtime": {"kind": "binomial", "N": 100, "Q": 1.5}},
              "step probability must be in (0, 1), got 1.5"),
             ({"failure": {"kind": "accuracy", "alpha": 2.0}}, "accuracy must be in (0, 1], got 2.0"),

@@ -2,6 +2,7 @@ import csv
 import functools
 import io
 import json
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -180,6 +181,16 @@ def test_metadata_overrides_fill_gaps(tmp_path):
         {"distance": 3, "physical_error_rate": 1e-3, "shots": 1, "sec_cycle_ns": 1000},
     )
     assert trace.metadata.distance == 3
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_metadata_override_error_does_not_name_the_sidecar(tmp_path, p):
+    """An override is range-checked as the flag it came from, not read as a
+    value of the sidecar it replaces."""
+    trace_path, meta_path = write_inputs(tmp_path, "runtime_ns,failed\n500,0\n")
+    with pytest.raises(ValueError) as err:
+        parse_trace(trace_path, meta_path, {"physical_error_rate": p})
+    assert str(err.value) == f"physical_error_rate must be in (0, 1), got {p}"
 
 
 @pytest.mark.parametrize(
