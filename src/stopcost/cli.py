@@ -96,6 +96,18 @@ def _epsilon(value: float) -> float:
     return value
 
 
+def _min_events(value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"min_events must be >= 1, got {value}")
+    return value
+
+
+def _seed(value: int) -> int:
+    if value < 0:
+        raise ConfigError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _output_format(value) -> str:
     value = json_string(value)
     if value not in ("csv", "json"):
@@ -113,10 +125,12 @@ def _schedule_from_json(raw) -> GateSchedule:
 CONFIG_KEYS = {
     "epsilon": ("epsilon", lambda value: _epsilon(json_number(value)), "epsilon"),
     "t_sec_ns": ("t_sec_ns", json_integer, "t_sec_ns"),
-    "min_failure_events": ("min_failure_events", json_integer, "min_events"),
+    "min_failure_events": (
+        "min_failure_events", lambda value: _min_events(json_integer(value)), "min_events"
+    ),
     "schedule": ("schedule", _schedule_from_json, None),
     "format": ("output_format", _output_format, "format"),
-    "seed": ("seed", json_integer, "seed"),
+    "seed": ("seed", lambda value: _seed(json_integer(value)), "seed"),
 }
 
 
@@ -139,6 +153,8 @@ def _load_run_config(
     }
     config = config._replace(**overrides)
     _epsilon(config.epsilon)
+    _min_events(config.min_failure_events)
+    _seed(config.seed)
     return config
 
 

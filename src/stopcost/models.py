@@ -19,7 +19,7 @@ import math
 import re
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import ConfigError
 
@@ -280,6 +280,19 @@ def binomial_survival(trials: int, step_probability: float, threshold: int) -> f
 # Runtime models
 
 
+class CodeSampler(NamedTuple):
+    """A runtime law's sampler, built once per synthetic trace.
+
+    ``draw(rng, k)`` draws ``k`` runtimes as non-negative integer codes that
+    rise with runtime, so a chunk can hold them in the narrowest dtype they
+    need and sort them; ``to_ns(codes)`` maps the distinct codes to their
+    int64 runtimes in ns.
+    """
+
+    draw: Callable[[np.random.Generator, int], np.ndarray]
+    to_ns: Callable[[np.ndarray], np.ndarray]
+
+
 class _BinomialRuntime(NamedTuple):
     trials: int
     step_probability: float
@@ -304,20 +317,28 @@ class BinomialRuntime(_BinomialRuntime):
             raise ValueError(f"unit_ns must be >= 1, got {self.unit_ns}")
         return self
 
-    def sample_ns(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sampler(self) -> CodeSampler:
+        """Codes are unit counts."""
+        import numpy as np
+
         # Trace runtimes are int64 ns: refuse a law whose draws would wrap.
         law = f"binomial runtime N={self.trials}, Q={self.step_probability!r}, unit_ns={self.unit_ns}"
         if self.trials > INT64_MAX:
             raise ValueError(f"{law} cannot be sampled: N must be below the 2**63 trace limit")
-        draws = rng.binomial(self.trials, self.step_probability, size=n)
-        draws = draws.astype("int64", copy=False)  # a copy only where C long is 32-bit
-        if draws.max(initial=0) > INT64_MAX // self.unit_ns:
-            raise ValueError(
-                f"{law} cannot be sampled: a draw of {int(draws.max())} units "
-                "passes the 2**63 ns trace limit"
-            )
-        draws *= self.unit_ns
-        return draws
+
+        def draw(rng: np.random.Generator, k: int) -> np.ndarray:
+            return rng.binomial(self.trials, self.step_probability, size=k)
+
+        def to_ns(units: np.ndarray) -> np.ndarray:
+            top = int(units.max(initial=0))
+            if top > INT64_MAX // self.unit_ns:
+                raise ValueError(
+                    f"{law} cannot be sampled: a draw of {top} units "
+                    "passes the 2**63 ns trace limit"
+                )
+            return units.astype(np.int64) * self.unit_ns
+
+        return CodeSampler(draw, to_ns)
 
 
 class InstantaneousRuntime:
@@ -335,10 +356,14 @@ class InstantaneousRuntime:
     def __hash__(self) -> int:
         return hash(InstantaneousRuntime)
 
-    def sample_ns(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sampler(self) -> CodeSampler:
+        """The one code is 0; drawing it takes nothing from the stream."""
         import numpy as np
 
-        return np.zeros(n, dtype=np.int64)
+        return CodeSampler(
+            lambda rng, k: np.zeros(k, dtype=np.uint8),
+            lambda codes: np.zeros(codes.size, dtype=np.int64),
+        )
 
 
 class EmpiricalRuntime(NamedTuple):
@@ -346,10 +371,18 @@ class EmpiricalRuntime(NamedTuple):
 
     trace: RuntimeTrace
 
-    def sample_ns(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sampler(self) -> CodeSampler:
+        """Codes index the trace's sorted runtimes.  A draw inverts the
+        cumulative weights exactly as ``rng.choice(runtimes, k, p=weights)``
+        does, so it takes the same uniforms and picks the same runtimes."""
         weights = self.trace.counts.astype(float)
         weights /= weights.sum()
-        return rng.choice(self.trace.runtimes_ns, size=n, p=weights)
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        return CodeSampler(
+            lambda rng, k: cdf.searchsorted(rng.random(k), side="right"),
+            self.trace.runtimes_ns.take,
+        )
 
 
 RuntimeModel = Union[BinomialRuntime, InstantaneousRuntime, EmpiricalRuntime]
@@ -401,7 +434,7 @@ def make_reference_decoders(d: int, p: float) -> tuple[DecoderModel, DecoderMode
 
 
 def _sample_chunk(
-    runtime: RuntimeModel,
+    sampler: CodeSampler,
     rate: float,
     n: int,
     seed: int,
@@ -411,22 +444,31 @@ def _sample_chunk(
     chunk's own (seed, chunk-index) substream: the runtimes, then the
     failure flags.
 
-    The flags are drawn ``FLAG_SLICE_SHOTS`` at a time, which continues the
-    stream exactly as one ``rng.random(n)`` would, and each slice keeps only
-    its failed shots' runtimes, so the runtimes are the one array of ``n``
-    values the chunk holds.
+    Both are drawn ``FLAG_SLICE_SHOTS`` at a time, which continues the
+    stream exactly as one draw of ``n`` would.  The runtimes are kept as
+    codes in a uint8 array, widened when a slice's largest code does not
+    fit; each flag slice keeps only its failed shots' codes.  Only the
+    distinct codes become ns.
     """
     import numpy as np
 
     from .trace import aggregate_shots
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-    runtimes = runtime.sample_ns(rng, n)
+    codes = np.empty(n, dtype=np.uint8)
+    for start in range(0, n, FLAG_SLICE_SHOTS):
+        draws = sampler.draw(rng, min(FLAG_SLICE_SHOTS, n - start))
+        top = draws.max()
+        if top > np.iinfo(codes.dtype).max:
+            codes = codes.astype(np.min_scalar_type(top))
+        codes[start : start + draws.size] = draws
+    del draws  # half a byte per shot of a chunk, held through the flags
     failed = []
     for start in range(0, n, FLAG_SLICE_SHOTS):
-        shots = runtimes[start : start + FLAG_SLICE_SHOTS]
+        shots = codes[start : start + FLAG_SLICE_SHOTS]
         failed.append(shots[rng.random(shots.size) < rate])
-    return aggregate_shots(runtimes, np.concatenate(failed))
+    distinct, totals, failed_counts = aggregate_shots(codes, np.concatenate(failed))
+    return sampler.to_ns(distinct), totals, failed_counts
 
 
 def sample_trace(
@@ -448,9 +490,12 @@ def sample_trace(
 
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rate = failure.rate(d, p)
+    sampler = runtime.sampler()
     parts = (
-        _sample_chunk(runtime, rate, min(SAMPLE_CHUNK_SHOTS, shots - start), seed, index)
+        _sample_chunk(sampler, rate, min(SAMPLE_CHUNK_SHOTS, shots - start), seed, index)
         for index, start in enumerate(range(0, shots, SAMPLE_CHUNK_SHOTS))
     )
     metadata = TraceMetadata(

@@ -116,12 +116,17 @@ def aggregate_shots(
     Sorting ``runtimes`` gives the distinct runtimes and their counts, and
     sorting the failed runtimes gives the failure counts.  Both are sorted
     in place, so callers hand over arrays they own and do not read them
-    afterwards.
+    afterwards.  The runtimes may be any integer codes that order like
+    them (``synth`` passes narrow ones); the distinct values keep their
+    dtype, and the counts are int64.
     """
-    failures = np.asarray(failed_runtimes, dtype=np.int64)
-    failures.sort()
-    runtimes = np.asarray(runtimes, dtype=np.int64)
-    runtimes.sort()
+    runtimes = np.asarray(runtimes)
+    failures = np.asarray(failed_runtimes, dtype=runtimes.dtype)
+    # numpy's stable sort of integers of 2 bytes or fewer is a radix sort:
+    # on 2**20 uint8 values ~10x faster than its default sort.
+    kind = "stable" if runtimes.itemsize <= 2 else None
+    failures.sort(kind=kind)
+    runtimes.sort(kind=kind)
     if runtimes.size == 0:
         return runtimes, runtimes, runtimes
     run_start = np.empty(runtimes.size, dtype=bool)

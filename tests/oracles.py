@@ -15,7 +15,8 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from stopcost.cost import QUANTILE_TAIL_EXPONENTS, _gate_cost
-from stopcost.models import BinomialRuntime, InstantaneousRuntime, binomial_survival
+from stopcost.models import BinomialRuntime, EmpiricalRuntime, InstantaneousRuntime
+from stopcost.models import binomial_survival
 from stopcost.ranges import GateSchedule
 from stopcost.trace import RuntimeTrace, TraceMetadata, aggregate_shots
 
@@ -30,10 +31,17 @@ def trace_from_records(
 
 def chunk_draws(runtime, rate: float, n: int, seed: int, chunk_index: int):
     """(runtimes, failed flags) of one sampling chunk, each drawn in one go
-    from the chunk's substream: ``runtime.sample_ns(rng, n)``, then
+    from the chunk's substream with plain numpy: the runtimes, then
     ``rng.random(n) < rate``."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-    runtimes = runtime.sample_ns(rng, n)
+    if isinstance(runtime, BinomialRuntime):
+        runtimes = rng.binomial(runtime.trials, runtime.step_probability, size=n) * runtime.unit_ns
+    elif isinstance(runtime, EmpiricalRuntime):
+        counts = runtime.trace.counts
+        runtimes = rng.choice(runtime.trace.runtimes_ns, n, p=counts / counts.sum())
+    else:
+        assert isinstance(runtime, InstantaneousRuntime)
+        runtimes = np.zeros(n, dtype=np.int64)
     return runtimes, rng.random(n) < rate
 
 

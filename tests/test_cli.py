@@ -539,8 +539,21 @@ class TestConfigPrecedence:
             ({"format": 5}, "key 'format': expected a string, got int"),
             ({"format": "xml"}, "key 'format': format must be csv or json, got 'xml'"),
             ({"t_sec_ns": "1000"}, "key 't_sec_ns': expected an integer, got \"1000\""),
+            ({"seed": -3}, "key 'seed': seed must be >= 0, got -3"),
+            (
+                {"min_failure_events": 0},
+                "key 'min_failure_events': min_events must be >= 1, got 0",
+            ),
         ],
-        ids=["epsilon-range", "epsilon-string", "format-number", "format-choice", "t-sec-string"],
+        ids=[
+            "epsilon-range",
+            "epsilon-string",
+            "format-number",
+            "format-choice",
+            "t-sec-string",
+            "seed-negative",
+            "min-events-zero",
+        ],
     )
     def test_config_value_error_names_the_file(self, tmp_path, capsys, content, message):
         # Checked as the file is read: a flag that overrides it does not hide it.
@@ -555,6 +568,34 @@ class TestConfigPrecedence:
     def test_epsilon_flag_error_keeps_its_message(self, capsys):
         assert main(["surface", "--d", "9", "--p", "1e-3", "--epsilon", "2"]) == 2
         assert capsys.readouterr().err == "stopcost: error: epsilon must be in (0, 1), got 2.0\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["synth", "--model", "linear", "--d", "5", "--p", "1e-3", "--shots", "10",
+                 "--seed", "-1"],
+                "seed must be >= 0, got -1",
+            ),
+            (
+                ["mincost", "--decoder", "quadratic", "--nT", "10", "--min-events", "-1"],
+                "min_events must be >= 1, got -1",
+            ),
+            (
+                ["surface", "--d", "9", "--p", "1e-3", "--min-events", "0"],
+                "min_events must be >= 1, got 0",
+            ),
+        ],
+        ids=["synth-seed", "mincost-min-events", "surface-min-events"],
+    )
+    def test_out_of_range_flag_is_named(self, tmp_path, capsys, argv, message):
+        # Checked for every command, not only where the value is used: a
+        # negative seed used to reach numpy, which named neither the flag
+        # nor the value, and mincost --decoder ignored --min-events -1.
+        out = tmp_path / "t.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"stopcost: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_config_value_rejected(self, tmp_path):
         cfg = tmp_path / "settings.json"

@@ -24,7 +24,10 @@ from stopcost import (
     sample_trace,
 )
 from stopcost.models import FLAG_SLICE_SHOTS, SAMPLE_CHUNK_SHOTS, _sample_chunk
-from stopcost.trace import aggregate_runtimes
+from stopcost.trace import RuntimeTrace, aggregate_runtimes
+
+# Its draws at seed 5, chunk 2 first pass 255 in the third 2^16-shot slice.
+WIDENS_MID_CHUNK = BinomialRuntime(trials=1000, step_probability=0.195, unit_ns=1)
 
 
 class TestFailureModels:
@@ -244,6 +247,10 @@ class TestSampling:
         se = math.sqrt(100 * 0.3 * 0.7 / shots)
         assert abs(trace.mean_ns() - 30.0) < 3 * se
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            sample_trace(InstantaneousRuntime(), HeuristicFailure(), 5, 1e-3, 10, seed=-1)
+
     def test_same_seed_reproduces(self):
         kwargs = dict(
             runtime=BinomialRuntime(trials=50, step_probability=0.2, unit_ns=10),
@@ -282,45 +289,101 @@ class TestSampling:
         assert np.array_equal(trace.counts, manual.counts)
         assert np.array_equal(trace.failed_counts, manual.failed_counts)
 
+    def empirical_law(self, distinct):
+        counts = 1 + np.arange(distinct) % 7
+        trace = RuntimeTrace(
+            self.metadata(int(counts.sum())),
+            10 * np.arange(1, distinct + 1),
+            counts,
+            np.zeros(distinct, np.int64),
+        )
+        return EmpiricalRuntime(trace)
+
     @pytest.mark.parametrize(
         "runtime",
         [
             BinomialRuntime(trials=40, step_probability=0.5, unit_ns=3),
             BinomialRuntime(trials=10**6, step_probability=1e-3, unit_ns=1),
             InstantaneousRuntime(),
-            "empirical",
+            3,
+            300,
+            70_000,
+            BinomialRuntime(trials=10**12, step_probability=0.5, unit_ns=1),
+            WIDENS_MID_CHUNK,
         ],
-        ids=["binomial-np-20", "binomial-np-1000", "instantaneous", "empirical"],
+        ids=[
+            "binomial-np-20",
+            "binomial-np-1000",
+            "instantaneous",
+            "empirical",
+            "empirical-300",
+            "empirical-70000",
+            "binomial-np-5e11",
+            "binomial-widens",
+        ],
     )
     @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("n", [1, FLAG_SLICE_SHOTS - 1, FLAG_SLICE_SHOTS + 1, 200_001])
     def test_sliced_flags_match_one_shot_draws(self, runtime, rate, n):
         # numpy draws a binomial by inversion below n*p = 30 and by BTPE
         # above, which use the stream differently; the flags follow either.
-        if runtime == "empirical":
-            records = [(10, False), (10, True), (30, False), (70, True)]
-            runtime = EmpiricalRuntime(trace_from_records(self.metadata(4), records))
-        got = _sample_chunk(runtime, rate, n, 5, 2)
+        # The larger laws' codes need uint16, uint32 and uint64.
+        if isinstance(runtime, int):
+            runtime = self.empirical_law(runtime)
+        sampler = runtime.sampler()
+        seen = []
+
+        def to_ns(codes):
+            seen.append(codes)
+            return sampler.to_ns(codes)
+
+        got = _sample_chunk(sampler._replace(to_ns=to_ns), rate, n, 5, 2)
         runtimes, failed = chunk_draws(runtime, rate, n, 5, 2)
         want = aggregate_runtimes(runtimes, np.ones(n, np.int64), failed)
         for g, w in zip(got, want):
             assert g.dtype == np.int64
             assert np.array_equal(g, w)
+        (codes,) = seen  # the chunk's distinct codes, in the narrowest dtype
+        assert codes.dtype == np.min_scalar_type(codes.max())
 
-    def test_chunk_holds_one_int64_per_shot(self):
-        # A chunk of the quadratic d = 15 law at a low failure rate peaks
-        # near its runtimes alone; drawing one flag per shot at once, and
-        # sorting a copy, peaked at 2.38 times their bytes.
-        runtime = make_reference_decoders(15, 1e-3)[0].runtime
-        shots = 1 << 20
-        _sample_chunk(runtime, 1e-3, shots, 0, 0)  # warm: imports and first calls
+    def test_widening_law_widens_mid_chunk(self):
+        # The premise of the binomial-widens case above: its first two
+        # slices fit uint8 and its third does not.
+        runtimes, _ = chunk_draws(WIDENS_MID_CHUNK, 0.0, 200_001, 5, 2)
+        assert runtimes[: 2 * FLAG_SLICE_SHOTS].max() <= 255 < runtimes.max()
+
+    def chunk_peak(self, runtime, shots):
+        # tracemalloc peak of a warm chunk: imports, first calls and the
+        # sampler's own set-up come before it.
+        sampler = runtime.sampler()
+        _sample_chunk(sampler, 1e-3, shots, 0, 0)
         tracemalloc.start()
         try:
-            _sample_chunk(runtime, 1e-3, shots, 0, 1)
-            peak = tracemalloc.get_traced_memory()[1]
+            _sample_chunk(sampler, 1e-3, shots, 0, 1)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * shots
+
+    def test_chunk_peaks_below_three_bytes_per_shot(self):
+        # The quadratic d = 15 law's codes fit one byte each; holding each
+        # shot's runtime as int64 ns peaked at 9.02 bytes per shot.
+        shots = 1 << 20
+        assert self.chunk_peak(make_reference_decoders(15, 1e-3)[0].runtime, shots) < 3 * shots
+
+    def test_empirical_chunk_peaks_below_twelve_bytes_per_shot(self):
+        # 1e5 distinct runtimes need uint32 codes; drawing them all at once
+        # by rng.choice, with the weights rebuilt per chunk, peaked at 25.5
+        # bytes per shot.
+        shots, distinct = 1 << 20, 100_000
+        rng = np.random.default_rng(1)
+        counts = rng.integers(1, 30, distinct)
+        trace = RuntimeTrace(
+            self.metadata(int(counts.sum())),
+            1000 + np.cumsum(rng.integers(1, 50, distinct)),
+            counts,
+            rng.integers(0, counts + 1),
+        )
+        assert self.chunk_peak(EmpiricalRuntime(trace), shots) < 12 * shots
 
     def test_empirical_runtime_resampling(self):
         base = trace_from_records(
@@ -345,7 +408,8 @@ class TestRuntimeModels:
         runtime = InstantaneousRuntime()
         assert survival(runtime, 0) == 0.0
         assert max_runtime_ns(runtime) == 0
-        assert runtime.sample_ns(np.random.default_rng(0), 3).tolist() == [0, 0, 0]
+        trace = sample_trace(runtime, HeuristicFailure(), d=5, p=1e-3, shots=3, seed=0)
+        assert (trace.runtimes_ns.tolist(), trace.counts.tolist()) == ([0], [3])
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
