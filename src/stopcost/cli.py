@@ -20,9 +20,9 @@ Outputs are plot-ready tables.  Each subcommand returns its ``Table``
 and ``main`` renders and writes it; ``synth`` writes its own trace pair.
 CSV and JSON carry identical numerals (shortest round-trip decimals);
 infeasible costs appear as ``inf`` in CSV and ``null`` in JSON.  Both are
-written in blocks of ``ROWS_PER_BLOCK`` rows, JSON with the bytes of
-``json.dumps(..., indent=2)``.  Files are written atomically (temp file +
-rename).
+written in blocks of ``ranges.ROWS_PER_BLOCK`` rows, JSON with the bytes of
+``json.dumps(..., indent=2)``, and a trace's curves are computed in the
+same blocks.  Files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -53,9 +53,11 @@ from .models import (
     make_reference_decoders,
     read_json,
 )
+from . import ranges
 from .ranges import (
     GateSchedule,
     accuracy_surface,
+    range_blocks,
     range_curve,
     required_distance,
 )
@@ -80,14 +82,17 @@ class RunConfig(NamedTuple):
 class Table(NamedTuple):
     """A subcommand's result, which ``main`` renders and writes.
 
-    ``infeasible`` is the reason the analysis has no feasible answer, if
-    it has none: the table is still written, then the call exits 3.
+    ``columns`` is what :func:`render_table` takes, with ``rows`` the row
+    count of a block function.  ``infeasible`` is the reason the analysis
+    has no feasible answer, if it has none: the table is still written,
+    then the call exits 3.
     """
 
     config: RunConfig
-    columns: dict  # header name -> column
+    columns: dict | Callable[[int, int], dict]
     extras: dict | None = None
     infeasible: str | None = None
+    rows: int | None = None
 
 
 def _epsilon(value: float) -> float:
@@ -178,41 +183,45 @@ def _json_safe(value):
     return value
 
 
-# Rows per block: a block is formatted with one format string and written
-# whole, so memory stays bounded whatever the table length.
-ROWS_PER_BLOCK = 8192
-
-
-def _format_column(column, lo: int, hi: int, cell: Callable) -> tuple[str, list]:
-    """Cells ``lo:hi`` of one column as a ``%`` spec and the values it takes,
-    so that each cell formats as ``cell`` writes it."""
-    if hasattr(column, "tolist"):  # a numpy array
+def _format_column(part, cell: Callable) -> tuple[str, list]:
+    """One block of a column as a ``%`` spec and the values it takes, so
+    that each cell formats as ``cell`` writes it."""
+    if hasattr(part, "tolist"):  # a numpy array
         import numpy as np
 
-        part = column[lo:hi]
         if part.dtype.kind in "iu":
             return "%d", part.tolist()
         if part.dtype.kind == "f" and np.isfinite(part).all():
             return "%r", part.tolist()
         return "%s", list(map(cell, part.tolist()))
-    return "%s", list(map(cell, column[lo:hi]))
+    return "%s", list(map(cell, part))
 
 
 def render_table(
-    command: str, columns: dict, fmt: str, extras: dict | None = None
+    command: str,
+    columns: dict | Callable[[int, int], dict],
+    fmt: str,
+    extras: dict | None = None,
+    n_rows: int | None = None,
 ) -> Iterator[str]:
-    """The table as text blocks: a head, one block per ``ROWS_PER_BLOCK``
-    rows, and for JSON a close.
+    """The table as text blocks: a head, one block per
+    ``ranges.ROWS_PER_BLOCK`` rows, and for JSON a close.
 
     ``columns`` maps each header name to its column, an equal-length numpy
-    array or Python list.  A block is one ``%`` format: a row template with
-    one spec per column, repeated per row and joined by the row separator,
-    over the block's cells in row order.  JSON has the bytes of one
-    ``json.dumps(..., indent=2)`` of the whole table.
+    array or Python list, or is a function ``block(lo, hi)`` giving rows
+    ``lo:hi`` of an ``n_rows``-row table as such a map; it is called once
+    per block, and with ``(0, 0)`` for the header.  A block is one ``%``
+    format: a row template with one spec per column, repeated per row and
+    joined by the row separator, over the block's cells in row order.
+    JSON has the bytes of one ``json.dumps(..., indent=2)`` of the whole
+    table.
     """
     extras = extras or {}
-    header, columns = list(columns), list(columns.values())
-    n_rows = len(columns[0]) if columns else 0
+    block = columns
+    if not callable(block):
+        block = lambda lo, hi: {name: column[lo:hi] for name, column in columns.items()}  # noqa: E731
+        n_rows = len(next(iter(columns.values()))) if columns else 0
+    header = list(block(0, 0))
     if fmt == "json":
         import json
 
@@ -230,13 +239,13 @@ def render_table(
         head, tail = "".join(lines) + ",".join(header) + "\n", ""
         open_row, between_cells, close_row, between_rows = "", ",", "\n", ""
     yield head
-    width = len(columns)
-    for lo in range(0, n_rows, ROWS_PER_BLOCK):
-        hi = min(lo + ROWS_PER_BLOCK, n_rows)
+    width, step = len(header), ranges.ROWS_PER_BLOCK
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
         cells = [None] * ((hi - lo) * width)
         specs = []
-        for j, column in enumerate(columns):
-            spec, cells[j::width] = _format_column(column, lo, hi, cell)
+        for j, part in enumerate(block(lo, hi).values()):
+            spec, cells[j::width] = _format_column(part, cell)
             specs.append(spec)
         row = open_row + between_cells.join(specs) + close_row
         yield ((between_rows if lo else "") + between_rows.join([row] * (hi - lo))) % tuple(cells)
@@ -395,44 +404,53 @@ def cmd_stop(args: argparse.Namespace) -> Table:
     from .stopping import stopping_curve
 
     config = _load_run_config(args)
-    curve = stopping_curve(_load_trace(args))
-    columns = {
-        "M_ns": curve.stopping_time_ns,
-        "timeout_prob": curve.timeout_probability,
-        "exact_rate": curve.exact_failure_rate,
-        "upper_bound": curve.upper_bound_rate,
-        "lower_bound": curve.lower_bound_rate,
-        "failure_events": curve.failure_events,
-    }
-    return Table(config, columns)
+    trace = _load_trace(args)
+
+    def block(lo: int, hi: int) -> dict:
+        curve = stopping_curve(trace, rows=slice(lo, hi))
+        return {
+            "M_ns": curve.stopping_time_ns,
+            "timeout_prob": curve.timeout_probability,
+            "exact_rate": curve.exact_failure_rate,
+            "upper_bound": curve.upper_bound_rate,
+            "lower_bound": curve.lower_bound_rate,
+            "failure_events": curve.failure_events,
+        }
+
+    return Table(config, block, rows=trace.runtimes_ns.size)
 
 
 def cmd_range(args: argparse.Namespace) -> Table:
     trace = _load_trace(args)
     config = _load_run_config(args, RunConfig(t_sec_ns=trace.metadata.sec_cycle_ns))
     d = trace.metadata.distance
-    curve = range_curve(
-        trace,
-        d,
-        config.epsilon,
-        t_sec_ns=config.t_sec_ns,
-        min_events=config.min_failure_events,
-        schedule=config.schedule,
-    )
-    m, best = curve.optimum()
+    point = (trace, d, config.epsilon, config.t_sec_ns, config.min_failure_events, config.schedule)
+    # One pass finds the optimum (the first maximum, so the smaller M wins a
+    # tie across blocks) and the row count; rows lo:hi of the table are
+    # then those of the trace, the significant rows being its prefix.
+    rows, found = 0, None
+    for curve in range_blocks(*point):
+        if curve.n_T.size and (found is None or curve.n_T.max() > found[1].n_T):
+            found = curve.optimum()
+        rows += curve.n_T.size
+    m, best = found or curve.optimum()  # an empty last block raises InfeasibleError
+
+    def block(lo: int, hi: int) -> dict:
+        curve = range_curve(*point, rows=slice(lo, hi))
+        return {
+            "M_ns": curve.stopping_time_ns,
+            "M_cycles": curve.delay_cycles,
+            "exact_rate": curve.failure_rate,
+            "range": curve.n_T,
+        }
+
     extras = {
         "distance": d,
         "epsilon": config.epsilon,
         "optimal_M_ns": m,
         "optimal_range": best.n_T,
     }
-    columns = {
-        "M_ns": curve.stopping_time_ns,
-        "M_cycles": curve.delay_cycles,
-        "exact_rate": curve.failure_rate,
-        "range": curve.n_T,
-    }
-    return Table(config, columns, extras)
+    return Table(config, block, extras, rows=rows)
 
 
 def cmd_surface(args: argparse.Namespace) -> Table:
@@ -688,7 +706,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if table is None:  # synth wrote its own files
                 return 0
             fmt = table.config.output_format
-            emit(render_table(args.command, table.columns, fmt, table.extras), args.out)
+            emit(render_table(args.command, table.columns, fmt, table.extras, table.rows), args.out)
             if table.infeasible:
                 raise InfeasibleError(table.infeasible)
             return 0

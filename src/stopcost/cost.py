@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .models import (
     BinomialRuntime,
@@ -37,7 +37,7 @@ from .models import (
 from .ranges import (
     GateSchedule,
     decoder_range,
-    range_curve,
+    range_blocks,
     sec_depth,
 )
 
@@ -170,16 +170,15 @@ def stopping_candidates(
     Candidates come back sorted by stopping time, each carrying the
     failure rate of the interrupted decoder and the resulting range.
     """
-    m, rate, n_T, method = _candidate_columns(
-        decoder, d, p, epsilon, t_sec_ns, schedule, min_events, ladders={}
-    )
+    blocks = _candidate_blocks(decoder, d, p, epsilon, t_sec_ns, schedule, min_events, ladders={})
     return [
         StoppingCandidate(*row, method)
+        for m, rate, n_T, method in blocks
         for row in zip(python_values(m), python_values(rate), python_values(n_T))
     ]
 
 
-def _candidate_columns(
+def _candidate_blocks(
     decoder: DecoderModel,
     d: int,
     p: float,
@@ -188,16 +187,17 @@ def _candidate_columns(
     schedule: GateSchedule,
     min_events: int,
     ladders: dict[BinomialRuntime, list[tuple[int, float]]],
-) -> tuple[Sequence[int], Sequence[float], Sequence[int], str]:
+) -> Iterator[tuple[Sequence[int], Sequence[float], Sequence[int], str]]:
     # (M, rate, range) columns of one decoder at one distance, ascending
-    # in M, and the rate method.  A trace gives numpy columns straight from
-    # its range curve; an analytic law gives a few Python ints and floats,
-    # whose M may pass 2**63.  ``ladders`` memoises the binomial quantile
-    # ladder per runtime law.
+    # in M, and the rate method, in consecutive blocks.  A trace gives numpy
+    # columns straight from its range curve's blocks; an analytic law gives
+    # one block of a few Python ints and floats, whose M may pass 2**63.
+    # ``ladders`` memoises the binomial quantile ladder per runtime law.
     runtime = decoder.runtime
     if isinstance(runtime, EmpiricalRuntime):
-        curve = range_curve(runtime.trace, d, epsilon, t_sec_ns, min_events, schedule)
-        return curve.stopping_time_ns, curve.failure_rate, curve.n_T, "exact"
+        for curve in range_blocks(runtime.trace, d, epsilon, t_sec_ns, min_events, schedule):
+            yield curve.stopping_time_ns, curve.failure_rate, curve.n_T, "exact"
+        return
     if isinstance(runtime, BinomialRuntime):
         if runtime not in ladders:
             ladders[runtime] = _binomial_quantile_units(runtime)
@@ -216,7 +216,7 @@ def _candidate_columns(
         decoder_range(d, mi, ri, epsilon, t_sec_ns=t_sec_ns, schedule=schedule).n_T
         for mi, ri in points
     ]
-    return m, rate, n_T, "upper_bound"
+    yield m, rate, n_T, "upper_bound"
 
 
 def _candidate_table(
@@ -245,15 +245,19 @@ def _candidate_table(
         model = factory(d)
         if model is None:
             continue
-        m, _, n_T, method = _candidate_columns(
-            model, d, p, epsilon, t_sec_ns, schedule, min_events, ladders
-        )
         reach = 0  # no workload n_T >= 1 is covered by a range of 0
-        for i, ri in enumerate(python_values(n_T)):
-            if ri > reach:
-                reach = ri
-                mi = int(m[i])  # only the frontier's stopping times become ints
-                rows.append((ri, _gate_cost(d, mi, t_sec_ns, schedule), d, mi, method))
+        for m, _, n_T, method in _candidate_blocks(
+            model, d, p, epsilon, t_sec_ns, schedule, min_events, ladders
+        ):
+            if method == "exact":  # numpy columns: a rise is one of the block's own
+                import numpy as np
+
+                keep = np.flatnonzero(np.diff(np.maximum.accumulate(n_T), prepend=-1))
+                m, n_T = m[keep].tolist(), n_T[keep].tolist()
+            for mi, ri in zip(m, n_T):
+                if ri > reach:
+                    reach = ri
+                    rows.append((ri, _gate_cost(d, mi, t_sec_ns, schedule), d, mi, method))
     rows.sort(key=lambda row: row[0], reverse=True)
     return rows
 

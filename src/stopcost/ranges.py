@@ -12,7 +12,7 @@ stopping time is the interruption point maximizing that T-depth.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .models import FailureModel, HeuristicFailure, _validate_distance, _validate_probability
 
@@ -25,6 +25,12 @@ RANGE_SATURATION_CAP = 10**18
 # Largest d_max that required_distance searches up to: it tries every odd
 # distance in turn, ~2.6 us each, so a search to the limit takes ~0.13 s.
 D_MAX_LIMIT = 100_001
+# Rows per block of a trace's curves: `range_blocks` computes, and the CLI
+# renders, one block of this many rows at a time, so the memory a curve
+# takes does not grow with the trace's length.  Rendering holds ~360 bytes
+# of Python cells and text per row of a block: at 2048 rows, less than
+# parsing a 1e5-row trace takes.
+ROWS_PER_BLOCK = 2048
 
 
 class _GateSchedule(NamedTuple):
@@ -235,15 +241,20 @@ def range_curve(
     min_events: int = 20,
     schedule: GateSchedule = GateSchedule(),
     saturation_cap: int = RANGE_SATURATION_CAP,
+    rows: slice = slice(None),
 ) -> RangeCurve:
-    """Decoder range at every significant stopping time of a trace.
+    """Decoder range at every significant stopping time of a trace, or at
+    those among the trace rows ``rows`` (e.g. ``slice(lo, hi)``).
 
     Vectorised :func:`decoder_range` over the significant observed
     runtimes, at the exact rates :func:`~stopcost.stopping.stopping_curve`
     gives them, with the same operations in the same order:
     ``(epsilon * d) / (rate * cycles)``, then floor, with results at or
     above ``saturation_cap`` (or at a zero rate) clamped and flagged.
-    Every value equals the scalar path's exactly.
+    Every value equals the scalar path's exactly.  Failure events do not
+    increase with the stopping time, so the significant rows are a prefix
+    of the trace, and rows ``lo:hi`` of the whole curve are
+    ``range_curve(..., rows=slice(lo, hi))`` for ``hi`` up to its length.
     """
     import numpy as np
 
@@ -253,10 +264,10 @@ def range_curve(
     _validate_probability(epsilon, "epsilon")
     if t_sec_ns < 1:
         raise ValueError(f"t_sec_ns must be >= 1, got {t_sec_ns}")
-    m, timeouts, events = _failure_counts(trace)
+    m, timeouts, events = _failure_counts(trace, rows=rows)
     keep = _significant_rows(events, min_events)
     m, rate = m[keep], events[keep] / trace.shots
-    del timeouts, events, keep  # free the full-length columns before the rest are built
+    del timeouts, events, keep  # free the read columns before the rest are built
     delay = -(-m // t_sec_ns)
     with np.errstate(divide="ignore"):
         raw = np.divide(epsilon * d, rate * (schedule.cycles_per_gate(d) + delay))
@@ -274,6 +285,19 @@ def range_curve(
         n_T=n_T,
         saturated=saturated,
     )
+
+
+def range_blocks(trace: RuntimeTrace, *args, **kwargs) -> Iterator[RangeCurve]:
+    """:func:`range_curve` of ``trace`` in consecutive blocks of
+    ``ROWS_PER_BLOCK`` rows, ending with the first block that is not full
+    (it may have no rows): the significant rows are a prefix of the trace,
+    so every later block would be empty."""
+    step = ROWS_PER_BLOCK
+    for lo in range(0, trace.runtimes_ns.size + 1, step):
+        curve = range_curve(trace, *args, rows=slice(lo, lo + step), **kwargs)
+        yield curve
+        if curve.n_T.size < step:
+            return
 
 
 def accuracy_surface(

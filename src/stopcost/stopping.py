@@ -40,20 +40,23 @@ class StoppingCurve(NamedTuple):
     lower_bound_rate: np.ndarray
 
 
-def stopping_curve(trace: RuntimeTrace, stopping_times_ns=None) -> StoppingCurve:
+def stopping_curve(
+    trace: RuntimeTrace, stopping_times_ns=None, rows: slice = slice(None)
+) -> StoppingCurve:
     """Interrupted failure statistics at every stopping time in one pass.
 
-    The stopping times default to the distinct observed runtimes (the
-    curve's first column is then ``trace.runtimes_ns`` itself), whose
+    The stopping times default to the distinct observed runtimes, whose
     counts are the trace's cumulative ones; any other values are read
-    through one ``searchsorted`` (``t <= M`` completes).  Failure events are
+    through one ``searchsorted`` (``t <= M`` completes).  ``rows`` picks
+    the stopping times the curve covers, e.g. ``slice(lo, hi)`` for rows
+    ``lo:hi`` of the whole curve, with the same values.  Failure events are
     ``(shots - completed) + completed failures`` and each rate is a single
     division of integer counts, so while counts stay below 2**53 every float
     is its counts' correctly rounded ratio and ``lower <= exact <= upper``
     holds exactly.  ``stopping_curve(trace, [M])`` is the one-point query.
     """
     shots = trace.shots
-    m, timeouts, events = _failure_counts(trace, stopping_times_ns)
+    m, timeouts, events = _failure_counts(trace, stopping_times_ns, rows)
     total_failures = int(trace.cum_failed[-1])
     return StoppingCurve(
         stopping_time_ns=m,
@@ -67,19 +70,23 @@ def stopping_curve(trace: RuntimeTrace, stopping_times_ns=None) -> StoppingCurve
 
 
 def _failure_counts(
-    trace: RuntimeTrace, stopping_times_ns=None
+    trace: RuntimeTrace, stopping_times_ns=None, rows: slice = slice(None)
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stopping times, and the timeouts and failure events at each.
+    """The stopping times ``rows``, and the timeouts and failure events at each.
 
     The one definition of a failure event: a shot that runs past the
     stopping time, or completes within it with a decode failure.  At the
     default stopping times, the observed runtimes, the completed counts
-    are the trace's cumulative counts as they are.
+    are the trace's cumulative counts as they are.  Each observed runtime
+    adds ``count - failed >= 0`` completions without failure, so failure
+    events do not increase along those rows.
     """
     if stopping_times_ns is None:
-        m, completed, completed_failures = trace.runtimes_ns, trace.cum_total, trace.cum_failed
+        m, completed, completed_failures = (
+            trace.runtimes_ns[rows], trace.cum_total[rows], trace.cum_failed[rows]
+        )
     else:
-        m = np.asarray(stopping_times_ns, dtype=np.int64)
+        m = np.asarray(stopping_times_ns, dtype=np.int64)[rows]
         idx = np.searchsorted(trace.runtimes_ns, m, side="right")
         completed = np.concatenate(([0], trace.cum_total))[idx]
         completed_failures = np.concatenate(([0], trace.cum_failed))[idx]

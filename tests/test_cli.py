@@ -889,7 +889,7 @@ def test_render_table_matches_per_cell_oracle(table, rows_per_block, fmt, extras
     columns, rows = table
     header = [f"c{i}" for i in range(len(columns))]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "ROWS_PER_BLOCK", rows_per_block)
+        mp.setattr(cli.ranges, "ROWS_PER_BLOCK", rows_per_block)
         blocks = list(render_table("t", dict(zip(header, columns)), fmt, extras))
     assert "".join(blocks) == per_cell_render("t", header, rows, fmt, extras)
     # The head, one block per ROWS_PER_BLOCK rows, and for JSON the close.

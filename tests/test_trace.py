@@ -595,15 +595,23 @@ def shot_rows(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(shot_rows())
-@example([])
-def test_aggregate_shots_matches_aggregate_runtimes(rows):
-    runtimes = np.array([r for r, _ in rows], dtype=np.int64)
+@given(shot_rows(), st.sampled_from([np.int64, np.uint16, np.uint8]), st.sampled_from([3, 2**16]))
+@example([], np.int64, 2**16)
+@example([], np.uint8, 2**16)
+def test_aggregate_shots_matches_aggregate_runtimes(rows, dtype, slice_shots):
+    # Codes of 2 bytes or fewer are counted a slice of FLAG_SLICE_SHOTS at a
+    # time (3 crosses slices), wider ones sorted.
+    rows = [(r % (int(np.iinfo(dtype).max) + 1), f) for r, f in rows]
+    runtimes = np.array([r for r, _ in rows], dtype=dtype)
     failed = np.array([f for _, f in rows], dtype=bool)
-    got = trace_module.aggregate_shots(runtimes.copy(), runtimes[failed])
-    assert all(column.dtype == np.int64 for column in got)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace_module, "FLAG_SLICE_SHOTS", slice_shots)
+        got = trace_module.aggregate_shots(runtimes.copy(), runtimes[failed])
+    assert [column.dtype for column in got] == [runtimes.dtype, np.int64, np.int64]
     assert _columns(got) == _columns(
-        trace_module.aggregate_runtimes(runtimes, np.ones(len(rows), np.int64), failed)
+        trace_module.aggregate_runtimes(
+            runtimes.astype(np.int64), np.ones(len(rows), np.int64), failed
+        )
     )
     assert _columns(got) == _dict_oracle([(r, 1, f) for r, f in rows])
 
