@@ -29,7 +29,7 @@ _EXPORTS = {
     "InfeasibleError": "errors",
     "InstantaneousRuntime": "models",
     "MinCostResult": "cost",
-    "RangeCurve": "ranges",
+    "RangeCurve": "stopping",
     "RangeResult": "ranges",
     "RequiredDistance": "ranges",
     "RuntimeModel": "models",
@@ -49,7 +49,7 @@ _EXPORTS = {
     "make_reference_decoders": "models",
     "min_spacetime_costs": "cost",
     "parse_trace": "trace",
-    "range_curve": "ranges",
+    "range_curve": "stopping",
     "required_distance": "ranges",
     "sample_trace": "models",
     "sec_depth": "ranges",

@@ -37,32 +37,21 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
+from . import ranges
 from .errors import ConfigError, InfeasibleError
-from .models import (
-    DecoderModel,
-    EmpiricalRuntime,
-    HeuristicFailure,
-    InstantaneousRuntime,
+from .ranges import GateSchedule, accuracy_surface, required_distance
+from .values import (
     _validate_distance,
     integer,
     json_fields,
     json_integer,
     json_number,
     json_string,
-    load_decoder_config,
-    make_reference_decoders,
     read_json,
-)
-from . import ranges
-from .ranges import (
-    GateSchedule,
-    accuracy_surface,
-    range_blocks,
-    range_curve,
-    required_distance,
 )
 
 if TYPE_CHECKING:
+    from .models import DecoderModel
     from .trace import RuntimeTrace
 
 BUILTIN_DECODERS = ("quadratic", "linear", "instantaneous")
@@ -365,6 +354,14 @@ def _resolve_decoder(
     source: str, p: float
 ) -> Callable[[int], DecoderModel | None]:
     """Map a --decoder argument to a distance -> model factory."""
+    from .models import (
+        DecoderModel,
+        HeuristicFailure,
+        InstantaneousRuntime,
+        load_decoder_config,
+        make_reference_decoders,
+    )
+
     if source == "quadratic":
         return lambda d: make_reference_decoders(d, p)[0]
     if source == "linear":
@@ -421,6 +418,8 @@ def cmd_stop(args: argparse.Namespace) -> Table:
 
 
 def cmd_range(args: argparse.Namespace) -> Table:
+    from .stopping import range_blocks, range_curve
+
     trace = _load_trace(args)
     config = _load_run_config(args, RunConfig(t_sec_ns=trace.metadata.sec_cycle_ns))
     d = trace.metadata.distance
@@ -455,8 +454,8 @@ def cmd_range(args: argparse.Namespace) -> Table:
 
 def cmd_surface(args: argparse.Namespace) -> Table:
     config = _load_run_config(args)
-    alphas = _parse_list(args.alphas, float) if args.alphas else DEFAULT_SURFACE_ALPHAS
-    cycles = _parse_list(args.m_cycles) if args.m_cycles else DEFAULT_SURFACE_CYCLES
+    alphas = DEFAULT_SURFACE_ALPHAS if args.alphas is None else _parse_list(args.alphas, float)
+    cycles = DEFAULT_SURFACE_CYCLES if args.m_cycles is None else _parse_list(args.m_cycles)
     rows = accuracy_surface(
         args.d, args.p, config.epsilon, alphas, cycles, schedule=config.schedule
     )
@@ -472,6 +471,8 @@ def cmd_mincost(args: argparse.Namespace) -> Table:
     if bool(args.trace) == bool(args.decoder):
         raise ConfigError("mincost requires exactly one of --decoder or --trace")
     if args.trace:
+        from .models import DecoderModel, EmpiricalRuntime, HeuristicFailure
+
         trace = _load_trace(args)
         meta = trace.metadata
         label = Path(args.trace).stem
@@ -630,65 +631,73 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(2, f"stopcost: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_surface(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--d", type=integer, required=True, help="code distance")
+    parser.add_argument("--p", type=float, required=True, help="physical error rate")
+    parser.add_argument("--alphas", default=None, help="comma list of accuracies (default 0.05..1.0)")
+    parser.add_argument("--m-cycles", dest="m_cycles", default=None, help="comma list of stopping times in cycles")
+
+
+def _add_mincost(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--decoder", type=nonempty, default=None, help=f"decoder config JSON or one of {', '.join(BUILTIN_DECODERS)}; --p sets its physical error rate (default 1e-3)")
+    _add_trace_inputs(parser, required=False)
+    parser.add_argument("--nT", required=True, help="comma list of T-gate counts")
+    parser.add_argument("--distances", default="3:31", help="odd distances, e.g. 3:31 or 3,5,7 (default 3:31)")
+
+
+def _add_compare(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--decoder-a", dest="decoder_a", type=nonempty, required=True)
+    parser.add_argument("--decoder-b", dest="decoder_b", type=nonempty, required=True)
+    parser.add_argument("--p", type=float, default=1e-3, help="physical error rate (default 1e-3)")
+    parser.add_argument("--nT", required=True, help="comma list of T-gate counts")
+    parser.add_argument("--distances", default="3:31", help="odd distances (default 3:31)")
+
+
+def _add_synth(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--model", type=nonempty, required=True, help="quadratic, linear, instantaneous, or a decoder config JSON")
+    parser.add_argument("--d", type=integer, required=True, help="code distance")
+    parser.add_argument("--p", type=float, required=True, help="physical error rate")
+    parser.add_argument("--shots", required=True, help="number of shots (accepts 1e6 style)")
+    parser.add_argument("--per-shot", dest="per_shot", action="store_true", help="write per-shot rows instead of a histogram")
+
+
+def _add_required_distance(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--nT", type=integer, required=True, help="number of T gates")
+    parser.add_argument("--p", type=float, default=1e-3, help="physical error rate (default 1e-3)")
+    parser.add_argument("--delay-ns", dest="delay_ns", type=integer, default=0, help="decoding delay per T gate in ns")
+    parser.add_argument("--d-max", dest="d_max", type=integer, default=99, help="largest odd distance to try")
+
+
+# (name, help, adds its own arguments, runs it), in the order the help
+# lists them; every subcommand then takes the common flags.
+SUBCOMMANDS = (
+    ("trace-stats", "runtime/failure summary of a trace", _add_trace_inputs, cmd_trace_stats),
+    ("stop", "interrupted failure statistics per stopping time", _add_trace_inputs, cmd_stop),
+    ("range", "decoder range per significant stopping time", _add_trace_inputs, cmd_range),
+    ("surface", "range vs accuracy and stopping time", _add_surface, cmd_surface),
+    ("mincost", "minimum spacetime cost per workload size", _add_mincost, cmd_mincost),
+    ("compare", "spacetime cost ratio of two decoders", _add_compare, cmd_compare),
+    ("synth", "sample a synthetic trace from a decoder model", _add_synth, cmd_synth),
+    ("required-distance", "smallest viable code distance for a workload", _add_required_distance, cmd_required_distance),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or only of ``command`` if it names
+    one.  A subcommand's usage, help and errors are the same either way;
+    the top-level help and an unknown command's error list every one."""
     parser = _ArgumentParser(
         prog="stopcost",
         description="Stopping-time, range, and spacetime-cost analysis for surface code decoders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text, func in (
-        ("trace-stats", "runtime/failure summary of a trace", cmd_trace_stats),
-        ("stop", "interrupted failure statistics per stopping time", cmd_stop),
-        ("range", "decoder range per significant stopping time", cmd_range),
+    for name, help_text, add_arguments, func in (
+        [row for row in SUBCOMMANDS if row[0] == command] or SUBCOMMANDS
     ):
-        p_trace = sub.add_parser(name, help=help_text)
-        _add_trace_inputs(p_trace)
-        _add_common(p_trace)
-        p_trace.set_defaults(func=func)
-
-    p_surface = sub.add_parser("surface", help="range vs accuracy and stopping time")
-    p_surface.add_argument("--d", type=integer, required=True, help="code distance")
-    p_surface.add_argument("--p", type=float, required=True, help="physical error rate")
-    p_surface.add_argument("--alphas", default=None, help="comma list of accuracies (default 0.05..1.0)")
-    p_surface.add_argument("--m-cycles", dest="m_cycles", default=None, help="comma list of stopping times in cycles")
-    _add_common(p_surface)
-    p_surface.set_defaults(func=cmd_surface)
-
-    p_mincost = sub.add_parser("mincost", help="minimum spacetime cost per workload size")
-    p_mincost.add_argument("--decoder", type=nonempty, default=None, help=f"decoder config JSON or one of {', '.join(BUILTIN_DECODERS)}; --p sets its physical error rate (default 1e-3)")
-    _add_trace_inputs(p_mincost, required=False)
-    p_mincost.add_argument("--nT", required=True, help="comma list of T-gate counts")
-    p_mincost.add_argument("--distances", default="3:31", help="odd distances, e.g. 3:31 or 3,5,7 (default 3:31)")
-    _add_common(p_mincost)
-    p_mincost.set_defaults(func=cmd_mincost)
-
-    p_compare = sub.add_parser("compare", help="spacetime cost ratio of two decoders")
-    p_compare.add_argument("--decoder-a", dest="decoder_a", type=nonempty, required=True)
-    p_compare.add_argument("--decoder-b", dest="decoder_b", type=nonempty, required=True)
-    p_compare.add_argument("--p", type=float, default=1e-3, help="physical error rate (default 1e-3)")
-    p_compare.add_argument("--nT", required=True, help="comma list of T-gate counts")
-    p_compare.add_argument("--distances", default="3:31", help="odd distances (default 3:31)")
-    _add_common(p_compare)
-    p_compare.set_defaults(func=cmd_compare)
-
-    p_synth = sub.add_parser("synth", help="sample a synthetic trace from a decoder model")
-    p_synth.add_argument("--model", type=nonempty, required=True, help="quadratic, linear, instantaneous, or a decoder config JSON")
-    p_synth.add_argument("--d", type=integer, required=True, help="code distance")
-    p_synth.add_argument("--p", type=float, required=True, help="physical error rate")
-    p_synth.add_argument("--shots", required=True, help="number of shots (accepts 1e6 style)")
-    p_synth.add_argument("--per-shot", dest="per_shot", action="store_true", help="write per-shot rows instead of a histogram")
-    _add_common(p_synth)
-    p_synth.set_defaults(func=cmd_synth)
-
-    p_reqd = sub.add_parser("required-distance", help="smallest viable code distance for a workload")
-    p_reqd.add_argument("--nT", type=integer, required=True, help="number of T gates")
-    p_reqd.add_argument("--p", type=float, default=1e-3, help="physical error rate (default 1e-3)")
-    p_reqd.add_argument("--delay-ns", dest="delay_ns", type=integer, default=0, help="decoding delay per T gate in ns")
-    p_reqd.add_argument("--d-max", dest="d_max", type=integer, default=99, help="largest odd distance to try")
-    _add_common(p_reqd)
-    p_reqd.set_defaults(func=cmd_required_distance)
-
+        sub_parser = sub.add_parser(name, help=help_text)
+        add_arguments(sub_parser)
+        _add_common(sub_parser)
+        sub_parser.set_defaults(func=func)
     return parser
 
 
@@ -697,8 +706,11 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # The first argument names the subcommand, unless it is an option
+    # (-h) or no subcommand's name.
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning  # one line each, no source

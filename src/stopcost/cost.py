@@ -34,12 +34,7 @@ from .models import (
     binomial_survival,
     python_values,
 )
-from .ranges import (
-    GateSchedule,
-    decoder_range,
-    range_blocks,
-    sec_depth,
-)
+from .ranges import GateSchedule, decoder_range, sec_depth
 
 QUANTILE_TAIL_EXPONENTS = range(1, 17)
 # Largest spread sqrt(N*Q*(1-Q)), in units, of a binomial runtime law that
@@ -195,6 +190,8 @@ def _candidate_blocks(
     # ``ladders`` memoises the binomial quantile ladder per runtime law.
     runtime = decoder.runtime
     if isinstance(runtime, EmpiricalRuntime):
+        from .stopping import range_blocks
+
         for curve in range_blocks(runtime.trace, d, epsilon, t_sec_ns, min_events, schedule):
             yield curve.stopping_time_ns, curve.failure_rate, curve.n_T, "exact"
         return

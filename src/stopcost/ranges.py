@@ -7,29 +7,31 @@ The range of a decoder is the largest T-depth n_T whose circuit-level
 failure proxy stays below the error budget epsilon; interrupting the
 decoder trades timeout failures against delay, and the range-optimized
 stopping time is the interruption point maximizing that T-depth.
+
+This module is the analytic arithmetic and loads no numpy; a trace's range
+curve, the same arithmetic over its significant stopping times, is
+:func:`stopcost.stopping.range_curve`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .models import FailureModel, HeuristicFailure, _validate_distance, _validate_probability
+from .values import _validate_distance, _validate_probability
 
 if TYPE_CHECKING:
-    import numpy as np
-
-    from .trace import RuntimeTrace
+    from .models import FailureModel
 
 RANGE_SATURATION_CAP = 10**18
 # Largest d_max that required_distance searches up to: it tries every odd
 # distance in turn, ~2.6 us each, so a search to the limit takes ~0.13 s.
 D_MAX_LIMIT = 100_001
-# Rows per block of a trace's curves: `range_blocks` computes, and the CLI
-# renders, one block of this many rows at a time, so the memory a curve
-# takes does not grow with the trace's length.  Rendering holds ~360 bytes
-# of Python cells and text per row of a block: at 2048 rows, less than
-# parsing a 1e5-row trace takes.
+# Rows per block of a trace's curves: `stopping.range_blocks` computes, and
+# the CLI renders, one block of this many rows at a time, so the memory a
+# curve takes does not grow with the trace's length.  Rendering holds ~360
+# bytes of Python cells and text per row of a block: at 2048 rows, less
+# than parsing a 1e5-row trace takes.
 ROWS_PER_BLOCK = 2048
 
 
@@ -68,49 +70,6 @@ class RangeResult(NamedTuple):
     distance: int
     epsilon: float
     saturated: bool = False
-
-
-class RangeCurve(NamedTuple):
-    """Decoder range at each significant stopping time of a trace, column-wise.
-
-    Row ``i`` holds what :func:`decoder_range` returns for
-    ``stopping_time_ns[i]`` at its exact interrupted failure rate.  The
-    rows are the stopping times with at least ``min_events`` failure
-    events, ascending; there may be none.
-    """
-
-    distance: int
-    epsilon: float
-    min_events: int
-    stopping_time_ns: np.ndarray
-    delay_cycles: np.ndarray
-    failure_rate: np.ndarray
-    n_T: np.ndarray
-    saturated: np.ndarray
-
-    def optimum(self) -> tuple[int, RangeResult]:
-        """The range-optimized stopping time and its range.
-
-        The first maximum wins, so ties break toward the smaller stopping
-        time.  Raises :class:`~stopcost.errors.InfeasibleError` when the
-        curve has no rows.
-        """
-        import numpy as np
-
-        from .stopping import _insignificant
-
-        if self.n_T.size == 0:
-            raise _insignificant(self.min_events)
-        i = int(np.argmax(self.n_T))
-        m = int(self.stopping_time_ns[i])
-        return m, RangeResult(
-            n_T=int(self.n_T[i]),
-            stopping_time_ns=m,
-            failure_rate_used=float(self.failure_rate[i]),
-            distance=self.distance,
-            epsilon=self.epsilon,
-            saturated=bool(self.saturated[i]),
-        )
 
 
 class RequiredDistance(NamedTuple):
@@ -185,6 +144,8 @@ def required_distance(
     if d_max > D_MAX_LIMIT:
         raise ValueError(f"d_max must be at most {D_MAX_LIMIT} (ranges.D_MAX_LIMIT), got {d_max}")
     if failure_model is None:
+        from .models import HeuristicFailure
+
         failure_model = HeuristicFailure()
     no_encoding = n_T < epsilon / (3.0 * p)
     found: int | None = None
@@ -233,73 +194,6 @@ def decoder_range(
     )
 
 
-def range_curve(
-    trace: RuntimeTrace,
-    d: int,
-    epsilon: float,
-    t_sec_ns: int = 1000,
-    min_events: int = 20,
-    schedule: GateSchedule = GateSchedule(),
-    saturation_cap: int = RANGE_SATURATION_CAP,
-    rows: slice = slice(None),
-) -> RangeCurve:
-    """Decoder range at every significant stopping time of a trace, or at
-    those among the trace rows ``rows`` (e.g. ``slice(lo, hi)``).
-
-    Vectorised :func:`decoder_range` over the significant observed
-    runtimes, at the exact rates :func:`~stopcost.stopping.stopping_curve`
-    gives them, with the same operations in the same order:
-    ``(epsilon * d) / (rate * cycles)``, then floor, with results at or
-    above ``saturation_cap`` (or at a zero rate) clamped and flagged.
-    Every value equals the scalar path's exactly.  Failure events do not
-    increase with the stopping time, so the significant rows are a prefix
-    of the trace, and rows ``lo:hi`` of the whole curve are
-    ``range_curve(..., rows=slice(lo, hi))`` for ``hi`` up to its length.
-    """
-    import numpy as np
-
-    from .stopping import _failure_counts, _significant_rows
-
-    _validate_distance(d)
-    _validate_probability(epsilon, "epsilon")
-    if t_sec_ns < 1:
-        raise ValueError(f"t_sec_ns must be >= 1, got {t_sec_ns}")
-    m, timeouts, events = _failure_counts(trace, rows=rows)
-    keep = _significant_rows(events, min_events)
-    m, rate = m[keep], events[keep] / trace.shots
-    del timeouts, events, keep  # free the read columns before the rest are built
-    delay = -(-m // t_sec_ns)
-    with np.errstate(divide="ignore"):
-        raw = np.divide(epsilon * d, rate * (schedule.cycles_per_gate(d) + delay))
-    saturated = (rate == 0.0) | (raw >= saturation_cap)
-    raw[saturated] = 0.0
-    n_T = np.floor(raw, out=raw).astype(np.int64)
-    n_T[saturated] = saturation_cap
-    return RangeCurve(
-        distance=d,
-        epsilon=epsilon,
-        min_events=min_events,
-        stopping_time_ns=m,
-        delay_cycles=delay,
-        failure_rate=rate,
-        n_T=n_T,
-        saturated=saturated,
-    )
-
-
-def range_blocks(trace: RuntimeTrace, *args, **kwargs) -> Iterator[RangeCurve]:
-    """:func:`range_curve` of ``trace`` in consecutive blocks of
-    ``ROWS_PER_BLOCK`` rows, ending with the first block that is not full
-    (it may have no rows): the significant rows are a prefix of the trace,
-    so every later block would be empty."""
-    step = ROWS_PER_BLOCK
-    for lo in range(0, trace.runtimes_ns.size + 1, step):
-        curve = range_curve(trace, *args, rows=slice(lo, lo + step), **kwargs)
-        yield curve
-        if curve.n_T.size < step:
-            return
-
-
 def accuracy_surface(
     d: int,
     p: float,
@@ -318,6 +212,8 @@ def accuracy_surface(
     if not alphas or not stopping_cycles:
         raise ValueError("alpha and stopping-time grids must be nonempty")
     if failure_model is None:
+        from .models import HeuristicFailure
+
         failure_model = HeuristicFailure()
     base_rate = failure_model.rate(d, p)
     if base_rate == 0.0:

@@ -8,7 +8,8 @@ rate from joint (runtime, failed) counts, and the cheap bound
     max(p_fail, P(t > M)) <= p_fail^(M) <= p_fail + P(t > M)
 
 whose lower bound is always at least half the upper bound, making the
-upper bound a factor-2 approximation.
+upper bound a factor-2 approximation.  The range curve prices each of
+those stopping times as :func:`~stopcost.ranges.decoder_range` does.
 
 Shots finishing exactly at M count as completed: the truncation condition
 is t <= M throughout.
@@ -16,12 +17,15 @@ is t <= M throughout.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import ranges
 from .errors import InfeasibleError
+from .ranges import RANGE_SATURATION_CAP, GateSchedule, RangeResult
 from .trace import RuntimeTrace
+from .values import _validate_distance, _validate_probability
 
 
 class StoppingCurve(NamedTuple):
@@ -38,6 +42,45 @@ class StoppingCurve(NamedTuple):
     exact_failure_rate: np.ndarray
     upper_bound_rate: np.ndarray
     lower_bound_rate: np.ndarray
+
+
+class RangeCurve(NamedTuple):
+    """Decoder range at each significant stopping time of a trace, column-wise.
+
+    Row ``i`` holds what :func:`~stopcost.ranges.decoder_range` returns for
+    ``stopping_time_ns[i]`` at its exact interrupted failure rate.  The
+    rows are the stopping times with at least ``min_events`` failure
+    events, ascending; there may be none.
+    """
+
+    distance: int
+    epsilon: float
+    min_events: int
+    stopping_time_ns: np.ndarray
+    delay_cycles: np.ndarray
+    failure_rate: np.ndarray
+    n_T: np.ndarray
+    saturated: np.ndarray
+
+    def optimum(self) -> tuple[int, RangeResult]:
+        """The range-optimized stopping time and its range.
+
+        The first maximum wins, so ties break toward the smaller stopping
+        time.  Raises :class:`~stopcost.errors.InfeasibleError` when the
+        curve has no rows.
+        """
+        if self.n_T.size == 0:
+            raise _insignificant(self.min_events)
+        i = int(np.argmax(self.n_T))
+        m = int(self.stopping_time_ns[i])
+        return m, RangeResult(
+            n_T=int(self.n_T[i]),
+            stopping_time_ns=m,
+            failure_rate_used=float(self.failure_rate[i]),
+            distance=self.distance,
+            epsilon=self.epsilon,
+            saturated=bool(self.saturated[i]),
+        )
 
 
 def stopping_curve(
@@ -67,6 +110,69 @@ def stopping_curve(
         upper_bound_rate=np.minimum(1.0, (total_failures + timeouts) / shots),
         lower_bound_rate=np.maximum(total_failures, timeouts) / shots,
     )
+
+
+def range_curve(
+    trace: RuntimeTrace,
+    d: int,
+    epsilon: float,
+    t_sec_ns: int = 1000,
+    min_events: int = 20,
+    schedule: GateSchedule = GateSchedule(),
+    saturation_cap: int = RANGE_SATURATION_CAP,
+    rows: slice = slice(None),
+) -> RangeCurve:
+    """Decoder range at every significant stopping time of a trace, or at
+    those among the trace rows ``rows`` (e.g. ``slice(lo, hi)``).
+
+    Vectorised :func:`~stopcost.ranges.decoder_range` over the significant
+    observed runtimes, at the exact rates :func:`stopping_curve` gives
+    them, with the same operations in the same order:
+    ``(epsilon * d) / (rate * cycles)``, then floor, with results at or
+    above ``saturation_cap`` (or at a zero rate) clamped and flagged.
+    Every value equals the scalar path's exactly.  Failure events do not
+    increase with the stopping time, so the significant rows are a prefix
+    of the trace, and rows ``lo:hi`` of the whole curve are
+    ``range_curve(..., rows=slice(lo, hi))`` for ``hi`` up to its length.
+    """
+    _validate_distance(d)
+    _validate_probability(epsilon, "epsilon")
+    if t_sec_ns < 1:
+        raise ValueError(f"t_sec_ns must be >= 1, got {t_sec_ns}")
+    m, timeouts, events = _failure_counts(trace, rows=rows)
+    keep = _significant_rows(events, min_events)
+    m, rate = m[keep], events[keep] / trace.shots
+    del timeouts, events, keep  # free the read columns before the rest are built
+    delay = -(-m // t_sec_ns)
+    with np.errstate(divide="ignore"):
+        raw = np.divide(epsilon * d, rate * (schedule.cycles_per_gate(d) + delay))
+    saturated = (rate == 0.0) | (raw >= saturation_cap)
+    raw[saturated] = 0.0
+    n_T = np.floor(raw, out=raw).astype(np.int64)
+    n_T[saturated] = saturation_cap
+    return RangeCurve(
+        distance=d,
+        epsilon=epsilon,
+        min_events=min_events,
+        stopping_time_ns=m,
+        delay_cycles=delay,
+        failure_rate=rate,
+        n_T=n_T,
+        saturated=saturated,
+    )
+
+
+def range_blocks(trace: RuntimeTrace, *args, **kwargs) -> Iterator[RangeCurve]:
+    """:func:`range_curve` of ``trace`` in consecutive blocks of
+    ``ranges.ROWS_PER_BLOCK`` rows, ending with the first block that is not
+    full (it may have no rows): the significant rows are a prefix of the
+    trace, so every later block would be empty."""
+    step = ranges.ROWS_PER_BLOCK
+    for lo in range(0, trace.runtimes_ns.size + 1, step):
+        curve = range_curve(trace, *args, rows=slice(lo, lo + step), **kwargs)
+        yield curve
+        if curve.n_T.size < step:
+            return
 
 
 def _failure_counts(

@@ -40,8 +40,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import TraceIntegrityError, TraceParseError
-from .models import INT64_MAX, _validate_distance, _validate_probability, json_integer, json_number
-from .models import FLAG_SLICE_SHOTS, json_fields, json_object, read_json
+from .values import INT64_MAX, _validate_distance, _validate_probability, json_integer, json_number
+from .values import json_fields, json_object, read_json
 
 PER_SHOT_HEADER = ("runtime_ns", "failed")
 HISTOGRAM_HEADER = ("runtime_ns", "count_total", "count_failed")
@@ -61,6 +61,10 @@ BLOCK_BYTES = 1 << 16
 # Per-shot runs of equal lines are written as repeated strings of at most
 # about this many bytes.
 WRITE_BYTES = 1 << 16
+# Shots drawn, or counted, at a time within a sampling chunk; any slice size
+# gives the same stream and the same counts, so this bounds memory without
+# changing a single draw.
+FLAG_SLICE_SHOTS = 1 << 16
 # Most shots a per-shot trace is written with: ~9 GB at ~9 bytes per row,
 # the ~1e9 shots per distance of a production measurement.
 PER_SHOT_ROWS_LIMIT = 10**9

@@ -139,6 +139,18 @@ class TestSynth:
         )
         assert sorted(f.name for f in tmp_path.iterdir()) == ["big.json"]
 
+    def test_shots_past_the_int64_trace_limit_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main([
+            "synth", "--model", "quadratic", "--d", "5", "--p", "1e-3",
+            "--shots", "1e20", "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "stopcost: error: shots must be below the 2**63 trace limit, "
+            "got 100000000000000000000\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_per_shot_rows_past_the_limit_rejected_before_sampling(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -232,6 +244,12 @@ class TestSurface:
             "its validity threshold 0.01\n"
         )
         assert warnings.showwarning is show
+
+    @pytest.mark.parametrize("flag, kind", [("--alphas", "float"), ("--m-cycles", "integer")])
+    def test_empty_grid_is_refused(self, capsys, flag, kind):
+        # An empty list used to fall back to the default grid.
+        assert main(["surface", "--d", "5", "--p", "1e-3", flag, ""]) == 2
+        assert capsys.readouterr().err == f"stopcost: error: empty {kind} list ''\n"
 
     def test_zero_failure_rate_is_one_error_line(self, capsys):
         assert main(["surface", "--d", "31", "--p", "1e-320"]) == 2
@@ -699,6 +717,74 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["mincost"])  # missing required --nT
     assert err.value.code == 2
+
+
+# A valid argv per subcommand; each case below is run from it.
+VALID_ARGVS = {
+    "trace-stats": ["--trace", str(INPUTS / "ns.csv")],
+    "stop": ["--trace", str(INPUTS / "ns.csv")],
+    "range": ["--trace", str(INPUTS / "ns.csv"), "--min-events", "1"],
+    "surface": ["--d", "5", "--p", "1e-3", "--alphas", "0.5", "--m-cycles", "0,10"],
+    "mincost": ["--decoder", "quadratic", "--nT", "10,1000", "--distances", "3:7"],
+    "compare": ["--decoder-a", "linear", "--decoder-b", "quadratic", "--nT", "10",
+                "--distances", "3:7"],
+    "synth": ["--model", "linear", "--d", "5", "--p", "1e-3", "--shots", "100", "--out", "s.csv"],
+    "required-distance": ["--nT", "1000"],
+}
+PARSER_CASES = {
+    "valid": lambda argv: argv,
+    "help": lambda argv: argv + ["-h"],
+    "missing-required": lambda argv: [],
+    "bad-float": lambda argv: argv + ["--epsilon", "x"],
+    "bad-integer": lambda argv: argv + ["--seed", "1.5"],
+    "unknown-option": lambda argv: argv + ["--bogus"],
+    "abbreviated-option": lambda argv: argv + ["--eps", "0.25"],
+}
+
+
+def _subparser_names(parser):
+    action = next(a for a in parser._actions if a.dest == "command")
+    return list(action.choices)
+
+
+def test_a_named_command_builds_only_its_parser(monkeypatch):
+    every = list(VALID_ARGVS)
+    assert _subparser_names(cli.build_parser()) == every
+    for name in every:
+        assert _subparser_names(cli.build_parser(name)) == [name]
+    for other in ("bogus", "sto", "-h", None):
+        assert _subparser_names(cli.build_parser(other)) == every
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
+    with pytest.raises(SystemExit):
+        main(["stop", "-h"])
+    assert built == ["stop"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[name, *case(valid)] for name, valid in VALID_ARGVS.items() for case in PARSER_CASES.values()]
+    + [[], ["-h"], ["bogus"], ["sto"], ["--bogus", "stop"]],
+    ids=[f"{name}-{case}" for name in VALID_ARGVS for case in PARSER_CASES]
+    + ["empty", "top-help", "bogus", "prefix", "option-first"],
+)
+def test_one_subparser_answers_as_the_full_parser(tmp_path, monkeypatch, capsys, argv):
+    # Exit code, stdout and stderr of main() with the parser of every
+    # subcommand, then with the parser main builds itself.
+    monkeypatch.chdir(tmp_path)
+
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    build = cli.build_parser
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "build_parser", lambda command=None: build())
+        full = outcome()
+    assert outcome() == full
 
 
 class TestOneLineErrors:

@@ -1,10 +1,13 @@
 """Import-time contracts: the package exports its names lazily, only the
 commands that read, sweep or sample a trace load numpy, the analytic
 commands load neither ``dataclasses`` nor ``inspect``, and only ``mincost``
-and ``compare`` load the cost module.  ``json`` loads only where JSON is
-read or written (a config file, a trace's sidecar, ``--format json``), and
-``csv`` only where the row validator parses a trace that is not in the
-canonical layout."""
+and ``compare`` load the cost module.  The trace modules (``trace`` and
+``stopping``) load only where a trace is read, and the decoder laws
+(``models``) only where a command builds one, so ``trace-stats``, ``stop``
+and ``range`` do not load them; help loads none of these.  ``json`` loads
+only where JSON is read or written (a config file, a trace's sidecar,
+``--format json``), and ``csv`` only where the row validator parses a trace
+that is not in the canonical layout."""
 
 import importlib
 import json
@@ -21,16 +24,22 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 # Modules whose loading the probe reports.
-WATCHED = ("numpy", "dataclasses", "inspect", "stopcost.cost", "json", "csv")
+WATCHED = (
+    "numpy", "dataclasses", "inspect", "stopcost.cost", "json", "csv",
+    "stopcost.models", "stopcost.stopping", "stopcost.trace",
+)
 
 # Runs ``cli.main(argv)`` with stdout discarded, then prints the exit code
-# and which of the watched modules were imported.  The probe itself imports
-# none of them.
+# (argparse's, for help) and which of the watched modules were imported.
+# The probe itself imports none of them.
 PROBE = f"""
 import contextlib, io, sys
 import stopcost.cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = stopcost.cli.main(sys.argv[1:])
+    try:
+        code = stopcost.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
 print(code, *[m for m in {WATCHED!r} if m in sys.modules])
 """
 
@@ -77,21 +86,31 @@ def test_analytic_commands_do_not_import_numpy(tmp_path, argv, reads_json):
     # Nor dataclasses and inspect (numpy imports the latter): records are
     # NamedTuples, so defining them runs no dataclass code generation.
     # Built-in decoders read and write no JSON, so they do not load json.
+    # Every one prices a decoder law, and none loads the trace modules.
     (tmp_path / "wide.json").write_text(json.dumps(BINOMIAL_CONFIG))
     cost = {"stopcost.cost"} if argv[0] in ("mincost", "compare") else set()
     expected = (cost | {"json"}) if reads_json else cost
-    assert probe(argv, tmp_path) == (0, expected)
+    assert probe(argv, tmp_path) == (0, expected | {"stopcost.models"})
 
 
 def test_trace_command_imports_numpy(tmp_path):
     # A canonical trace never reaches the row validator, the one csv user;
-    # every trace call reads its sidecar with json.
-    for command in ("stop", "trace-stats"):
-        code, loaded = probe([command, "--trace", str(INPUTS / "ns.csv")], tmp_path)
+    # every trace call reads its sidecar with json.  None builds a decoder
+    # law, so none loads the models.
+    for command, sweeps in (("trace-stats", False), ("stop", True), ("range", True)):
+        argv = [command, "--trace", str(INPUTS / "ns.csv"), "--min-events", "1"]
+        code, loaded = probe(argv, tmp_path)
         assert code == 0
-        assert {"numpy", "json"} <= loaded, command
-        assert "stopcost.cost" not in loaded, command
-        assert "csv" not in loaded, command
+        assert {"numpy", "json", "stopcost.trace"} <= loaded, command
+        assert ("stopcost.stopping" in loaded) == sweeps, command
+        assert not {"stopcost.cost", "stopcost.models", "csv"} & loaded, command
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["stop", "-h"], ["bogus"]], ids=["help", "stop-help", "bogus"])
+def test_help_and_usage_errors_import_no_analysis_module(tmp_path, argv):
+    code, loaded = probe(argv, tmp_path)
+    assert code == (2 if argv == ["bogus"] else 0)
+    assert loaded == set()
 
 
 def test_row_validator_imports_csv(tmp_path):

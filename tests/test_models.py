@@ -23,8 +23,8 @@ from stopcost import (
     make_reference_decoders,
     sample_trace,
 )
-from stopcost.models import FLAG_SLICE_SHOTS, SAMPLE_CHUNK_SHOTS, _sample_chunk
-from stopcost.trace import RuntimeTrace, aggregate_runtimes
+from stopcost.models import SAMPLE_CHUNK_SHOTS, _sample_chunk
+from stopcost.trace import FLAG_SLICE_SHOTS, RuntimeTrace, aggregate_runtimes
 
 # Its draws at seed 5, chunk 2 first pass 255 in the third 2^16-shot slice.
 WIDENS_MID_CHUNK = BinomialRuntime(trials=1000, step_probability=0.195, unit_ns=1)
@@ -250,6 +250,16 @@ class TestSampling:
     def test_negative_seed_refused(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             sample_trace(InstantaneousRuntime(), HeuristicFailure(), 5, 1e-3, 10, seed=-1)
+
+    def test_shots_past_the_int64_trace_limit_refused_before_any_draw(self, monkeypatch):
+        # Trace counts are int64; 1e20 shots used to loop over ~1e14 chunks.
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a chunk before checking shots")
+
+        monkeypatch.setattr("stopcost.models._sample_chunk", no_draws)
+        for shots in (2**63, 10**20):
+            with pytest.raises(ValueError, match=rf"^shots must be below the 2\*\*63 trace limit, got {shots}$"):
+                sample_trace(InstantaneousRuntime(), HeuristicFailure(), 5, 1e-3, shots, seed=0)
 
     def test_same_seed_reproduces(self):
         kwargs = dict(
