@@ -24,7 +24,8 @@ and ``\n``, every field 1-18 digits, a final newline) is read block-wise
 with numpy and checked by reductions over each block; any other file is
 read by the row validator, which is the one definition of the grammar and
 the source of every line-numbered error.  One-shot rows are aggregated by
-sorting their runtimes, and the failed shots' runtimes.  Rows that are
+sorting their runtimes, and the failed shots' runtimes, but a block that
+is one line repeated has that line converted once.  Rows that are
 already a sorted histogram pass through unsorted and uncopied, and the
 parts of a file are folded as they are read (:func:`fold_histograms`).
 """
@@ -438,6 +439,9 @@ def _parse_block(
     block: bytes, fields: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """One block of whole canonical lines aggregated, or None if not canonical."""
+    line, repeats = _repeated_line(block)
+    if repeats > 1:
+        return _parse_repeated(line, repeats, fields)
     buf = np.frombuffer(block, dtype=np.uint8)
     # No byte is above '9', and every byte below '0' is a separator.  When
     # each fields-th one is a '\n' and all the others are commas, every row
@@ -473,6 +477,28 @@ def _parse_block(
     if (failed > totals).any() or int(totals.max()) > INT64_MAX // rows:
         return None  # invalid, or its sum could overflow int64
     return aggregate_runtimes(runtimes, totals, failed)
+
+
+def _repeated_line(block: bytes) -> tuple[bytes, int]:
+    """The first line of ``block`` and how many copies of it tile the block
+    exactly, or 1 if they do not."""
+    line = block[: block.index(b"\n") + 1]
+    repeats = len(block) // len(line)
+    if len(block) != repeats * len(line) or block.count(line) != repeats:
+        return line, 1
+    return line, repeats
+
+
+def _parse_repeated(
+    line: bytes, repeats: int, fields: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """:func:`_parse_block` of ``line`` repeated ``repeats`` times, with the
+    line's numbers converted once."""
+    part = _parse_block(line, fields)
+    if part is None or int(part[1].max(initial=0)) > INT64_MAX // repeats:
+        return None  # not canonical, or its sum could overflow int64
+    runtimes, totals, failed = part
+    return runtimes, totals * repeats, failed * repeats
 
 
 class _NotCanonical(Exception):

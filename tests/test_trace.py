@@ -449,6 +449,125 @@ def test_fast_path_equals_row_validator(case, block_bytes):
         assert _outcome(parse, path) == _outcome(_validator_columns, path)
 
 
+@st.composite
+def repeated_runs(draw):
+    """Rows as runs of one row repeated 1-300 times, so that blocks of one
+    run take the repeated-line branch and blocks across runs do not."""
+    layout, rows = draw(trace_rows())
+    rows = rows[:12]
+    repeats = draw(st.lists(st.integers(1, 300), min_size=len(rows), max_size=len(rows)))
+    return layout, list(zip(rows, repeats))
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeated_runs(), st.sampled_from([1, 7, 16, 64, 4096, 1 << 16]))
+# A repeated zero-total row is the empty part: no data rows.
+@example(("histogram", [((5, 0, 0), 200)]), 1 << 16)
+@example(("histogram", [((5, 0, 0), 200)]), 4096)
+# 93 copies of a 10**17 count pass 2**63 within one block.
+@example(("histogram", [((7, 10**17, 0), 93)]), 1 << 16)
+# Blocks as long as copies of their first line that are not copies of it:
+# '1,0\n' is in '1,0\n2,0\n' once, and in '1,0\n1,0\n11,0\n' three times.
+@example(("per_shot", [((1, 1, 0), 1), ((2, 1, 0), 1)]), 1 << 16)
+@example(("per_shot", [((1, 1, 0), 2), ((11, 1, 0), 1)]), 1 << 16)
+def test_repeated_lines_parse_like_the_row_validator(case, block_bytes):
+    layout, runs = case
+    rows = [row for row, repeat in runs for _ in range(repeat)]
+    shots = sum(t for _, t, _ in rows)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        trace_module, "BLOCK_BYTES", block_bytes
+    ):
+        path = _write(tmp, "t.csv", _canonical_text(layout, rows))
+        fast = trace_module._canonical_columns(path)
+        expected = _outcome(_validator_columns, path)
+        if shots > trace_module.INT64_MAX:
+            assert fast is None
+            assert expected[0] == "TraceParseError" and expected[1].startswith("line ")
+        elif fast is None:
+            # A block whose largest count times its rows could pass 2**63
+            # is left to the validator.
+            assert max(t for _, t, _ in rows) * len(rows) > trace_module.INT64_MAX
+        else:
+            assert _columns(fast) == _dict_oracle(rows)
+            assert _columns(fast) == _columns(trace_module._validated_columns(path))
+        parse = functools.partial(_parse_columns, shots=shots)
+        assert _outcome(parse, path) == expected
+
+
+@st.composite
+def line_repeats(draw):
+    """A canonical row, or one with a byte replaced, and its copies in a block."""
+    layout, rows = draw(trace_rows())
+    line = bytearray(_canonical_text(layout, rows[:1] or [(0, 1, 0)]).encode().split(b"\n", 1)[1])
+    if draw(st.booleans()):
+        line[draw(st.integers(0, len(line) - 2))] = draw(st.sampled_from(_NEAR_CANONICAL_BYTES))
+    return (2 if layout == "per_shot" else 3), bytes(line), draw(st.integers(1, 300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_repeats())
+@example((3, b"5,0,0\n", 200))
+@example((3, b"7,100000000000000000,0\n", 93))
+@example((3, b"7,100000000000000000,0\n", 92))
+@example((2, b"\n", 4))
+def test_repeated_line_block_parses_like_the_general_path(case):
+    fields, line, repeats = case
+    block = line * repeats
+    got = trace_module._parse_block(block, fields)
+    with mock.patch.object(trace_module, "_repeated_line", lambda block: (block, 1)):
+        general = trace_module._parse_block(block, fields)
+    assert (got is None) == (general is None)
+    if got is not None:
+        assert [column.dtype for column in got] == [column.dtype for column in general]
+        assert _columns(got) == _columns(general)
+
+
+def _blocks(data, block_bytes):
+    """The blocks of whole lines the fast path reads from ``data``."""
+    pending = b""
+    for start in range(0, len(data), block_bytes):
+        chunk = pending + data[start : start + block_bytes]
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield chunk[:cut]
+        pending = chunk[cut:]
+
+
+@pytest.mark.parametrize("block_bytes", [trace_module.BLOCK_BYTES, 4096])
+def test_sorted_per_shot_trace_converts_only_blocks_with_a_run_boundary(tmp_path, block_bytes):
+    # 3e5 shots over 12 runtimes, written sorted: every block inside a run of
+    # equal lines converts its one line, and only the blocks that hold a run
+    # boundary convert their rows.
+    rng = np.random.default_rng(11)
+    runtimes = np.arange(1, 13) * 1237
+    counts = rng.multinomial(300_000, np.full(12, 1 / 12))
+    failed = rng.binomial(counts, 0.05)
+    metadata = TraceMetadata(5, 1e-3, 300_000, 1000)
+    trace = RuntimeTrace(metadata, runtimes, counts, failed)
+    path = tmp_path / "t.csv"
+    write_trace_csv(trace, path, per_shot=True)
+    body = path.read_bytes().split(b"\n", 1)[1]
+    blocks = list(_blocks(body, block_bytes))
+    assert len(blocks) >= 20
+    converted = []
+    real_fromstring = np.fromstring
+
+    def counted_fromstring(*args, **kwargs):
+        values = real_fromstring(*args, **kwargs)
+        converted.append(values.size)
+        return values
+
+    with mock.patch.object(trace_module, "BLOCK_BYTES", block_bytes), mock.patch.object(
+        np, "fromstring", counted_fromstring
+    ):
+        assert parse_trace(path, None, metadata._asdict()) == trace
+    boundaries = [len(set(block.splitlines())) > 1 for block in blocks]
+    assert converted == [
+        block.count(b"\n") if boundary else 1 for block, boundary in zip(blocks, boundaries)
+    ]
+    assert 0 < sum(boundaries) < 2 * 12
+
+
 @pytest.mark.parametrize("block_bytes", [64, 1000, 1 << 12])
 def test_high_cardinality_per_shot_merge_stays_bounded(tmp_path, block_bytes):
     # ~5,800 distinct runtimes among 20,000 unsorted shots: each small block
