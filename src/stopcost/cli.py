@@ -701,19 +701,23 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    print(f"stopcost: warning: {message}", file=sys.stderr)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # The first argument names the subcommand, unless it is an option
     # (-h) or no subcommand's name.
     args = build_parser(argv[0] if argv else None).parse_args(argv)
+    shown: set[str] = set()
+
+    def show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+        # One line each, no source, and each text once per call.
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"stopcost: warning: {message}", file=sys.stderr)
+
     try:
         with warnings.catch_warnings():
-            warnings.showwarning = _show_warning  # one line each, no source
+            warnings.showwarning = show_warning
             table = args.func(args)
             if table is None:  # synth wrote its own files
                 return 0

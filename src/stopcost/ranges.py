@@ -16,12 +16,9 @@ curve, the same arithmetic over its significant stopping times, is
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .values import _validate_distance, _validate_probability
-
-if TYPE_CHECKING:
-    from .models import FailureModel
 
 RANGE_SATURATION_CAP = 10**18
 # Largest d_max that required_distance searches up to: it tries every odd
@@ -126,7 +123,6 @@ def required_distance(
     p: float,
     delay_ns: int,
     epsilon: float,
-    failure_model: FailureModel | None = None,
     schedule: GateSchedule = GateSchedule(),
     d_max: int = 99,
     t_sec_ns: int = 1000,
@@ -143,15 +139,14 @@ def required_distance(
     _validate_distance(d_max, "d_max")
     if d_max > D_MAX_LIMIT:
         raise ValueError(f"d_max must be at most {D_MAX_LIMIT} (ranges.D_MAX_LIMIT), got {d_max}")
-    if failure_model is None:
-        from .models import HeuristicFailure
+    from .models import HeuristicFailure
 
-        failure_model = HeuristicFailure()
+    p_fail = HeuristicFailure().rate
     no_encoding = n_T < epsilon / (3.0 * p)
     found: int | None = None
     for d in range(3, d_max + 1, 2):
         proxy = sec_depth(n_T, d, delay_ns, t_sec_ns, schedule) / d
-        if proxy * failure_model.rate(d, p) <= epsilon:
+        if proxy * p_fail(d, p) <= epsilon:
             found = d
             break
     return RequiredDistance(distance=found, no_encoding_sufficient=no_encoding, d_max=d_max)
@@ -201,7 +196,6 @@ def accuracy_surface(
     alphas: list[float],
     stopping_cycles: list[int],
     schedule: GateSchedule = GateSchedule(),
-    failure_model: FailureModel | None = None,
 ) -> list[tuple[float, int, int]]:
     """Range as a function of decoder accuracy and stopping time (in cycles).
 
@@ -211,11 +205,9 @@ def accuracy_surface(
     """
     if not alphas or not stopping_cycles:
         raise ValueError("alpha and stopping-time grids must be nonempty")
-    if failure_model is None:
-        from .models import HeuristicFailure
+    from .models import HeuristicFailure
 
-        failure_model = HeuristicFailure()
-    base_rate = failure_model.rate(d, p)
+    base_rate = HeuristicFailure().rate(d, p)
     if base_rate == 0.0:
         raise ValueError(f"failure rate at d={d}, p={p} is 0, so the range is unbounded")
     gate_cycles = schedule.cycles_per_gate(d)

@@ -21,13 +21,15 @@ timeout failures are derived later, per stopping time (see
 Trace integers are ASCII digits only (``[0-9]+``) and must be below 2**63.
 A canonical file (the exact header on line 1, then only digits, commas
 and ``\n``, every field 1-18 digits, a final newline) is read block-wise
-with numpy and checked by reductions over each block; any other file is
-read by the row validator, which is the one definition of the grammar and
-the source of every line-numbered error.  One-shot rows are aggregated by
-sorting their runtimes, and the failed shots' runtimes, but a block that
-is one line repeated has that line converted once.  Rows that are
-already a sorted histogram pass through unsorted and uncopied, and the
-parts of a file are folded as they are read (:func:`fold_histograms`).
+with numpy and checked by reductions over each block.  A block leaves
+this fast path only when it breaks the grammar or the file's counts pass
+2**63; the file is then read by the row validator, which is the one
+definition of the grammar and the source of every line-numbered error.
+One-shot rows are aggregated by sorting their runtimes, and the failed
+shots' runtimes, but a block that is one line repeated has that line
+converted once.  Rows that are already a sorted histogram pass through
+unsorted and uncopied, and the parts of a file are folded as they are
+read (:func:`fold_histograms`).
 """
 
 from __future__ import annotations
@@ -438,10 +440,9 @@ def _validated_parts(
 def _parse_block(
     block: bytes, fields: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """One block of whole canonical lines aggregated, or None if not canonical."""
-    line, repeats = _repeated_line(block)
-    if repeats > 1:
-        return _parse_repeated(line, repeats, fields)
+    """One block of whole canonical lines aggregated, or None if it breaks the
+    grammar or its counts pass 2**63; a repeated line is converted once."""
+    block, copies = _repeated_line(block)
     buf = np.frombuffer(block, dtype=np.uint8)
     # No byte is above '9', and every byte below '0' is a separator.  When
     # each fields-th one is a '\n' and all the others are commas, every row
@@ -469,36 +470,34 @@ def _parse_block(
         runtimes = np.fromstring(text.tobytes(), dtype=np.int64, sep="\n")
         if runtimes.size != rows:
             return None
-        return aggregate_shots(runtimes, runtimes[flags == ord("1")])
-    values = np.fromstring(block[:-1].replace(b"\n", b","), dtype=np.int64, sep=",")
-    if values.size != seps.size:
-        return None
-    runtimes, totals, failed = values.reshape(-1, 3).T
-    if (failed > totals).any() or int(totals.max()) > INT64_MAX // rows:
-        return None  # invalid, or its sum could overflow int64
-    return aggregate_runtimes(runtimes, totals, failed)
+        part = aggregate_shots(runtimes, runtimes[flags == ord("1")])
+    else:
+        values = np.fromstring(block[:-1].replace(b"\n", b","), dtype=np.int64, sep=",")
+        if values.size != seps.size:
+            return None
+        runtimes, totals, failed = values.reshape(-1, 3).T
+        if (failed > totals).any():
+            return None
+        # The block's counts must sum below 2**63; the exact sum is taken
+        # only when the largest count on every row could pass it.
+        most = int(totals.max()) * rows
+        if most * copies > INT64_MAX and sum(totals.tolist()) * copies > INT64_MAX:
+            return None
+        part = aggregate_runtimes(runtimes, totals, failed)
+    if copies > 1:
+        runtimes, totals, failed = part
+        part = runtimes, totals * copies, failed * copies
+    return part
 
 
 def _repeated_line(block: bytes) -> tuple[bytes, int]:
     """The first line of ``block`` and how many copies of it tile the block
-    exactly, or 1 if they do not."""
+    exactly, or ``block`` itself and 1 if no copies of one line do."""
     line = block[: block.index(b"\n") + 1]
-    repeats = len(block) // len(line)
-    if len(block) != repeats * len(line) or block.count(line) != repeats:
-        return line, 1
-    return line, repeats
-
-
-def _parse_repeated(
-    line: bytes, repeats: int, fields: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """:func:`_parse_block` of ``line`` repeated ``repeats`` times, with the
-    line's numbers converted once."""
-    part = _parse_block(line, fields)
-    if part is None or int(part[1].max(initial=0)) > INT64_MAX // repeats:
-        return None  # not canonical, or its sum could overflow int64
-    runtimes, totals, failed = part
-    return runtimes, totals * repeats, failed * repeats
+    copies = len(block) // len(line)
+    if len(block) != copies * len(line) or block.count(line) != copies:
+        return block, 1
+    return line, copies
 
 
 class _NotCanonical(Exception):

@@ -244,6 +244,16 @@ class TestSurface:
             "its validity threshold 0.01\n"
         )
         assert warnings.showwarning is show
+        # Two places raise this text; it is printed once per call, and
+        # again by the next call.
+        compare = ["compare", "--decoder-a", "linear", "--decoder-b", "quadratic"]
+        for _ in range(2):
+            assert main([*compare, "--p", "0.02", "--nT", "10"]) == 3
+            assert capsys.readouterr().err == (
+                "stopcost: warning: heuristic failure rate evaluated at p=0.02, at or above "
+                "its validity threshold 0.01\n"
+                "stopcost: infeasible: no workload is feasible for both decoders\n"
+            )
 
     @pytest.mark.parametrize("flag, kind", [("--alphas", "float"), ("--m-cycles", "integer")])
     def test_empty_grid_is_refused(self, capsys, flag, kind):

@@ -466,6 +466,9 @@ def repeated_runs(draw):
 @example(("histogram", [((5, 0, 0), 200)]), 4096)
 # 93 copies of a 10**17 count pass 2**63 within one block.
 @example(("histogram", [((7, 10**17, 0), 93)]), 1 << 16)
+# A block whose largest count times its rows passes 2**63 but whose counts
+# sum below it.
+@example(("histogram", [((5, 0, 0), 2461), ((7, 99176043407038139, 0), 93)]), 1 << 16)
 # Blocks as long as copies of their first line that are not copies of it:
 # '1,0\n' is in '1,0\n2,0\n' once, and in '1,0\n1,0\n11,0\n' three times.
 @example(("per_shot", [((1, 1, 0), 1), ((2, 1, 0), 1)]), 1 << 16)
@@ -483,11 +486,8 @@ def test_repeated_lines_parse_like_the_row_validator(case, block_bytes):
         if shots > trace_module.INT64_MAX:
             assert fast is None
             assert expected[0] == "TraceParseError" and expected[1].startswith("line ")
-        elif fast is None:
-            # A block whose largest count times its rows could pass 2**63
-            # is left to the validator.
-            assert max(t for _, t, _ in rows) * len(rows) > trace_module.INT64_MAX
         else:
+            assert fast is not None, "a canonical file below 2**63 shots must take the fast path"
             assert _columns(fast) == _dict_oracle(rows)
             assert _columns(fast) == _columns(trace_module._validated_columns(path))
         parse = functools.partial(_parse_columns, shots=shots)
