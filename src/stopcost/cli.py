@@ -16,8 +16,10 @@ Common flags: --epsilon, --t-sec-ns, --min-events, --format {csv,json},
 (precedence: flags > config file > defaults).  Exit codes: 0 success,
 2 usage/validation error, 3 infeasible analysis, 4 I/O error.
 
-Outputs are plot-ready tables.  Each subcommand returns its ``Table``
-and ``main`` renders and writes it; ``synth`` writes its own trace pair.
+Outputs are plot-ready tables.  ``main`` reads the ``--trace`` file, if
+the command takes one, then the settings, whose ``t_sec_ns`` defaults to
+the trace's ``sec_cycle_ns``; each subcommand returns its ``Table``, which
+``main`` renders and writes; ``synth`` writes its own trace pair.
 CSV and JSON carry identical numerals (shortest round-trip decimals);
 infeasible costs appear as ``inf`` in CSV and ``null`` in JSON.  Both are
 written in blocks of ``ranges.ROWS_PER_BLOCK`` rows, JSON with the bytes of
@@ -77,7 +79,6 @@ class Table(NamedTuple):
     then the call exits 3.
     """
 
-    config: RunConfig
     columns: dict | Callable[[int, int], dict]
     extras: dict | None = None
     infeasible: str | None = None
@@ -93,6 +94,12 @@ def _epsilon(value: float) -> float:
 def _min_events(value: int) -> int:
     if value < 1:
         raise ConfigError(f"min_events must be >= 1, got {value}")
+    return value
+
+
+def _t_sec_ns(value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"t_sec_ns must be >= 1, got {value}")
     return value
 
 
@@ -118,7 +125,7 @@ def _schedule_from_json(raw) -> GateSchedule:
 # argparse dest of the flag that overrides it, if any).
 CONFIG_KEYS = {
     "epsilon": ("epsilon", lambda value: _epsilon(json_number(value)), "epsilon"),
-    "t_sec_ns": ("t_sec_ns", json_integer, "t_sec_ns"),
+    "t_sec_ns": ("t_sec_ns", lambda value: _t_sec_ns(json_integer(value)), "t_sec_ns"),
     "min_failure_events": (
         "min_failure_events", lambda value: _min_events(json_integer(value)), "min_events"
     ),
@@ -128,14 +135,14 @@ CONFIG_KEYS = {
 }
 
 
-def _load_run_config(
-    args: argparse.Namespace, config: RunConfig = RunConfig()
-) -> RunConfig:
-    """``config`` (the defaults) updated by the config file, then the flags.
+def _load_run_config(args: argparse.Namespace, trace: RuntimeTrace | None) -> RunConfig:
+    """The defaults, with ``trace``'s SEC cycle time if a trace was read,
+    updated by the config file, then the flags.
 
     A value from the file is checked as it is read, so its error names the
     file; ``--format`` is one of its choices already.
     """
+    config = RunConfig() if trace is None else RunConfig(t_sec_ns=trace.metadata.sec_cycle_ns)
     if args.config:
         parsers = {key: parse for key, (_, parse, _) in CONFIG_KEYS.items()}
         values = json_fields(read_json(args.config, "config"), parsers, f"config {args.config}")
@@ -147,6 +154,7 @@ def _load_run_config(
     }
     config = config._replace(**overrides)
     _epsilon(config.epsilon)
+    _t_sec_ns(config.t_sec_ns)
     _min_events(config.min_failure_events)
     _seed(config.seed)
     return config
@@ -350,9 +358,7 @@ def _load_trace(args: argparse.Namespace) -> RuntimeTrace:
     return parse_trace(args.trace, meta, overrides)
 
 
-def _resolve_decoder(
-    source: str, p: float
-) -> Callable[[int], DecoderModel | None]:
+def _resolve_decoder(source: str, p: float) -> Callable[[int], DecoderModel]:
     """Map a --decoder argument to a distance -> model factory."""
     from .models import (
         DecoderModel,
@@ -377,9 +383,7 @@ def _resolve_decoder(
 # Subcommands
 
 
-def cmd_trace_stats(args: argparse.Namespace) -> Table:
-    config = _load_run_config(args)
-    trace = _load_trace(args)
+def cmd_trace_stats(args: argparse.Namespace, config: RunConfig, trace: RuntimeTrace) -> Table:
     row = {
         "shots": trace.shots,
         "mean_ns": trace.mean_ns(),
@@ -394,14 +398,11 @@ def cmd_trace_stats(args: argparse.Namespace) -> Table:
         "failure_events": trace.failure_count,
     }
     extras = {k: v for k, v in trace.metadata._asdict().items() if k != "shots"}
-    return Table(config, {name: [value] for name, value in row.items()}, extras)
+    return Table({name: [value] for name, value in row.items()}, extras)
 
 
-def cmd_stop(args: argparse.Namespace) -> Table:
+def cmd_stop(args: argparse.Namespace, config: RunConfig, trace: RuntimeTrace) -> Table:
     from .stopping import stopping_curve
-
-    config = _load_run_config(args)
-    trace = _load_trace(args)
 
     def block(lo: int, hi: int) -> dict:
         curve = stopping_curve(trace, rows=slice(lo, hi))
@@ -414,14 +415,12 @@ def cmd_stop(args: argparse.Namespace) -> Table:
             "failure_events": curve.failure_events,
         }
 
-    return Table(config, block, rows=trace.runtimes_ns.size)
+    return Table(block, rows=trace.runtimes_ns.size)
 
 
-def cmd_range(args: argparse.Namespace) -> Table:
+def cmd_range(args: argparse.Namespace, config: RunConfig, trace: RuntimeTrace) -> Table:
     from .stopping import range_blocks, range_curve
 
-    trace = _load_trace(args)
-    config = _load_run_config(args, RunConfig(t_sec_ns=trace.metadata.sec_cycle_ns))
     d = trace.metadata.distance
     point = (trace, d, config.epsilon, config.t_sec_ns, config.min_failure_events, config.schedule)
     # One pass finds the optimum (the first maximum, so the smaller M wins a
@@ -449,42 +448,34 @@ def cmd_range(args: argparse.Namespace) -> Table:
         "optimal_M_ns": m,
         "optimal_range": best.n_T,
     }
-    return Table(config, block, extras, rows=rows)
+    return Table(block, extras, rows=rows)
 
 
-def cmd_surface(args: argparse.Namespace) -> Table:
-    config = _load_run_config(args)
+def cmd_surface(args: argparse.Namespace, config: RunConfig, trace: None) -> Table:
     alphas = DEFAULT_SURFACE_ALPHAS if args.alphas is None else _parse_list(args.alphas, float)
     cycles = DEFAULT_SURFACE_CYCLES if args.m_cycles is None else _parse_list(args.m_cycles)
     rows = accuracy_surface(
         args.d, args.p, config.epsilon, alphas, cycles, schedule=config.schedule
     )
     extras = {"distance": args.d, "physical_error_rate": args.p, "epsilon": config.epsilon}
-    return Table(config, dict(zip(("alpha", "M_cycles", "range"), zip(*rows))), extras)
+    return Table(dict(zip(("alpha", "M_cycles", "range"), zip(*rows))), extras)
 
 
-def cmd_mincost(args: argparse.Namespace) -> Table:
-    """A trace prices its own distance, with its metadata's SEC cycle time
-    as the default; a decoder prices every ``--distances`` value."""
+def cmd_mincost(args: argparse.Namespace, config: RunConfig, trace: RuntimeTrace | None) -> Table:
+    """A trace prices its own distance, a decoder every ``--distances`` value."""
     from .cost import min_spacetime_costs
 
-    if bool(args.trace) == bool(args.decoder):
-        raise ConfigError("mincost requires exactly one of --decoder or --trace")
-    if args.trace:
+    if trace is not None:
         from .models import DecoderModel, EmpiricalRuntime, HeuristicFailure
 
-        trace = _load_trace(args)
-        meta = trace.metadata
         label = Path(args.trace).stem
         model = DecoderModel(label, EmpiricalRuntime(trace), HeuristicFailure())
-        factory = lambda d: model if d == meta.distance else None  # noqa: E731
-        p, distances = meta.physical_error_rate, [meta.distance]
-        config = _load_run_config(args, RunConfig(t_sec_ns=meta.sec_cycle_ns))
+        factory = lambda d: model  # noqa: E731
+        p, distances = trace.metadata.physical_error_rate, [trace.metadata.distance]
     else:
         label, p = args.decoder, (1e-3 if args.p is None else args.p)
         distances = _parse_distances(args.distances)
         factory = _resolve_decoder(label, p)
-        config = _load_run_config(args)
     n_T_values = _parse_list(args.nT)
     results = min_spacetime_costs(
         factory,
@@ -498,18 +489,17 @@ def cmd_mincost(args: argparse.Namespace) -> Table:
     )
     costs, chosen_d, chosen_m, _ = zip(*results)
     columns = {"n_T": n_T_values, "cost": costs, "distance": chosen_d, "M_ns": chosen_m}
-    rate_method = "exact" if args.trace else "upper_bound"
+    rate_method = "upper_bound" if trace is None else "exact"
     extras = {"decoder": label, "physical_error_rate": p, "rate_method": rate_method}
     infeasible = None
     if not any(r.feasible for r in results):
         infeasible = "no (distance, stopping time) pair reaches any requested n_T"
-    return Table(config, columns, extras, infeasible)
+    return Table(columns, extras, infeasible)
 
 
-def cmd_compare(args: argparse.Namespace) -> Table:
+def cmd_compare(args: argparse.Namespace, config: RunConfig, trace: None) -> Table:
     from .cost import compare_decoders
 
-    config = _load_run_config(args)
     distances = _parse_distances(args.distances)
     rows = compare_decoders(
         _resolve_decoder(args.decoder_a, args.p),
@@ -531,11 +521,10 @@ def cmd_compare(args: argparse.Namespace) -> Table:
     infeasible = None
     if all(math.isinf(r.ratio) for r in rows):
         infeasible = "no workload is feasible for both decoders"
-    return Table(config, columns, extras, infeasible)
+    return Table(columns, extras, infeasible)
 
 
-def cmd_synth(args: argparse.Namespace) -> None:
-    config = _load_run_config(args)
+def cmd_synth(args: argparse.Namespace, config: RunConfig, trace: None) -> None:
     if args.out is None:
         raise ConfigError("synth requires --out for the trace file")
     out_path = Path(args.out)
@@ -566,8 +555,7 @@ def cmd_synth(args: argparse.Namespace) -> None:
         write_metadata(trace.metadata, meta_tmp)
 
 
-def cmd_required_distance(args: argparse.Namespace) -> Table:
-    config = _load_run_config(args)
+def cmd_required_distance(args: argparse.Namespace, config: RunConfig, trace: None) -> Table:
     result = required_distance(
         args.nT,
         args.p,
@@ -590,7 +578,7 @@ def cmd_required_distance(args: argparse.Namespace) -> Table:
     if result.distance is None and not result.no_encoding_sufficient:
         infeasible = f"no odd distance up to {args.d_max} meets the error budget"
     columns = {name: [value] for name, value in row.items()}
-    return Table(config, columns, infeasible=infeasible)
+    return Table(columns, infeasible=infeasible)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +594,7 @@ def nonempty(text: str) -> str:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=float, default=None, help="logical circuit error budget (default 0.5)")
-    parser.add_argument("--t-sec-ns", dest="t_sec_ns", type=integer, default=None, help="SEC cycle time in ns (default 1000, or the trace's sec_cycle_ns for range and mincost --trace)")
+    parser.add_argument("--t-sec-ns", dest="t_sec_ns", type=integer, default=None, help="SEC cycle time in ns (default: the trace's sec_cycle_ns if the command reads a trace, else 1000)")
     parser.add_argument("--min-events", dest="min_events", type=integer, default=None, help="failure events needed for significance (default 20)")
     parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format (default csv)")
     parser.add_argument("--out", type=nonempty, default=None, help="output file (default stdout); written atomically")
@@ -614,8 +602,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=nonempty, default=None, help="JSON settings file; flags take precedence")
 
 
-def _add_trace_inputs(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument("--trace", type=nonempty, required=required, help="trace CSV (per-shot or histogram layout)")
+def _add_trace_inputs(parser: argparse.ArgumentParser, source=None) -> None:
+    """The trace flags, ``--trace`` required or else in ``source``'s exclusive group."""
+    (source or parser).add_argument("--trace", type=nonempty, required=source is None, help="trace CSV (per-shot or histogram layout)")
     parser.add_argument("--meta", type=nonempty, default=None, help="metadata sidecar JSON (default: trace path with .json)")
     parser.add_argument("--distance", type=integer, default=None, help="override metadata distance")
     parser.add_argument("--p", type=float, default=None, help="override metadata physical error rate")
@@ -639,8 +628,9 @@ def _add_surface(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_mincost(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--decoder", type=nonempty, default=None, help=f"decoder config JSON or one of {', '.join(BUILTIN_DECODERS)}; --p sets its physical error rate (default 1e-3)")
-    _add_trace_inputs(parser, required=False)
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--decoder", type=nonempty, default=None, help=f"decoder config JSON or one of {', '.join(BUILTIN_DECODERS)}; --p sets its physical error rate (default 1e-3)")
+    _add_trace_inputs(parser, source)
     parser.add_argument("--nT", required=True, help="comma list of T-gate counts")
     parser.add_argument("--distances", default="3:31", help="odd distances, e.g. 3:31 or 3,5,7 (default 3:31)")
 
@@ -718,11 +708,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = show_warning
-            table = args.func(args)
+            trace = _load_trace(args) if getattr(args, "trace", None) else None
+            config = _load_run_config(args, trace)
+            table = args.func(args, config, trace)
             if table is None:  # synth wrote its own files
                 return 0
-            fmt = table.config.output_format
-            emit(render_table(args.command, table.columns, fmt, table.extras, table.rows), args.out)
+            emit(render_table(args.command, table.columns, config.output_format, table.extras, table.rows), args.out)
             if table.infeasible:
                 raise InfeasibleError(table.infeasible)
             return 0

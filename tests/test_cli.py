@@ -567,6 +567,7 @@ class TestConfigPrecedence:
             ({"format": 5}, "key 'format': expected a string, got int"),
             ({"format": "xml"}, "key 'format': format must be csv or json, got 'xml'"),
             ({"t_sec_ns": "1000"}, "key 't_sec_ns': expected an integer, got \"1000\""),
+            ({"t_sec_ns": 0}, "key 't_sec_ns': t_sec_ns must be >= 1, got 0"),
             ({"seed": -3}, "key 'seed': seed must be >= 0, got -3"),
             (
                 {"min_failure_events": 0},
@@ -579,6 +580,7 @@ class TestConfigPrecedence:
             "format-number",
             "format-choice",
             "t-sec-string",
+            "t-sec-zero",
             "seed-negative",
             "min-events-zero",
         ],
@@ -613,8 +615,18 @@ class TestConfigPrecedence:
                 ["surface", "--d", "9", "--p", "1e-3", "--min-events", "0"],
                 "min_events must be >= 1, got 0",
             ),
+            (
+                ["synth", "--model", "linear", "--d", "5", "--p", "1e-3", "--shots", "10",
+                 "--t-sec-ns", "0"],
+                "t_sec_ns must be >= 1, got 0",
+            ),
+            (
+                ["surface", "--d", "9", "--p", "1e-3", "--t-sec-ns", "-5"],
+                "t_sec_ns must be >= 1, got -5",
+            ),
         ],
-        ids=["synth-seed", "mincost-min-events", "surface-min-events"],
+        ids=["synth-seed", "mincost-min-events", "surface-min-events", "synth-t-sec",
+             "surface-t-sec"],
     )
     def test_out_of_range_flag_is_named(self, tmp_path, capsys, argv, message):
         # Checked for every command, not only where the value is used: a
@@ -624,6 +636,18 @@ class TestConfigPrecedence:
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"stopcost: error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command",
+        [["trace-stats"], ["stop"], ["range"], ["mincost", "--nT", "10"]],
+        ids=["trace-stats", "stop", "range", "mincost-trace"],
+    )
+    def test_missing_trace_is_reported_before_the_settings(self, tmp_path, capsys, command):
+        # main reads the trace, then the settings, for every command.
+        missing = tmp_path / "missing.csv"
+        assert main([*command, "--trace", str(missing), "--epsilon", "2"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("stopcost: io error: ") and str(missing) in err
 
     def test_invalid_config_value_rejected(self, tmp_path):
         cfg = tmp_path / "settings.json"
@@ -811,6 +835,9 @@ class TestOneLineErrors:
             (["surface", "--d", "3", "--p", "1e-3", "--config", ""], "argument --config: must not be empty"),
             (["compare", "--decoder-a", "", "--decoder-b", "linear", "--nT", "10"], "argument --decoder-a: must not be empty"),
             (["synth", "--model", "", "--d", "3", "--p", "1e-3", "--shots", "10"], "argument --model: must not be empty"),
+            (["mincost", "--nT", "10"], "one of the arguments --decoder --trace is required"),
+            (["mincost", "--decoder", "linear", "--trace", "t.csv", "--nT", "10"],
+             "argument --trace: not allowed with argument --decoder"),
         ],
     )
     def test_usage_error_is_one_line(self, capsys, argv, message):
