@@ -44,6 +44,8 @@ from .errors import ConfigError, InfeasibleError
 from .ranges import GateSchedule, accuracy_surface, required_distance
 from .values import (
     _validate_distance,
+    _validate_probability,
+    at_least,
     integer,
     json_fields,
     json_integer,
@@ -53,7 +55,7 @@ from .values import (
 )
 
 if TYPE_CHECKING:
-    from .models import DecoderModel
+    from .cost import DecoderFactory
     from .trace import RuntimeTrace
 
 BUILTIN_DECODERS = ("quadratic", "linear", "instantaneous")
@@ -85,30 +87,6 @@ class Table(NamedTuple):
     rows: int | None = None
 
 
-def _epsilon(value: float) -> float:
-    if not 0.0 < value < 1.0:
-        raise ConfigError(f"epsilon must be in (0, 1), got {value}")
-    return value
-
-
-def _min_events(value: int) -> int:
-    if value < 1:
-        raise ConfigError(f"min_events must be >= 1, got {value}")
-    return value
-
-
-def _t_sec_ns(value: int) -> int:
-    if value < 1:
-        raise ConfigError(f"t_sec_ns must be >= 1, got {value}")
-    return value
-
-
-def _seed(value: int) -> int:
-    if value < 0:
-        raise ConfigError(f"seed must be >= 0, got {value}")
-    return value
-
-
 def _output_format(value) -> str:
     value = json_string(value)
     if value not in ("csv", "json"):
@@ -124,14 +102,14 @@ def _schedule_from_json(raw) -> GateSchedule:
 # Config file key -> (RunConfig field, parser of the JSON value, the
 # argparse dest of the flag that overrides it, if any).
 CONFIG_KEYS = {
-    "epsilon": ("epsilon", lambda value: _epsilon(json_number(value)), "epsilon"),
-    "t_sec_ns": ("t_sec_ns", lambda value: _t_sec_ns(json_integer(value)), "t_sec_ns"),
+    "epsilon": ("epsilon", lambda v: _validate_probability(json_number(v), "epsilon"), "epsilon"),
+    "t_sec_ns": ("t_sec_ns", lambda v: at_least(json_integer(v), 1, "t_sec_ns"), "t_sec_ns"),
     "min_failure_events": (
-        "min_failure_events", lambda value: _min_events(json_integer(value)), "min_events"
+        "min_failure_events", lambda v: at_least(json_integer(v), 1, "min_events"), "min_events"
     ),
     "schedule": ("schedule", _schedule_from_json, None),
     "format": ("output_format", _output_format, "format"),
-    "seed": ("seed", lambda value: _seed(json_integer(value)), "seed"),
+    "seed": ("seed", lambda v: at_least(json_integer(v), 0, "seed"), "seed"),
 }
 
 
@@ -153,10 +131,10 @@ def _load_run_config(args: argparse.Namespace, trace: RuntimeTrace | None) -> Ru
         if flag and (value := getattr(args, flag)) is not None
     }
     config = config._replace(**overrides)
-    _epsilon(config.epsilon)
-    _t_sec_ns(config.t_sec_ns)
-    _min_events(config.min_failure_events)
-    _seed(config.seed)
+    _validate_probability(config.epsilon, "epsilon")
+    at_least(config.t_sec_ns, 1, "t_sec_ns")
+    at_least(config.min_failure_events, 1, "min_events")
+    at_least(config.seed, 0, "seed")
     return config
 
 
@@ -358,10 +336,17 @@ def _load_trace(args: argparse.Namespace) -> RuntimeTrace:
     return parse_trace(args.trace, meta, overrides)
 
 
-def _resolve_decoder(source: str, p: float) -> Callable[[int], DecoderModel]:
-    """Map a --decoder argument to a distance -> model factory."""
+def _resolve_decoder(source: str, p: float) -> tuple[DecoderFactory, str]:
+    """Map a --decoder argument to a distance -> model factory and the rate
+    method its costs are priced with.
+
+    A config with a measured (empirical) runtime is priced as ``mincost
+    --trace`` prices its trace: with exact rates, at the trace's distance
+    only, so the factory gives None at any other.
+    """
     from .models import (
         DecoderModel,
+        EmpiricalRuntime,
         HeuristicFailure,
         InstantaneousRuntime,
         load_decoder_config,
@@ -369,14 +354,17 @@ def _resolve_decoder(source: str, p: float) -> Callable[[int], DecoderModel]:
     )
 
     if source == "quadratic":
-        return lambda d: make_reference_decoders(d, p)[0]
+        return (lambda d: make_reference_decoders(d, p)[0]), "upper_bound"
     if source == "linear":
-        return lambda d: make_reference_decoders(d, p)[1]
+        return (lambda d: make_reference_decoders(d, p)[1]), "upper_bound"
     if source == "instantaneous":
         model = DecoderModel("instantaneous", InstantaneousRuntime(), HeuristicFailure())
-        return lambda d: model
-    model = load_decoder_config(source)
-    return lambda d: model
+    else:
+        model = load_decoder_config(source)
+    if isinstance(model.runtime, EmpiricalRuntime):
+        own = model.runtime.trace.metadata.distance
+        return (lambda d: model if d == own else None), "exact"
+    return (lambda d: model), "upper_bound"
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +458,12 @@ def cmd_mincost(args: argparse.Namespace, config: RunConfig, trace: RuntimeTrace
 
         label = Path(args.trace).stem
         model = DecoderModel(label, EmpiricalRuntime(trace), HeuristicFailure())
-        factory = lambda d: model  # noqa: E731
+        factory, rate_method = (lambda d: model), "exact"
         p, distances = trace.metadata.physical_error_rate, [trace.metadata.distance]
     else:
         label, p = args.decoder, (1e-3 if args.p is None else args.p)
         distances = _parse_distances(args.distances)
-        factory = _resolve_decoder(label, p)
+        factory, rate_method = _resolve_decoder(label, p)
     n_T_values = _parse_list(args.nT)
     results = min_spacetime_costs(
         factory,
@@ -489,7 +477,6 @@ def cmd_mincost(args: argparse.Namespace, config: RunConfig, trace: RuntimeTrace
     )
     costs, chosen_d, chosen_m, _ = zip(*results)
     columns = {"n_T": n_T_values, "cost": costs, "distance": chosen_d, "M_ns": chosen_m}
-    rate_method = "upper_bound" if trace is None else "exact"
     extras = {"decoder": label, "physical_error_rate": p, "rate_method": rate_method}
     infeasible = None
     if not any(r.feasible for r in results):
@@ -502,8 +489,8 @@ def cmd_compare(args: argparse.Namespace, config: RunConfig, trace: None) -> Tab
 
     distances = _parse_distances(args.distances)
     rows = compare_decoders(
-        _resolve_decoder(args.decoder_a, args.p),
-        _resolve_decoder(args.decoder_b, args.p),
+        _resolve_decoder(args.decoder_a, args.p)[0],
+        _resolve_decoder(args.decoder_b, args.p)[0],
         args.p,
         _parse_list(args.nT),
         distances,
@@ -534,7 +521,11 @@ def cmd_synth(args: argparse.Namespace, config: RunConfig, trace: None) -> None:
     from .models import sample_trace
     from .trace import check_per_shot_rows, write_metadata, write_trace_csv
 
-    model = _resolve_decoder(args.model, args.p)(args.d)
+    model = _resolve_decoder(args.model, args.p)[0](args.d)
+    if model is None:
+        raise ConfigError(
+            f"synth --model {args.model}: its empirical runtime was not measured at --d {args.d}"
+        )
     shots = integer(args.shots)
     if args.per_shot:
         check_per_shot_rows(shots)  # before sampling, not after

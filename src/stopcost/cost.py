@@ -35,6 +35,7 @@ from .models import (
     python_values,
 )
 from .ranges import GateSchedule, decoder_range, sec_depth
+from .values import at_least
 
 QUANTILE_TAIL_EXPONENTS = range(1, 17)
 # Largest spread sqrt(N*Q*(1-Q)), in units, of a binomial runtime law that
@@ -281,8 +282,7 @@ def min_spacetime_costs(
     if not d_candidates:
         raise ValueError("d_candidates must be nonempty")
     for n_T in n_T_values:
-        if n_T < 1:
-            raise ValueError(f"n_T must be >= 1, got {n_T}")
+        at_least(n_T, 1, "n_T")
     rows = _candidate_table(
         decoder, p, d_candidates, epsilon, t_sec_ns, schedule, min_events
     )

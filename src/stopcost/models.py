@@ -25,6 +25,7 @@ from .values import (
     INT64_MAX,
     _validate_distance,
     _validate_probability,
+    at_least,
     json_fields,
     json_integer,
     json_number,
@@ -257,8 +258,7 @@ def binomial_survival(trials: int, step_probability: float, threshold: int) -> f
     overflow-free even for trials around 1e9 with small means.  A negative
     threshold returns the full mass, 1.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    at_least(trials, 1, "trials")
     _validate_probability(step_probability, "step probability")
     if threshold < 0:
         return 1.0
@@ -304,11 +304,9 @@ class BinomialRuntime(_BinomialRuntime):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        at_least(self.trials, 1, "trials")
         _validate_probability(self.step_probability, "step probability")
-        if self.unit_ns < 1:
-            raise ValueError(f"unit_ns must be >= 1, got {self.unit_ns}")
+        at_least(self.unit_ns, 1, "unit_ns")
         return self
 
     def sampler(self) -> CodeSampler:
@@ -482,12 +480,10 @@ def sample_trace(
     """
     from .trace import RuntimeTrace, TraceMetadata, fold_histograms
 
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    at_least(shots, 1, "shots")
     if shots > INT64_MAX:
         raise ValueError(f"shots must be below the 2**63 trace limit, got {shots}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    at_least(seed, 0, "seed")
     rate = failure.rate(d, p)
     sampler = runtime.sampler()
     parts = (

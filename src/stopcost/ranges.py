@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .values import _validate_distance, _validate_probability
+from .values import _validate_distance, _validate_probability, at_least
 
 RANGE_SATURATION_CAP = 10**18
 # Largest d_max that required_distance searches up to: it tries every odd
@@ -87,10 +87,8 @@ def _ceil_div(numerator: int, denominator: int) -> int:
 
 def delay_cycles(delay_ns: int, t_sec_ns: int) -> int:
     """Decoding delay in whole SEC cycles (exact ceiling division)."""
-    if delay_ns < 0:
-        raise ValueError(f"delay must be >= 0, got {delay_ns}")
-    if t_sec_ns < 1:
-        raise ValueError(f"t_sec_ns must be >= 1, got {t_sec_ns}")
+    at_least(delay_ns, 0, "delay")
+    at_least(t_sec_ns, 1, "t_sec_ns")
     return _ceil_div(int(delay_ns), int(t_sec_ns))
 
 
@@ -102,8 +100,7 @@ def sec_depth(
     schedule: GateSchedule = GateSchedule(),
 ) -> int:
     """Total SEC cycles to run an n_T-deep HST sequence with the given delay."""
-    if n_T < 0:
-        raise ValueError(f"n_T must be >= 0, got {n_T}")
+    at_least(n_T, 0, "n_T")
     return n_T * (schedule.cycles_per_gate(d) + delay_cycles(delay_ns, t_sec_ns))
 
 
@@ -133,8 +130,7 @@ def required_distance(
     The proxy is sec_depth(n_T, d, delay) / d * p_fail(d, p); infeasibility
     within the search bound is reported as a value, not an error.
     """
-    if n_T < 1:
-        raise ValueError(f"n_T must be >= 1, got {n_T}")
+    at_least(n_T, 1, "n_T")
     _validate_probability(p, "p")
     _validate_distance(d_max, "d_max")
     if d_max > D_MAX_LIMIT:

@@ -25,7 +25,7 @@ from . import ranges
 from .errors import InfeasibleError
 from .ranges import RANGE_SATURATION_CAP, GateSchedule, RangeResult
 from .trace import RuntimeTrace
-from .values import _validate_distance, _validate_probability
+from .values import _validate_distance, _validate_probability, at_least
 
 
 class StoppingCurve(NamedTuple):
@@ -137,8 +137,7 @@ def range_curve(
     """
     _validate_distance(d)
     _validate_probability(epsilon, "epsilon")
-    if t_sec_ns < 1:
-        raise ValueError(f"t_sec_ns must be >= 1, got {t_sec_ns}")
+    at_least(t_sec_ns, 1, "t_sec_ns")
     m, timeouts, events = _failure_counts(trace, rows=rows)
     keep = _significant_rows(events, min_events)
     m, rate = m[keep], events[keep] / trace.shots
@@ -203,9 +202,7 @@ def _failure_counts(
 def _significant_rows(failure_events: np.ndarray, min_events: int) -> np.ndarray:
     # The one definition of significance: a mask of the rows with at least
     # min_events failure events.
-    if min_events < 1:
-        raise ValueError(f"min_events must be >= 1, got {min_events}")
-    return failure_events >= min_events
+    return failure_events >= at_least(min_events, 1, "min_events")
 
 
 def _insignificant(min_events: int) -> InfeasibleError:

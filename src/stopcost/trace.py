@@ -43,8 +43,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import TraceIntegrityError, TraceParseError
-from .values import INT64_MAX, _validate_distance, _validate_probability, json_integer, json_number
-from .values import json_fields, json_object, read_json
+from .values import INT64_MAX, _validate_distance, _validate_probability, at_least, json_integer
+from .values import json_fields, json_number, json_object, read_json
 
 PER_SHOT_HEADER = ("runtime_ns", "failed")
 HISTOGRAM_HEADER = ("runtime_ns", "count_total", "count_failed")
@@ -204,10 +204,8 @@ class TraceMetadata(_TraceMetadata):
         self = super().__new__(cls, *args, **kwargs)
         _validate_distance(self.distance)
         _validate_probability(self.physical_error_rate, "physical_error_rate")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.sec_cycle_ns < 1:
-            raise ValueError(f"sec_cycle_ns must be >= 1, got {self.sec_cycle_ns}")
+        at_least(self.shots, 1, "shots")
+        at_least(self.sec_cycle_ns, 1, "sec_cycle_ns")
         return self
 
 

@@ -2,7 +2,9 @@
 
 The command line, the settings file, decoder configs and trace sidecars
 read their values here, so a value is refused the same way wherever it
-arrives.  This module imports only the standard library and
+arrives.  The range rules (a distance, a probability, a lower bound such
+as ``n_T >= 1``) are each stated once here, for the library and the CLI
+alike.  This module imports only the standard library and
 :mod:`stopcost.errors`, so every command can load it.
 """
 
@@ -31,9 +33,18 @@ def _validate_distance(d: int, name: str = "distance") -> None:
         raise ValueError(f"{name} must be an odd integer >= 3, got {d}")
 
 
-def _validate_probability(p: float, name: str) -> None:
+def _validate_probability(p: float, name: str) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"{name} must be in (0, 1), got {p}")
+    return p
+
+
+def at_least(value, low: int, name: str):
+    """``value``, if it is at least ``low``; else a ``ValueError`` that
+    names it."""
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def integer(text: str) -> int:
@@ -108,9 +119,9 @@ def json_object(raw, what: str) -> dict:
 
 def read_json(path: str | Path, what: str):
     """The JSON document in ``path``.  A syntax error, text that is not
-    UTF-8, an integer past Python's digit limit or one of the non-standard
-    ``NaN``, ``Infinity`` and ``-Infinity`` tokens names ``what`` and the
-    path."""
+    UTF-8, an integer past Python's digit limit, nesting past the
+    interpreter's recursion limit or one of the non-standard ``NaN``,
+    ``Infinity`` and ``-Infinity`` tokens names ``what`` and the path."""
     import json
 
     def refuse(token: str):
@@ -119,7 +130,7 @@ def read_json(path: str | Path, what: str):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_constant=refuse)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"invalid {what} JSON in {path}: {exc}") from exc
 
 

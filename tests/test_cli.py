@@ -299,6 +299,62 @@ class TestMincostAndCompare:
         _, table = read_csv_table(out)
         assert table[0][2] == "5"  # trace's own distance
 
+    @pytest.fixture
+    def empirical_config(self, tmp_path):
+        """A d=5 trace and a decoder config whose runtime is that trace."""
+        trace = tmp_path / "t.csv"
+        assert main([
+            "synth", "--model", "quadratic", "--d", "5", "--p", "1e-3", "--shots", "2e5",
+            "--seed", "1", "--out", str(trace),
+        ]) == 0
+        config = tmp_path / "emp.json"
+        config.write_text(json.dumps({
+            "runtime": {"kind": "empirical", "trace": "t.csv"},
+            "failure": {"kind": "heuristic"},
+        }))
+        return trace, config
+
+    def test_empirical_config_is_priced_like_its_trace(self, capsys, empirical_config):
+        # Its exact rates hold at the trace's distance only; they were priced
+        # at every --distances value, under "rate_method: upper_bound".
+        trace, config = empirical_config
+        assert main(["mincost", "--decoder", str(config), "--nT", "1,10,20,1000"]) == 0
+        by_config = capsys.readouterr().out
+        assert main(["mincost", "--trace", str(trace), "--nT", "1,10,20,1000"]) == 0
+        by_trace = capsys.readouterr().out
+        assert "# rate_method: exact\n" in by_config
+        assert read_csv_table(by_config) == read_csv_table(by_trace)
+        assert read_csv_table(by_config)[1] == [
+            ["1", "1800", "5", "1000"], ["10", "18500", "5", "2000"],
+            ["20", "37000", "5", "2000"], ["1000", "inf", "", ""],
+        ]
+
+    def test_compare_prices_an_empirical_config_at_its_trace_distance(
+        self, capsys, empirical_config
+    ):
+        trace, config = empirical_config
+        assert main(["mincost", "--trace", str(trace), "--nT", "1,10,20"]) == 0
+        costs = [row[1] for row in read_csv_table(capsys.readouterr().out)[1]]
+        assert main([
+            "compare", "--decoder-a", str(config), "--decoder-b", "quadratic",
+            "--nT", "1,10,20",
+        ]) == 0
+        assert [row[1] for row in read_csv_table(capsys.readouterr().out)[1]] == costs
+
+    def test_synth_refuses_an_empirical_config_at_another_distance(
+        self, tmp_path, capsys, empirical_config
+    ):
+        _, config = empirical_config
+        out = tmp_path / "s.csv"
+        argv = ["synth", "--model", str(config), "--p", "1e-3", "--shots", "10", "--out", str(out)]
+        assert main([*argv, "--d", "7"]) == 2
+        assert capsys.readouterr().err == (
+            f"stopcost: error: synth --model {config}: its empirical runtime was not "
+            "measured at --d 7\n"
+        )
+        assert not out.exists()
+        assert main([*argv, "--d", "5"]) == 0
+
     def test_infeasible_everywhere_exits_3(self, capsys):
         assert main([
             "mincost", "--decoder", "instantaneous", "--nT", "1e30",
@@ -898,6 +954,18 @@ class TestOneLineErrors:
                 assert err.endswith(f": {token} is not a JSON number\n")
         else:
             assert err == f"stopcost: error: {object_error.format(path=path)}\n"
+
+    @pytest.mark.parametrize("reader", JSON_READERS)
+    def test_deeply_nested_json_file_is_one_line(self, tmp_path, capsys, reader):
+        # Nesting past the recursion limit ended in a RecursionError traceback.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000 + "\n")
+        argv, _ = self.JSON_READERS[reader]
+        assert main([*argv, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"stopcost: error: invalid {reader} JSON in {path}: ")
+        assert err.count("\n") == 1
 
 
 def _limit_address_space():
