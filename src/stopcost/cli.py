@@ -311,6 +311,8 @@ def _parse_distances(text: str) -> list[int]:
         lo_s, hi_s = text.split(":", 1)
         lo, hi = integer(lo_s), integer(hi_s)
         distances = list(range(lo, hi + 1, 2))
+        if not distances:
+            raise ValueError(f"empty distance range {text!r}")
     else:
         distances = _parse_list(text)
     for d in distances:
@@ -603,12 +605,24 @@ def _add_trace_inputs(parser: argparse.ArgumentParser, source=None) -> None:
     parser.add_argument("--sec-cycle-ns", dest="sec_cycle_ns", type=integer, default=None, help="override metadata SEC cycle time")
 
 
+# Each character ``str.splitlines`` breaks a line at, and its escape.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _report(text: str) -> None:
+    """Print ``stopcost: <text>`` on stderr as one line: a line break in
+    ``text`` (in a key or path read from the input, say) is written as its
+    escape."""
+    print(f"stopcost: {text.translate(_LINE_BREAKS)}", file=sys.stderr)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error as one ``stopcost: error:`` line and exits 2,
     without argparse's usage text."""
 
     def error(self, message: str):
-        self.exit(2, f"stopcost: error: {message}\n")
+        _report(f"error: {message}")
+        self.exit(2)
 
 
 def _add_surface(parser: argparse.ArgumentParser) -> None:
@@ -694,7 +708,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # One line each, no source, and each text once per call.
         if str(message) not in shown:
             shown.add(str(message))
-            print(f"stopcost: warning: {message}", file=sys.stderr)
+            _report(f"warning: {message}")
 
     try:
         with warnings.catch_warnings():
@@ -709,22 +723,22 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise InfeasibleError(table.infeasible)
             return 0
     except InfeasibleError as exc:
-        print(f"stopcost: infeasible: {exc}", file=sys.stderr)
+        _report(f"infeasible: {exc}")
         return 3
     except ValueError as exc:
         # covers TraceParseError, TraceIntegrityError, ConfigError
-        print(f"stopcost: error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
     except OverflowError as exc:
         # an input beyond the float or int64 range, e.g. --nT 1e400
-        print(f"stopcost: error: number out of range: {exc}", file=sys.stderr)
+        _report(f"error: number out of range: {exc}")
         return 2
     except OSError as exc:
-        print(f"stopcost: io error: {exc}", file=sys.stderr)
+        _report(f"io error: {exc}")
         return 4
     except MemoryError:
         # an input that asks for more than fits, e.g. --distances 3:1e13
-        print("stopcost: error: out of memory", file=sys.stderr)
+        _report("error: out of memory")
         return 2
 
 

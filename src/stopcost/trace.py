@@ -26,10 +26,10 @@ this fast path only when it breaks the grammar or the file's counts pass
 2**63; the file is then read by the row validator, which is the one
 definition of the grammar and the source of every line-numbered error.
 One-shot rows are aggregated by sorting their runtimes, and the failed
-shots' runtimes, but a block that is one line repeated has that line
-converted once.  Rows that are already a sorted histogram pass through
-unsorted and uncopied, and the parts of a file are folded as they are
-read (:func:`fold_histograms`).
+shots' runtimes, but a run of one repeated line is converted once per
+read, however many blocks it spans.  Rows that are already a sorted
+histogram pass through unsorted and uncopied, and the parts of a file are
+folded as they are read (:func:`fold_histograms`).
 """
 
 from __future__ import annotations
@@ -439,8 +439,7 @@ def _parse_block(
     block: bytes, fields: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """One block of whole canonical lines aggregated, or None if it breaks the
-    grammar or its counts pass 2**63; a repeated line is converted once."""
-    block, copies = _repeated_line(block)
+    grammar or its counts pass 2**63."""
     buf = np.frombuffer(block, dtype=np.uint8)
     # No byte is above '9', and every byte below '0' is a separator.  When
     # each fields-th one is a '\n' and all the others are commas, every row
@@ -478,13 +477,9 @@ def _parse_block(
             return None
         # The block's counts must sum below 2**63; the exact sum is taken
         # only when the largest count on every row could pass it.
-        most = int(totals.max()) * rows
-        if most * copies > INT64_MAX and sum(totals.tolist()) * copies > INT64_MAX:
+        if int(totals.max()) * rows > INT64_MAX and sum(totals.tolist()) > INT64_MAX:
             return None
         part = aggregate_runtimes(runtimes, totals, failed)
-    if copies > 1:
-        runtimes, totals, failed = part
-        part = runtimes, totals * copies, failed * copies
     return part
 
 
@@ -493,7 +488,7 @@ def _repeated_line(block: bytes) -> tuple[bytes, int]:
     exactly, or ``block`` itself and 1 if no copies of one line do."""
     line = block[: block.index(b"\n") + 1]
     copies = len(block) // len(line)
-    if len(block) != copies * len(line) or block.count(line) != copies:
+    if len(block) != copies * len(line) or block != line * copies:
         return block, 1
     return line, copies
 
@@ -521,9 +516,14 @@ def _canonical_parts(
     fh, fields: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Each block of ``fh`` aggregated; raises :class:`_NotCanonical` at the
-    first block that is not canonical."""
+    first block that is not canonical.
+
+    A block that is one line repeated is parsed as that line and its part
+    multiplied by the copies; a block that repeats the previous block's
+    line reuses that line's part, with no parse."""
     shots = 0
     pending = b""
+    line, part = None, None  # the previous block's line if it was repeated, and its part
     while chunk := fh.read(BLOCK_BYTES):
         data = pending + chunk
         cut = data.rfind(b"\n") + 1
@@ -532,13 +532,18 @@ def _canonical_parts(
             raise _NotCanonical
         if not cut:
             continue
-        part = _parse_block(data[:cut], fields)
+        previous = line
+        line, copies = _repeated_line(data[:cut])
+        if line != previous:
+            part = _parse_block(line, fields)
         if part is None:
             raise _NotCanonical
-        shots += int(part[1].sum())
+        if copies == 1:
+            line = None  # hold no block past its parse
+        shots += int(part[1].sum()) * copies
         if shots > INT64_MAX:
             raise _NotCanonical
-        yield part
+        yield part if copies == 1 else (part[0], part[1] * copies, part[2] * copies)
     if pending:
         raise _NotCanonical  # no final newline
 

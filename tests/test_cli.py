@@ -967,6 +967,20 @@ class TestOneLineErrors:
         assert err.startswith(f"stopcost: error: invalid {reader} JSON in {path}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["mincost", "--decoder", "linear", "--nT", "10"],
+         ["compare", "--decoder-a", "linear", "--decoder-b", "quadratic", "--nT", "10"]],
+        ids=["mincost", "compare"],
+    )
+    @pytest.mark.parametrize("text", ["9:3", "5:4"])
+    def test_empty_distance_range_is_one_line(self, capsys, argv, text):
+        # An empty range was reported by the name of a library parameter.
+        assert main([*argv, "--distances", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"stopcost: error: empty distance range {text!r}\n"
+
 
 def _limit_address_space():
     import resource

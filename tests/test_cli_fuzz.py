@@ -282,6 +282,11 @@ NO_FILES = {"run_config": {}, "meta_file": {}}
     argv=["trace-stats", "--trace", "@/ns.csv", "--meta", META_FILE],
     decoder_config={}, run_config={}, meta_file={"distance": 7, "shots": None, "zz": 1},
 )
+# A key with a character str.splitlines breaks a line at, named in the error.
+@example(
+    argv=["required-distance", "--nT", "10", "--config", CONFIG_FILE],
+    decoder_config={}, run_config={"\x1e": None}, meta_file={},
+)
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 def test_cli_exits_cleanly_on_any_input(workdir, argv, decoder_config, run_config, meta_file):

@@ -473,6 +473,18 @@ def repeated_runs(draw):
 # '1,0\n' is in '1,0\n2,0\n' once, and in '1,0\n1,0\n11,0\n' three times.
 @example(("per_shot", [((1, 1, 0), 1), ((2, 1, 0), 1)]), 1 << 16)
 @example(("per_shot", [((1, 1, 0), 2), ((11, 1, 0), 1)]), 1 << 16)
+# In small blocks a run spans many blocks, each reusing the previous block's
+# part: runs A, B, A, where A's line comes back after another run's;
+@example(("per_shot", [((3, 1, 0), 40), ((12, 1, 1), 40), ((3, 1, 0), 40)]), 16)
+@example(("per_shot", [((3, 1, 0), 40), ((12, 1, 1), 40), ((3, 1, 0), 40)]), 64)
+@example(("histogram", [((3, 2, 1), 30), ((12, 5, 0), 30), ((3, 2, 1), 30)]), 16)
+@example(("histogram", [((3, 2, 1), 30), ((12, 5, 0), 30), ((3, 2, 1), 30)]), 64)
+# a zero-total row, whose reused part is empty;
+@example(("histogram", [((5, 0, 0), 200)]), 16)
+@example(("histogram", [((5, 0, 0), 200)]), 64)
+# and 10**17 counts that pass 2**63 only summed over several blocks.
+@example(("histogram", [((7, 10**17, 0), 93)]), 16)
+@example(("histogram", [((7, 10**17, 0), 93)]), 64)
 def test_repeated_lines_parse_like_the_row_validator(case, block_bytes):
     layout, runs = case
     rows = [row for row, repeat in runs for _ in range(repeat)]
@@ -504,6 +516,16 @@ def line_repeats(draw):
     return (2 if layout == "per_shot" else 3), bytes(line), draw(st.integers(1, 300))
 
 
+def _block_part(block, fields):
+    """The part the fast path reads from ``block`` as one block, or None if
+    it leaves the fast path."""
+    with mock.patch.object(trace_module, "BLOCK_BYTES", len(block)):
+        try:
+            return next(trace_module._canonical_parts(io.BytesIO(block), fields))
+        except trace_module._NotCanonical:
+            return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(line_repeats())
 @example((3, b"5,0,0\n", 200))
@@ -513,9 +535,9 @@ def line_repeats(draw):
 def test_repeated_line_block_parses_like_the_general_path(case):
     fields, line, repeats = case
     block = line * repeats
-    got = trace_module._parse_block(block, fields)
+    got = _block_part(block, fields)
     with mock.patch.object(trace_module, "_repeated_line", lambda block: (block, 1)):
-        general = trace_module._parse_block(block, fields)
+        general = _block_part(block, fields)
     assert (got is None) == (general is None)
     if got is not None:
         assert [column.dtype for column in got] == [column.dtype for column in general]
@@ -535,8 +557,9 @@ def _blocks(data, block_bytes):
 
 @pytest.mark.parametrize("block_bytes", [trace_module.BLOCK_BYTES, 4096])
 def test_sorted_per_shot_trace_converts_only_blocks_with_a_run_boundary(tmp_path, block_bytes):
-    # 3e5 shots over 12 runtimes, written sorted: every block inside a run of
-    # equal lines converts its one line, and only the blocks that hold a run
+    # 3e5 shots over 12 runtimes, written sorted: the first block inside a run
+    # of equal lines converts its one line, the blocks that continue the run
+    # reuse it and convert nothing, and only the blocks that hold a run
     # boundary convert their rows.
     rng = np.random.default_rng(11)
     runtimes = np.arange(1, 13) * 1237
@@ -547,25 +570,40 @@ def test_sorted_per_shot_trace_converts_only_blocks_with_a_run_boundary(tmp_path
     path = tmp_path / "t.csv"
     write_trace_csv(trace, path, per_shot=True)
     body = path.read_bytes().split(b"\n", 1)[1]
-    blocks = list(_blocks(body, block_bytes))
-    assert len(blocks) >= 20
+    expected = []  # values converted per block
+    previous = None  # the lines of the previous block
+    for block in _blocks(body, block_bytes):
+        lines = set(block.splitlines())
+        if len(lines) > 1:
+            expected.append(block.count(b"\n"))
+        else:
+            expected.append(0 if lines == previous else 1)
+        previous = lines
+    assert len(expected) >= 20
+    assert 0 < sum(count > 1 for count in expected) < 2 * 12
+    assert 0 in expected and 1 in expected
     converted = []
     real_fromstring = np.fromstring
+    real_repeated_line = trace_module._repeated_line
 
     def counted_fromstring(*args, **kwargs):
         values = real_fromstring(*args, **kwargs)
-        converted.append(values.size)
+        converted[-1] += values.size
         return values
+
+    def each_block(block):  # called once per block read
+        converted.append(0)
+        return real_repeated_line(block)
 
     with mock.patch.object(trace_module, "BLOCK_BYTES", block_bytes), mock.patch.object(
         np, "fromstring", counted_fromstring
-    ):
-        assert parse_trace(path, None, metadata._asdict()) == trace
-    boundaries = [len(set(block.splitlines())) > 1 for block in blocks]
-    assert converted == [
-        block.count(b"\n") if boundary else 1 for block, boundary in zip(blocks, boundaries)
-    ]
-    assert 0 < sum(boundaries) < 2 * 12
+    ), mock.patch.object(trace_module, "_repeated_line", each_block):
+        # A second read of the same file converts the same values again: no
+        # part is kept from one read to the next.
+        for _ in range(2):
+            assert parse_trace(path, None, metadata._asdict()) == trace
+            assert converted == expected
+            converted.clear()
 
 
 @pytest.mark.parametrize("block_bytes", [64, 1000, 1 << 12])
