@@ -55,7 +55,7 @@ from .values import (
 )
 
 if TYPE_CHECKING:
-    from .cost import DecoderFactory
+    from .models import DecoderFactory, DecoderModel
     from .trace import RuntimeTrace
 
 BUILTIN_DECODERS = ("quadratic", "linear", "instantaneous")
@@ -70,6 +70,11 @@ class RunConfig(NamedTuple):
     schedule: GateSchedule = GateSchedule()
     output_format: str = "csv"
     seed: int = 0
+
+    @property
+    def pricing(self) -> tuple:
+        """(epsilon, t_sec_ns, schedule, min_events), as the cost functions take them."""
+        return self.epsilon, self.t_sec_ns, self.schedule, self.min_failure_events
 
 
 class Table(NamedTuple):
@@ -338,17 +343,11 @@ def _load_trace(args: argparse.Namespace) -> RuntimeTrace:
     return parse_trace(args.trace, meta, overrides)
 
 
-def _resolve_decoder(source: str, p: float) -> tuple[DecoderFactory, str]:
-    """Map a --decoder argument to a distance -> model factory and the rate
-    method its costs are priced with.
-
-    A config with a measured (empirical) runtime is priced as ``mincost
-    --trace`` prices its trace: with exact rates, at the trace's distance
-    only, so the factory gives None at any other.
-    """
+def _resolve_decoder(source: str, p: float) -> DecoderModel | DecoderFactory:
+    """A --decoder argument's model: a config's, the instantaneous one, or
+    a reference family's distance -> model factory at ``p``."""
     from .models import (
         DecoderModel,
-        EmpiricalRuntime,
         HeuristicFailure,
         InstantaneousRuntime,
         load_decoder_config,
@@ -356,17 +355,12 @@ def _resolve_decoder(source: str, p: float) -> tuple[DecoderFactory, str]:
     )
 
     if source == "quadratic":
-        return (lambda d: make_reference_decoders(d, p)[0]), "upper_bound"
+        return lambda d: make_reference_decoders(d, p)[0]
     if source == "linear":
-        return (lambda d: make_reference_decoders(d, p)[1]), "upper_bound"
+        return lambda d: make_reference_decoders(d, p)[1]
     if source == "instantaneous":
-        model = DecoderModel("instantaneous", InstantaneousRuntime(), HeuristicFailure())
-    else:
-        model = load_decoder_config(source)
-    if isinstance(model.runtime, EmpiricalRuntime):
-        own = model.runtime.trace.metadata.distance
-        return (lambda d: model if d == own else None), "exact"
-    return (lambda d: model), "upper_bound"
+        return DecoderModel("instantaneous", InstantaneousRuntime(), HeuristicFailure())
+    return load_decoder_config(source)
 
 
 # ---------------------------------------------------------------------------
@@ -452,33 +446,23 @@ def cmd_surface(args: argparse.Namespace, config: RunConfig, trace: None) -> Tab
 
 
 def cmd_mincost(args: argparse.Namespace, config: RunConfig, trace: RuntimeTrace | None) -> Table:
-    """A trace prices its own distance, a decoder every ``--distances`` value."""
+    """A measured decoder (a ``--trace`` or a config's) is priced at its
+    trace's distance, an analytic one at every ``--distances`` value."""
     from .cost import min_spacetime_costs
+    from .models import DecoderModel, EmpiricalRuntime, HeuristicFailure, _model_at
 
+    distances = _parse_distances(args.distances)
     if trace is not None:
-        from .models import DecoderModel, EmpiricalRuntime, HeuristicFailure
-
-        label = Path(args.trace).stem
-        model = DecoderModel(label, EmpiricalRuntime(trace), HeuristicFailure())
-        factory, rate_method = (lambda d: model), "exact"
-        p, distances = trace.metadata.physical_error_rate, [trace.metadata.distance]
+        label, p = Path(args.trace).stem, trace.metadata.physical_error_rate
+        decoder = DecoderModel(label, EmpiricalRuntime(trace), HeuristicFailure())
     else:
         label, p = args.decoder, (1e-3 if args.p is None else args.p)
-        distances = _parse_distances(args.distances)
-        factory, rate_method = _resolve_decoder(label, p)
+        decoder = _resolve_decoder(label, p)
     n_T_values = _parse_list(args.nT)
-    results = min_spacetime_costs(
-        factory,
-        p,
-        n_T_values,
-        distances,
-        config.epsilon,
-        t_sec_ns=config.t_sec_ns,
-        schedule=config.schedule,
-        min_events=config.min_failure_events,
-    )
+    results = min_spacetime_costs(decoder, p, n_T_values, distances, *config.pricing)
     costs, chosen_d, chosen_m, _ = zip(*results)
     columns = {"n_T": n_T_values, "cost": costs, "distance": chosen_d, "M_ns": chosen_m}
+    rate_method = _model_at(decoder, distances[0]).rate_method
     extras = {"decoder": label, "physical_error_rate": p, "rate_method": rate_method}
     infeasible = None
     if not any(r.feasible for r in results):
@@ -491,15 +475,12 @@ def cmd_compare(args: argparse.Namespace, config: RunConfig, trace: None) -> Tab
 
     distances = _parse_distances(args.distances)
     rows = compare_decoders(
-        _resolve_decoder(args.decoder_a, args.p)[0],
-        _resolve_decoder(args.decoder_b, args.p)[0],
+        _resolve_decoder(args.decoder_a, args.p),
+        _resolve_decoder(args.decoder_b, args.p),
         args.p,
         _parse_list(args.nT),
         distances,
-        config.epsilon,
-        t_sec_ns=config.t_sec_ns,
-        schedule=config.schedule,
-        min_events=config.min_failure_events,
+        *config.pricing,
     )
     columns = dict(zip(("n_T", "cost_a", "cost_b", "ratio"), zip(*rows)))
     extras = {
@@ -520,11 +501,11 @@ def cmd_synth(args: argparse.Namespace, config: RunConfig, trace: None) -> None:
     meta_path = out_path.with_suffix(".json")
     if meta_path == out_path:
         raise ConfigError(f"synth --out {args.out} would be overwritten by its .json sidecar")
-    from .models import sample_trace
+    from .models import _model_at, sample_trace
     from .trace import check_per_shot_rows, write_metadata, write_trace_csv
 
-    model = _resolve_decoder(args.model, args.p)[0](args.d)
-    if model is None:
+    model = _model_at(_resolve_decoder(args.model, args.p), args.d)
+    if model.measured_distance not in (None, args.d):
         raise ConfigError(
             f"synth --model {args.model}: its empirical runtime was not measured at --d {args.d}"
         )
@@ -637,7 +618,7 @@ def _add_mincost(parser: argparse.ArgumentParser) -> None:
     source.add_argument("--decoder", type=nonempty, default=None, help=f"decoder config JSON or one of {', '.join(BUILTIN_DECODERS)}; --p sets its physical error rate (default 1e-3)")
     _add_trace_inputs(parser, source)
     parser.add_argument("--nT", required=True, help="comma list of T-gate counts")
-    parser.add_argument("--distances", default="3:31", help="odd distances, e.g. 3:31 or 3,5,7 (default 3:31)")
+    parser.add_argument("--distances", default="3:31", help="odd distances for an analytic decoder, e.g. 3:31 or 3,5,7 (default 3:31); a measured one uses its trace's d")
 
 
 def _add_compare(parser: argparse.ArgumentParser) -> None:
@@ -645,7 +626,7 @@ def _add_compare(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--decoder-b", dest="decoder_b", type=nonempty, required=True)
     parser.add_argument("--p", type=float, default=1e-3, help="physical error rate (default 1e-3)")
     parser.add_argument("--nT", required=True, help="comma list of T-gate counts")
-    parser.add_argument("--distances", default="3:31", help="odd distances (default 3:31)")
+    parser.add_argument("--distances", default="3:31", help="odd distances for an analytic decoder (default 3:31); a measured one uses its trace's d")
 
 
 def _add_synth(parser: argparse.ArgumentParser) -> None:

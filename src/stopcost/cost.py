@@ -8,11 +8,11 @@ infinity.
 
 Stopping-time candidates depend on how the decoder is described:
 
-* trace-backed decoders use their significant observed stopping times and
-  the exact interrupted failure rate ("exact");
+* a measured runtime uses its trace's significant stopping times and the
+  exact interrupted failure rate ("exact"), at its trace's distance only;
 * analytic runtime models use the survival quantiles 1 - 10**-k for
   k = 1..16 plus the uninterrupted maximum, with the additive bound
-  p_fail + P(t > M) as the rate ("upper_bound").
+  p_fail + P(t > M) as the rate ("upper_bound"), at every distance.
 
 Feasible costs are exact integers (qubit * SEC cycles); infeasible points
 are float('inf').
@@ -23,26 +23,25 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .models import (
     BinomialRuntime,
+    DecoderFactory,
     DecoderModel,
-    EmpiricalRuntime,
     InstantaneousRuntime,
     _log_pmf,
+    _model_at,
     binomial_survival,
     python_values,
 )
 from .ranges import GateSchedule, decoder_range, sec_depth
-from .values import at_least
+from .values import _validate_probability, at_least
 
 QUANTILE_TAIL_EXPONENTS = range(1, 17)
 # Largest spread sqrt(N*Q*(1-Q)), in units, of a binomial runtime law that
 # gets a quantile ladder: its sweep and survival sums take O(spread) steps.
 LADDER_SPREAD_LIMIT = 10**5
-
-DecoderFactory = Callable[[int], Union[DecoderModel, None]]
 
 
 class StoppingCandidate(NamedTuple):
@@ -167,9 +166,10 @@ def stopping_candidates(
     failure rate of the interrupted decoder and the resulting range.
     """
     blocks = _candidate_blocks(decoder, d, p, epsilon, t_sec_ns, schedule, min_events, ladders={})
+    method = decoder.rate_method
     return [
         StoppingCandidate(*row, method)
-        for m, rate, n_T, method in blocks
+        for m, rate, n_T in blocks
         for row in zip(python_values(m), python_values(rate), python_values(n_T))
     ]
 
@@ -183,18 +183,18 @@ def _candidate_blocks(
     schedule: GateSchedule,
     min_events: int,
     ladders: dict[BinomialRuntime, list[tuple[int, float]]],
-) -> Iterator[tuple[Sequence[int], Sequence[float], Sequence[int], str]]:
+) -> Iterator[tuple[Sequence[int], Sequence[float], Sequence[int]]]:
     # (M, rate, range) columns of one decoder at one distance, ascending
-    # in M, and the rate method, in consecutive blocks.  A trace gives numpy
-    # columns straight from its range curve's blocks; an analytic law gives
-    # one block of a few Python ints and floats, whose M may pass 2**63.
-    # ``ladders`` memoises the binomial quantile ladder per runtime law.
+    # in M, in consecutive blocks.  A measured runtime ("exact") gives numpy
+    # columns straight from its trace's range curve blocks; an analytic law
+    # gives one block of a few Python ints and floats, whose M may pass
+    # 2**63.  ``ladders`` memoises the binomial quantile ladder per law.
     runtime = decoder.runtime
-    if isinstance(runtime, EmpiricalRuntime):
+    if decoder.rate_method == "exact":
         from .stopping import range_blocks
 
         for curve in range_blocks(runtime.trace, d, epsilon, t_sec_ns, min_events, schedule):
-            yield curve.stopping_time_ns, curve.failure_rate, curve.n_T, "exact"
+            yield curve.stopping_time_ns, curve.failure_rate, curve.n_T
         return
     if isinstance(runtime, BinomialRuntime):
         if runtime not in ladders:
@@ -214,7 +214,7 @@ def _candidate_blocks(
         decoder_range(d, mi, ri, epsilon, t_sec_ns=t_sec_ns, schedule=schedule).n_T
         for mi, ri in points
     ]
-    yield m, rate, n_T, "upper_bound"
+    yield m, rate, n_T
 
 
 def _candidate_table(
@@ -229,22 +229,21 @@ def _candidate_table(
     """The frontier: ``(range, cost per gate, d, M, rate method)`` rows, by
     range descending.  Per distance it keeps the rows where the running
     maximum range over ascending M rises; any other row is dominated by an
-    earlier one, which covers as much at no more cost per gate."""
-    factory: DecoderFactory
-    if isinstance(decoder, DecoderModel):
-        factory = lambda _d: decoder  # noqa: E731 - constant family
-    else:
-        factory = decoder
+    earlier one, which covers as much at no more cost per gate.  A model
+    is priced at its ``measured_distance`` only, if it has one."""
+    if isinstance(decoder, DecoderModel) and decoder.measured_distance is not None:
+        d_candidates = [decoder.measured_distance]
     # One quantile ladder per runtime law, shared by every distance of
     # this table (a fixed decoder has the same law at every distance).
     ladders: dict[BinomialRuntime, list[tuple[int, float]]] = {}
     rows = []
     for d in sorted(set(d_candidates)):
-        model = factory(d)
-        if model is None:
+        model = _model_at(decoder, d)
+        if model.measured_distance not in (None, d):
             continue
+        method = model.rate_method
         reach = 0  # no workload n_T >= 1 is covered by a range of 0
-        for m, _, n_T, method in _candidate_blocks(
+        for m, _, n_T in _candidate_blocks(
             model, d, p, epsilon, t_sec_ns, schedule, min_events, ladders
         ):
             if method == "exact":  # numpy columns: a rise is one of the block's own
@@ -274,15 +273,16 @@ def min_spacetime_costs(
     over all candidate (distance, stopping time) pairs, ties broken toward
     smaller d then smaller M; one frontier answers them all.
 
-    ``decoder`` is either a fixed model (used at every distance) or a
-    factory mapping a distance to a model, returning None to skip
-    distances it cannot describe (e.g. a trace measured at a single d).
+    ``decoder`` is a fixed model or a factory mapping a distance to one.
+    A measured model is priced at its ``measured_distance`` only, a bare
+    one whatever ``d_candidates`` says; an analytic one at every candidate.
     """
     n_T_values = list(n_T_values)
     if not d_candidates:
         raise ValueError("d_candidates must be nonempty")
     for n_T in n_T_values:
         at_least(n_T, 1, "n_T")
+    _validate_probability(p, "p")
     rows = _candidate_table(
         decoder, p, d_candidates, epsilon, t_sec_ns, schedule, min_events
     )

@@ -387,6 +387,24 @@ class DecoderModel(NamedTuple):
     runtime: RuntimeModel
     failure: FailureModel
 
+    @property
+    def rate_method(self) -> str:
+        """``"exact"`` for a measured runtime, else ``"upper_bound"``."""
+        return "exact" if isinstance(self.runtime, EmpiricalRuntime) else "upper_bound"
+
+    @property
+    def measured_distance(self) -> int | None:
+        """The one distance a measured runtime holds at; None for an analytic law."""
+        return self.runtime.trace.metadata.distance if self.rate_method == "exact" else None
+
+
+DecoderFactory = Callable[[int], DecoderModel]
+
+
+def _model_at(decoder: DecoderModel | DecoderFactory, d: int) -> DecoderModel:
+    """``decoder`` itself, or its factory's model at distance ``d``."""
+    return decoder if isinstance(decoder, DecoderModel) else decoder(d)
+
 
 def make_reference_decoders(d: int, p: float) -> tuple[DecoderModel, DecoderModel]:
     """Reference quadratic-time and linear-time decoder models.

@@ -341,6 +341,49 @@ class TestMincostAndCompare:
         ]) == 0
         assert [row[1] for row in read_csv_table(capsys.readouterr().out)[1]] == costs
 
+    def test_distances_do_not_apply_to_an_empirical_config(
+        self, capsys, empirical_config
+    ):
+        # --distances 3,7 misses the trace's d = 5; it used to price nothing
+        # and exit 3 ("no (distance, stopping time) pair reaches any
+        # requested n_T"), and compare to exit 3 as well.
+        trace, config = empirical_config
+        argv = ["--nT", "1,10,20,1000", "--distances", "3,7"]
+        assert main(["mincost", "--decoder", str(config), *argv]) == 0
+        by_config = capsys.readouterr().out
+        assert main(["mincost", "--trace", str(trace), "--nT", "1,10,20,1000"]) == 0
+        by_trace = capsys.readouterr().out
+        assert read_csv_table(by_config) == read_csv_table(by_trace)
+        assert main([
+            "compare", "--decoder-a", str(config), "--decoder-b", "quadratic",
+            "--nT", "10", "--distances", "3,7",
+        ]) == 0
+        assert read_csv_table(capsys.readouterr().out)[1] == [
+            ["10", "18500", "3960", "4.671717171717172"]
+        ]
+
+    def test_trace_distances_are_parsed(self, capsys, empirical_config):
+        # They used to be ignored unread with --trace.
+        trace, _ = empirical_config
+        assert main(["mincost", "--trace", str(trace), "--nT", "10", "--distances", "banana"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "stopcost: error: invalid integer 'banana'\n"
+
+    @pytest.mark.parametrize("command", ["mincost", "compare"])
+    def test_physical_error_rate_is_checked_for_an_empirical_config(
+        self, capsys, empirical_config, command
+    ):
+        # A measured decoder's rates never read p; 7 was printed as its
+        # physical_error_rate and the call exited 0.
+        _, config = empirical_config
+        sources = {"mincost": ["--decoder", str(config)],
+                   "compare": ["--decoder-a", str(config), "--decoder-b", str(config)]}
+        assert main([command, *sources[command], "--nT", "10", "--p", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "stopcost: error: p must be in (0, 1), got 7.0\n"
+
     def test_synth_refuses_an_empirical_config_at_another_distance(
         self, tmp_path, capsys, empirical_config
     ):

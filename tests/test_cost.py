@@ -33,6 +33,13 @@ from stopcost.ranges import RANGE_SATURATION_CAP
 INSTANT = DecoderModel("instant", InstantaneousRuntime(), HeuristicFailure())
 
 
+def measured_at(dist, d):
+    """A decoder whose runtime is ``dist``'s counts, measured at distance ``d``."""
+    trace = RuntimeTrace(dist.metadata._replace(distance=d), dist.runtimes_ns, dist.counts,
+                         dist.failed_counts)
+    return DecoderModel("trace", EmpiricalRuntime(trace), HeuristicFailure())
+
+
 class TestSpacetimeCost:
     def test_minimal_workload_at_d3(self):
         point = spacetime_cost(1, 3, 0, range_at_point=71)
@@ -143,20 +150,42 @@ class TestMinSpacetimeCost:
             if (prev.distance, prev.stopping_time_ns) == (curr.distance, curr.stopping_time_ns):
                 assert curr.cost * (n_T - 1) == prev.cost * n_T  # cost/n_T constant
 
-    def test_trace_backed_factory_skips_other_distances(self):
+    @staticmethod
+    def measured_at_5():
         # rate 25/10000 at M = 1 cycle gives range floor(2.5/(0.0025*36)) = 27
+        # at d = 5, and floor(1.5/(0.0025*22)) = 27 at d = 3, which is cheaper.
         records = [(1000, True)] * 25 + [(1000, False)] * 9975
         meta = TraceMetadata(
             distance=5, physical_error_rate=1e-3, shots=10000, sec_cycle_ns=1000
         )
         dist = trace_from_records(meta, records)
-        measured = DecoderModel("measured", EmpiricalRuntime(dist), EmpiricalFailure(0.0025, 25))
-        factory = lambda d: measured if d == 5 else None  # noqa: E731
+        return DecoderModel("measured", EmpiricalRuntime(dist), EmpiricalFailure(0.0025, 25))
+
+    def test_trace_backed_factory_skips_other_distances(self):
+        measured = self.measured_at_5()
+        assert (measured.rate_method, measured.measured_distance) == ("exact", 5)
+        factory = lambda d: measured  # noqa: E731 - measured at d = 5 only
         result = min_spacetime_costs(factory, 1e-3, [10], range(3, 32, 2), 0.5)[0]
         assert result.distance == 5
         assert result.stopping_time_ns == 1000
         assert result.rate_method == "exact"
         assert result.cost == 2 * 25 * 10 * 36
+
+    def test_bare_measured_model_is_priced_at_its_trace_distance(self):
+        # Neither d = 3 nor d = 7 is the trace's distance; the trace is
+        # priced at its own d = 5 all the same.
+        result = min_spacetime_costs(self.measured_at_5(), 1e-3, [10], [3, 7], 0.5)[0]
+        assert (result.cost, result.distance, result.stopping_time_ns) == (2 * 25 * 10 * 36, 5, 1000)
+        assert result.rate_method == "exact"
+
+    def test_physical_error_rate_is_checked_for_a_measured_model(self):
+        # A measured model's rates never read p, so only this check sees it.
+        measured = self.measured_at_5()
+        for p in (7.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match=r"^p must be in \(0, 1\), got"):
+                min_spacetime_costs(measured, p, [10], [5], 0.5)
+            with pytest.raises(ValueError, match=r"^p must be in \(0, 1\), got"):
+                compare_decoders(measured, measured, p, [10], [5], 0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -427,11 +456,21 @@ def scan_min_cost(table, n_T, t_sec_ns, schedule):
 
 def scan_min_costs(decoder, p, n_T_values, distances, epsilon, t_sec_ns=1000,
                    schedule=GateSchedule(), min_events=20):
-    factory = (lambda _d: decoder) if isinstance(decoder, DecoderModel) else decoder
+    """A trace measured at one distance is priced there only: a bare one at
+    that distance whatever ``distances`` says, a factory's nowhere else."""
+    def measured_elsewhere(model, d):
+        runtime = model.runtime
+        return isinstance(runtime, EmpiricalRuntime) and runtime.trace.metadata.distance != d
+
+    factory = decoder
+    if isinstance(decoder, DecoderModel):
+        factory = lambda _d: decoder  # noqa: E731
+        if isinstance(decoder.runtime, EmpiricalRuntime):
+            distances = [decoder.runtime.trace.metadata.distance]
     table = [
         (d, cand)
         for d in sorted(set(distances))
-        if (model := factory(d)) is not None
+        if not measured_elsewhere(model := factory(d), d)
         for cand in stopping_candidates(model, d, p, epsilon, t_sec_ns, schedule, min_events)
     ]
     return [scan_min_cost(table, n_T, t_sec_ns, schedule) for n_T in n_T_values]
@@ -503,9 +542,10 @@ schedules = st.builds(GateSchedule, *(st.integers(1, 3) for _ in range(4)))
 )
 def test_frontier_matches_scan_on_traces(dist, at_one_distance, distances, n_T_values,
                                          epsilon, t_sec_ns, min_events, schedule):
-    model = DecoderModel("trace", EmpiricalRuntime(dist), HeuristicFailure())
-    only = distances[0]
-    factory = (lambda d: model if d == only else None) if at_one_distance else (lambda d: model)
+    # Each distance gets the counts measured there, or every distance gets
+    # them measured at the first one, where alone they are priced.
+    only = measured_at(dist, distances[0])
+    factory = (lambda d: only) if at_one_distance else (lambda d: measured_at(dist, d))
     assert_frontier_matches_scan(
         factory, 1e-3, n_T_values, distances, epsilon,
         t_sec_ns=t_sec_ns, schedule=schedule, min_events=min_events,
@@ -586,12 +626,14 @@ def test_frontier_picks_the_saturated_row_exactly_at_the_cap():
 
 
 def test_equal_costs_go_to_the_smaller_distance():
-    # One trace used at d = 3 and 5: 999,931 shots finish at 1 cycle, 69 at
-    # 79 cycles (10 of them failing).  For n_T = 1000, d = 3 needs the
-    # 79-cycle stopping time and d = 5 covers it at 1 cycle, and both cost
-    # 1,800,000 = 2*9*(21+79)*1000 = 2*25*(35+1)*1000.
+    # The same counts measured at d = 3 and 5: 999,931 shots finish at 1
+    # cycle, 69 at 79 cycles (10 of them failing).  For n_T = 1000, d = 3
+    # needs the 79-cycle stopping time and d = 5 covers it at 1 cycle, and
+    # both cost 1,800,000 = 2*9*(21+79)*1000 = 2*25*(35+1)*1000.
     meta = TraceMetadata(distance=3, physical_error_rate=1e-3, shots=10**6, sec_cycle_ns=1000)
     dist = RuntimeTrace(meta, [1000, 79000], [999_931, 69], [0, 10])
-    model = DecoderModel("trace", EmpiricalRuntime(dist), HeuristicFailure())
-    (result,) = assert_frontier_matches_scan(model, 1e-3, [1000], [5, 3], 0.5, min_events=1)
+    factory = lambda d: measured_at(dist, d)  # noqa: E731
+    (result,) = assert_frontier_matches_scan(factory, 1e-3, [1000], [5, 3], 0.5, min_events=1)
     assert (result.cost, result.distance, result.stopping_time_ns) == (1_800_000, 3, 79000)
+    (tied,) = min_spacetime_costs(factory, 1e-3, [1000], [5], 0.5, min_events=1)
+    assert (tied.cost, tied.distance, tied.stopping_time_ns) == (1_800_000, 5, 1000)
