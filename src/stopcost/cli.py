@@ -59,6 +59,7 @@ if TYPE_CHECKING:
     from .trace import RuntimeTrace
 
 BUILTIN_DECODERS = ("quadratic", "linear", "instantaneous")
+OUTPUT_FORMATS = ("csv", "json")
 DEFAULT_SURFACE_ALPHAS = [round(0.05 * k, 2) for k in range(1, 21)]
 DEFAULT_SURFACE_CYCLES = [0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000]
 
@@ -92,29 +93,28 @@ class Table(NamedTuple):
     rows: int | None = None
 
 
-def _output_format(value) -> str:
-    value = json_string(value)
-    if value not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {value!r}")
+def _output_format(value: str) -> str:
+    if value not in OUTPUT_FORMATS:
+        raise ConfigError(f"format must be {' or '.join(OUTPUT_FORMATS)}, got {value!r}")
     return value
 
 
-def _schedule_from_json(raw) -> GateSchedule:
-    parsers = dict.fromkeys(GateSchedule._fields, json_integer)
-    return GateSchedule(**json_fields(raw, parsers, "schedule"))
-
-
-# Config file key -> (RunConfig field, parser of the JSON value, the
-# argparse dest of the flag that overrides it, if any).
+# Config file key -> (RunConfig field, parser of the JSON value, check of
+# the parsed value, the argparse dest of the flag that overrides it, if any).
 CONFIG_KEYS = {
-    "epsilon": ("epsilon", lambda v: _validate_probability(json_number(v), "epsilon"), "epsilon"),
-    "t_sec_ns": ("t_sec_ns", lambda v: at_least(json_integer(v), 1, "t_sec_ns"), "t_sec_ns"),
+    "epsilon": ("epsilon", json_number, lambda v: _validate_probability(v, "epsilon"), "epsilon"),
+    "t_sec_ns": ("t_sec_ns", json_integer, lambda v: at_least(v, 1, "t_sec_ns"), "t_sec_ns"),
     "min_failure_events": (
-        "min_failure_events", lambda v: at_least(json_integer(v), 1, "min_events"), "min_events"
+        "min_failure_events", json_integer, lambda v: at_least(v, 1, "min_events"), "min_events"
     ),
-    "schedule": ("schedule", _schedule_from_json, None),
-    "format": ("output_format", _output_format, "format"),
-    "seed": ("seed", lambda v: at_least(json_integer(v), 0, "seed"), "seed"),
+    "schedule": (
+        "schedule",
+        lambda v: json_fields(v, dict.fromkeys(GateSchedule._fields, json_integer), "schedule"),
+        lambda fields: GateSchedule(**fields),
+        None,
+    ),
+    "format": ("output_format", json_string, _output_format, "format"),
+    "seed": ("seed", json_integer, lambda v: at_least(v, 0, "seed"), "seed"),
 }
 
 
@@ -123,24 +123,21 @@ def _load_run_config(args: argparse.Namespace, trace: RuntimeTrace | None) -> Ru
     updated by the config file, then the flags.
 
     A value from the file is checked as it is read, so its error names the
-    file; ``--format`` is one of its choices already.
+    file; a flag's value is checked as it overrides.
     """
     config = RunConfig() if trace is None else RunConfig(t_sec_ns=trace.metadata.sec_cycle_ns)
+    settings = {}
     if args.config:
-        parsers = {key: parse for key, (_, parse, _) in CONFIG_KEYS.items()}
+        parsers = {
+            key: lambda v, parse=parse, check=check: check(parse(v))
+            for key, (_, parse, check, _) in CONFIG_KEYS.items()
+        }
         values = json_fields(read_json(args.config, "config"), parsers, f"config {args.config}")
-        config = config._replace(**{CONFIG_KEYS[key][0]: value for key, value in values.items()})
-    overrides = {
-        name: value
-        for name, _, flag in CONFIG_KEYS.values()
-        if flag and (value := getattr(args, flag)) is not None
-    }
-    config = config._replace(**overrides)
-    _validate_probability(config.epsilon, "epsilon")
-    at_least(config.t_sec_ns, 1, "t_sec_ns")
-    at_least(config.min_failure_events, 1, "min_events")
-    at_least(config.seed, 0, "seed")
-    return config
+        settings = {CONFIG_KEYS[key][0]: value for key, value in values.items()}
+    for name, _, check, flag in CONFIG_KEYS.values():
+        if flag and (value := getattr(args, flag)) is not None:
+            settings[name] = check(value)
+    return config._replace(**settings)
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +506,14 @@ def cmd_synth(args: argparse.Namespace, config: RunConfig, trace: None) -> None:
         raise ConfigError(
             f"synth --model {args.model}: its empirical runtime was not measured at --d {args.d}"
         )
-    shots = integer(args.shots)
     if args.per_shot:
-        check_per_shot_rows(shots)  # before sampling, not after
+        check_per_shot_rows(args.shots)  # before sampling, not after
     trace = sample_trace(
         model.runtime,
         model.failure,
         d=args.d,
         p=args.p,
-        shots=shots,
+        shots=args.shots,
         seed=config.seed,
         sec_cycle_ns=config.t_sec_ns,
     )
@@ -570,7 +566,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=float, default=None, help="logical circuit error budget (default 0.5)")
     parser.add_argument("--t-sec-ns", dest="t_sec_ns", type=integer, default=None, help="SEC cycle time in ns (default: the trace's sec_cycle_ns if the command reads a trace, else 1000)")
     parser.add_argument("--min-events", dest="min_events", type=integer, default=None, help="failure events needed for significance (default 20)")
-    parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format (default csv)")
+    parser.add_argument("--format", choices=OUTPUT_FORMATS, default=None, help="output format (default csv)")
     parser.add_argument("--out", type=nonempty, default=None, help="output file (default stdout); written atomically")
     parser.add_argument("--seed", type=integer, default=None, help="RNG seed for synthetic sampling (default 0)")
     parser.add_argument("--config", type=nonempty, default=None, help="JSON settings file; flags take precedence")
@@ -633,7 +629,7 @@ def _add_synth(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", type=nonempty, required=True, help="quadratic, linear, instantaneous, or a decoder config JSON")
     parser.add_argument("--d", type=integer, required=True, help="code distance")
     parser.add_argument("--p", type=float, required=True, help="physical error rate")
-    parser.add_argument("--shots", required=True, help="number of shots (accepts 1e6 style)")
+    parser.add_argument("--shots", type=integer, required=True, help="number of shots")
     parser.add_argument("--per-shot", dest="per_shot", action="store_true", help="write per-shot rows instead of a histogram")
 
 

@@ -26,6 +26,7 @@ from .values import (
     _validate_distance,
     _validate_probability,
     at_least,
+    checked,
     json_fields,
     json_integer,
     json_number,
@@ -54,12 +55,8 @@ def python_values(column) -> Sequence:
 # Failure models
 
 
-class _HeuristicFailure(NamedTuple):
-    prefactor: float = 0.1
-    threshold: float = 0.01
-
-
-class HeuristicFailure(_HeuristicFailure):
+@checked
+class HeuristicFailure(NamedTuple):
     """Below-threshold failure-rate heuristic for matching decoders.
 
     rate = min(1, prefactor * (p / threshold) ** ((d + 1) / 2)), also where
@@ -70,16 +67,15 @@ class HeuristicFailure(_HeuristicFailure):
     threshold; evaluating at p >= 1e-2 warns but does not fail.
     """
 
-    __slots__ = ()
+    prefactor: float = 0.1
+    threshold: float = 0.01
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not (0.0 < self.prefactor < math.inf and 0.0 < self.threshold < math.inf):
             raise ValueError(
                 f"prefactor and threshold must be positive and finite, got "
                 f"{self.prefactor} and {self.threshold}"
             )
-        return self
 
     def rate(self, d: int, p: float) -> float:
         _validate_distance(d)
@@ -104,47 +100,36 @@ class HeuristicFailure(_HeuristicFailure):
 FITTED_MATCHING_FAILURE = HeuristicFailure(prefactor=0.04)
 
 
-class _AccuracyScaledFailure(NamedTuple):
-    base: FailureModel
-    alpha: float
-
-
-class AccuracyScaledFailure(_AccuracyScaledFailure):
+@checked
+class AccuracyScaledFailure(NamedTuple):
     """Failure rate of a decoder with relative accuracy alpha in (0, 1].
 
     A decoder of accuracy alpha fails at base_rate / alpha; alpha = 1
     recovers the base model exactly.
     """
 
-    __slots__ = ()
+    base: FailureModel
+    alpha: float
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"accuracy must be in (0, 1], got {self.alpha}")
-        return self
 
     def rate(self, d: int, p: float) -> float:
         return min(1.0, self.base.rate(d, p) / self.alpha)
 
 
-class _EmpiricalFailure(NamedTuple):
+@checked
+class EmpiricalFailure(NamedTuple):
+    """Directly measured failure rate with its supporting event count."""
+
     failure_rate: float
     failure_events: int = 0
 
-
-class EmpiricalFailure(_EmpiricalFailure):
-    """Directly measured failure rate with its supporting event count."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not 0.0 <= self.failure_rate <= 1.0:
             raise ValueError(f"failure rate must be in [0, 1], got {self.failure_rate}")
-        if self.failure_events < 0:
-            raise ValueError("failure_events must be >= 0")
-        return self
+        at_least(self.failure_events, 0, "failure_events")
 
     def rate(self, d: int, p: float) -> float:
         _validate_distance(d)
@@ -287,27 +272,22 @@ class CodeSampler(NamedTuple):
     to_ns: Callable[[np.ndarray], np.ndarray]
 
 
-class _BinomialRuntime(NamedTuple):
-    trials: int
-    step_probability: float
-    unit_ns: int = 1000
-
-
-class BinomialRuntime(_BinomialRuntime):
+@checked
+class BinomialRuntime(NamedTuple):
     """Runtime of ``trials`` Bernoulli steps, each taking ``unit_ns``.
 
     Mean runtime is trials * step_probability units; the worst case is
     exactly ``trials`` units.
     """
 
-    __slots__ = ()
+    trials: int
+    step_probability: float
+    unit_ns: int = 1000
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         at_least(self.trials, 1, "trials")
         _validate_probability(self.step_probability, "step probability")
         at_least(self.unit_ns, 1, "unit_ns")
-        return self
 
     def sampler(self) -> CodeSampler:
         """Codes are unit counts."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .values import _validate_distance, _validate_probability, at_least
+from .values import _validate_distance, _validate_probability, at_least, checked
 
 RANGE_SATURATION_CAP = 10**18
 # Largest d_max that required_distance searches up to: it tries every odd
@@ -32,24 +32,18 @@ D_MAX_LIMIT = 100_001
 ROWS_PER_BLOCK = 2048
 
 
-class _GateSchedule(NamedTuple):
+@checked
+class GateSchedule(NamedTuple):
+    """Per-T-gate cycle counts, as multipliers of the code distance."""
+
     h_cycles: int = 2
     s_cycles: int = 2
     conditional_s_cycles: int = 2
     measure_cycles: int = 1
 
-
-class GateSchedule(_GateSchedule):
-    """Per-T-gate cycle counts, as multipliers of the code distance."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         for name, cycles in zip(self._fields, self):
-            if cycles <= 0:
-                raise ValueError(f"{name} must be positive")
-        return self
+            at_least(cycles, 1, name)
 
     def cycles_per_gate(self, d: int) -> int:
         """SEC cycles per T gate excluding the decoding delay (7d default)."""
@@ -132,6 +126,7 @@ def required_distance(
     """
     at_least(n_T, 1, "n_T")
     _validate_probability(p, "p")
+    _validate_probability(epsilon, "epsilon")
     _validate_distance(d_max, "d_max")
     if d_max > D_MAX_LIMIT:
         raise ValueError(f"d_max must be at most {D_MAX_LIMIT} (ranges.D_MAX_LIMIT), got {d_max}")
@@ -201,6 +196,7 @@ def accuracy_surface(
     """
     if not alphas or not stopping_cycles:
         raise ValueError("alpha and stopping-time grids must be nonempty")
+    _validate_probability(epsilon, "epsilon")
     from .models import HeuristicFailure
 
     base_rate = HeuristicFailure().rate(d, p)

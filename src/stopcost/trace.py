@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import TraceIntegrityError, TraceParseError
 from .values import INT64_MAX, _validate_distance, _validate_probability, at_least, json_integer
-from .values import json_fields, json_number, json_object, read_json
+from .values import checked, json_fields, json_number, json_object, read_json
 
 PER_SHOT_HEADER = ("runtime_ns", "failed")
 HISTOGRAM_HEADER = ("runtime_ns", "count_total", "count_failed")
@@ -188,25 +188,20 @@ def fold_histograms(
     return merge_histograms(held)
 
 
-class _TraceMetadata(NamedTuple):
+@checked
+class TraceMetadata(NamedTuple):
+    """Measurement context for a runtime trace."""
+
     distance: int
     physical_error_rate: float
     shots: int
     sec_cycle_ns: int
 
-
-class TraceMetadata(_TraceMetadata):
-    """Measurement context for a runtime trace."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         _validate_distance(self.distance)
         _validate_probability(self.physical_error_rate, "physical_error_rate")
         at_least(self.shots, 1, "shots")
         at_least(self.sec_cycle_ns, 1, "sec_cycle_ns")
-        return self
 
 
 class RuntimeTrace:

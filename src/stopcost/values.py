@@ -4,7 +4,8 @@ The command line, the settings file, decoder configs and trace sidecars
 read their values here, so a value is refused the same way wherever it
 arrives.  The range rules (a distance, a probability, a lower bound such
 as ``n_T >= 1``) are each stated once here, for the library and the CLI
-alike.  This module imports only the standard library and
+alike, and :func:`checked` makes a record run its own checks whenever it
+is built.  This module imports only the standard library and
 :mod:`stopcost.errors`, so every command can load it.
 """
 
@@ -45,6 +46,23 @@ def at_least(value, low: int, name: str):
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
+
+
+def checked(record):
+    """Class decorator: each new ``record``, a NamedTuple class, runs its
+    ``_check(self)``, which raises ``ValueError`` for a value outside its
+    domain.  ``copy`` and ``pickle`` (protocol 2 and up) build through the
+    same ``__new__``; ``_make`` and ``_replace`` call ``tuple.__new__``, so
+    they skip the check."""
+    make = record.__new__
+
+    def __new__(cls, *args, **kwargs):
+        self = make(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    record.__new__ = __new__
+    return record
 
 
 def integer(text: str) -> int:

@@ -100,12 +100,18 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("stopcost: error:")
 
     @pytest.mark.parametrize("shots", ["1.7", "1e-1", "nan", "ten"])
-    def test_non_integral_shots_rejected(self, tmp_path, shots):
+    def test_non_integral_shots_rejected(self, tmp_path, capsys, shots):
+        # --shots is read like every other integer flag: a usage error.
         out = tmp_path / "t.csv"
-        assert main([
-            "synth", "--model", "linear", "--d", "5", "--p", "1e-3",
-            "--shots", shots, "--out", str(out),
-        ]) == 2
+        with pytest.raises(SystemExit) as err:
+            main([
+                "synth", "--model", "linear", "--d", "5", "--p", "1e-3",
+                "--shots", shots, "--out", str(out),
+            ])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == (
+            f"stopcost: error: argument --shots: invalid integer value: '{shots}'\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -672,6 +678,7 @@ class TestConfigPrecedence:
                 {"min_failure_events": 0},
                 "key 'min_failure_events': min_events must be >= 1, got 0",
             ),
+            ({"schedule": {"h_cycles": 0}}, "key 'schedule': h_cycles must be >= 1, got 0"),
         ],
         ids=[
             "epsilon-range",
@@ -682,6 +689,7 @@ class TestConfigPrecedence:
             "t-sec-zero",
             "seed-negative",
             "min-events-zero",
+            "schedule-zero",
         ],
     )
     def test_config_value_error_names_the_file(self, tmp_path, capsys, content, message):

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ from stopcost import (
     DecoderModel,
     EmpiricalFailure,
     EmpiricalRuntime,
+    GateSchedule,
     HeuristicFailure,
     InstantaneousRuntime,
     TraceMetadata,
@@ -517,11 +520,14 @@ class TestDecoderConfig:
             ({"runtime": {"kind": "binomial", "N": 100, "Q": 1.5}},
              "step probability must be in (0, 1), got 1.5"),
             ({"failure": {"kind": "accuracy", "alpha": 2.0}}, "accuracy must be in (0, 1], got 2.0"),
+            ({"failure": {"kind": "empirical", "rate": 0.1, "events": -1}},
+             "failure_events must be >= 0, got -1"),
         ],
         ids=["runtime-not-object", "A-null", "alpha-bool", "N-fraction", "N-null",
              "unit-bool", "events-fraction", "unknown-runtime-key", "unknown-failure-key",
              "unknown-top-level-key", "kind-unhashable", "trace-not-string", "name-null",
-             "N-string", "Q-string", "A-past-float-range", "Q-out-of-range", "alpha-out-of-range"],
+             "N-string", "Q-string", "A-past-float-range", "Q-out-of-range", "alpha-out-of-range",
+             "events-negative"],
     )
     def test_malformed_config_rejected(self, tmp_path, cfg, message):
         base = {
@@ -615,6 +621,39 @@ class TestRecords:
         assert repr(EmpiricalFailure(0.25)) == (
             "EmpiricalFailure(failure_rate=0.25, failure_events=0)"
         )
+
+    @pytest.mark.parametrize(
+        "cls, good, bad",
+        [
+            (GateSchedule, {"h_cycles": 1}, {"h_cycles": 0}),
+            (HeuristicFailure, {"prefactor": 0.2}, {"prefactor": -1.0}),
+            (AccuracyScaledFailure, {"base": HeuristicFailure(), "alpha": 0.5},
+             {"base": HeuristicFailure(), "alpha": 2.0}),
+            (EmpiricalFailure, {"failure_rate": 0.25, "failure_events": 3},
+             {"failure_rate": 0.25, "failure_events": -1}),
+            (BinomialRuntime, {"trials": 7, "step_probability": 0.5},
+             {"trials": 0, "step_probability": 0.5}),
+            (TraceMetadata, {"distance": 5, "physical_error_rate": 1e-3, "shots": 10,
+                             "sec_cycle_ns": 1000},
+             {"distance": 5, "physical_error_rate": 1e-3, "shots": 10, "sec_cycle_ns": 0}),
+        ],
+        ids=["GateSchedule", "HeuristicFailure", "AccuracyScaledFailure", "EmpiricalFailure",
+             "BinomialRuntime", "TraceMetadata"],
+    )
+    def test_checked_records(self, cls, good, bad):
+        # A bad value is refused by keyword and by position, and a good one
+        # survives pickling and copying as the same read-only value.
+        with pytest.raises(ValueError):
+            cls(**bad)
+        positional = [bad.get(field, cls._field_defaults.get(field)) for field in cls._fields]
+        with pytest.raises(ValueError):
+            cls(*positional)
+        record = cls(**good)
+        for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(clone) is cls and clone == record and repr(clone) == repr(record)
+            assert hash(clone) == hash(record)
+            with pytest.raises(AttributeError):
+                setattr(clone, cls._fields[0], None)
 
     def test_instantaneous_runtime_is_a_true_value(self):
         runtime = InstantaneousRuntime()

@@ -103,6 +103,12 @@ class TestRequiredDistance:
             assert more_work is None or more_work >= base
             assert more_delay is None or more_delay >= base
 
+    @pytest.mark.parametrize("epsilon", [0.0, 5.0, -1.0, 1.0, math.nan])
+    def test_epsilon_outside_the_unit_interval_rejected(self, epsilon):
+        # 5.0 used to give distance 5: a budget above 1 is no budget.
+        with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\)"):
+            required_distance(1000, 1e-3, 0, epsilon)
+
     def test_brute_force_oracle(self):
         # Independent scan: smallest odd d in [3, 99] with
         # n_T * (7d + ceil(delay / t_sec)) / d * 0.1 * (100 p)^((d+1)/2) <= eps.
@@ -271,6 +277,12 @@ class TestAccuracySurface:
         assert [(a, m) for a, m, _ in rows] == [
             (0.5, 0), (0.5, 10), (0.5, 20), (1.0, 0), (1.0, 10), (1.0, 20)
         ]
+
+    @pytest.mark.parametrize("epsilon", [0.0, 5.0, -1.0, 1.0, math.nan])
+    def test_epsilon_outside_the_unit_interval_rejected(self, epsilon):
+        # -1.0 used to give the negative range -1429.
+        with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\)"):
+            accuracy_surface(5, 1e-3, epsilon, [1.0], [0])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
