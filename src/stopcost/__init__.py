@@ -31,7 +31,7 @@ _EXPORTS = {
     "MinCostResult": "cost",
     "RangeCurve": "stopping",
     "RangeResult": "ranges",
-    "RequiredDistance": "ranges",
+    "RequiredDistance": "budget",
     "RuntimeModel": "models",
     "RuntimeTrace": "trace",
     "StoppingCandidate": "cost",
@@ -39,18 +39,18 @@ _EXPORTS = {
     "TraceIntegrityError": "errors",
     "TraceMetadata": "trace",
     "TraceParseError": "errors",
-    "accuracy_surface": "ranges",
+    "accuracy_surface": "budget",
     "binomial_survival": "models",
     "compare_decoders": "cost",
     "decoder_range": "ranges",
     "delay_cycles": "ranges",
-    "load_decoder_config": "models",
+    "load_decoder_config": "decoder_config",
     "load_metadata": "trace",
     "make_reference_decoders": "models",
     "min_spacetime_costs": "cost",
     "parse_trace": "trace",
     "range_curve": "stopping",
-    "required_distance": "ranges",
+    "required_distance": "budget",
     "sample_trace": "models",
     "sec_depth": "ranges",
     "stopping_candidates": "cost",

@@ -10,34 +10,19 @@ maximum runtime can be dialed independently.
 All model evaluations are pure.  The synthetic trace sampler partitions
 shots into fixed-size chunks, each driven by its own (seed, chunk-index)
 substream, so chunked or parallel generation reproduces the serial
-output record for record.
+output record for record; ``sampling`` holds its per-chunk code.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
 
-from .errors import ConfigError
-from .values import (
-    INT64_MAX,
-    _validate_distance,
-    _validate_probability,
-    at_least,
-    checked,
-    json_fields,
-    json_integer,
-    json_number,
-    json_object,
-    json_string,
-    read_json,
-)
+from .values import INT64_MAX, _validate_distance, _validate_probability, at_least, checked
 
 if TYPE_CHECKING:
-    import numpy as np
-
+    from .sampling import CodeSampler
     from .trace import RuntimeTrace
 
 HEURISTIC_VALIDITY_P = 1e-2
@@ -259,19 +244,6 @@ def binomial_survival(trials: int, step_probability: float, threshold: int) -> f
 # Runtime models
 
 
-class CodeSampler(NamedTuple):
-    """A runtime law's sampler, built once per synthetic trace.
-
-    ``draw(rng, k)`` draws ``k`` runtimes as non-negative integer codes that
-    rise with runtime, so a chunk can hold them in the narrowest dtype they
-    need and sort them; ``to_ns(codes)`` maps the distinct codes to their
-    int64 runtimes in ns.
-    """
-
-    draw: Callable[[np.random.Generator, int], np.ndarray]
-    to_ns: Callable[[np.ndarray], np.ndarray]
-
-
 @checked
 class BinomialRuntime(NamedTuple):
     """Runtime of ``trials`` Bernoulli steps, each taking ``unit_ns``.
@@ -292,6 +264,8 @@ class BinomialRuntime(NamedTuple):
     def sampler(self) -> CodeSampler:
         """Codes are unit counts."""
         import numpy as np
+
+        from .sampling import CodeSampler
 
         # Trace runtimes are int64 ns: refuse a law whose draws would wrap.
         law = f"binomial runtime N={self.trials}, Q={self.step_probability!r}, unit_ns={self.unit_ns}"
@@ -332,6 +306,8 @@ class InstantaneousRuntime:
         """The one code is 0; drawing it takes nothing from the stream."""
         import numpy as np
 
+        from .sampling import CodeSampler
+
         return CodeSampler(
             lambda rng, k: np.zeros(k, dtype=np.uint8),
             lambda codes: np.zeros(codes.size, dtype=np.int64),
@@ -347,6 +323,8 @@ class EmpiricalRuntime(NamedTuple):
         """Codes index the trace's sorted runtimes.  A draw inverts the
         cumulative weights exactly as ``rng.choice(runtimes, k, p=weights)``
         does, so it takes the same uniforms and picks the same runtimes."""
+        from .sampling import CodeSampler
+
         weights = self.trace.counts.astype(float)
         weights /= weights.sum()
         cdf = weights.cumsum()
@@ -423,44 +401,6 @@ def make_reference_decoders(d: int, p: float) -> tuple[DecoderModel, DecoderMode
 # Synthetic trace sampling
 
 
-def _sample_chunk(
-    sampler: CodeSampler,
-    rate: float,
-    n: int,
-    seed: int,
-    chunk_index: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The aggregated histogram of one chunk of ``n`` shots, drawn from the
-    chunk's own (seed, chunk-index) substream: the runtimes, then the
-    failure flags.
-
-    Both are drawn ``FLAG_SLICE_SHOTS`` at a time, which continues the
-    stream exactly as one draw of ``n`` would.  The runtimes are kept as
-    codes in a uint8 array, widened when a slice's largest code does not
-    fit; each flag slice keeps only its failed shots' codes.  Only the
-    distinct codes become ns.
-    """
-    import numpy as np
-
-    from .trace import FLAG_SLICE_SHOTS, aggregate_shots
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
-    codes = np.empty(n, dtype=np.uint8)
-    for start in range(0, n, FLAG_SLICE_SHOTS):
-        draws = sampler.draw(rng, min(FLAG_SLICE_SHOTS, n - start))
-        top = draws.max()
-        if top > np.iinfo(codes.dtype).max:
-            codes = codes.astype(np.min_scalar_type(top))
-        codes[start : start + draws.size] = draws
-    del draws  # half a byte per shot of a chunk, held through the flags
-    failed = []
-    for start in range(0, n, FLAG_SLICE_SHOTS):
-        shots = codes[start : start + FLAG_SLICE_SHOTS]
-        failed.append(shots[rng.random(shots.size) < rate])
-    distinct, totals, failed_counts = aggregate_shots(codes, np.concatenate(failed))
-    return sampler.to_ns(distinct), totals, failed_counts
-
-
 def sample_trace(
     runtime: RuntimeModel,
     failure: FailureModel,
@@ -476,6 +416,7 @@ def sample_trace(
     Deterministic for a given seed.  Runtime and failure are sampled
     independently; no joint model is assumed.
     """
+    from .sampling import _sample_chunk
     from .trace import RuntimeTrace, TraceMetadata, fold_histograms
 
     at_least(shots, 1, "shots")
@@ -492,110 +433,3 @@ def sample_trace(
         distance=d, physical_error_rate=p, shots=shots, sec_cycle_ns=sec_cycle_ns
     )
     return RuntimeTrace(metadata, *fold_histograms(parts))
-
-
-# ---------------------------------------------------------------------------
-# Decoder config files
-
-
-# Section -> kind -> the known keys besides "kind", each with the parser of
-# its JSON value.
-DECODER_CONFIG_KEYS = {
-    "runtime": {
-        "binomial": {"N": json_integer, "Q": json_number, "unit_ns": json_integer},
-        "instantaneous": {},
-        "empirical": {"trace": json_string, "meta": json_string},
-    },
-    "failure": {
-        "heuristic": {"A": json_number, "B": json_number},
-        "accuracy": {"alpha": json_number},
-        "empirical": {"rate": json_number, "events": json_integer},
-    },
-}
-
-
-# The keys a kind must set, by the name its errors give the section.
-_REQUIRED_KEYS = {
-    "binomial runtime": ("N", "Q"),
-    "empirical runtime": ("trace",),
-    "accuracy failure": ("alpha",),
-    "empirical failure": ("rate",),
-}
-
-
-def _config_section(raw, section: str) -> tuple[str, dict]:
-    # (kind, parsed values) of one section; a missing optional key is absent.
-    kinds = DECODER_CONFIG_KEYS[section]
-    kind = json_object(raw, repr(section)).get("kind")
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ConfigError(f"unknown {section} model kind {kind!r}")
-    what = f"{kind} {section}"
-    parsers = {"kind": str, **kinds[kind]}
-    return kind, json_fields(raw, parsers, what, _REQUIRED_KEYS.get(what, ()))
-
-
-def _build(model, **fields):
-    # A model made from config values: its own range checks are config errors.
-    try:
-        return model(**fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _failure_from_config(raw) -> FailureModel:
-    kind, cfg = _config_section(raw, "failure")
-    if kind == "heuristic":
-        scale = cfg.get("B", 100.0)
-        if scale <= 0:
-            raise ConfigError(f"heuristic B must be positive, got {scale}")
-        return _build(HeuristicFailure, prefactor=cfg.get("A", 0.1), threshold=1.0 / scale)
-    if kind == "accuracy":
-        return _build(AccuracyScaledFailure, base=HeuristicFailure(), alpha=cfg["alpha"])
-    return _build(EmpiricalFailure, failure_rate=cfg["rate"], failure_events=cfg.get("events", 0))
-
-
-def _runtime_from_config(raw, base_dir: Path) -> RuntimeModel:
-    kind, cfg = _config_section(raw, "runtime")
-    if kind == "binomial":
-        return _build(
-            BinomialRuntime,
-            trials=cfg["N"],
-            step_probability=cfg["Q"],
-            unit_ns=cfg.get("unit_ns", 1000),
-        )
-    if kind == "instantaneous":
-        return InstantaneousRuntime()
-    from .trace import parse_trace
-
-    trace_path = base_dir / cfg["trace"]
-    if "meta" in cfg:
-        meta_path = base_dir / cfg["meta"]
-    else:
-        meta_path = trace_path.with_suffix(".json")
-    return EmpiricalRuntime(parse_trace(trace_path, meta_path))
-
-
-def load_decoder_config(path: str | Path) -> DecoderModel:
-    """Load a decoder model from its JSON description.
-
-    Each section is a JSON object whose keys must be known for its
-    ``kind``; integers are read strictly, and ``null`` or a boolean is
-    refused where a number belongs.  Relative trace paths inside the
-    config resolve against the config file's directory; the metadata
-    sidecar defaults to the trace path with a ``.json`` suffix.
-    """
-    path = Path(path)
-    raw = read_json(path, "decoder config")
-    try:
-        sections = dict.fromkeys(("name", "runtime", "failure"), lambda value: value)
-        cfg = json_fields(raw, sections, "the config", required=("runtime", "failure"))
-        name = cfg.get("name", path.stem)
-        if not isinstance(name, str):
-            raise ConfigError(f"'name' must be a string, got {type(name).__name__}")
-        return DecoderModel(
-            name=name,
-            runtime=_runtime_from_config(cfg["runtime"], path.parent),
-            failure=_failure_from_config(cfg["failure"]),
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"decoder config {path}: {exc}") from exc

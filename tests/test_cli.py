@@ -1177,6 +1177,38 @@ def test_closed_stdout_is_one_io_error_line(tmp_path, unbuffered):
     assert err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["surface", "--d", "5", "--p", "0.02"], 0),  # warns: p is past the heuristic's range
+        (["mincost", "--nT", "10"], 2),
+        (["mincost", "--decoder", "missing.json", "--nT", "10"], 4),
+        (["required-distance", "--nT", "1", "--p", "0.5"], 3),
+    ],
+    ids=["warning", "usage-error", "io-error", "infeasible"],
+)
+def test_closed_stderr_keeps_the_exit_code_and_the_table(tmp_path, argv, code):
+    # Each call writes stopcost: lines; with stderr a pipe whose reader has
+    # gone, the first write fails, and the call must still write its table
+    # and exit with its own code.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    command = [sys.executable, "-m", "stopcost.cli", *argv]
+    readable = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert readable.returncode == code
+    assert readable.stderr and all(
+        line.startswith(b"stopcost: ") for line in readable.stderr.splitlines()
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            command, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=write_end, timeout=120
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stdout) == (code, readable.stdout)
+
+
 # ---------------------------------------------------------------------------
 # The command-line exit path: ``cli.run()`` ends the process without
 # interpreter teardown; what it prints and returns is ``cli.main``'s.

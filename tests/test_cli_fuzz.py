@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from stopcost import cli, models, trace
+from stopcost import cli, command, decoder_config, trace
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -56,10 +56,10 @@ GOOD = {
     "trace": ["@/ns.csv", "@/linear.csv", "@/quadratic.csv"],
     "meta": ["@/ns.json", "@/linear.json", META_FILE],
     "config": [CONFIG_FILE],
-    "decoder": [DECODER_FILE, *cli.BUILTIN_DECODERS],
-    "decoder_a": [DECODER_FILE, *cli.BUILTIN_DECODERS],
-    "decoder_b": [DECODER_FILE, *cli.BUILTIN_DECODERS],
-    "model": [DECODER_FILE, *cli.BUILTIN_DECODERS],
+    "decoder": [DECODER_FILE, *command.BUILTIN_DECODERS],
+    "decoder_a": [DECODER_FILE, *command.BUILTIN_DECODERS],
+    "decoder_b": [DECODER_FILE, *command.BUILTIN_DECODERS],
+    "model": [DECODER_FILE, *command.BUILTIN_DECODERS],
 }
 INTEGER_TEXT = ["0", "-1", "1.7", "1e-3", "", "x", "nan", "1e400", "9" * 25]
 FLOAT_TEXT = ["0", "1", "1.5", "-1", "nan", "inf", "1e-300", "1e-320", "", "x"]
@@ -80,8 +80,8 @@ BAD = {
 json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-(10**30), 10**30), st.floats(allow_nan=True),
     st.sampled_from([math.nan, math.inf, -math.inf]),
-    st.sampled_from(["x", "1e3", "0.3", "100", *models.DECODER_CONFIG_KEYS["runtime"],
-                     *models.DECODER_CONFIG_KEYS["failure"]]),
+    st.sampled_from(["x", "1e3", "0.3", "100", *decoder_config.DECODER_CONFIG_KEYS["runtime"],
+                     *decoder_config.DECODER_CONFIG_KEYS["failure"]]),
 )
 json_values = st.recursive(
     json_scalars,
@@ -116,7 +116,7 @@ def keyed(draw, keys):
 def decoder_configs(draw):
     """A decoder config near the grammar: known kinds and keys, mutated values."""
     sections = {}
-    for section, kinds in models.DECODER_CONFIG_KEYS.items():
+    for section, kinds in decoder_config.DECODER_CONFIG_KEYS.items():
         kind = draw(st.sampled_from(sorted(kinds)))
         sections[section] = {"kind": kind, **draw(keyed(list(kinds[kind])))}
     return draw(mutated([sections], keyed(["name", "runtime", "failure"]) | json_values))

@@ -1,4 +1,5 @@
-"""Golden CLI outputs: every subcommand, byte for byte, on stdout and --out.
+"""Golden CLI outputs: every subcommand, byte for byte, on stdout and --out, and the help of the CLI
+and of each subcommand under ``tests/golden/help/``.
 
 The files under ``tests/golden/`` hold the exact bytes each call printed
 when they were made; a change to any output shows up here as a diff.  The
@@ -18,12 +19,13 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
-from stopcost.cli import main
+from stopcost.cli import SUBCOMMANDS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -68,6 +70,11 @@ SYNTH_CASES = {
 
 FORMATS = ("csv", "json")
 
+# File stem under golden/help/ -> argv.  argparse wraps help at $COLUMNS,
+# and the goldens are made at 80.
+HELP_CASES = {"stopcost": ["-h"], **{name: [name, "-h"] for name, *_ in SUBCOMMANDS}}
+HELP_COLUMNS = "80"
+
 
 def _argv(name: str, fmt: str) -> list[str]:
     argv, _ = TABLE_CASES[name]
@@ -111,6 +118,23 @@ def test_synth_matches_golden(name, tmp_path):
     assert out.with_suffix(".json").read_bytes() == (INPUTS / f"{name}.json").read_bytes()
 
 
+def _help_path(name: str) -> Path:
+    return GOLDEN / "help" / f"{name}.txt"
+
+
+@pytest.mark.parametrize("name", sorted(HELP_CASES))
+def test_help_matches_golden(name, monkeypatch, capsysbinary):
+    monkeypatch.setenv("COLUMNS", HELP_COLUMNS)
+    with pytest.raises(SystemExit) as exit_info:
+        main(HELP_CASES[name])
+    assert exit_info.value.code == 0
+    assert capsysbinary.readouterr() == (_help_path(name).read_bytes(), b"")
+
+
+def test_every_help_golden_is_checked():
+    assert sorted(p.stem for p in (GOLDEN / "help").iterdir()) == sorted(HELP_CASES)
+
+
 def regenerate() -> None:
     for name, argv in SYNTH_CASES.items():
         assert main(argv + ["--out", str(INPUTS / f"{name}.csv")]) == 0
@@ -119,6 +143,12 @@ def regenerate() -> None:
             code, out = _run_to_stdout(_argv(name, fmt))
             assert code == TABLE_CASES[name][1], (name, fmt, code)
             _golden_path(name, fmt).write_bytes(out)
+    os.environ["COLUMNS"] = HELP_COLUMNS
+    for name in HELP_CASES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
+            main(HELP_CASES[name])
+        _help_path(name).write_bytes(out.getvalue().encode())
 
 
 if __name__ == "__main__":

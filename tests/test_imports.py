@@ -7,7 +7,10 @@ and ``compare`` load the cost module.  The trace modules (``trace`` and
 and ``range`` do not load them; help loads none of these.  ``json`` loads
 only where JSON is read or written (a config file, a trace's sidecar,
 ``--format json``), and ``csv`` only where the row validator parses a trace
-that is not in the canonical layout."""
+that is not in the canonical layout.  Each call loads the CLI's core and
+its own command's module, and of the library only what that command runs,
+so it compiles no other command's code; no module imports ``stopcost.cli``,
+which ``python -m stopcost.cli`` runs as ``__main__``."""
 
 import importlib
 import json
@@ -30,8 +33,9 @@ WATCHED = (
 )
 
 # Runs ``cli.main(argv)`` with stdout discarded, then prints the exit code
-# (argparse's, for help) and which of the watched modules were imported.
-# The probe itself imports none of them.
+# (argparse's, for help) and which of the watched modules were imported,
+# and on a second line every stopcost module imported.  The probe itself
+# imports none of them but ``stopcost.cli``.
 PROBE = f"""
 import contextlib, io, sys
 import stopcost.cli
@@ -41,6 +45,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:
         code = exc.code
 print(code, *[m for m in {WATCHED!r} if m in sys.modules])
+print(*[m for m in sys.modules if m.startswith("stopcost")])
 """
 
 BINOMIAL_CONFIG = {
@@ -53,7 +58,9 @@ BINOMIAL_CONFIG = {
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 
 
-def probe(argv, cwd):
+def probe(argv, cwd, package=False):
+    """The exit code and the watched modules loaded, or with ``package`` the
+    stopcost modules loaded."""
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv],
         cwd=cwd,
@@ -62,8 +69,9 @@ def probe(argv, cwd):
         text=True,
         check=True,
     )
-    code, *loaded = proc.stdout.split()
-    return int(code), set(loaded)
+    watched, stopcost_modules = proc.stdout.splitlines()
+    code, *loaded = watched.split()
+    return int(code), set(stopcost_modules.split() if package else loaded)
 
 
 @pytest.mark.parametrize(
@@ -126,6 +134,77 @@ def test_row_validator_imports_csv(tmp_path):
     code, loaded = probe(["stop", "--trace", str(trace)], tmp_path)
     assert code == 0
     assert "csv" in loaded
+
+
+# What every call loads: the CLI's core and the modules it imports.
+CORE = {"stopcost", "stopcost.cli", "stopcost.command", "stopcost.errors", "stopcost.ranges",
+        "stopcost.values"}
+COMMAND_MODULES = {"trace_commands", "cost_commands", "budget_commands", "synth_command"}
+TRACE = str(INPUTS / "ns.csv")
+SYNTH = ["synth", "--d", "5", "--p", "1e-3", "--shots", "100", "--out", "t.csv", "--model"]
+
+# case -> (argv, the stopcost modules it loads besides CORE).  A built-in
+# decoder loads no config reader, only synth loads the sampler, and a
+# command loads no other command's module; help and an unknown command
+# build every parser, so they load every command module and nothing else.
+PACKAGE_MODULES = {
+    "trace-stats": (["trace-stats", "--trace", TRACE], {"trace_commands", "trace"}),
+    "stop": (["stop", "--trace", TRACE], {"trace_commands", "trace", "stopping"}),
+    "range": (["range", "--trace", TRACE, "--min-events", "1"],
+              {"trace_commands", "trace", "stopping"}),
+    "surface": (["surface", "--d", "15", "--p", "1e-3"], {"budget_commands", "budget", "models"}),
+    "required-distance": (["required-distance", "--nT", "1000"],
+                          {"budget_commands", "budget", "models"}),
+    "mincost": (["mincost", "--decoder", "quadratic", "--nT", "10,1000"],
+                {"cost_commands", "cost", "models"}),
+    "compare": (["compare", "--decoder-a", "linear", "--decoder-b", "instantaneous",
+                 "--nT", "10,1000"], {"cost_commands", "cost", "models"}),
+    "mincost-config": (["mincost", "--decoder", "wide.json", "--nT", "10"],
+                       {"cost_commands", "cost", "models", "decoder_config"}),
+    "compare-config": (["compare", "--decoder-a", "wide.json", "--decoder-b", "quadratic",
+                        "--nT", "10"], {"cost_commands", "cost", "models", "decoder_config"}),
+    "mincost-trace": (["mincost", "--trace", TRACE, "--nT", "1,5"],
+                      {"cost_commands", "cost", "models", "trace", "stopping"}),
+    "synth": ([*SYNTH, "quadratic"], {"synth_command", "models", "sampling", "trace"}),
+    "synth-config": ([*SYNTH, "wide.json"],
+                     {"synth_command", "models", "sampling", "trace", "decoder_config"}),
+    "help": (["-h"], COMMAND_MODULES),
+    "stop-help": (["stop", "-h"], {"trace_commands"}),
+    "bogus": (["bogus"], COMMAND_MODULES),
+}
+
+
+@pytest.mark.parametrize("case", PACKAGE_MODULES)
+def test_a_call_loads_only_its_own_command(tmp_path, case):
+    argv, own = PACKAGE_MODULES[case]
+    (tmp_path / "wide.json").write_text(json.dumps(BINOMIAL_CONFIG))
+    code, loaded = probe(argv, tmp_path, package=True)
+    assert code == (2 if case == "bogus" else 0)
+    assert loaded == CORE | {f"stopcost.{module}" for module in own}
+
+
+@pytest.mark.parametrize("case", PACKAGE_MODULES)
+def test_cli_is_compiled_once(tmp_path, case):
+    # Under -m, cli.py runs as __main__, so importing stopcost.cli would
+    # compile and run it again.  -X importtime lists each import statement's
+    # module (not build_parser's import_module calls).
+    argv, _ = PACKAGE_MODULES[case]
+    (tmp_path / "wide.json").write_text(json.dumps(BINOMIAL_CONFIG))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "stopcost.cli", *argv],
+        cwd=tmp_path,
+        env=ENV,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == (2 if case == "bogus" else 0), proc.stderr
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "stopcost.values" in imported
+    assert "stopcost.cli" not in imported
 
 
 def test_bare_package_import_loads_no_submodule():

@@ -26,7 +26,8 @@ from stopcost import (
     make_reference_decoders,
     sample_trace,
 )
-from stopcost.models import SAMPLE_CHUNK_SHOTS, _sample_chunk
+from stopcost.models import SAMPLE_CHUNK_SHOTS
+from stopcost.sampling import _sample_chunk
 from stopcost.trace import FLAG_SLICE_SHOTS, RuntimeTrace, aggregate_runtimes
 
 # Its draws at seed 5, chunk 2 first pass 255 in the third 2^16-shot slice.
@@ -259,7 +260,7 @@ class TestSampling:
         def no_draws(*args, **kwargs):
             raise AssertionError("drew a chunk before checking shots")
 
-        monkeypatch.setattr("stopcost.models._sample_chunk", no_draws)
+        monkeypatch.setattr("stopcost.sampling._sample_chunk", no_draws)
         for shots in (2**63, 10**20):
             with pytest.raises(ValueError, match=rf"^shots must be below the 2\*\*63 trace limit, got {shots}$"):
                 sample_trace(InstantaneousRuntime(), HeuristicFailure(), 5, 1e-3, shots, seed=0)
