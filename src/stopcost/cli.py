@@ -11,10 +11,10 @@ One binary, subcommand style::
     stopcost synth       --model quadratic --d 15 --p 1e-3 --shots 1e6 --seed 7 --out t.csv
     stopcost required-distance --nT 1000 --p 1e-3
 
-Common flags: --epsilon, --t-sec-ns, --min-events, --format {csv,json},
---out, --seed, plus --config pointing at a JSON file of the same settings
-(precedence: flags > config file > defaults).  Exit codes: 0 success,
-2 usage/validation error, 3 infeasible analysis, 4 I/O error.
+Flags: --epsilon, --t-sec-ns, --min-events, --format {csv,json} and --seed
+where the command reads that setting, --out, and --config naming a JSON file
+of settings (precedence: flags > config file > defaults).  Exit codes: 0
+success, 2 usage/validation error, 3 infeasible analysis, 4 I/O error.
 
 Outputs are plot-ready tables.  ``main`` reads the ``--trace`` file, if
 the command takes one, then the settings, whose ``t_sec_ns`` defaults to
@@ -47,6 +47,7 @@ from .ranges import GateSchedule
 from .values import (
     _validate_probability,
     at_least,
+    below_int64,
     integer,
     json_fields,
     json_integer,
@@ -66,7 +67,7 @@ class RunConfig(NamedTuple):
     t_sec_ns: int = 1000
     min_failure_events: int = 20
     schedule: GateSchedule = GateSchedule()
-    output_format: str = "csv"
+    format: str = "csv"
     seed: int = 0
 
     @property
@@ -81,28 +82,28 @@ def _output_format(value: str) -> str:
     return value
 
 
-# Config file key -> (RunConfig field, parser of the JSON value, check of
-# the parsed value, the argparse dest of the flag that overrides it, if any).
-CONFIG_KEYS = {
-    "epsilon": ("epsilon", json_number, lambda v: _validate_probability(v, "epsilon"), "epsilon"),
-    "t_sec_ns": ("t_sec_ns", json_integer, lambda v: at_least(v, 1, "t_sec_ns"), "t_sec_ns"),
-    "min_failure_events": (
-        "min_failure_events", json_integer, lambda v: at_least(v, 1, "min_events"), "min_events"
-    ),
-    "schedule": (
-        "schedule",
-        lambda v: json_fields(v, dict.fromkeys(GateSchedule._fields, json_integer), "schedule"),
-        lambda fields: GateSchedule(**fields),
-        None,
-    ),
-    "format": ("output_format", json_string, _output_format, "format"),
-    "seed": ("seed", json_integer, lambda v: at_least(v, 0, "seed"), "seed"),
+# Each run setting's name (its RunConfig field, settings file key and flag
+# dest) -> the parser of its JSON value, the check of the parsed value, and
+# its flag, if any: the flag, its help with the default at "{}", and
+# add_argument's other keywords.
+SETTINGS = {
+    "epsilon": (json_number, lambda v: _validate_probability(v, "epsilon"),
+                "--epsilon", "logical circuit error budget (default {})", {"type": float}),
+    "t_sec_ns": (json_integer, lambda v: below_int64(at_least(v, 1, "t_sec_ns"), "t_sec_ns"),
+                 "--t-sec-ns", "SEC cycle time in ns (default: the trace's sec_cycle_ns if the command reads a trace, else {})", {"type": integer}),
+    "min_failure_events": (json_integer, lambda v: at_least(v, 1, "min_events"), "--min-events",
+                           "failure events needed for significance (default {})", {"type": integer, "metavar": "MIN_EVENTS"}),
+    "schedule": (lambda v: json_fields(v, dict.fromkeys(GateSchedule._fields, json_integer), "schedule"),
+                 lambda fields: GateSchedule(**fields), None, None, None),
+    "format": (json_string, _output_format, "--format", "output format (default {})", {"choices": OUTPUT_FORMATS}),
+    "seed": (json_integer, lambda v: at_least(v, 0, "seed"),
+             "--seed", "RNG seed for synthetic sampling (default {})", {"type": integer}),
 }
 
 
 def _load_run_config(args: argparse.Namespace, trace: RuntimeTrace | None) -> RunConfig:
     """The defaults, with ``trace``'s SEC cycle time if a trace was read,
-    updated by the config file, then the flags.
+    updated by the config file (any setting, read or not), then the flags.
 
     A value from the file is checked as it is read, so its error names the
     file; a flag's value is checked as it overrides.
@@ -110,15 +111,11 @@ def _load_run_config(args: argparse.Namespace, trace: RuntimeTrace | None) -> Ru
     config = RunConfig() if trace is None else RunConfig(t_sec_ns=trace.metadata.sec_cycle_ns)
     settings = {}
     if args.config:
-        parsers = {
-            key: lambda v, parse=parse, check=check: check(parse(v))
-            for key, (_, parse, check, _) in CONFIG_KEYS.items()
-        }
-        values = json_fields(read_json(args.config, "config"), parsers, f"config {args.config}")
-        settings = {CONFIG_KEYS[key][0]: value for key, value in values.items()}
-    for name, _, check, flag in CONFIG_KEYS.values():
-        if flag and (value := getattr(args, flag)) is not None:
-            settings[name] = check(value)
+        parsers = {key: lambda v, p=parse, c=check: c(p(v)) for key, (parse, check, *_) in SETTINGS.items()}
+        settings = json_fields(read_json(args.config, "config"), parsers, f"config {args.config}")
+    for key, (_, check, *_) in SETTINGS.items():
+        if (value := getattr(args, key, None)) is not None:
+            settings[key] = check(value)
     return config._replace(**settings)
 
 
@@ -270,13 +267,13 @@ def _load_trace(args: argparse.Namespace) -> RuntimeTrace:
     return parse_trace(args.trace, meta, overrides)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epsilon", type=float, default=None, help="logical circuit error budget (default 0.5)")
-    parser.add_argument("--t-sec-ns", dest="t_sec_ns", type=integer, default=None, help="SEC cycle time in ns (default: the trace's sec_cycle_ns if the command reads a trace, else 1000)")
-    parser.add_argument("--min-events", dest="min_events", type=integer, default=None, help="failure events needed for significance (default 20)")
-    parser.add_argument("--format", choices=OUTPUT_FORMATS, default=None, help="output format (default csv)")
+def _add_common(parser: argparse.ArgumentParser, settings: Iterable[str]) -> None:
+    """The flags of ``settings``, then ``--out`` and ``--config``."""
+    for name in settings:
+        _, _, flag, help_text, options = SETTINGS[name]
+        help_text = help_text.format(RunConfig._field_defaults[name])
+        parser.add_argument(flag, dest=name, default=None, help=help_text, **options)
     parser.add_argument("--out", type=nonempty, default=None, help="output file (default stdout); written atomically")
-    parser.add_argument("--seed", type=integer, default=None, help="RNG seed for synthetic sampling (default 0)")
     parser.add_argument("--config", type=nonempty, default=None, help="JSON settings file; flags take precedence")
 
 
@@ -304,17 +301,18 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(2)
 
 
-# (name, help, the module of its ``_add_<name>`` and ``cmd_<name>``, ``-`` as
-# ``_``), in the order the help lists them; each then takes the common flags.
+# (name, help, the module of its ``_add_<name>`` and ``cmd_<name>`` (``-`` as
+# ``_``), the settings it reads that have a flag), in the order of the help.
+_RANGE_SETTINGS = ("epsilon", "t_sec_ns", "min_failure_events", "format")
 SUBCOMMANDS = (
-    ("trace-stats", "runtime/failure summary of a trace", "trace_commands"),
-    ("stop", "interrupted failure statistics per stopping time", "trace_commands"),
-    ("range", "decoder range per significant stopping time", "trace_commands"),
-    ("surface", "range vs accuracy and stopping time", "budget_commands"),
-    ("mincost", "minimum spacetime cost per workload size", "cost_commands"),
-    ("compare", "spacetime cost ratio of two decoders", "cost_commands"),
-    ("synth", "sample a synthetic trace from a decoder model", "synth_command"),
-    ("required-distance", "smallest viable code distance for a workload", "budget_commands"),
+    ("trace-stats", "runtime/failure summary of a trace", "trace_commands", ("format",)),
+    ("stop", "interrupted failure statistics per stopping time", "trace_commands", ("format",)),
+    ("range", "decoder range per significant stopping time", "trace_commands", _RANGE_SETTINGS),
+    ("surface", "range vs accuracy and stopping time", "budget_commands", ("epsilon", "format")),
+    ("mincost", "minimum spacetime cost per workload size", "cost_commands", _RANGE_SETTINGS),
+    ("compare", "spacetime cost ratio of two decoders", "cost_commands", _RANGE_SETTINGS),
+    ("synth", "sample a synthetic trace from a decoder model", "synth_command", ("t_sec_ns", "seed")),
+    ("required-distance", "smallest viable code distance for a workload", "budget_commands", ("epsilon", "t_sec_ns", "format")),
 )
 
 
@@ -327,14 +325,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Stopping-time, range, and spacetime-cost analysis for surface code decoders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, module in (
+    for name, help_text, module, settings in (
         [row for row in SUBCOMMANDS if row[0] == command] or SUBCOMMANDS
     ):
         commands = importlib.import_module(f".{module}", __package__)
         attr = name.replace("-", "_")
         sub_parser = sub.add_parser(name, help=help_text)
         getattr(commands, f"_add_{attr}")(sub_parser)
-        _add_common(sub_parser)
+        _add_common(sub_parser, settings)
         sub_parser.set_defaults(func=getattr(commands, f"cmd_{attr}"))
     return parser
 
@@ -361,7 +359,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             table = args.func(args, config, trace)
             if table is None:  # synth wrote its own files
                 return 0
-            emit(render_table(args.command, table.columns, config.output_format, table.extras, table.rows), args.out)
+            emit(render_table(args.command, table.columns, config.format, table.extras, table.rows), args.out)
             if table.infeasible:
                 raise InfeasibleError(table.infeasible)
             return 0

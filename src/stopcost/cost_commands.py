@@ -83,13 +83,16 @@ def _add_mincost(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--decoder", type=nonempty, default=None, help=f"decoder config JSON or one of {', '.join(BUILTIN_DECODERS)}; --p sets its physical error rate (default 1e-3)")
     _add_trace_inputs(parser, source)
-    parser.add_argument("--nT", required=True, help="comma list of T-gate counts")
-    parser.add_argument("--distances", default="3:31", help="odd distances for an analytic decoder, e.g. 3:31 or 3,5,7 (default 3:31); a measured one uses its trace's d")
+    _add_workloads(parser)
 
 
 def _add_compare(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--decoder-a", dest="decoder_a", type=nonempty, required=True)
     parser.add_argument("--decoder-b", dest="decoder_b", type=nonempty, required=True)
     parser.add_argument("--p", type=float, default=1e-3, help="physical error rate (default 1e-3)")
+    _add_workloads(parser)
+
+
+def _add_workloads(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nT", required=True, help="comma list of T-gate counts")
-    parser.add_argument("--distances", default="3:31", help="odd distances for an analytic decoder (default 3:31); a measured one uses its trace's d")
+    parser.add_argument("--distances", default="3:31", help="odd distances for an analytic decoder, e.g. 3:31 or 3,5,7 (default %(default)s); a measured one uses its trace's d")

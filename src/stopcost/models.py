@@ -19,7 +19,7 @@ import math
 import warnings
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
 
-from .values import INT64_MAX, _validate_distance, _validate_probability, at_least, checked
+from .values import INT64_MAX, _validate_distance, _validate_probability, at_least, below_int64, checked
 
 if TYPE_CHECKING:
     from .sampling import CodeSampler
@@ -419,9 +419,7 @@ def sample_trace(
     from .sampling import _sample_chunk
     from .trace import RuntimeTrace, TraceMetadata, fold_histograms
 
-    at_least(shots, 1, "shots")
-    if shots > INT64_MAX:
-        raise ValueError(f"shots must be below the 2**63 trace limit, got {shots}")
+    below_int64(at_least(shots, 1, "shots"), "shots")
     at_least(seed, 0, "seed")
     rate = failure.rate(d, p)
     sampler = runtime.sampler()

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import TraceIntegrityError, TraceParseError
 from .values import INT64_MAX, _validate_distance, _validate_probability, at_least, json_integer
-from .values import checked, json_fields, json_number, json_object, read_json
+from .values import below_int64, checked, json_fields, json_number, json_object, read_json
 
 PER_SHOT_HEADER = ("runtime_ns", "failed")
 HISTOGRAM_HEADER = ("runtime_ns", "count_total", "count_failed")
@@ -201,7 +201,7 @@ class TraceMetadata(NamedTuple):
         _validate_distance(self.distance)
         _validate_probability(self.physical_error_rate, "physical_error_rate")
         at_least(self.shots, 1, "shots")
-        at_least(self.sec_cycle_ns, 1, "sec_cycle_ns")
+        below_int64(at_least(self.sec_cycle_ns, 1, "sec_cycle_ns"), "sec_cycle_ns")
 
 
 class RuntimeTrace:

@@ -3,10 +3,10 @@
 The command line, the settings file, decoder configs and trace sidecars
 read their values here, so a value is refused the same way wherever it
 arrives.  The range rules (a distance, a probability, a lower bound such
-as ``n_T >= 1``) are each stated once here, for the library and the CLI
-alike, and :func:`checked` makes a record run its own checks whenever it
-is built.  This module imports only the standard library and
-:mod:`stopcost.errors`, so every command can load it.
+as ``n_T >= 1``, the 2**63 trace limit) are each stated once here, for the
+library and the CLI alike, and :func:`checked` makes a record run its own
+checks whenever it is built.  This module imports only the standard
+library and :mod:`stopcost.errors`, so every command can load it.
 """
 
 from __future__ import annotations
@@ -45,6 +45,13 @@ def at_least(value, low: int, name: str):
     names it."""
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def below_int64(value: int, name: str) -> int:
+    """``value``, if it fits a trace's int64; else a ``ValueError`` that names it."""
+    if value > INT64_MAX:
+        raise ValueError(f"{name} must be below the 2**63 trace limit, got {value}")
     return value
 
 

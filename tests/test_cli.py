@@ -664,6 +664,16 @@ class TestConfigPrecedence:
         from_config, from_flag, at_1000 = outputs
         assert from_config == from_flag != at_1000
 
+    @pytest.mark.parametrize("command", [["trace-stats"], ["range"], ["mincost", "--nT", "10"]])
+    def test_sidecar_sec_cycle_time_past_int64_is_refused(self, tmp_path, capsys, command):
+        # It was read, then range and mincost stopped on numpy's "Python int
+        # too large to convert to C long".
+        trace = write_trace(tmp_path, [(100, 0)] * 6, meta=dict(META, sec_cycle_ns=2**63))
+        assert main([*command, "--trace", str(trace)]) == 2
+        assert capsys.readouterr() == (
+            "", f"stopcost: error: sec_cycle_ns must be below the 2**63 trace limit, got {2**63}\n"
+        )
+
     @pytest.mark.parametrize(
         "content, message",
         [
@@ -719,7 +729,8 @@ class TestConfigPrecedence:
                 "min_events must be >= 1, got -1",
             ),
             (
-                ["surface", "--d", "9", "--p", "1e-3", "--min-events", "0"],
+                ["compare", "--decoder-a", "linear", "--decoder-b", "quadratic", "--nT", "10",
+                 "--min-events", "0"],
                 "min_events must be >= 1, got 0",
             ),
             (
@@ -728,17 +739,23 @@ class TestConfigPrecedence:
                 "t_sec_ns must be >= 1, got 0",
             ),
             (
-                ["surface", "--d", "9", "--p", "1e-3", "--t-sec-ns", "-5"],
+                ["required-distance", "--nT", "1000", "--t-sec-ns", "-5"],
                 "t_sec_ns must be >= 1, got -5",
             ),
+            (
+                ["synth", "--model", "linear", "--d", "5", "--p", "1e-3", "--shots", "10",
+                 "--t-sec-ns", "1e30"],
+                f"t_sec_ns must be below the 2**63 trace limit, got {10**30}",
+            ),
         ],
-        ids=["synth-seed", "mincost-min-events", "surface-min-events", "synth-t-sec",
-             "surface-t-sec"],
+        ids=["synth-seed", "mincost-min-events", "compare-min-events", "synth-t-sec",
+             "required-distance-t-sec", "synth-t-sec-2**63"],
     )
     def test_out_of_range_flag_is_named(self, tmp_path, capsys, argv, message):
-        # Checked for every command, not only where the value is used: a
-        # negative seed used to reach numpy, which named neither the flag
-        # nor the value, and mincost --decoder ignored --min-events -1.
+        # Checked as the flag is read, before any work or file: a negative
+        # seed used to reach numpy, which named neither the flag nor the
+        # value, mincost --decoder ignored --min-events -1, and synth wrote
+        # a sidecar whose SEC cycle time no trace command could read.
         out = tmp_path / "t.csv"
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"stopcost: error: {message}\n"
@@ -752,7 +769,9 @@ class TestConfigPrecedence:
     def test_missing_trace_is_reported_before_the_settings(self, tmp_path, capsys, command):
         # main reads the trace, then the settings, for every command.
         missing = tmp_path / "missing.csv"
-        assert main([*command, "--trace", str(missing), "--epsilon", "2"]) == 4
+        cfg = tmp_path / "settings.json"
+        cfg.write_text(json.dumps({"epsilon": 2}))
+        assert main([*command, "--trace", str(missing), "--config", str(cfg)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("stopcost: io error: ") and str(missing) in err
 
@@ -926,6 +945,84 @@ def test_one_subparser_answers_as_the_full_parser(tmp_path, monkeypatch, capsys,
         mp.setattr(cli, "build_parser", lambda command=None: build())
         full = outcome()
     assert outcome() == full
+
+
+# A call per subcommand in which every setting of its SUBCOMMANDS row
+# shows, run beside the trace t.csv and the decoder config emp.json, whose
+# runtime is that trace: mincost prices the measured decoder and compare the
+# config, whose ranges depend on min_failure_events, and required-distance a
+# decoding delay, which t_sec_ns turns into cycles.
+SETTING_ARGVS = {
+    "trace-stats": ["--trace", "t.csv"],
+    "stop": ["--trace", "t.csv"],
+    "range": ["--trace", "t.csv"],
+    "surface": ["--d", "15", "--p", "1e-3", "--alphas", "0.5", "--m-cycles", "0,100"],
+    "mincost": ["--trace", "t.csv", "--nT", "1,10,1000"],
+    "compare": ["--decoder-a", "emp.json", "--decoder-b", "quadratic", "--nT", "1,10,1000",
+                "--distances", "3:9"],
+    "synth": ["--model", "linear", "--d", "5", "--p", "1e-3", "--shots", "100", "--out", "out.csv"],
+    "required-distance": ["--nT", "1000", "--delay-ns", "500000"],
+}
+# A value of each flagged setting other than its default.
+SETTING_VALUES = {"epsilon": "0.9", "t_sec_ns": "100", "min_failure_events": "100", "format": "json",
+                  "seed": "7"}
+COMMAND_SETTINGS = {name: settings for name, *_, settings in cli.SUBCOMMANDS}
+
+
+@pytest.fixture(scope="module")
+def measured_inputs(tmp_path_factory):
+    """t.csv, its sidecar, and emp.json: a d=5 trace with 16 failures in
+    2e5 shots, so 100 failure events, not 20, rule out stopping times that
+    mincost and compare otherwise pick."""
+    directory = tmp_path_factory.mktemp("measured")
+    assert main([
+        "synth", "--model", "quadratic", "--d", "5", "--p", "1e-3", "--shots", "2e5",
+        "--seed", "1", "--out", str(directory / "t.csv"),
+    ]) == 0
+    (directory / "emp.json").write_text(json.dumps({
+        "runtime": {"kind": "empirical", "trace": "t.csv"},
+        "failure": {"kind": "heuristic"},
+    }))
+    return directory
+
+
+@pytest.fixture
+def beside_measured_inputs(tmp_path, monkeypatch, measured_inputs):
+    for path in measured_inputs.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "name, setting",
+    [(name, setting) for name, settings in COMMAND_SETTINGS.items() for setting in settings],
+)
+def test_each_flag_of_a_command_changes_what_it_writes(beside_measured_inputs, capsys, name, setting):
+    written = []
+    for extra in ([], [cli.SETTINGS[setting][2], SETTING_VALUES[setting]]):
+        assert main([name, *SETTING_ARGVS[name], *extra]) == 0
+        files = [path.read_bytes() for path in sorted(beside_measured_inputs.glob("out.*"))]
+        written.append((capsys.readouterr().out, files))
+    assert written[0] != written[1]
+
+
+@pytest.mark.parametrize(
+    "name, setting",
+    [
+        (name, setting)
+        for name, settings in COMMAND_SETTINGS.items()
+        for setting, (_, _, flag, _, _) in cli.SETTINGS.items()
+        if flag and setting not in settings
+    ],
+)
+def test_a_flag_of_a_setting_the_command_does_not_read_is_refused(beside_measured_inputs, capsys, name, setting):
+    flag, value = cli.SETTINGS[setting][2], SETTING_VALUES[setting]
+    with pytest.raises(SystemExit) as exc:
+        main([name, *SETTING_ARGVS[name], flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"stopcost: error: unrecognized arguments: {flag} {value}\n")
+    assert not list(beside_measured_inputs.glob("out.*"))
 
 
 class TestOneLineErrors:

@@ -46,7 +46,7 @@ GOOD = {
     "m_cycles": ["0,10", "5"],
     "epsilon": ["0.5", "0.1"],
     "t_sec_ns": ["1000", "1e3", "400"],
-    "min_events": ["0", "1", "20"],
+    "min_failure_events": ["0", "1", "20"],
     "seed": ["0", "7"],
     "shots": ["100", "1e3", "20000"],
     "sec_cycle_ns": ["1000"],
@@ -122,7 +122,7 @@ def decoder_configs(draw):
     return draw(mutated([sections], keyed(["name", "runtime", "failure"]) | json_values))
 
 
-run_configs = mutated([{}], keyed(list(cli.CONFIG_KEYS)) | json_values)
+run_configs = mutated([{}], keyed(list(cli.SETTINGS)) | json_values)
 # The sidecar of ns.csv, or one near it.
 meta_files = mutated(
     [json.loads((INPUTS / "ns.json").read_text())],

@@ -181,7 +181,8 @@ def test_the_examples_hold_what_they_are_for():
 
 @pytest.mark.parametrize(
     "argv, width",
-    [(["stop"], 6), (["range"], 4), (["mincost", "--nT", "1,100"], 5)],
+    [(["stop"], 6), (["range", "--min-events", "1"], 4),
+     (["mincost", "--nT", "1,100", "--min-events", "1"], 5)],
     ids=["stop", "range", "mincost"],
 )
 def test_trace_tables_hold_the_trace_plus_a_few_blocks(argv, width):
@@ -203,7 +204,7 @@ def test_trace_tables_hold_the_trace_plus_a_few_blocks(argv, width):
         traces.append(RuntimeTrace(meta, runtimes.copy(), counts.copy(), failed.copy()))
         return traces[-1]
 
-    argv = [*argv, "--trace", "t.csv", "--min-events", "1"]
+    argv = [*argv, "--trace", "t.csv"]
     with pytest.MonkeyPatch.context() as mp, open(os.devnull, "w") as devnull:
         mp.setattr(cli, "_load_trace", load_trace)
         with contextlib.redirect_stdout(devnull):

@@ -202,6 +202,7 @@ def test_metadata_override_error_does_not_name_the_sidecar(tmp_path, p):
         ("physical_error_rate", 1.0),
         ("shots", 0),
         ("sec_cycle_ns", 0),
+        ("sec_cycle_ns", 2**63),
     ],
 )
 def test_metadata_invariants(field, value):
