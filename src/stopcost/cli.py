@@ -90,7 +90,7 @@ SETTINGS = {
     "epsilon": (json_number, lambda v: _validate_probability(v, "epsilon"),
                 "--epsilon", "logical circuit error budget (default {})", {"type": float}),
     "t_sec_ns": (json_integer, lambda v: below_int64(at_least(v, 1, "t_sec_ns"), "t_sec_ns"),
-                 "--t-sec-ns", "SEC cycle time in ns (default: the trace's sec_cycle_ns if the command reads a trace, else {})", {"type": integer}),
+                 "--t-sec-ns", "SEC cycle time in ns (default {})", {"type": integer}),
     "min_failure_events": (json_integer, lambda v: at_least(v, 1, "min_events"), "--min-events",
                            "failure events needed for significance (default {})", {"type": integer, "metavar": "MIN_EVENTS"}),
     "schedule": (lambda v: json_fields(v, dict.fromkeys(GateSchedule._fields, json_integer), "schedule"),
@@ -267,13 +267,23 @@ def _load_trace(args: argparse.Namespace) -> RuntimeTrace:
     return parse_trace(args.trace, meta, overrides)
 
 
+# The help of --t-sec-ns on a command that takes --trace, whose SEC cycle
+# time is then the default (see _load_run_config).
+_TRACE_T_SEC_HELP = "SEC cycle time in ns (default: the trace's sec_cycle_ns if the command reads a trace, else {})"
+
+
 def _add_common(parser: argparse.ArgumentParser, settings: Iterable[str]) -> None:
-    """The flags of ``settings``, then ``--out`` and ``--config``."""
+    """The flags of ``settings``, then ``--out`` unless the command adds its
+    own, and ``--config``."""
+    dests = {action.dest for action in parser._actions}
     for name in settings:
         _, _, flag, help_text, options = SETTINGS[name]
+        if name == "t_sec_ns" and "trace" in dests:
+            help_text = _TRACE_T_SEC_HELP
         help_text = help_text.format(RunConfig._field_defaults[name])
         parser.add_argument(flag, dest=name, default=None, help=help_text, **options)
-    parser.add_argument("--out", type=nonempty, default=None, help="output file (default stdout); written atomically")
+    if "out" not in dests:
+        parser.add_argument("--out", type=nonempty, default=None, help="output file (default stdout); written atomically")
     parser.add_argument("--config", type=nonempty, default=None, help="JSON settings file; flags take precedence")
 
 

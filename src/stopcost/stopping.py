@@ -192,9 +192,10 @@ def _failure_counts(
         )
     else:
         m = np.asarray(stopping_times_ns, dtype=np.int64)[rows]
+        # Row idx - 1 is the last runtime <= M; none completes when idx is 0.
         idx = np.searchsorted(trace.runtimes_ns, m, side="right")
-        completed = np.concatenate(([0], trace.cum_total))[idx]
-        completed_failures = np.concatenate(([0], trace.cum_failed))[idx]
+        completed = np.where(idx > 0, trace.cum_total[idx - 1], 0)
+        completed_failures = np.where(idx > 0, trace.cum_failed[idx - 1], 0)
     timeouts = trace.shots - completed
     return m, timeouts, timeouts + completed_failures
 

@@ -55,3 +55,4 @@ def _add_synth(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", type=float, required=True, help="physical error rate")
     parser.add_argument("--shots", type=integer, required=True, help="number of shots")
     parser.add_argument("--per-shot", dest="per_shot", action="store_true", help="write per-shot rows instead of a histogram")
+    parser.add_argument("--out", type=nonempty, default=None, help="trace CSV to write (required), with its .json metadata sidecar; both written atomically")

@@ -28,16 +28,19 @@ definition of the grammar and the source of every line-numbered error.
 One-shot rows are aggregated by sorting their runtimes, and the failed
 shots' runtimes, but a run of one repeated line is converted once per
 read, however many blocks it spans.  Rows that are already a sorted
-histogram pass through unsorted and uncopied, and the parts of a file are
-folded as they are read (:func:`fold_histograms`).
+histogram pass through unsorted.  A histogram file's parts are written
+straight into the trace's columns for as long as they ascend, so a sorted
+histogram is held once; the parts of any other file are folded as they
+are read (:func:`fold_histograms`).  The trace keeps cumulative counts
+only, which the parse makes in place.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from pathlib import Path
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -207,13 +210,13 @@ class TraceMetadata(NamedTuple):
 class RuntimeTrace:
     """A decoder's empirical runtime distribution, with joint failure counts.
 
-    ``runtimes_ns`` holds the distinct observed runtimes sorted ascending;
-    ``counts`` and ``failed_counts`` hold, per distinct runtime, the number
-    of shots and the number of decode failures among them.
+    ``runtimes_ns`` holds the distinct observed runtimes sorted ascending.
     ``cum_total[i]`` / ``cum_failed[i]`` count the shots / decode failures
-    with runtime <= ``runtimes_ns[i]``, computed on first use.  No
-    interpolation or smoothing is applied anywhere; all queries are exact
-    counts over the sample.
+    with runtime <= ``runtimes_ns[i]``; they are the trace's stored
+    columns, because every analysis reads cumulative counts.  ``counts``
+    and ``failed_counts``, per distinct runtime, are derived from them on
+    each read.  No interpolation or smoothing is applied anywhere; all
+    queries are exact counts over the sample.
     """
 
     def __init__(
@@ -236,30 +239,49 @@ class RuntimeTrace:
             raise ValueError("every histogram point needs a positive count")
         if np.any(failed_counts < 0) or np.any(failed_counts > counts):
             raise ValueError("failed counts must satisfy 0 <= failed <= total")
-        total = int(counts.sum())
-        if total != metadata.shots:
+        self._store(metadata, runtimes_ns, np.cumsum(counts), np.cumsum(failed_counts))
+
+    @classmethod
+    def _from_cumulative(
+        cls,
+        metadata: TraceMetadata,
+        runtimes_ns: np.ndarray,
+        cum_total: np.ndarray,
+        cum_failed: np.ndarray,
+    ) -> RuntimeTrace:
+        """A trace of int64 columns that are valid by construction (a
+        parse's), stored as they are: only the shot count is checked."""
+        trace = cls.__new__(cls)
+        trace._store(metadata, runtimes_ns, cum_total, cum_failed)
+        return trace
+
+    def _store(self, metadata, runtimes_ns, cum_total, cum_failed) -> None:
+        shots = int(cum_total[-1])
+        if shots != metadata.shots:
             raise TraceIntegrityError(
-                f"trace contains {total} records but metadata declares "
+                f"trace contains {shots} records but metadata declares "
                 f"{metadata.shots} shots"
             )
         self.metadata = metadata
         self.runtimes_ns = runtimes_ns
-        self.counts = counts
-        self.failed_counts = failed_counts
-        self.shots = total
+        self.cum_total = cum_total
+        self.cum_failed = cum_failed
+        self.shots = shots
 
-    @cached_property
-    def cum_total(self) -> np.ndarray:
-        return np.cumsum(self.counts)
+    @property
+    def counts(self) -> np.ndarray:
+        """Shots per distinct runtime, a new read-only array on each read."""
+        return _differences(self.cum_total)
 
-    @cached_property
-    def cum_failed(self) -> np.ndarray:
-        return np.cumsum(self.failed_counts)
+    @property
+    def failed_counts(self) -> np.ndarray:
+        """Decode failures per distinct runtime, a new read-only array on each read."""
+        return _differences(self.cum_failed)
 
     @property
     def failure_count(self) -> int:
         """Decode failures of the uninterrupted decoder."""
-        return int(self.failed_counts.sum())
+        return int(self.cum_failed[-1])
 
     @property
     def max_runtime_ns(self) -> int:
@@ -278,8 +300,16 @@ class RuntimeTrace:
         idx = min(idx, len(self.runtimes_ns) - 1)
         return int(self.runtimes_ns[idx])
 
+    def _float_counts(self) -> np.ndarray:
+        """``counts.astype(float)``, with no int64 column on the way: each
+        difference is taken exactly in int64 and then rounded."""
+        counts = np.empty(self.cum_total.size)
+        counts[0] = self.cum_total[0]
+        np.subtract(self.cum_total[1:], self.cum_total[:-1], out=counts[1:])
+        return counts
+
     def mean_ns(self) -> float:
-        return float(np.dot(self.runtimes_ns.astype(float), self.counts)) / self.shots
+        return float(np.dot(self.runtimes_ns.astype(float), self._float_counts())) / self.shots
 
     def std_ns(self) -> float:
         """Corrected (n-1) sample standard deviation; 0 for a single shot."""
@@ -293,7 +323,7 @@ class RuntimeTrace:
         dev = self.runtimes_ns.astype(float)  # one float temporary, squared in place
         dev -= mean
         dev *= dev
-        return float(np.sqrt(np.dot(self.counts, dev) / (self.shots - 1)))
+        return float(np.sqrt(np.dot(self._float_counts(), dev) / (self.shots - 1)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RuntimeTrace):
@@ -301,9 +331,17 @@ class RuntimeTrace:
         return (
             self.metadata == other.metadata
             and np.array_equal(self.runtimes_ns, other.runtimes_ns)
-            and np.array_equal(self.counts, other.counts)
-            and np.array_equal(self.failed_counts, other.failed_counts)
+            and np.array_equal(self.cum_total, other.cum_total)
+            and np.array_equal(self.cum_failed, other.cum_failed)
         )
+
+
+def _differences(cumulative: np.ndarray) -> np.ndarray:
+    """The per-row counts whose running sum is ``cumulative``, read-only."""
+    counts = cumulative.copy()
+    counts[1:] -= cumulative[:-1]
+    counts.flags.writeable = False
+    return counts
 
 
 def load_metadata(
@@ -502,9 +540,57 @@ def _canonical_columns(
         if fields is None:
             return None
         try:
-            return fold_histograms(_canonical_parts(fh, fields))
+            parts = _canonical_parts(fh, fields)
+            # Only histograms: a per-shot file's runtimes recur across
+            # block boundaries, so its parts seldom ascend.
+            return fold_histograms(_ascending_parts(fh, parts) if fields == 3 else parts)
         except _NotCanonical:
             return None
+
+
+def _ascending_parts(
+    fh, parts: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The histogram ``parts`` read from ``fh``, with their leading run that
+    ascends written straight into one part: the final columns of a sorted
+    histogram.
+
+    Each part whose runtimes all follow the last one written is copied in.
+    The columns are sized from the rows per byte read so far and grown in
+    place (``ndarray.resize``), so no second copy of them is made.  The
+    first part that does not ascend (a runtime repeated across a block
+    boundary, or going backwards) comes next, then the rest, for
+    :func:`fold_histograms` to merge as it merges any parts.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    columns = tuple(np.empty(0, dtype=np.int64) for _ in range(3))
+    filled = 0
+    for part in parts:
+        if not part[0].size:
+            continue
+        if filled and part[0][0] <= columns[0][filled - 1]:
+            break
+        end = filled + part[0].size
+        if end > columns[0].size:
+            _resize(columns, max(end + end // 8, end * size // fh.tell()))
+        for column, values in zip(columns, part):
+            column[filled:end] = values
+        filled = end
+    else:
+        part = None
+    _resize(columns, filled)
+    yield columns
+    del columns  # held by the fold alone from here
+    if part is not None:
+        yield part
+        del part
+        yield from parts
+
+
+def _resize(columns: tuple[np.ndarray, ...], rows: int) -> None:
+    # In place: nothing else holds a view of the columns.
+    for column in columns:
+        column.resize(rows, refcheck=False)
 
 
 def _canonical_parts(
@@ -559,10 +645,14 @@ def parse_trace(
     columns = _canonical_columns(path)
     if columns is None:
         columns = _validated_columns(path)
-    if columns[0].size == 0:
+    runtimes, totals, failed = columns
+    if runtimes.size == 0:
         raise TraceParseError("trace file has no data rows")
     metadata = load_metadata(meta_path, overrides)
-    return RuntimeTrace(metadata, *columns)
+    # The parse owns its count columns, so they turn cumulative in place.
+    return RuntimeTrace._from_cumulative(
+        metadata, runtimes, np.cumsum(totals, out=totals), np.cumsum(failed, out=failed)
+    )
 
 
 def check_per_shot_rows(shots: int) -> None:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -1423,3 +1424,44 @@ def test_console_script_target_is_run():
     # Read as text: tomllib is not in every supported Python.
     pyproject = (SRC.parent / "pyproject.toml").read_text()
     assert re.search(r'^\[project\.scripts\]\nstopcost = "stopcost\.cli:run"$', pyproject, re.M)
+
+
+# A library keyword that restates a run setting -> that setting's RunConfig field.
+RESTATED_SETTINGS = {
+    "t_sec_ns": "t_sec_ns",
+    "sec_cycle_ns": "t_sec_ns",
+    "min_events": "min_failure_events",
+    "schedule": "schedule",
+}
+
+
+def test_library_defaults_equal_the_run_settings():
+    # The CLI always passes its own values, so only library callers see these
+    # keyword defaults; each must still equal its setting's default.
+    from stopcost import budget, cost, stopping
+
+    pinned = set()
+    for module in (budget, cost, ranges, stopping, models):
+        for name, function in vars(module).items():
+            if not inspect.isfunction(function) or function.__module__ != module.__name__:
+                continue
+            for parameter in inspect.signature(function).parameters.values():
+                field = RESTATED_SETTINGS.get(parameter.name)
+                if field is None or parameter.default is parameter.empty:
+                    continue
+                where = f"{module.__name__.rsplit('.', 1)[1]}.{name}({parameter.name})"
+                assert parameter.default == cli.RunConfig._field_defaults[field], where
+                pinned.add(where)
+    assert pinned >= {
+        "budget.required_distance(t_sec_ns)",
+        "cost.stopping_candidates(t_sec_ns)",
+        "cost.stopping_candidates(min_events)",
+        "cost.min_spacetime_costs(t_sec_ns)",
+        "cost.min_spacetime_costs(min_events)",
+        "cost.compare_decoders(t_sec_ns)",
+        "cost.compare_decoders(min_events)",
+        "ranges.decoder_range(t_sec_ns)",
+        "stopping.range_curve(t_sec_ns)",
+        "stopping.range_curve(min_events)",
+        "models.sample_trace(sec_cycle_ns)",
+    }

@@ -221,7 +221,6 @@ def test_range_curve_builds_only_what_it_returns():
     rng = np.random.default_rng(3)
     counts = rng.integers(1, 20, n)
     dist = make_dist(np.cumsum(rng.integers(1, 50, n)), counts, rng.integers(0, counts + 1))
-    dist.cum_total, dist.cum_failed  # built on first use, by any reader
     tracemalloc.start()
     try:
         curve = range_curve(dist, 15, 0.5, min_events=1)

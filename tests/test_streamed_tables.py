@@ -186,8 +186,9 @@ def test_the_examples_hold_what_they_are_for():
     ids=["stop", "range", "mincost"],
 )
 def test_trace_tables_hold_the_trace_plus_a_few_blocks(argv, width):
-    # 1e5 significant rows.  A call holds the trace's five columns (the
-    # cumulative ones built on first use) plus a few blocks, each of
+    # 1e5 significant rows.  A call holds the five columns the constructor
+    # sees (the per-runtime counts it is given and the cumulative ones it
+    # keeps) plus a few blocks, each of
     # ROWS_PER_BLOCK rows of `width` 8-byte columns (the range curve's five
     # for mincost): its cells and text take ~10 of them.  Building every
     # column at full length first peaked at 3 to 10 times the trace's bytes

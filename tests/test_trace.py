@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import functools
 import io
 import json
 import math
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -21,6 +23,7 @@ from oracles import (
     survival,
     trace_from_records,
 )
+from stopcost import cli
 from stopcost import models as models_module
 from stopcost import trace as trace_module
 from stopcost import (
@@ -451,6 +454,64 @@ def test_fast_path_equals_row_validator(case, block_bytes):
 
 
 @st.composite
+def ascending_then_broken(draw):
+    """Histogram rows that ascend for a while, then break the ascent: a
+    runtime repeated, a step back, or a zero-count row, any number of times."""
+    rows, runtime = [], draw(st.integers(0, 10**6))
+    count = st.one_of(st.integers(1, 5), st.integers(1, 10**15))
+    for _ in range(draw(st.integers(1, 8))):
+        for _ in range(draw(st.integers(0, 12))):
+            total = draw(count)
+            rows.append((runtime, total, draw(st.integers(0, total))))
+            runtime += draw(st.integers(1, 10**6))
+        brk = draw(st.sampled_from(["repeat", "backwards", "zero", "none"]))
+        if brk == "repeat" and rows:
+            runtime = rows[-1][0]
+        elif brk == "backwards":
+            runtime = draw(st.integers(0, runtime))
+        elif brk == "zero":
+            rows.append((draw(st.integers(0, 2 * 10**6)), 0, 0))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(ascending_then_broken(), st.sampled_from([8, 16, 32, 64, 1 << 16]))
+def test_ascending_histogram_parts_fold_where_the_ascent_breaks(rows, block_bytes):
+    # Parts that ascend are written into the columns; the first that does
+    # not hands them to the fold.  Either way the columns are the
+    # validator's and the oracle's, and the trace's counts round-trip.
+    merges = []
+    real_merge = trace_module.merge_histograms
+
+    def counted_merge(parts):
+        merges.append(len(parts))
+        return real_merge(parts)
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        trace_module, "BLOCK_BYTES", block_bytes
+    ), mock.patch.object(trace_module, "merge_histograms", counted_merge):
+        path = _write(tmp, "t.csv", _canonical_text("histogram", rows))
+        fast = trace_module._canonical_columns(path)
+        merged = list(merges)
+        assert fast is not None, "a canonical file must take the fast path"
+        oracle = _dict_oracle(rows)
+        assert _columns(fast) == oracle
+        assert _columns(fast) == _columns(trace_module._validated_columns(path))
+        shots = sum(t for _, t, _ in rows)
+        if shots:
+            trace = parse_trace(path, None, dict(META, shots=shots))
+            assert _columns((trace.runtimes_ns, trace.counts, trace.failed_counts)) == oracle
+            built = RuntimeTrace(trace.metadata, *oracle)
+            assert built == trace
+            assert (built.counts.tolist(), built.failed_counts.tolist()) == oracle[1:]
+            assert np.array_equal(built.cum_total, np.cumsum(oracle[1]))
+            assert np.array_equal(built.cum_failed, np.cumsum(oracle[2]))
+    positive = [r for r, t, _ in rows if t > 0]
+    if all(a < b for a, b in zip(positive, positive[1:])):
+        assert max(merged, default=1) <= 1, "a sorted histogram is written in place, with no merge"
+
+
+@st.composite
 def repeated_runs(draw):
     """Rows as runs of one row repeated 1-300 times, so that blocks of one
     run take the repeated-line branch and blocks across runs do not."""
@@ -843,12 +904,9 @@ def test_sample_trace_folds_chunks_as_it_goes(chunk):
     assert max(merged_rows) <= 2 * trace.runtimes_ns.size + chunk < shots
 
 
-def test_sorted_histogram_parse_makes_no_sorting_copies(tmp_path):
-    # A sorted canonical histogram of 1e5 distinct runtimes is read with no
-    # argsort, gather or reduceat of its blocks or folds: the parse peaks
-    # near twice the bytes of the columns it returns (the parts held and
-    # their concatenation), where sorting them again peaked near 4.7 times.
-    n = 100_000
+def _sorted_histogram(tmp_path, n=100_000):
+    """A sorted canonical histogram of ``n`` distinct runtimes, its columns
+    and the bytes of those columns."""
     rng = np.random.default_rng(5)
     runtimes = 90_000 + np.cumsum(rng.integers(1, 5, n))
     counts = rng.integers(1, 20, n)
@@ -857,17 +915,43 @@ def test_sorted_histogram_parse_makes_no_sorting_copies(tmp_path):
         f"{r},{c},{f}\n" for r, c, f in zip(runtimes.tolist(), counts.tolist(), failed.tolist())
     )
     path = _write(tmp_path, "t.csv", "runtime_ns,count_total,count_failed\n" + body)
-    del body
+    return path, (runtimes, counts, failed), 3 * 8 * n
+
+
+def test_sorted_histogram_parse_makes_no_sorting_copies(tmp_path):
+    # A sorted canonical histogram of 1e5 distinct runtimes is written
+    # straight into the trace's columns, which turn cumulative in place: the
+    # parse peaks at those columns plus one block's parse (1.41 times their
+    # bytes), where folding the parts peaked near twice and sorting them
+    # again near 4.7 times.
+    path, columns, column_bytes = _sorted_histogram(tmp_path)
     tracemalloc.start()
     try:
-        trace = parse_trace(path, None, dict(META, shots=int(counts.sum())))
+        trace = parse_trace(path, None, dict(META, shots=int(columns[1].sum())))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert _columns((trace.runtimes_ns, trace.counts, trace.failed_counts)) == _columns(
-        (runtimes, counts, failed)
-    )
-    assert peak < 3 * (3 * 8 * n)
+    assert _columns((trace.runtimes_ns, trace.counts, trace.failed_counts)) == _columns(columns)
+    assert peak < 1.5 * column_bytes
+
+
+def test_stop_call_holds_one_copy_of_the_trace(tmp_path):
+    # The whole stop call on the same histogram stays within the parse's
+    # bound: the trace keeps only its cumulative counts, and the curve is
+    # built and written block by block.
+    path, columns, column_bytes = _sorted_histogram(tmp_path)
+    meta = dict(META, shots=int(columns[1].sum()))
+    path.with_suffix(".json").write_text(json.dumps(meta))
+    argv = ["stop", "--trace", str(path)]
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+        assert cli.main(argv) == 0  # imports outside the measurement
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.5 * column_bytes
 
 
 @settings(max_examples=40, deadline=None)
