@@ -430,4 +430,4 @@ def sample_trace(
     metadata = TraceMetadata(
         distance=d, physical_error_rate=p, shots=shots, sec_cycle_ns=sec_cycle_ns
     )
-    return RuntimeTrace(metadata, *fold_histograms(parts))
+    return RuntimeTrace._from_fold(metadata, *fold_histograms(parts))

@@ -28,17 +28,16 @@ definition of the grammar and the source of every line-numbered error.
 One-shot rows are aggregated by sorting their runtimes, and the failed
 shots' runtimes, but a run of one repeated line is converted once per
 read, however many blocks it spans.  Rows that are already a sorted
-histogram pass through unsorted.  A histogram file's parts are written
-straight into the trace's columns for as long as they ascend, so a sorted
-histogram is held once; the parts of any other file are folded as they
-are read (:func:`fold_histograms`).  The trace keeps cumulative counts
-only, which the parse makes in place.
+histogram pass through unsorted.  Every source's parts (both layouts' blocks,
+the row validator's batches, ``synth``'s chunks) go through one fold
+(:func:`fold_histograms`), which appends parts that ascend to its own
+columns and merges the others, so a sorted histogram is held once.  The
+trace keeps cumulative counts only, made in place in the fold's columns.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import warnings
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -157,38 +156,54 @@ def aggregate_shots(
     return distinct, totals, failed_counts
 
 
-def merge_histograms(
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`aggregate_runtimes` over the rows of several aggregated parts."""
-    if not parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    if len(parts) == 1:
-        return parts[0]
-    return aggregate_runtimes(*(np.concatenate(column) for column in zip(*parts)))
-
-
 def fold_histograms(
     parts: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`merge_histograms` of aggregated parts, taken one at a time.
+    """:func:`aggregate_runtimes` over the rows of aggregated parts, taken one
+    at a time, in new int64 columns that belong to the caller.
 
-    The first part held is the histogram merged so far.  The parts taken
-    since are folded into it once their rows outnumber its own, so a merge
-    takes at most about twice the distinct runtimes plus one part's rows,
-    and the memory held does not grow with the number of parts.  Parts
-    that follow each other in ascending runtimes are folded without a sort.
+    While no part is held, a part whose first runtime is above the last one
+    folded is appended to the columns, which grow in place by 1/8, so a
+    sorted histogram is held once.  Any other part is held until the held
+    rows outnumber the columns', then merged with them: a merge takes at
+    most about twice the distinct runtimes plus one part's rows.
     """
+    columns = tuple(np.empty(0, dtype=np.int64) for _ in range(3))
+    filled = 0  # rows of the columns in use
     held: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    rows = 0  # of all the held parts
+    rows = 0  # of the held parts
     for part in parts:
+        if not part[0].size:
+            continue
+        if not held and (not filled or part[0][0] > columns[0][filled - 1]):
+            end = filled + part[0].size
+            if end > columns[0].size:
+                _resize(columns, end + end // 8)
+            for column, values in zip(columns, part):
+                column[filled:end] = values
+            filled = end
+            continue
         held.append(part)
         rows += part[0].size
-        if rows > 2 * held[0][0].size:
-            held = [merge_histograms(held)]
-            rows = held[0][0].size
-    return merge_histograms(held)
+        if rows > filled:
+            _resize(columns, filled)
+            columns = _merge([columns, *held])
+            filled, held, rows = columns[0].size, [], 0
+    _resize(columns, filled)
+    return _merge([columns, *held]) if held else columns
+
+
+def _resize(columns: tuple[np.ndarray, ...], rows: int) -> None:
+    # In place: nothing else holds a view of the fold's columns.
+    for column in columns:
+        column.resize(rows, refcheck=False)
+
+
+def _merge(
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`aggregate_runtimes` over the rows of several parts, in new arrays."""
+    return aggregate_runtimes(*(np.concatenate(column) for column in zip(*parts)))
 
 
 @checked
@@ -229,6 +244,11 @@ class RuntimeTrace:
         runtimes_ns = np.asarray(runtimes_ns, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
         failed_counts = np.asarray(failed_counts, dtype=np.int64)
+        if runtimes_ns.ndim != 1 or not runtimes_ns.shape == counts.shape == failed_counts.shape:
+            raise ValueError(
+                "runtimes, counts and failed counts must be 1-D columns of one length, got "
+                f"shapes {runtimes_ns.shape}, {counts.shape} and {failed_counts.shape}"
+            )
         if runtimes_ns.size == 0:
             raise ValueError("trace must contain at least one record")
         if (runtimes_ns[1:] <= runtimes_ns[:-1]).any():
@@ -239,23 +259,26 @@ class RuntimeTrace:
             raise ValueError("every histogram point needs a positive count")
         if np.any(failed_counts < 0) or np.any(failed_counts > counts):
             raise ValueError("failed counts must satisfy 0 <= failed <= total")
-        self._store(metadata, runtimes_ns, np.cumsum(counts), np.cumsum(failed_counts))
+        self._store(metadata, runtimes_ns, counts.copy(), failed_counts.copy())
 
     @classmethod
-    def _from_cumulative(
+    def _from_fold(
         cls,
         metadata: TraceMetadata,
         runtimes_ns: np.ndarray,
-        cum_total: np.ndarray,
-        cum_failed: np.ndarray,
+        counts: np.ndarray,
+        failed_counts: np.ndarray,
     ) -> RuntimeTrace:
-        """A trace of int64 columns that are valid by construction (a
-        parse's), stored as they are: only the shot count is checked."""
+        """A trace of a :func:`fold_histograms` result, whose columns are
+        valid by construction and belong to the caller: only the shot count
+        is checked."""
         trace = cls.__new__(cls)
-        trace._store(metadata, runtimes_ns, cum_total, cum_failed)
+        trace._store(metadata, runtimes_ns, counts, failed_counts)
         return trace
 
-    def _store(self, metadata, runtimes_ns, cum_total, cum_failed) -> None:
+    def _store(self, metadata, runtimes_ns, counts, failed_counts) -> None:
+        """Keep int64 columns the trace owns; the counts turn cumulative in place."""
+        cum_total = np.cumsum(counts, out=counts)
         shots = int(cum_total[-1])
         if shots != metadata.shots:
             raise TraceIntegrityError(
@@ -265,7 +288,7 @@ class RuntimeTrace:
         self.metadata = metadata
         self.runtimes_ns = runtimes_ns
         self.cum_total = cum_total
-        self.cum_failed = cum_failed
+        self.cum_failed = np.cumsum(failed_counts, out=failed_counts)
         self.shots = shots
 
     @property
@@ -540,57 +563,9 @@ def _canonical_columns(
         if fields is None:
             return None
         try:
-            parts = _canonical_parts(fh, fields)
-            # Only histograms: a per-shot file's runtimes recur across
-            # block boundaries, so its parts seldom ascend.
-            return fold_histograms(_ascending_parts(fh, parts) if fields == 3 else parts)
+            return fold_histograms(_canonical_parts(fh, fields))
         except _NotCanonical:
             return None
-
-
-def _ascending_parts(
-    fh, parts: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The histogram ``parts`` read from ``fh``, with their leading run that
-    ascends written straight into one part: the final columns of a sorted
-    histogram.
-
-    Each part whose runtimes all follow the last one written is copied in.
-    The columns are sized from the rows per byte read so far and grown in
-    place (``ndarray.resize``), so no second copy of them is made.  The
-    first part that does not ascend (a runtime repeated across a block
-    boundary, or going backwards) comes next, then the rest, for
-    :func:`fold_histograms` to merge as it merges any parts.
-    """
-    size = os.fstat(fh.fileno()).st_size
-    columns = tuple(np.empty(0, dtype=np.int64) for _ in range(3))
-    filled = 0
-    for part in parts:
-        if not part[0].size:
-            continue
-        if filled and part[0][0] <= columns[0][filled - 1]:
-            break
-        end = filled + part[0].size
-        if end > columns[0].size:
-            _resize(columns, max(end + end // 8, end * size // fh.tell()))
-        for column, values in zip(columns, part):
-            column[filled:end] = values
-        filled = end
-    else:
-        part = None
-    _resize(columns, filled)
-    yield columns
-    del columns  # held by the fold alone from here
-    if part is not None:
-        yield part
-        del part
-        yield from parts
-
-
-def _resize(columns: tuple[np.ndarray, ...], rows: int) -> None:
-    # In place: nothing else holds a view of the columns.
-    for column in columns:
-        column.resize(rows, refcheck=False)
 
 
 def _canonical_parts(
@@ -645,14 +620,9 @@ def parse_trace(
     columns = _canonical_columns(path)
     if columns is None:
         columns = _validated_columns(path)
-    runtimes, totals, failed = columns
-    if runtimes.size == 0:
+    if columns[0].size == 0:
         raise TraceParseError("trace file has no data rows")
-    metadata = load_metadata(meta_path, overrides)
-    # The parse owns its count columns, so they turn cumulative in place.
-    return RuntimeTrace._from_cumulative(
-        metadata, runtimes, np.cumsum(totals, out=totals), np.cumsum(failed, out=failed)
-    )
+    return RuntimeTrace._from_fold(load_metadata(meta_path, overrides), *columns)
 
 
 def check_per_shot_rows(shots: int) -> None:

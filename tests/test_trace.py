@@ -241,6 +241,17 @@ def test_empty_trace_rejected():
         RuntimeTrace(meta, np.array([]), np.array([]), np.array([]))
 
 
+@pytest.mark.parametrize(
+    "columns",
+    [([1, 2], [1, 2], [1]), ([1, 2], [3], [0]), ([[1, 2]], [[1, 2]], [[0, 0]])],
+    ids=["short failed counts", "short counts", "2-D columns"],
+)
+def test_trace_refuses_columns_of_other_shapes(columns):
+    meta = TraceMetadata(distance=5, physical_error_rate=1e-3, shots=3, sec_cycle_ns=1000)
+    with pytest.raises(ValueError, match="1-D columns of one length"):
+        RuntimeTrace(meta, *columns)
+
+
 def test_survival_hand_counts():
     dist = make_trace([(5, False), (5, True), (9, False)])
     expected = [1 / 3, 0.0, 0.0, 1.0]
@@ -477,38 +488,46 @@ def ascending_then_broken(draw):
 @settings(max_examples=150, deadline=None)
 @given(ascending_then_broken(), st.sampled_from([8, 16, 32, 64, 1 << 16]))
 def test_ascending_histogram_parts_fold_where_the_ascent_breaks(rows, block_bytes):
-    # Parts that ascend are written into the columns; the first that does
-    # not hands them to the fold.  Either way the columns are the
-    # validator's and the oracle's, and the trace's counts round-trip.
-    merges = []
-    real_merge = trace_module.merge_histograms
+    # Parts that ascend are appended to the fold's columns; the first that
+    # does not is held and merged.  On every route (a histogram and a
+    # per-shot file read block-wise, and a CRLF copy that the row validator
+    # reads in small batches) the columns are the oracle's, the trace's
+    # counts round-trip, and sorted rows make no merge.
+    shot_rows = [(r, 1, min(f, 1)) for r, _, f in rows]
+    routes = [("histogram", rows, "\n"), ("per_shot", shot_rows, "\n"), ("histogram", rows, "\r\n")]
+    real_merge = trace_module._merge
+    for layout, route_rows, newline in routes:
+        merges = []
 
-    def counted_merge(parts):
-        merges.append(len(parts))
-        return real_merge(parts)
+        def counted_merge(parts):
+            merges.append(len(parts))
+            return real_merge(parts)
 
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-        trace_module, "BLOCK_BYTES", block_bytes
-    ), mock.patch.object(trace_module, "merge_histograms", counted_merge):
-        path = _write(tmp, "t.csv", _canonical_text("histogram", rows))
-        fast = trace_module._canonical_columns(path)
-        merged = list(merges)
-        assert fast is not None, "a canonical file must take the fast path"
-        oracle = _dict_oracle(rows)
-        assert _columns(fast) == oracle
-        assert _columns(fast) == _columns(trace_module._validated_columns(path))
-        shots = sum(t for _, t, _ in rows)
-        if shots:
-            trace = parse_trace(path, None, dict(META, shots=shots))
-            assert _columns((trace.runtimes_ns, trace.counts, trace.failed_counts)) == oracle
-            built = RuntimeTrace(trace.metadata, *oracle)
-            assert built == trace
-            assert (built.counts.tolist(), built.failed_counts.tolist()) == oracle[1:]
-            assert np.array_equal(built.cum_total, np.cumsum(oracle[1]))
-            assert np.array_equal(built.cum_failed, np.cumsum(oracle[2]))
-    positive = [r for r, t, _ in rows if t > 0]
-    if all(a < b for a, b in zip(positive, positive[1:])):
-        assert max(merged, default=1) <= 1, "a sorted histogram is written in place, with no merge"
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            trace_module, "BLOCK_BYTES", block_bytes
+        ), mock.patch.object(trace_module, "_VALIDATOR_BATCH_ROWS", 3), mock.patch.object(
+            trace_module, "_merge", counted_merge
+        ):
+            path = _write(tmp, "t.csv", _canonical_text(layout, route_rows).replace("\n", newline))
+            fast = trace_module._canonical_columns(path)
+            assert (fast is None) == (newline != "\n"), "only a canonical file takes the fast path"
+            columns = trace_module._validated_columns(path) if fast is None else fast
+            merged = list(merges)
+            oracle = _dict_oracle(route_rows)
+            assert _columns(columns) == oracle
+            assert _columns(columns) == _columns(trace_module._validated_columns(path))
+            shots = sum(t for _, t, _ in route_rows)
+            if shots:
+                trace = parse_trace(path, None, dict(META, shots=shots))
+                assert _columns((trace.runtimes_ns, trace.counts, trace.failed_counts)) == oracle
+                built = RuntimeTrace(trace.metadata, *oracle)
+                assert built == trace
+                assert (built.counts.tolist(), built.failed_counts.tolist()) == oracle[1:]
+                assert np.array_equal(built.cum_total, np.cumsum(oracle[1]))
+                assert np.array_equal(built.cum_failed, np.cumsum(oracle[2]))
+        positive = [r for r, t, _ in route_rows if t > 0]
+        if all(a < b for a, b in zip(positive, positive[1:])):
+            assert merged == [], f"sorted {layout} rows are appended, with no merge"
 
 
 @st.composite
@@ -680,14 +699,14 @@ def test_high_cardinality_per_shot_merge_stays_bounded(tmp_path, block_bytes):
     rows = [(int(r), 1, int(f)) for r, f in zip(runtimes, failed)]
     path = _write(tmp_path, "t.csv", _canonical_text("per_shot", rows))
     merged_rows = []
-    real_merge = trace_module.merge_histograms
+    real_merge = trace_module._merge
 
     def counted_merge(parts):
         merged_rows.append(sum(part[0].size for part in parts))
         return real_merge(parts)
 
     with mock.patch.object(trace_module, "BLOCK_BYTES", block_bytes), mock.patch.object(
-        trace_module, "merge_histograms", counted_merge
+        trace_module, "_merge", counted_merge
     ):
         fast = trace_module._canonical_columns(path)
     assert _columns(fast) == _columns(trace_module._validated_columns(path))
@@ -876,6 +895,26 @@ def test_aggregate_runtimes_matches_dict_oracle(rows):
         assert all(g is c for g, c in zip(got, columns))
 
 
+@pytest.mark.parametrize(
+    "parts",
+    [
+        [([1, 5], [2, 1], [0, 1])],
+        [([1, 5], [2, 1], [0, 1]), ([6], [3], [3]), ([9, 12], [1, 1], [0, 0])],
+        [([1, 5], [2, 1], [0, 1]), ([5, 9], [1, 1], [1, 0]), ([0, 1], [4, 4], [0, 0])],
+    ],
+    ids=["one part", "ascending parts", "merged parts"],
+)
+def test_fold_returns_columns_of_its_own(parts):
+    # The fold's columns belong to its caller, whose counts turn cumulative
+    # in place, so none of them may share memory with a part.
+    parts = [tuple(np.array(column, dtype=np.int64) for column in part) for part in parts]
+    folded = trace_module.fold_histograms(iter(parts))
+    rows = [row for part in parts for row in zip(*(column.tolist() for column in part))]
+    assert _columns(folded) == _dict_oracle(rows)
+    for column in folded:
+        assert not any(np.shares_memory(column, values) for part in parts for values in part)
+
+
 @pytest.mark.parametrize("chunk", [64, 1000])
 def test_sample_trace_folds_chunks_as_it_goes(chunk):
     # ~3,000 distinct runtimes among 20,000 shots: the chunks' histograms
@@ -884,14 +923,14 @@ def test_sample_trace_folds_chunks_as_it_goes(chunk):
     runtime = BinomialRuntime(trials=10**6, step_probability=0.5, unit_ns=1)
     shots, seed, rate = 20_000, 7, 0.3
     merged_rows = []
-    real_merge = trace_module.merge_histograms
+    real_merge = trace_module._merge
 
     def counted_merge(parts):
         merged_rows.append(sum(part[0].size for part in parts))
         return real_merge(parts)
 
     with mock.patch.object(models_module, "SAMPLE_CHUNK_SHOTS", chunk), mock.patch.object(
-        trace_module, "merge_histograms", counted_merge
+        trace_module, "_merge", counted_merge
     ):
         trace = sample_trace(runtime, EmpiricalFailure(rate), 5, 1e-3, shots, seed)
     rows = []
@@ -919,11 +958,10 @@ def _sorted_histogram(tmp_path, n=100_000):
 
 
 def test_sorted_histogram_parse_makes_no_sorting_copies(tmp_path):
-    # A sorted canonical histogram of 1e5 distinct runtimes is written
-    # straight into the trace's columns, which turn cumulative in place: the
-    # parse peaks at those columns plus one block's parse (1.41 times their
-    # bytes), where folding the parts peaked near twice and sorting them
-    # again near 4.7 times.
+    # A sorted canonical histogram of 1e5 distinct runtimes is appended,
+    # block by block, to the fold's columns, which turn cumulative in place:
+    # the parse peaks at those columns plus one block's parse (1.36 times
+    # their bytes).
     path, columns, column_bytes = _sorted_histogram(tmp_path)
     tracemalloc.start()
     try:
