@@ -7,7 +7,7 @@ import math
 from typing import NamedTuple
 
 from .models import HeuristicFailure
-from .ranges import D_MAX_LIMIT, GateSchedule, sec_depth
+from .ranges import D_MAX_LIMIT, GateSchedule, sec_depth, unencoded_range
 from .values import _validate_distance, _validate_probability, at_least
 
 
@@ -15,7 +15,8 @@ class RequiredDistance(NamedTuple):
     """Smallest viable odd code distance, or None when the search failed.
 
     ``no_encoding_sufficient`` flags workloads short enough to run on bare
-    physical qubits within the error budget (n_T < epsilon / (3p)).
+    physical qubits within the error budget:
+    n_T <= :func:`~stopcost.ranges.unencoded_range` (floor(epsilon / (3p))).
     """
 
     distance: int | None
@@ -45,7 +46,7 @@ def required_distance(
     if d_max > D_MAX_LIMIT:
         raise ValueError(f"d_max must be at most {D_MAX_LIMIT} (ranges.D_MAX_LIMIT), got {d_max}")
     p_fail = HeuristicFailure().rate
-    no_encoding = n_T < epsilon / (3.0 * p)
+    no_encoding = n_T <= unencoded_range(p, epsilon)
     found: int | None = None
     for d in range(3, d_max + 1, 2):
         proxy = sec_depth(n_T, d, delay_ns, t_sec_ns, schedule) / d

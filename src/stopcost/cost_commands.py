@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .command import BUILTIN_DECODERS, Table, _add_trace_inputs, _parse_list, _resolve_decoder, nonempty
+from .errors import ConfigError
 from .values import _validate_distance, integer
 
 if TYPE_CHECKING:
@@ -32,7 +33,8 @@ def _parse_distances(text: str) -> list[int]:
 
 def cmd_mincost(args: argparse.Namespace, config: RunConfig, trace: RuntimeTrace | None) -> Table:
     """A measured decoder (a ``--trace`` or a config's) is priced at its
-    trace's distance, an analytic one at every ``--distances`` value."""
+    trace's distance, an analytic one at every ``--distances`` value.  The
+    trace flags other than ``--p`` (the decoder's p) need ``--trace``."""
     from .cost import min_spacetime_costs
     from .models import DecoderModel, EmpiricalRuntime, HeuristicFailure, _model_at
 
@@ -41,6 +43,9 @@ def cmd_mincost(args: argparse.Namespace, config: RunConfig, trace: RuntimeTrace
         label, p = Path(args.trace).stem, trace.metadata.physical_error_rate
         decoder = DecoderModel(label, EmpiricalRuntime(trace), HeuristicFailure())
     else:
+        for name in ("meta", "distance", "shots", "sec_cycle_ns"):
+            if getattr(args, name) is not None:
+                raise ConfigError(f"mincost --{name.replace('_', '-')} requires --trace")
         label, p = args.decoder, (1e-3 if args.p is None else args.p)
         decoder = _resolve_decoder(label, p)
     n_T_values = _parse_list(args.nT)

@@ -104,14 +104,14 @@ def decoder_range(
     epsilon: float,
     t_sec_ns: int = 1000,
     schedule: GateSchedule = GateSchedule(),
-    saturation_cap: int = RANGE_SATURATION_CAP,
 ) -> RangeResult:
     """Largest reliable T-depth for one (distance, stopping time) point.
 
     n_T = floor(epsilon * d / (rate * (cycles_per_gate + delay cycles))).
     A zero rate makes the formula diverge, and a tiny rate can overflow
-    useful integer ranges, so results at or above ``saturation_cap`` are
-    clamped and flagged instead of silently returned.
+    useful integer ranges, so results at or above ``RANGE_SATURATION_CAP``
+    (read at each call) are clamped and flagged instead of silently
+    returned.
     """
     _validate_distance(d)
     _validate_probability(epsilon, "epsilon")
@@ -119,11 +119,11 @@ def decoder_range(
         raise ValueError(f"failure rate must be in [0, 1], got {failure_rate}")
     cycles = schedule.cycles_per_gate(d) + delay_cycles(stopping_time_ns, t_sec_ns)
     if failure_rate == 0.0:
-        n_T, saturated = saturation_cap, True
+        n_T, saturated = RANGE_SATURATION_CAP, True
     else:
         raw = epsilon * d / (failure_rate * cycles)
-        saturated = raw >= saturation_cap
-        n_T = saturation_cap if saturated else math.floor(raw)
+        saturated = raw >= RANGE_SATURATION_CAP
+        n_T = RANGE_SATURATION_CAP if saturated else math.floor(raw)
     return RangeResult(
         n_T=n_T,
         stopping_time_ns=int(stopping_time_ns),

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ranges
 from .errors import InfeasibleError
-from .ranges import RANGE_SATURATION_CAP, GateSchedule, RangeResult
+from .ranges import GateSchedule, RangeResult, decoder_range
 from .trace import RuntimeTrace
 from .values import _validate_distance, _validate_probability, at_least
 
@@ -48,13 +48,16 @@ class RangeCurve(NamedTuple):
     """Decoder range at each significant stopping time of a trace, column-wise.
 
     Row ``i`` holds what :func:`~stopcost.ranges.decoder_range` returns for
-    ``stopping_time_ns[i]`` at its exact interrupted failure rate.  The
+    ``stopping_time_ns[i]`` at its exact interrupted failure rate, with the
+    curve's distance, epsilon, ``t_sec_ns`` and schedule.  The
     rows are the stopping times with at least ``min_events`` failure
     events, ascending; there may be none.
     """
 
     distance: int
     epsilon: float
+    t_sec_ns: int
+    schedule: GateSchedule
     min_events: int
     stopping_time_ns: np.ndarray
     delay_cycles: np.ndarray
@@ -63,7 +66,8 @@ class RangeCurve(NamedTuple):
     saturated: np.ndarray
 
     def optimum(self) -> tuple[int, RangeResult]:
-        """The range-optimized stopping time and its range.
+        """The range-optimized stopping time and what
+        :func:`~stopcost.ranges.decoder_range` returns there.
 
         The first maximum wins, so ties break toward the smaller stopping
         time.  Raises :class:`~stopcost.errors.InfeasibleError` when the
@@ -73,33 +77,25 @@ class RangeCurve(NamedTuple):
             raise _insignificant(self.min_events)
         i = int(np.argmax(self.n_T))
         m = int(self.stopping_time_ns[i])
-        return m, RangeResult(
-            n_T=int(self.n_T[i]),
-            stopping_time_ns=m,
-            failure_rate_used=float(self.failure_rate[i]),
-            distance=self.distance,
-            epsilon=self.epsilon,
-            saturated=bool(self.saturated[i]),
-        )
+        rate = float(self.failure_rate[i])
+        return m, decoder_range(self.distance, m, rate, self.epsilon, self.t_sec_ns, self.schedule)
 
 
-def stopping_curve(
-    trace: RuntimeTrace, stopping_times_ns=None, rows: slice = slice(None)
-) -> StoppingCurve:
-    """Interrupted failure statistics at every stopping time in one pass.
+def stopping_curve(trace: RuntimeTrace, *, rows: slice = slice(None)) -> StoppingCurve:
+    """Interrupted failure statistics at every observed runtime in one pass.
 
-    The stopping times default to the distinct observed runtimes, whose
-    counts are the trace's cumulative ones; any other values are read
-    through one ``searchsorted`` (``t <= M`` completes).  ``rows`` picks
-    the stopping times the curve covers, e.g. ``slice(lo, hi)`` for rows
-    ``lo:hi`` of the whole curve, with the same values.  Failure events are
+    The stopping times are the distinct observed runtimes, whose counts are
+    the trace's cumulative ones.  ``rows`` picks the stopping times the
+    curve covers, e.g. ``slice(lo, hi)`` for rows ``lo:hi`` of the whole
+    curve, with the same values.  Failure events are
     ``(shots - completed) + completed failures`` and each rate is a single
     division of integer counts, so while counts stay below 2**53 every float
     is its counts' correctly rounded ratio and ``lower <= exact <= upper``
-    holds exactly.  ``stopping_curve(trace, [M])`` is the one-point query.
+    holds exactly.  Any other M reads as the last runtime at or below it
+    (``t <= M`` completes); below the first runtime every shot times out.
     """
     shots = trace.shots
-    m, timeouts, events = _failure_counts(trace, stopping_times_ns, rows)
+    m, timeouts, events = _failure_counts(trace, rows)
     total_failures = int(trace.cum_failed[-1])
     return StoppingCurve(
         stopping_time_ns=m,
@@ -119,7 +115,7 @@ def range_curve(
     t_sec_ns: int = 1000,
     min_events: int = 20,
     schedule: GateSchedule = GateSchedule(),
-    saturation_cap: int = RANGE_SATURATION_CAP,
+    *,
     rows: slice = slice(None),
 ) -> RangeCurve:
     """Decoder range at every significant stopping time of a trace, or at
@@ -129,29 +125,32 @@ def range_curve(
     observed runtimes, at the exact rates :func:`stopping_curve` gives
     them, with the same operations in the same order:
     ``(epsilon * d) / (rate * cycles)``, then floor, with results at or
-    above ``saturation_cap`` (or at a zero rate) clamped and flagged.
-    Every value equals the scalar path's exactly.  Failure events do not
-    increase with the stopping time, so the significant rows are a prefix
-    of the trace, and rows ``lo:hi`` of the whole curve are
+    above ``ranges.RANGE_SATURATION_CAP`` (or at a zero rate) clamped and
+    flagged.  Every value equals the scalar path's exactly.  Failure events
+    do not increase with the stopping time, so the significant rows are a
+    prefix of the trace, and rows ``lo:hi`` of the whole curve are
     ``range_curve(..., rows=slice(lo, hi))`` for ``hi`` up to its length.
     """
     _validate_distance(d)
     _validate_probability(epsilon, "epsilon")
     at_least(t_sec_ns, 1, "t_sec_ns")
-    m, timeouts, events = _failure_counts(trace, rows=rows)
+    m, timeouts, events = _failure_counts(trace, rows)
     keep = _significant_rows(events, min_events)
     m, rate = m[keep], events[keep] / trace.shots
     del timeouts, events, keep  # free the read columns before the rest are built
     delay = -(-m // t_sec_ns)
     with np.errstate(divide="ignore"):
         raw = np.divide(epsilon * d, rate * (schedule.cycles_per_gate(d) + delay))
-    saturated = (rate == 0.0) | (raw >= saturation_cap)
+    cap = ranges.RANGE_SATURATION_CAP
+    saturated = (rate == 0.0) | (raw >= cap)
     raw[saturated] = 0.0
     n_T = np.floor(raw, out=raw).astype(np.int64)
-    n_T[saturated] = saturation_cap
+    n_T[saturated] = cap
     return RangeCurve(
         distance=d,
         epsilon=epsilon,
+        t_sec_ns=t_sec_ns,
+        schedule=schedule,
         min_events=min_events,
         stopping_time_ns=m,
         delay_cycles=delay,
@@ -175,29 +174,19 @@ def range_blocks(trace: RuntimeTrace, *args, **kwargs) -> Iterator[RangeCurve]:
 
 
 def _failure_counts(
-    trace: RuntimeTrace, stopping_times_ns=None, rows: slice = slice(None)
+    trace: RuntimeTrace, rows: slice
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stopping times ``rows``, and the timeouts and failure events at each.
+    """The observed runtimes ``rows``, and the timeouts and failure events at each.
 
     The one definition of a failure event: a shot that runs past the
-    stopping time, or completes within it with a decode failure.  At the
-    default stopping times, the observed runtimes, the completed counts
-    are the trace's cumulative counts as they are.  Each observed runtime
-    adds ``count - failed >= 0`` completions without failure, so failure
-    events do not increase along those rows.
+    stopping time, or completes within it with a decode failure.  At an
+    observed runtime the completed counts are the trace's cumulative
+    counts as they are.  Each observed runtime adds ``count - failed >= 0``
+    completions without failure, so failure events do not increase along
+    the rows.
     """
-    if stopping_times_ns is None:
-        m, completed, completed_failures = (
-            trace.runtimes_ns[rows], trace.cum_total[rows], trace.cum_failed[rows]
-        )
-    else:
-        m = np.asarray(stopping_times_ns, dtype=np.int64)[rows]
-        # Row idx - 1 is the last runtime <= M; none completes when idx is 0.
-        idx = np.searchsorted(trace.runtimes_ns, m, side="right")
-        completed = np.where(idx > 0, trace.cum_total[idx - 1], 0)
-        completed_failures = np.where(idx > 0, trace.cum_failed[idx - 1], 0)
-    timeouts = trace.shots - completed
-    return m, timeouts, timeouts + completed_failures
+    timeouts = trace.shots - trace.cum_total[rows]
+    return trace.runtimes_ns[rows], timeouts, timeouts + trace.cum_failed[rows]
 
 
 def _significant_rows(failure_events: np.ndarray, min_events: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import interrupted_failure_exact, iter_records, trace_from_records
+from oracles import interrupted_failure_exact, iter_records, survival, trace_from_records
 from stopcost import (
     TraceMetadata,
     BinomialRuntime,
@@ -28,7 +28,6 @@ from stopcost import (
     range_curve,
     required_distance,
     sample_trace,
-    stopping_curve,
     unencoded_range,
 )
 from stopcost.cli import main as cli_main
@@ -106,9 +105,10 @@ def test_criterion_4_bound_sandwich_and_factor_two():
             # correlate failures with slow shots
             failed = rng.random(shots) < 0.6 * runtimes / runtimes.max()
         dist = make_trace(list(zip(runtimes.tolist(), failed.tolist())))
-        curve = stopping_curve(dist, np.union1d(dist.runtimes_ns, [0]))
-        for m in curve.stopping_time_ns[curve.failure_events >= 20].tolist():
+        for m in np.union1d(dist.runtimes_ns, [0]).tolist():
             stats = interrupted_failure_exact(dist, m)
+            if stats.failure_events < 20:
+                continue
             assert stats.lower_bound_rate <= stats.exact_failure_rate
             assert stats.exact_failure_rate <= stats.upper_bound_rate
             assert stats.lower_bound_rate >= stats.upper_bound_rate / 2
@@ -190,7 +190,7 @@ def test_criterion_7_sampler_statistics():
     assert abs(trace.mean_ns() - 30.0) <= 3 * mean_se
     expected_survival = binomial_survival(100, 0.3, 30)
     survival_se = math.sqrt(expected_survival * (1 - expected_survival) / shots)
-    sampled_survival = stopping_curve(trace, [30]).timeout_probability[0]
+    sampled_survival = survival(trace, 30)
     assert abs(sampled_survival - expected_survival) <= 3 * survival_se
     report(
         7,

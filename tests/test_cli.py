@@ -377,6 +377,19 @@ class TestMincostAndCompare:
         assert captured.out == ""
         assert captured.err == "stopcost: error: invalid integer 'banana'\n"
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--meta", "nonexist.json"), ("--distance", "5"), ("--shots", "7"),
+         ("--sec-cycle-ns", "500")],
+    )
+    def test_trace_flags_are_refused_without_a_trace(self, capsys, flag, value):
+        # They were ignored unread: the call priced the decoder at every
+        # --distances value and exited 0.
+        assert main(["mincost", "--decoder", "quadratic", "--nT", "10", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"stopcost: error: mincost {flag} requires --trace\n"
+
     @pytest.mark.parametrize("command", ["mincost", "compare"])
     def test_physical_error_rate_is_checked_for_an_empirical_config(
         self, capsys, empirical_config, command

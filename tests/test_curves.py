@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import count_at_or_below, interrupted_failure_exact
+from stopcost import ranges
 from stopcost import (
     DecoderModel,
     EmpiricalRuntime,
@@ -91,11 +92,11 @@ def scalar_significant(dist, min_events, extra=()):
     return [m for m in grid if interrupted_failure_exact(dist, m).failure_events >= min_events]
 
 
-def scalar_ranges(dist, min_events, d, epsilon, t_sec_ns, schedule, **cap):
+def scalar_ranges(dist, min_events, d, epsilon, t_sec_ns, schedule):
     results = []
     for m in scalar_significant(dist, min_events):
         rate = interrupted_failure_exact(dist, m).exact_failure_rate
-        results.append(decoder_range(d, m, rate, epsilon, t_sec_ns, schedule, **cap))
+        results.append(decoder_range(d, m, rate, epsilon, t_sec_ns, schedule))
     return results
 
 
@@ -107,48 +108,58 @@ def scalar_optimum(results):
     return best
 
 
+# The rate columns of a StoppingCurve, each the oracle's field of that name.
+RATE_COLUMNS = ("timeout_probability", "exact_failure_rate", "upper_bound_rate", "lower_bound_rate")
+
+
+def row_at(dist, m):
+    """The row of ``stopping_curve(dist)`` that holds stopping time ``m``:
+    the last runtime at or below it, or -1 below the first."""
+    return int(np.searchsorted(dist.runtimes_ns, m, "right")) - 1
+
+
 def assert_curve_matches(curve, dist, times):
     stats = [interrupted_failure_exact(dist, m) for m in times]
     assert len(curve.stopping_time_ns) == len(times)
     assert curve.stopping_time_ns.tolist() == [s.stopping_time_ns for s in stats]
     assert curve.timeouts.tolist() == [dist.shots - count_at_or_below(dist, m) for m in times]
     assert curve.failure_events.tolist() == [s.failure_events for s in stats]
-    for column, field in (
-        ("timeout_probability", "timeout_probability"),
-        ("exact_failure_rate", "exact_failure_rate"),
-        ("upper_bound_rate", "upper_bound_rate"),
-        ("lower_bound_rate", "lower_bound_rate"),
-    ):
-        assert reprs(getattr(curve, column).tolist()) == reprs(getattr(s, field) for s in stats)
+    for column in RATE_COLUMNS:
+        assert reprs(getattr(curve, column).tolist()) == reprs(getattr(s, column) for s in stats)
 
 
 @settings(max_examples=200, deadline=None)
 @given(dist=distributions(), extra=extra_st)
 def test_stopping_curve_matches_scalar(dist, extra):
-    assert_curve_matches(stopping_curve(dist), dist, dist.runtimes_ns.tolist())
-    assert_curve_matches(stopping_curve(dist, extra), dist, extra)
-
-
-@settings(max_examples=200, deadline=None)
-@given(dist=distributions())
-def test_default_stopping_times_match_explicit_ones_bit_for_bit(dist):
-    # The default reads the cumulative counts; explicit times go through
-    # searchsorted.  Both give the same columns, dtype and bytes.
-    default = stopping_curve(dist)
-    explicit = stopping_curve(dist, dist.runtimes_ns)
-    for name, a, b in zip(default._fields, default, explicit):
-        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+    curve = stopping_curve(dist)
+    assert_curve_matches(curve, dist, dist.runtimes_ns.tolist())
+    # Any other stopping time reads as the row of the last runtime at or
+    # below it; below the first runtime every shot times out.
+    for m in extra:
+        stats, row = interrupted_failure_exact(dist, m), row_at(dist, m)
+        rates = [getattr(stats, column) for column in RATE_COLUMNS]
+        if row < 0:
+            assert (stats.failure_events, rates) == (dist.shots, [1.0] * 4)
+        else:
+            assert curve.failure_events[row] == stats.failure_events
+            got = [getattr(curve, column)[row].item() for column in RATE_COLUMNS]
+            assert reprs(got) == reprs(rates)
 
 
 @settings(max_examples=200, deadline=None)
 @given(dist=distributions(), min_events=min_events_st, extra=extra_st)
 def test_significant_stopping_times_matches_scalar(dist, min_events, extra):
-    for times in (None, np.union1d(dist.runtimes_ns, extra)):
-        curve = stopping_curve(dist, times)
-        mask = _significant_rows(curve.failure_events, min_events)
-        assert curve.stopping_time_ns[mask].tolist() == scalar_significant(
-            dist, min_events, () if times is None else extra
-        )
+    curve = stopping_curve(dist)
+    mask = _significant_rows(curve.failure_events, min_events)
+    assert curve.stopping_time_ns[mask].tolist() == scalar_significant(dist, min_events)
+    # At any other stopping time, the events of its row, or every shot
+    # below the first runtime.
+    times = np.union1d(dist.runtimes_ns, extra).tolist()
+    rows = [row_at(dist, m) for m in times]
+    events = [curve.failure_events[r] if r >= 0 else dist.shots for r in rows]
+    assert [m for m, e in zip(times, events) if e >= min_events] == scalar_significant(
+        dist, min_events, extra
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -162,8 +173,20 @@ def test_significant_stopping_times_matches_scalar(dist, min_events, extra):
 @example(dist=BOUNDARY_DIST, min_events=1, point=BOUNDARY_POINT, cap=2)
 @example(dist=BOUNDARY_DIST, min_events=1, point=BOUNDARY_POINT, cap=RANGE_SATURATION_CAP)
 def test_range_curve_matches_scalar(dist, min_events, point, cap):
-    curve = range_curve(dist, min_events=min_events, saturation_cap=cap, **point)
-    expected = scalar_ranges(dist, min_events, saturation_cap=cap, **point)
+    # Both paths read the one cap at call time; a function-scoped
+    # monkeypatch fixture would not be reset between hypothesis examples.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ranges, "RANGE_SATURATION_CAP", cap)
+        curve = range_curve(dist, min_events=min_events, **point)
+        expected = scalar_ranges(dist, min_events, **point)
+        best = scalar_optimum(expected)
+        if best is None:
+            with pytest.raises(InfeasibleError):
+                curve.optimum()
+        else:
+            m, result = curve.optimum()
+            assert (m, result) == (best.stopping_time_ns, best)
+            assert type(result.n_T) is int and type(result.failure_rate_used) is float
     assert curve.stopping_time_ns.tolist() == [r.stopping_time_ns for r in expected]
     assert curve.delay_cycles.tolist() == [
         -(-r.stopping_time_ns // point["t_sec_ns"]) for r in expected
@@ -171,14 +194,6 @@ def test_range_curve_matches_scalar(dist, min_events, point, cap):
     assert reprs(curve.failure_rate.tolist()) == reprs(r.failure_rate_used for r in expected)
     assert curve.n_T.tolist() == [r.n_T for r in expected]
     assert curve.saturated.tolist() == [r.saturated for r in expected]
-    best = scalar_optimum(expected)
-    if best is None:
-        with pytest.raises(InfeasibleError):
-            curve.optimum()
-    else:
-        m, result = curve.optimum()
-        assert (m, result) == (best.stopping_time_ns, best)
-        assert type(result.n_T) is int and type(result.failure_rate_used) is float
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,6 +226,18 @@ def test_range_curve_rejects_what_decoder_range_rejects():
         args = {"d": 5, "epsilon": 0.5, "t_sec_ns": 1000, **kwargs}
         with pytest.raises(ValueError):
             range_curve(dist, **args)
+
+
+def test_removed_call_forms_raise_type_error():
+    # rows is keyword-only: a list of stopping times in its place would
+    # fancy-index rows (here the M = 5 row for M = 0) instead of raising.
+    dist = make_dist([5, 9], [2, 1], [1, 0])
+    with pytest.raises(TypeError):
+        stopping_curve(dist, [0])
+    with pytest.raises(TypeError):
+        range_curve(dist, 5, 0.5, saturation_cap=10)
+    with pytest.raises(TypeError):
+        decoder_range(5, 0, 0.1, 0.5, saturation_cap=10)
 
 
 def test_range_curve_builds_only_what_it_returns():

@@ -1,10 +1,14 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from oracles import interrupted_failure_exact, trace_from_records
+from stopcost import ranges
 from stopcost import (
     GateSchedule,
     HeuristicFailure,
@@ -90,6 +94,24 @@ class TestRequiredDistance:
     def test_no_encoding_shortcut_reported(self):
         assert required_distance(100, 1e-3, 0, 0.5).no_encoding_sufficient
         assert not required_distance(200, 1e-3, 0, 0.5).no_encoding_sufficient
+        # epsilon / (3p) is exactly 2: two gates spend the whole budget,
+        # which the encoded check (proxy <= epsilon) also accepts.
+        with pytest.warns(UserWarning):  # p above the heuristic's validity threshold
+            assert required_distance(2, 0.125, 0, 0.75).no_encoding_sufficient
+            assert not required_distance(3, 0.125, 0, 0.75).no_encoding_sufficient
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.floats(1e-9, 0.33), epsilon=st.floats(1e-9, 0.999))
+    @example(p=0.125, epsilon=0.75)
+    @example(p=0.25, epsilon=0.75)
+    @example(p=0.0625, epsilon=0.375)
+    def test_no_encoding_sufficient_up_to_the_unencoded_range(self, p, epsilon):
+        k = unencoded_range(p, epsilon)
+        assume(k >= 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # p above the heuristic's validity threshold
+            assert required_distance(k, p, 0, epsilon, d_max=3).no_encoding_sufficient
+            assert not required_distance(k + 1, p, 0, epsilon, d_max=3).no_encoding_sufficient
 
     def test_monotone_in_workload_and_delay(self):
         rng = np.random.default_rng(5)
@@ -149,8 +171,9 @@ class TestDecoderRange:
         assert result.saturated
         assert result.n_T == 10**18
 
-    def test_tiny_rate_saturates_at_cap(self):
-        result = decoder_range(9, 0, 1e-300, 0.5, saturation_cap=10**12)
+    def test_tiny_rate_saturates_at_cap(self, monkeypatch):
+        monkeypatch.setattr(ranges, "RANGE_SATURATION_CAP", 10**12)
+        result = decoder_range(9, 0, 1e-300, 0.5)
         assert result.saturated
         assert result.n_T == 10**12
 

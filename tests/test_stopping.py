@@ -112,10 +112,8 @@ class TestSignificantStoppingTimes:
     def test_timeout_count_dominates_early_candidates(self):
         records = [(50, False)] * 1000
         dist = make_dist(records)
-        curve = stopping_curve(dist, np.union1d(dist.runtimes_ns, [10]))
-        times = curve.stopping_time_ns[curve.failure_events >= 20].tolist()
-        assert 10 in times  # 1000 timeouts at M=10
-        assert 50 not in times  # zero events at M=50
+        assert interrupted_failure_exact(dist, 10).failure_events == 1000  # all time out
+        assert significant(dist, min_events=20) == []  # zero events at M=50
 
     def test_min_events_one(self):
         dist = make_dist([(5, True), (9, False)])
