@@ -16,11 +16,12 @@ where the command reads that setting, --out, and --config naming a JSON file
 of settings (precedence: flags > config file > defaults).  Exit codes: 0
 success, 2 usage/validation error, 3 infeasible analysis, 4 I/O error.
 
-Outputs are plot-ready tables.  ``main`` reads the ``--trace`` file, if
-the command takes one, then the settings, whose ``t_sec_ns`` defaults to
-the trace's ``sec_cycle_ns``; each subcommand returns its ``Table``, which
-``main`` renders and writes; ``synth`` writes its own trace pair.  A call
-imports only its subcommand's module, which ``SUBCOMMANDS`` names.
+Outputs are plot-ready tables.  ``main`` reads the ``--trace`` file and
+the decoder each decoder flag names, if the command takes them, then the
+settings, whose ``t_sec_ns`` defaults to the ``sec_cycle_ns`` of the traces
+read; each subcommand returns its ``Table``, which ``main`` renders and
+writes; ``synth`` writes its own trace pair.  A call imports only its
+subcommand's module, which ``SUBCOMMANDS`` names.
 CSV and JSON carry identical numerals (shortest round-trip decimals);
 infeasible costs appear as ``inf`` in CSV and ``null`` in JSON.  Both are
 written in blocks of ``ranges.ROWS_PER_BLOCK`` rows, JSON with the bytes of
@@ -57,9 +58,12 @@ from .values import (
 )
 
 if TYPE_CHECKING:
+    from .models import DecoderFactory, DecoderModel
     from .trace import RuntimeTrace
 
 OUTPUT_FORMATS = ("csv", "json")
+# The flags that name a decoder: a built-in name or a decoder config file.
+DECODER_FLAGS = ("decoder", "decoder_a", "decoder_b", "model")
 
 
 class RunConfig(NamedTuple):
@@ -90,7 +94,7 @@ SETTINGS = {
     "epsilon": (json_number, lambda v: _validate_probability(v, "epsilon"),
                 "--epsilon", "logical circuit error budget (default {})", {"type": float}),
     "t_sec_ns": (json_integer, lambda v: below_int64(at_least(v, 1, "t_sec_ns"), "t_sec_ns"),
-                 "--t-sec-ns", "SEC cycle time in ns (default {})", {"type": integer}),
+                 "--t-sec-ns", "SEC cycle time in ns (default: the sec_cycle_ns of the traces read, else {})", {"type": integer}),
     "min_failure_events": (json_integer, lambda v: at_least(v, 1, "min_events"), "--min-events",
                            "failure events needed for significance (default {})", {"type": integer, "metavar": "MIN_EVENTS"}),
     "schedule": (lambda v: json_fields(v, dict.fromkeys(GateSchedule._fields, json_integer), "schedule"),
@@ -101,14 +105,15 @@ SETTINGS = {
 }
 
 
-def _load_run_config(args: argparse.Namespace, trace: RuntimeTrace | None) -> RunConfig:
-    """The defaults, with ``trace``'s SEC cycle time if a trace was read,
-    updated by the config file (any setting, read or not), then the flags.
+def _load_run_config(args: argparse.Namespace, traces: Iterable[RuntimeTrace | None]) -> RunConfig:
+    """The defaults, updated by the config file (any setting, read or not),
+    then the flags.  ``t_sec_ns`` defaults to the ``sec_cycle_ns`` that
+    every trace in ``traces`` shares (``None`` is no trace), or to 1000 if
+    there is none; traces that disagree need the file or the flag to set it.
 
     A value from the file is checked as it is read, so its error names the
     file; a flag's value is checked as it overrides.
     """
-    config = RunConfig() if trace is None else RunConfig(t_sec_ns=trace.metadata.sec_cycle_ns)
     settings = {}
     if args.config:
         parsers = {key: lambda v, p=parse, c=check: c(p(v)) for key, (parse, check, *_) in SETTINGS.items()}
@@ -116,7 +121,15 @@ def _load_run_config(args: argparse.Namespace, trace: RuntimeTrace | None) -> Ru
     for key, (_, check, *_) in SETTINGS.items():
         if (value := getattr(args, key, None)) is not None:
             settings[key] = check(value)
-    return config._replace(**settings)
+    cycles = sorted({trace.metadata.sec_cycle_ns for trace in traces if trace is not None})
+    if "t_sec_ns" not in settings and cycles:
+        if len(cycles) > 1:
+            raise ConfigError(
+                f"the traces read disagree on sec_cycle_ns ({cycles[0]} and {cycles[1]}): "
+                "set --t-sec-ns or the settings file's t_sec_ns"
+            )
+        settings["t_sec_ns"] = cycles[0]
+    return RunConfig(**settings)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +280,31 @@ def _load_trace(args: argparse.Namespace) -> RuntimeTrace:
     return parse_trace(args.trace, meta, overrides)
 
 
-# The help of --t-sec-ns on a command that takes --trace, whose SEC cycle
-# time is then the default (see _load_run_config).
-_TRACE_T_SEC_HELP = "SEC cycle time in ns (default: the trace's sec_cycle_ns if the command reads a trace, else {})"
+def _resolve_decoder(source: str, p: float | None) -> DecoderModel | DecoderFactory:
+    """A decoder flag's model: a config's, the instantaneous one, or a
+    reference family's distance -> model factory at ``p`` (1e-3 if None)."""
+    from .models import DecoderModel, HeuristicFailure, InstantaneousRuntime, make_reference_decoders
+
+    p = 1e-3 if p is None else p
+    if source == "quadratic":
+        return lambda d: make_reference_decoders(d, p)[0]
+    if source == "linear":
+        return lambda d: make_reference_decoders(d, p)[1]
+    if source == "instantaneous":
+        return DecoderModel("instantaneous", InstantaneousRuntime(), HeuristicFailure())
+    from .decoder_config import load_decoder_config
+
+    return load_decoder_config(source)
+
+
+def _measured_trace(decoder: DecoderModel | DecoderFactory) -> RuntimeTrace | None:
+    """The trace of a measured decoder; None for an analytic one, and for a
+    built-in family's factory, which is analytic at every distance."""
+    from .models import DecoderModel
+
+    if isinstance(decoder, DecoderModel) and decoder.measured_distance is not None:
+        return decoder.runtime.trace
+    return None
 
 
 def _add_common(parser: argparse.ArgumentParser, settings: Iterable[str]) -> None:
@@ -278,8 +313,6 @@ def _add_common(parser: argparse.ArgumentParser, settings: Iterable[str]) -> Non
     dests = {action.dest for action in parser._actions}
     for name in settings:
         _, _, flag, help_text, options = SETTINGS[name]
-        if name == "t_sec_ns" and "trace" in dests:
-            help_text = _TRACE_T_SEC_HELP
         help_text = help_text.format(RunConfig._field_defaults[name])
         parser.add_argument(flag, dest=name, default=None, help=help_text, **options)
     if "out" not in dests:
@@ -365,8 +398,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = show_warning
             trace = _load_trace(args) if getattr(args, "trace", None) else None
-            config = _load_run_config(args, trace)
-            table = args.func(args, config, trace)
+            decoders = {
+                dest: _resolve_decoder(source, args.p)
+                for dest in DECODER_FLAGS
+                if (source := getattr(args, dest, None)) is not None
+            }
+            config = _load_run_config(args, [trace, *map(_measured_trace, decoders.values())])
+            table = args.func(args, config, trace, **decoders)
             if table is None:  # synth wrote its own files
                 return 0
             emit(render_table(args.command, table.columns, config.format, table.extras, table.rows), args.out)

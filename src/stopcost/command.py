@@ -7,12 +7,9 @@ import argparse
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .values import integer
-
-if TYPE_CHECKING:
-    from .models import DecoderFactory, DecoderModel
 
 BUILTIN_DECODERS = ("quadratic", "linear", "instantaneous")
 
@@ -68,22 +65,6 @@ def _parse_list(text: str, parse: Callable = integer) -> list:
     if not values:
         raise ValueError(f"empty {'integer' if parse is integer else 'float'} list {text!r}")
     return values
-
-
-def _resolve_decoder(source: str, p: float) -> DecoderModel | DecoderFactory:
-    """A --decoder argument's model: a config's, the instantaneous one, or
-    a reference family's distance -> model factory at ``p``."""
-    from .models import DecoderModel, HeuristicFailure, InstantaneousRuntime, make_reference_decoders
-
-    if source == "quadratic":
-        return lambda d: make_reference_decoders(d, p)[0]
-    if source == "linear":
-        return lambda d: make_reference_decoders(d, p)[1]
-    if source == "instantaneous":
-        return DecoderModel("instantaneous", InstantaneousRuntime(), HeuristicFailure())
-    from .decoder_config import load_decoder_config
-
-    return load_decoder_config(source)
 
 
 def nonempty(text: str) -> str:

@@ -66,6 +66,25 @@ class MinCostResult(NamedTuple):
         return not (isinstance(self.cost, float) and math.isinf(self.cost))
 
 
+class Frontier(NamedTuple):
+    """The least cost per gate, a step function of n_T: the ``(range, cost
+    per gate, d, M, rate method)`` rows worth pricing, by range descending,
+    and the running minimum of their ``(cost per gate, d, M, rate method)``."""
+
+    rows: list[tuple[int, int, int, int, str]]
+    best: list[tuple[int, int, int, str]]
+
+    def at(self, n_T: int) -> MinCostResult:
+        # The rows of range >= n_T, a prefix, cover n_T, and n_T * g is least
+        # where the cost per gate g is: the answer is the prefix minimum of
+        # (g, d, M), so ties go to the smaller d, then the smaller M.
+        k = bisect_right(self.rows, -n_T, key=lambda row: -row[0])
+        if k == 0:
+            return MinCostResult(math.inf, None, None)
+        g, d, m, method = self.best[k - 1]
+        return MinCostResult(n_T * g, d, m, method)
+
+
 class CompareRow(NamedTuple):
     n_T: int
     cost_a: int | float
@@ -225,12 +244,11 @@ def _candidate_table(
     t_sec_ns: int,
     schedule: GateSchedule,
     min_events: int,
-) -> list[tuple[int, int, int, int, str]]:
-    """The frontier: ``(range, cost per gate, d, M, rate method)`` rows, by
-    range descending.  Per distance it keeps the rows where the running
-    maximum range over ascending M rises; any other row is dominated by an
-    earlier one, which covers as much at no more cost per gate.  A model
-    is priced at its ``measured_distance`` only, if it has one."""
+) -> Frontier:
+    """The frontier of ``decoder``.  Per distance it keeps the rows where the
+    running maximum range over ascending M rises; any other row is dominated
+    by an earlier one, which covers as much at no more cost per gate.  A
+    model is priced at its ``measured_distance`` only, if it has one."""
     if isinstance(decoder, DecoderModel) and decoder.measured_distance is not None:
         d_candidates = [decoder.measured_distance]
     # One quantile ladder per runtime law, shared by every distance of
@@ -256,7 +274,7 @@ def _candidate_table(
                     reach = ri
                     rows.append((ri, _gate_cost(d, mi, t_sec_ns, schedule), d, mi, method))
     rows.sort(key=lambda row: row[0], reverse=True)
-    return rows
+    return Frontier(rows, list(accumulate((row[1:] for row in rows), min)))
 
 
 def min_spacetime_costs(
@@ -283,23 +301,10 @@ def min_spacetime_costs(
     for n_T in n_T_values:
         at_least(n_T, 1, "n_T")
     _validate_probability(p, "p")
-    rows = _candidate_table(
+    frontier = _candidate_table(
         decoder, p, d_candidates, epsilon, t_sec_ns, schedule, min_events
     )
-    # The rows of range >= n_T, a prefix, cover n_T, and n_T * g is least
-    # where the cost per gate g is: the answer is the prefix minimum of
-    # (g, d, M), so ties go to the smaller d, then the smaller M.
-    negated = [-row[0] for row in rows]
-    best = list(accumulate((row[1:] for row in rows), min))
-    results = []
-    for n_T in n_T_values:
-        k = bisect_right(negated, -n_T)
-        if k == 0:
-            results.append(MinCostResult(math.inf, None, None))
-        else:
-            g, d, m, method = best[k - 1]
-            results.append(MinCostResult(n_T * g, d, m, method))
-    return results
+    return [frontier.at(n_T) for n_T in n_T_values]
 
 
 def compare_decoders(

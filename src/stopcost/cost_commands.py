@@ -6,7 +6,7 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .command import BUILTIN_DECODERS, Table, _add_trace_inputs, _parse_list, _resolve_decoder, nonempty
+from .command import BUILTIN_DECODERS, Table, _add_trace_inputs, _parse_list, nonempty
 from .errors import ConfigError
 from .values import _validate_distance, integer
 
@@ -14,6 +14,7 @@ if TYPE_CHECKING:
     import argparse
 
     from .cli import RunConfig
+    from .models import DecoderFactory, DecoderModel
     from .trace import RuntimeTrace
 
 
@@ -31,46 +32,56 @@ def _parse_distances(text: str) -> list[int]:
     return distances
 
 
-def cmd_mincost(args: argparse.Namespace, config: RunConfig, trace: RuntimeTrace | None) -> Table:
+def cmd_mincost(
+    args: argparse.Namespace,
+    config: RunConfig,
+    trace: RuntimeTrace | None,
+    decoder: DecoderModel | DecoderFactory | None = None,
+) -> Table:
     """A measured decoder (a ``--trace`` or a config's) is priced at its
-    trace's distance, an analytic one at every ``--distances`` value.  The
-    trace flags other than ``--p`` (the decoder's p) need ``--trace``."""
+    trace's distance and p, unless ``--p`` sets it; an analytic one at every
+    ``--distances`` value and ``--p`` (default 1e-3).  The trace flags other
+    than ``--p`` need ``--trace``."""
     from .cost import min_spacetime_costs
-    from .models import DecoderModel, EmpiricalRuntime, HeuristicFailure, _model_at
+    from .models import DecoderModel, EmpiricalFailure, EmpiricalRuntime, _model_at
 
     distances = _parse_distances(args.distances)
     if trace is not None:
-        label, p = Path(args.trace).stem, trace.metadata.physical_error_rate
-        decoder = DecoderModel(label, EmpiricalRuntime(trace), HeuristicFailure())
+        label = Path(args.trace).stem
+        failure = EmpiricalFailure(trace.failure_count / trace.shots, trace.failure_count)
+        decoder = DecoderModel(label, EmpiricalRuntime(trace), failure)
     else:
         for name in ("meta", "distance", "shots", "sec_cycle_ns"):
             if getattr(args, name) is not None:
                 raise ConfigError(f"mincost --{name.replace('_', '-')} requires --trace")
-        label, p = args.decoder, (1e-3 if args.p is None else args.p)
-        decoder = _resolve_decoder(label, p)
+        label = args.decoder
+    model = _model_at(decoder, distances[0])
+    p = args.p
+    if p is None:
+        p = 1e-3 if model.measured_distance is None else model.runtime.trace.metadata.physical_error_rate
     n_T_values = _parse_list(args.nT)
     results = min_spacetime_costs(decoder, p, n_T_values, distances, *config.pricing)
     costs, chosen_d, chosen_m, _ = zip(*results)
     columns = {"n_T": n_T_values, "cost": costs, "distance": chosen_d, "M_ns": chosen_m}
-    rate_method = _model_at(decoder, distances[0]).rate_method
-    extras = {"decoder": label, "physical_error_rate": p, "rate_method": rate_method}
+    extras = {"decoder": label, "physical_error_rate": p, "rate_method": model.rate_method}
     infeasible = None
     if not any(r.feasible for r in results):
         infeasible = "no (distance, stopping time) pair reaches any requested n_T"
     return Table(columns, extras, infeasible)
 
 
-def cmd_compare(args: argparse.Namespace, config: RunConfig, trace: None) -> Table:
+def cmd_compare(
+    args: argparse.Namespace,
+    config: RunConfig,
+    trace: None,
+    decoder_a: DecoderModel | DecoderFactory,
+    decoder_b: DecoderModel | DecoderFactory,
+) -> Table:
     from .cost import compare_decoders
 
     distances = _parse_distances(args.distances)
     rows = compare_decoders(
-        _resolve_decoder(args.decoder_a, args.p),
-        _resolve_decoder(args.decoder_b, args.p),
-        args.p,
-        _parse_list(args.nT),
-        distances,
-        *config.pricing,
+        decoder_a, decoder_b, args.p, _parse_list(args.nT), distances, *config.pricing
     )
     columns = dict(zip(("n_T", "cost_a", "cost_b", "ratio"), zip(*rows)))
     extras = {

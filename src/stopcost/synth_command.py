@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .command import _atomic_path, _resolve_decoder, nonempty
+from .command import _atomic_path, nonempty
 from .errors import ConfigError
 from .values import integer
 
@@ -13,9 +13,12 @@ if TYPE_CHECKING:
     import argparse
 
     from .cli import RunConfig
+    from .models import DecoderFactory, DecoderModel
 
 
-def cmd_synth(args: argparse.Namespace, config: RunConfig, trace: None) -> None:
+def cmd_synth(
+    args: argparse.Namespace, config: RunConfig, trace: None, model: DecoderModel | DecoderFactory
+) -> None:
     if args.out is None:
         raise ConfigError("synth requires --out for the trace file")
     out_path = Path(args.out)
@@ -25,7 +28,7 @@ def cmd_synth(args: argparse.Namespace, config: RunConfig, trace: None) -> None:
     from .models import _model_at, sample_trace
     from .trace import check_per_shot_rows, write_metadata, write_trace_csv
 
-    model = _model_at(_resolve_decoder(args.model, args.p), args.d)
+    model = _model_at(model, args.d)
     if model.measured_distance not in (None, args.d):
         raise ConfigError(
             f"synth --model {args.model}: its empirical runtime was not measured at --d {args.d}"

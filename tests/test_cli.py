@@ -306,22 +306,35 @@ class TestMincostAndCompare:
         _, table = read_csv_table(out)
         assert table[0][2] == "5"  # trace's own distance
 
-    @pytest.fixture
-    def empirical_config(self, tmp_path):
-        """A d=5 trace and a decoder config whose runtime is that trace."""
-        trace = tmp_path / "t.csv"
+    @staticmethod
+    def write_empirical_config(directory, *synth_flags):
+        """A d=5 trace, sampled with ``synth_flags`` too, and a decoder config
+        whose runtime is that trace."""
+        directory.mkdir(exist_ok=True)
+        trace = directory / "t.csv"
         assert main([
             "synth", "--model", "quadratic", "--d", "5", "--p", "1e-3", "--shots", "2e5",
-            "--seed", "1", "--out", str(trace),
+            "--seed", "1", *synth_flags, "--out", str(trace),
         ]) == 0
-        config = tmp_path / "emp.json"
+        config = directory / "emp.json"
         config.write_text(json.dumps({
             "runtime": {"kind": "empirical", "trace": "t.csv"},
             "failure": {"kind": "heuristic"},
         }))
         return trace, config
 
-    def test_empirical_config_is_priced_like_its_trace(self, capsys, empirical_config):
+    @pytest.fixture
+    def empirical_config(self, tmp_path):
+        return self.write_empirical_config(tmp_path)
+
+    @pytest.fixture
+    def slow_empirical_config(self, tmp_path):
+        """As ``empirical_config``, measured at p = 2e-3 on a 500 ns SEC cycle."""
+        return self.write_empirical_config(tmp_path / "slow", "--p", "2e-3", "--t-sec-ns", "500")
+
+    def test_empirical_config_is_priced_like_its_trace(
+        self, capsys, empirical_config, slow_empirical_config
+    ):
         # Its exact rates hold at the trace's distance only; they were priced
         # at every --distances value, under "rate_method: upper_bound".
         trace, config = empirical_config
@@ -335,6 +348,61 @@ class TestMincostAndCompare:
             ["1", "1800", "5", "1000"], ["10", "18500", "5", "2000"],
             ["20", "37000", "5", "2000"], ["1000", "inf", "", ""],
         ]
+        # The trace's SEC cycle time and p are the defaults either way; the
+        # config was priced at 1000 ns and printed p = 0.001.
+        outputs = []
+        for argv in (["--decoder", str(slow_empirical_config[1])],
+                     ["--trace", str(slow_empirical_config[0])],
+                     ["--decoder", str(slow_empirical_config[1]), "--t-sec-ns", "1000"]):
+            assert main(["mincost", *argv, "--nT", "1,10,20,1000"]) == 0
+            out = capsys.readouterr().out
+            outputs.append([line for line in out.splitlines() if not line.startswith("# decoder:")])
+        by_config, by_trace, at_1000 = outputs
+        assert by_config == by_trace
+        assert "# physical_error_rate: 0.002" in by_config
+        assert read_csv_table("\n".join(by_config)) != read_csv_table("\n".join(at_1000))
+
+    def test_compare_prices_both_decoders_at_the_measured_cycle_time(
+        self, capsys, slow_empirical_config
+    ):
+        trace, config = slow_empirical_config
+        costs = []
+        for argv in (["--trace", str(trace)], ["--decoder", "quadratic", "--t-sec-ns", "500"]):
+            assert main(["mincost", *argv, "--nT", "1,10,20"]) == 0
+            costs.append([row[1] for row in read_csv_table(capsys.readouterr().out)[1]])
+        assert main([
+            "compare", "--decoder-a", str(config), "--decoder-b", "quadratic", "--nT", "1,10,20",
+        ]) == 0
+        _, rows = read_csv_table(capsys.readouterr().out)
+        assert [[row[1] for row in rows], [row[2] for row in rows]] == costs
+
+    def test_synth_from_an_empirical_config_keeps_its_cycle_time(
+        self, tmp_path, slow_empirical_config
+    ):
+        out = tmp_path / "s.csv"
+        assert main([
+            "synth", "--model", str(slow_empirical_config[1]), "--d", "5", "--p", "1e-3",
+            "--shots", "10", "--out", str(out),
+        ]) == 0
+        assert json.loads(out.with_suffix(".json").read_text())["sec_cycle_ns"] == 500
+
+    def test_traces_that_disagree_on_the_cycle_time_need_it_set(
+        self, tmp_path, capsys, empirical_config, slow_empirical_config
+    ):
+        # They were priced at 1000 ns, the default of a call reading no trace.
+        argv = ["compare", "--decoder-a", str(slow_empirical_config[1]),
+                "--decoder-b", str(empirical_config[1]), "--nT", "1,10"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            "stopcost: error: the traces read disagree on sec_cycle_ns (500 and 1000): "
+            "set --t-sec-ns or the settings file's t_sec_ns\n"
+        ))
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"t_sec_ns": 700}))
+        assert main([*argv, "--config", str(settings)]) == 0
+        by_file = capsys.readouterr().out
+        assert main([*argv, "--t-sec-ns", "700"]) == 0
+        assert capsys.readouterr().out == by_file
 
     def test_compare_prices_an_empirical_config_at_its_trace_distance(
         self, capsys, empirical_config

@@ -477,8 +477,18 @@ def scan_min_costs(decoder, p, n_T_values, distances, epsilon, t_sec_ns=1000,
 
 
 def assert_frontier_matches_scan(factory, p, n_T_values, distances, epsilon, **kwargs):
+    """``min_spacetime_costs`` at ``n_T_values``, and the frontier's own
+    lookup at 1, 10**30 and each of its ranges and either side of one, are
+    the scan's answers, ties going to the smaller d, then the smaller M."""
     got = min_spacetime_costs(factory, p, n_T_values, distances, epsilon, **kwargs)
     assert repr(got) == repr(scan_min_costs(factory, p, n_T_values, distances, epsilon, **kwargs))
+    pricing = {"t_sec_ns": 1000, "schedule": GateSchedule(), "min_events": 20, **kwargs}
+    frontier = cost_module._candidate_table(factory, p, distances, epsilon, **pricing)
+    steps = {1, 10**30} | {max(1, row[0] + k) for row in frontier.rows for k in (-1, 0, 1)}
+    steps = sorted(steps)
+    assert repr([frontier.at(n_T) for n_T in steps]) == repr(
+        scan_min_costs(factory, p, steps, distances, epsilon, **kwargs)
+    )
     return got
 
 
