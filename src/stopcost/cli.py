@@ -26,7 +26,14 @@ CSV and JSON carry identical numerals (shortest round-trip decimals);
 infeasible costs appear as ``inf`` in CSV and ``null`` in JSON.  Both are
 written in blocks of ``ranges.ROWS_PER_BLOCK`` rows, JSON with the bytes of
 ``json.dumps(..., indent=2)``, and a trace's curves are computed in the
-same blocks.  Files are written atomically (temp file + rename).
+same blocks.  A block of numpy columns (the ``stop`` and ``range`` curves)
+is written by one numpy kernel, ``trace.format_rows``: a float's digits
+are the integer nearest ``|x| * 10**q`` for the q that gives it 15 digits,
+kept when one exact division parses them back to ``|x|``, and its layout
+is ``repr``'s.  The cells the kernel leaves (nan, infinities, -0.0, floats
+that need 16 or 17 digits or lie outside 1e-8 up to 1e15, int64's minimum
+and uint64s above int64) and every block of Python values go through the
+per-cell formatter.  Files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -152,20 +159,6 @@ def _json_safe(value):
     return value
 
 
-def _format_column(part, cell: Callable) -> tuple[str, list]:
-    """One block of a column as a ``%`` spec and the values it takes, so
-    that each cell formats as ``cell`` writes it."""
-    if hasattr(part, "tolist"):  # a numpy array
-        import numpy as np
-
-        if part.dtype.kind in "iu":
-            return "%d", part.tolist()
-        if part.dtype.kind == "f" and np.isfinite(part).all():
-            return "%r", part.tolist()
-        return "%s", list(map(cell, part.tolist()))
-    return "%s", list(map(cell, part))
-
-
 def render_table(
     command: str,
     columns: dict | Callable[[int, int], dict],
@@ -179,11 +172,13 @@ def render_table(
     ``columns`` maps each header name to its column, an equal-length numpy
     array or Python list, or is a function ``block(lo, hi)`` giving rows
     ``lo:hi`` of an ``n_rows``-row table as such a map; it is called once
-    per block, and with ``(0, 0)`` for the header.  A block is one ``%``
-    format: a row template with one spec per column, repeated per row and
-    joined by the row separator, over the block's cells in row order.
-    JSON has the bytes of one ``json.dumps(..., indent=2)`` of the whole
-    table.
+    per block, and with ``(0, 0)`` for the header.  A block whose columns
+    are all numpy integer or float arrays is written by one numpy kernel,
+    :func:`stopcost.trace.format_rows`, which gives each cell the bytes of
+    ``cell(value)``; any other block is one ``%`` format, a row template
+    of ``%s`` per column repeated per row and joined by the row separator,
+    over each cell's ``cell(value)`` in row order.  JSON has the bytes of
+    one ``json.dumps(..., indent=2)`` of the whole table.
     """
     extras = extras or {}
     block = columns
@@ -209,14 +204,19 @@ def render_table(
         open_row, between_cells, close_row, between_rows = "", ",", "\n", ""
     yield head
     width, step = len(header), ranges.ROWS_PER_BLOCK
+    row = open_row + between_cells.join(["%s"] * width) + close_row
     for lo in range(0, n_rows, step):
         hi = min(lo + step, n_rows)
+        parts = list(block(lo, hi).values())
+        if all(hasattr(part, "dtype") and part.dtype.kind in "iuf" for part in parts):
+            from .trace import format_rows
+
+            text = format_rows(parts, cell, between_rows + open_row, between_cells, close_row)
+            yield text if lo else text[len(between_rows) :]
+            continue
         cells = [None] * ((hi - lo) * width)
-        specs = []
-        for j, part in enumerate(block(lo, hi).values()):
-            spec, cells[j::width] = _format_column(part, cell)
-            specs.append(spec)
-        row = open_row + between_cells.join(specs) + close_row
+        for j, part in enumerate(parts):
+            cells[j::width] = map(cell, part.tolist() if hasattr(part, "tolist") else part)
         yield ((between_rows if lo else "") + between_rows.join([row] * (hi - lo))) % tuple(cells)
     if tail:
         yield tail

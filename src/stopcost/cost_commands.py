@@ -97,7 +97,7 @@ def cmd_compare(
 
 def _add_mincost(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--decoder", type=nonempty, default=None, help=f"decoder config JSON or one of {', '.join(BUILTIN_DECODERS)}; --p sets its physical error rate (default 1e-3)")
+    source.add_argument("--decoder", type=nonempty, default=None, help=f"decoder config JSON or one of {', '.join(BUILTIN_DECODERS)}; --p sets its physical error rate (default: an empirical config's trace p, else 1e-3)")
     _add_trace_inputs(parser, source)
     _add_workloads(parser)
 

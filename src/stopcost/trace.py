@@ -33,18 +33,24 @@ the row validator's batches, ``synth``'s chunks) go through one fold
 (:func:`fold_histograms`), which appends parts that ascend to its own
 columns and merges the others, so a sorted histogram is held once.  The
 trace keeps cumulative counts only, made in place in the fold's columns.
+
+Numbers go the other way through :func:`format_rows`, which writes a block
+of numpy columns as text in numpy: :func:`write_trace_csv`'s histogram
+rows and the CLI's ``stop`` and ``range`` curves.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import TraceIntegrityError, TraceParseError
+from .ranges import ROWS_PER_BLOCK
 from .values import INT64_MAX, _validate_distance, _validate_probability, at_least, json_integer
 from .values import below_int64, checked, json_fields, json_number, json_object, read_json
 
@@ -644,21 +650,192 @@ def write_trace_csv(
     """
     if per_shot:
         check_per_shot_rows(trace.shots)
-    columns = zip(
-        trace.runtimes_ns.tolist(), trace.counts.tolist(), trace.failed_counts.tolist()
-    )
+    columns = (trace.runtimes_ns, trace.counts, trace.failed_counts)
     with open(path, "w", newline="") as fh:
         if not per_shot:
             fh.write(",".join(HISTOGRAM_HEADER) + "\n")
-            fh.writelines(f"{r},{t},{f}\n" for r, t, f in columns)
+            for lo in range(0, trace.runtimes_ns.size, ROWS_PER_BLOCK):
+                block = [column[lo : lo + ROWS_PER_BLOCK] for column in columns]
+                fh.write(format_rows(block, str, "", ",", "\n"))
             return
         fh.write(",".join(PER_SHOT_HEADER) + "\n")
-        for runtime, total, failed in columns:
+        for runtime, total, failed in zip(*(column.tolist() for column in columns)):
             for flag, repeat in ((0, total - failed), (1, failed)):
                 line = f"{runtime},{flag}\n"
                 step = max(1, WRITE_BYTES // len(line))
                 for done in range(0, repeat, step):
                     fh.write(line * min(step, repeat - done))
+
+
+# ---------------------------------------------------------------------------
+# Numerals: the shortest round-trip decimals of a numeric block, in numpy
+
+# _DECADES[i - 1] = 1e(i - 9): a float's decade index i, its insertion point
+# in this table, puts it in [1e(i - 9), 1e(i - 8)).  Indices 1-23 (1e-8 up
+# to 1e15) are the fast path's domain.
+_DECADES = np.array([float(f"1e{k}") for k in range(-8, 16)])
+# _SCALES[i] = 10.0**(23 - i) for the domain's indices, exact as doubles
+# (up to 1e22), and 1 outside it.
+_SCALES = np.array([1.0] + [float(10 ** (23 - i)) for i in range(1, 24)] + [1.0])
+_INT_POWERS = np.array([10**k for k in range(19)], dtype=np.int64)
+# The bytes a float's text takes besides its 15 digits.
+_FLOAT_CONSTANTS = np.frombuffer(b"0.e-\x005678", dtype=np.uint8)
+
+
+def format_rows(
+    columns: Sequence[np.ndarray],
+    cell: Callable[[object], str],
+    row_start: str,
+    between_cells: str,
+    row_end: str,
+) -> str:
+    """The rows of equal-length numeric columns as text, each row
+    ``row_start``, its cells joined by ``between_cells``, then ``row_end``.
+
+    A float cell is ``repr``'s shortest round-trip decimal and an integer
+    cell its digits, written for all cells at once in one uint8 matrix of
+    NUL-padded cells and separators; the cells this cannot write (see
+    :func:`_float_text` and :func:`_int_text`) are ``cell(value)``.
+    """
+    rows = len(columns[0])
+
+    def constant(text: str) -> np.ndarray:
+        return np.broadcast_to(np.frombuffer(text.encode(), dtype=np.uint8), (rows, len(text)))
+
+    parts = [constant(row_start)]
+    for column in columns:
+        parts += [_column_text(column, cell), constant(between_cells)]
+    parts[-1] = constant(row_end)
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode()
+
+
+def _column_text(column: np.ndarray, cell) -> np.ndarray:
+    """Each cell's text in its row of a uint8 matrix, NUL-padded."""
+    text, fast = (_float_text if column.dtype.kind == "f" else _int_text)(column)
+    slow = np.flatnonzero(~fast)
+    if not slow.size:
+        return text
+    cells = [cell(value).encode() for value in column[slow].tolist()]
+    width = max(text.shape[1], *map(len, cells))
+    padded = np.zeros((len(text), width), np.uint8)
+    padded[:, : text.shape[1]] = text
+    padded[slow] = np.frombuffer(b"".join(c.ljust(width, b"\0") for c in cells), np.uint8).reshape(-1, width)
+    return padded
+
+
+def _float_text(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Floats as ``repr`` writes them, and the mask of the cells written:
+    those from 1e-8 up to 1e15 in size whose shortest decimal has at most
+    15 significant digits.
+
+    With ``a = |x|`` in the decade of exponent e, the candidate is the
+    integer c nearest ``a * 10**q``, q = 14 - e.  The one check
+    ``c / 10.0**q == a`` is exact: c and ``10.0**q`` (q <= 22) are exact
+    doubles, so the division is the correctly rounded parse of the decimal
+    c * 10**-q.  As c < 10**15, a's rounding interval is narrower than
+    10**-q, so it holds at most one multiple of 10**-q; ``repr``'s
+    shortest decimal, of no more digits than c, is one, so it is c
+    without c's trailing zeros.  When a c passes, ``a * 10**q`` is within
+    0.23 of it, so the nearest integer is the one candidate.  The layout
+    (sign, point, exponent) follows from the digits alone, so a decade
+    read one too high still writes the right text, and one read too low
+    fails the check.
+    """
+    x = column.astype(np.float64, copy=False)
+    a = np.abs(x)
+    decade = np.searchsorted(_DECADES, a, side="right")  # nan sorts last
+    fast = (decade > 0) & (decade < len(_DECADES))
+    a[~fast] = 1.0  # keeps what follows finite
+    scale = _SCALES[decade]
+    digits = (a * scale + 0.5).astype(np.int64)
+    fast &= (digits < 10**15) & (digits / scale == a)
+    exponent = decade - 24  # c's decimal exponent, once its digit count is added
+    for k in (8, 4, 2, 1):  # strip c's trailing zeros, at most 14
+        higher = digits // 10**k
+        exact = higher * 10**k == digits
+        np.copyto(digits, higher, where=exact)
+        np.add(exponent, k, out=exponent, where=exact)
+    count = np.searchsorted(_INT_POWERS, digits, side="right")
+    exponent += count
+    layout = (exponent + 8) * 16 + count
+    layout[~fast] = 0
+    # The digits and constants, one column per cell, which each cell's
+    # layout picks its bytes from.
+    source = np.empty((15 + len(_FLOAT_CONSTANTS), len(x)), np.uint8)
+    source[15:] = _FLOAT_CONSTANTS[:, None]
+    _digits(digits, source[:15].T)
+    layouts, lengths = _float_layouts()
+    width = lengths[layout].max(initial=0)
+    index = layouts[:, :width].take(layout, axis=0)
+    index *= len(x)
+    index += np.arange(len(x))[:, None]
+    text = np.empty((len(x), width + 1), np.uint8)
+    text[:, 0] = 0
+    text[np.signbit(x), 0] = ord("-")
+    text[:, 1:] = source.ravel().take(index)
+    return text, fast
+
+
+@functools.cache
+def _float_layouts() -> tuple[np.ndarray, np.ndarray]:
+    """Row ``(e + 8) * 16 + n`` is the text of a positive float with decimal
+    exponent e (-8 to 14) and n significant digits, as the rows of its 15
+    right-aligned digits and then ``_FLOAT_CONSTANTS`` that it takes,
+    NUL-padded: positional with at least one digit after the point for
+    e >= -4, else ``d[.ddd]e-0X``, as ``repr`` writes them.  With each
+    row's length."""
+    zero, point, mark, minus, nul = range(15, 20)
+    rows = []
+    for e in range(-8, 15):
+        for n in range(16):
+            digits = list(range(15 - n, 15))
+            if e < -4:
+                rows.append(digits[:1] + [point] * (n > 1) + digits[1:] + [mark, minus, zero, 15 - e])
+                continue
+            run = [zero] * -e + digits
+            whole = max(e, 0) + 1
+            run += [zero] * (whole + 1 - len(run))
+            rows.append(run[:whole] + [point] + run[whole:])
+    width = max(map(len, rows))
+    layouts = np.array([row + [nul] * (width - len(row)) for row in rows], dtype=np.intp)
+    return layouts, np.array(list(map(len, rows)))
+
+
+def _int_text(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integers as digits, by repeated floor division, and the mask of the
+    cells written: all but int64's minimum and uint64s above int64."""
+    if column.dtype.kind == "u":
+        fast = column <= np.uint64(INT64_MAX)  # compared as uint64 under numpy 1.x too
+    else:
+        fast = column > -INT64_MAX - 1
+    values = column.astype(np.int64)
+    values[~fast] = 0
+    negative = values < 0
+    np.negative(values, out=values, where=negative)
+    text = np.empty((len(values), 20), np.uint8)
+    first = _digits(values, text[:, 1:])
+    text[:, first] = 0  # the column left of the digits
+    text[negative, first] = ord("-")
+    return text[:, first:], fast
+
+
+def _digits(values: np.ndarray, out: np.ndarray) -> int:
+    """Write the decimal digits of non-negative ``values`` right-aligned in
+    the rows of ``out``, by repeated floor division until every value is
+    used up, and return the first column written: from there, a row is NUL
+    up to its value's digits.  The columns left of it are not written."""
+    col = out.shape[1] - 1
+    while True:
+        higher = values // 10
+        digit = values - higher * 10
+        digit += ord("0")
+        if col < out.shape[1] - 1:
+            np.copyto(digit, 0, where=values == 0)
+        out[:, col] = digit
+        values = higher
+        if not values.any() or not col:
+            return col
+        col -= 1
 
 
 def write_metadata(metadata: TraceMetadata, path: str | Path) -> None:

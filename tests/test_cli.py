@@ -17,6 +17,7 @@ import stopcost.cli as cli
 from stopcost import GateSchedule, accuracy_surface
 from stopcost import models, ranges
 from stopcost.cli import _format_cell, _json_safe, integer, main, render_table
+from stopcost.trace import format_rows, parse_trace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -59,6 +60,26 @@ class TestSynth:
         assert main(base + ["--seed", "1", "--out", str(out_a)]) == 0
         assert main(base + ["--seed", "2", "--out", str(out_b)]) == 0
         assert out_a.read_bytes() != out_b.read_bytes()
+
+    def test_wide_histogram_is_written_as_its_rows(self, tmp_path):
+        # A binomial law of ~5e4 distinct runtimes: the histogram is written
+        # in many blocks of ranges.ROWS_PER_BLOCK rows, with the bytes of
+        # one "runtime,total,failed" line per row.
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({
+            "runtime": {"kind": "binomial", "N": 10**9, "Q": 0.5, "unit_ns": 1},
+            "failure": {"kind": "heuristic"},
+        }))
+        out = tmp_path / "t.csv"
+        assert main([
+            "synth", "--model", str(config), "--d", "5", "--p", "5e-3",
+            "--shots", "1e5", "--seed", "3", "--out", str(out),
+        ]) == 0
+        trace = parse_trace(out, tmp_path / "t.json")
+        assert trace.runtimes_ns.size > 10**4
+        rows = zip(trace.runtimes_ns.tolist(), trace.counts.tolist(), trace.failed_counts.tolist())
+        lines = "".join(f"{r},{t},{f}\n" for r, t, f in rows)
+        assert out.read_text() == "runtime_ns,count_total,count_failed\n" + lines
 
     def test_per_shot_layout_roundtrips(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -1254,14 +1275,37 @@ def per_cell_render(command, header, rows, fmt, extras):
     return "\n".join(lines) + "\n"
 
 
-# Where repr switches to exponent form (1e16, 1e-05), the smallest
-# subnormal, a negative zero and the infinities rendered as inf/null.
+# Where repr switches to exponent form (1e16, 1e-05), the edges of the
+# numpy renderer's fast path (1e-8, 1e15), the smallest subnormal, a
+# negative zero and the infinities rendered as inf/null.
 SPECIAL_FLOATS = [
     0.0, -0.0, 5e-324, 1e16, 9999999999999998.0, 1e-5, 0.0001, 1.0000000000000002e-05,
-    1e22, 0.1, 2.5, math.inf, -math.inf, math.nan,
+    1e22, 0.1, 2.5, math.inf, -math.inf, math.nan, 1e-8, 1e15,
 ]
-float_cells = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False))
+# Each power of ten from 1e-9 to 1e16 and its neighbours, where the fast
+# path's decade changes.
+POWER_NEIGHBOURS = [
+    float(np.nextafter(10.0**k, toward)) for k in range(-9, 17) for toward in (0.0, 10.0**k, math.inf)
+]
+# st.floats() cells almost all need 17 digits, which the fast path leaves
+# to the per-cell fallback; a trace's rates (counts over a shot count) and
+# floats parsed from short decimals take the fast path.
+rate_cells = st.builds(
+    lambda k, shots: k / shots,
+    st.integers(0, 10**9),
+    st.one_of(st.sampled_from([10**j for j in range(10)]), st.integers(1, 10**9)),
+)
+short_decimal_cells = st.builds(
+    lambda digits, exponent: float(f"{digits}e{exponent}"),
+    st.integers(-(10**15) + 1, 10**15 - 1),
+    st.integers(-30, 20),
+)
+float_cells = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS + POWER_NEIGHBOURS), st.floats(allow_nan=False),
+    rate_cells, short_decimal_cells,
+)
 int_cells = st.integers(-(2**63), 2**63 - 1)
+uint_cells = st.integers(0, 2**64 - 1)
 other_cells = st.one_of(
     st.none(), st.integers(-(10**30), 10**30), float_cells, st.sampled_from(["x", "quadratic"]),
     st.booleans(),
@@ -1273,15 +1317,11 @@ def tables(draw):
     n_rows = draw(st.integers(0, 20))
     columns, cells = [], []
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["float", "int", "list"]))
-        strategy = {"float": float_cells, "int": int_cells, "list": other_cells}[kind]
+        kind = draw(st.sampled_from(["float", "int", "uint", "list"]))
+        strategy = {"float": float_cells, "int": int_cells, "uint": uint_cells, "list": other_cells}[kind]
         values = draw(st.lists(strategy, min_size=n_rows, max_size=n_rows))
-        if kind == "float":
-            columns.append(np.array(values, dtype=np.float64))
-        elif kind == "int":
-            columns.append(np.array(values, dtype=np.int64))
-        else:
-            columns.append(values)
+        dtype = {"float": np.float64, "int": np.int64, "uint": np.uint64}.get(kind)
+        columns.append(values if dtype is None else np.array(values, dtype=dtype))
         cells.append(values)
     return columns, [list(row) for row in zip(*cells)]
 
@@ -1302,8 +1342,13 @@ def tables(draw):
     rows_per_block=3, fmt="csv", extras={},
 )
 @example(
+    table=([np.array(POWER_NEIGHBOURS)], [[v] for v in POWER_NEIGHBOURS]),
+    rows_per_block=32, fmt="json", extras={},
+)
+@example(
     # A % in a string cell, integers past 2**53 in int64, uint64 and list
-    # columns, and nan in a float column that takes the %r spec.
+    # columns, and nan in a float column of a block that mixes numpy
+    # columns and lists.
     table=(
         [
             np.array([2**64 - 1, 2**53 + 1, 0], dtype=np.uint64),
@@ -1329,6 +1374,19 @@ def test_render_table_matches_per_cell_oracle(table, rows_per_block, fmt, extras
     assert "".join(blocks) == per_cell_render("t", header, rows, fmt, extras)
     # The head, one block per ROWS_PER_BLOCK rows, and for JSON the close.
     assert len(blocks) == 1 + -(-len(rows) // rows_per_block) + (fmt == "json")
+
+
+def test_rates_take_no_per_cell_fallback():
+    # Every k / 10**6 (a trace's rates at 1e6 shots) is written by the
+    # numpy kernel; a cell it left to `cell` would fail here, so a renderer
+    # that fell back to repr everywhere would not pass unseen.
+    rates = np.arange(1, 10**6 + 1, 7) / 10**6
+
+    def fallback(value):
+        raise AssertionError(f"{value!r} took the per-cell fallback")
+
+    text = format_rows([rates, -rates, np.arange(rates.size)], fallback, "[", ",", "]")
+    assert text == "".join(f"[{r!r},{-r!r},{i}]" for i, r in enumerate(rates.tolist()))
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
