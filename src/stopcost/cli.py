@@ -27,13 +27,17 @@ infeasible costs appear as ``inf`` in CSV and ``null`` in JSON.  Both are
 written in blocks of ``ranges.ROWS_PER_BLOCK`` rows, JSON with the bytes of
 ``json.dumps(..., indent=2)``, and a trace's curves are computed in the
 same blocks.  A block of numpy columns (the ``stop`` and ``range`` curves)
-is written by one numpy kernel, ``trace.format_rows``: a float's digits
-are the integer nearest ``|x| * 10**q`` for the q that gives it 15 digits,
-kept when one exact division parses them back to ``|x|``, and its layout
-is ``repr``'s.  The cells the kernel leaves (nan, infinities, -0.0, floats
-that need 16 or 17 digits or lie outside 1e-8 up to 1e15, int64's minimum
-and uint64s above int64) and every block of Python values go through the
-per-cell formatter.  Files are written atomically (temp file + rename).
+goes to ``trace.format_rows``, whose numpy kernel writes it when it can
+write every cell: a float's digits are the integer nearest ``|x| * 10**q``
+for the q that gives it 15 digits, kept when one exact division parses
+them back to ``|x|``, and its layout is ``repr``'s.  A block holding a cell
+the kernel cannot write (nan, infinities, floats that need 16 or 17 digits
+or are nonzero below 1e-8 or from 1e15 up, int64's minimum, uint64s above
+int64) is one ``%`` format at one ``repr`` per cell, and a block of Python
+values one ``%`` format over the per-cell formatter.  So the rates of a
+power-of-ten shot count take the kernel and those of most other shot
+counts the ``%`` format.  Files are written atomically (temp file +
+rename).
 """
 
 from __future__ import annotations
@@ -173,7 +177,7 @@ def render_table(
     array or Python list, or is a function ``block(lo, hi)`` giving rows
     ``lo:hi`` of an ``n_rows``-row table as such a map; it is called once
     per block, and with ``(0, 0)`` for the header.  A block whose columns
-    are all numpy integer or float arrays is written by one numpy kernel,
+    are all numpy integer or float arrays goes to
     :func:`stopcost.trace.format_rows`, which gives each cell the bytes of
     ``cell(value)``; any other block is one ``%`` format, a row template
     of ``%s`` per column repeated per row and joined by the row separator,

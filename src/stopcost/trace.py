@@ -35,8 +35,9 @@ columns and merges the others, so a sorted histogram is held once.  The
 trace keeps cumulative counts only, made in place in the fold's columns.
 
 Numbers go the other way through :func:`format_rows`, which writes a block
-of numpy columns as text in numpy: :func:`write_trace_csv`'s histogram
-rows and the CLI's ``stop`` and ``range`` curves.
+of numpy columns as text in numpy when it can write every cell, else as one
+``%`` format: :func:`write_trace_csv`'s histogram rows and the CLI's
+``stop`` and ``range`` curves.
 """
 
 from __future__ import annotations
@@ -672,11 +673,14 @@ def write_trace_csv(
 
 # _DECADES[i - 1] = 1e(i - 9): a float's decade index i, its insertion point
 # in this table, puts it in [1e(i - 9), 1e(i - 8)).  Indices 1-23 (1e-8 up
-# to 1e15) are the fast path's domain.
+# to 1e15) and zero are the kernel's domain.
 _DECADES = np.array([float(f"1e{k}") for k in range(-8, 16)])
 # _SCALES[i] = 10.0**(23 - i) for the domain's indices, exact as doubles
 # (up to 1e22), and 1 outside it.
 _SCALES = np.array([1.0] + [float(10 ** (23 - i)) for i in range(1, 24)] + [1.0])
+# Zero is read in 1's decade, as c = 0 with 15 trailing zeros stripped, which
+# the layout of exponent 0 writes as repr's 0.0.
+_ZERO_DECADE = 9
 _INT_POWERS = np.array([10**k for k in range(19)], dtype=np.int64)
 # The bytes a float's text takes besides its 15 digits.
 _FLOAT_CONSTANTS = np.frombuffer(b"0.e-\x005678", dtype=np.uint8)
@@ -693,40 +697,59 @@ def format_rows(
     ``row_start``, its cells joined by ``between_cells``, then ``row_end``.
 
     A float cell is ``repr``'s shortest round-trip decimal and an integer
-    cell its digits, written for all cells at once in one uint8 matrix of
-    NUL-padded cells and separators; the cells this cannot write (see
-    :func:`_float_text` and :func:`_int_text`) are ``cell(value)``.
+    cell its digits.  When the numpy kernel can write every cell of the
+    block (see :func:`_float_text` and :func:`_int_text`), it writes them
+    all at once in one uint8 matrix of NUL-padded cells and separators.
+    Any other block is :func:`_repr_rows`, at one ``repr`` per cell.
     """
     rows = len(columns[0])
 
     def constant(text: str) -> np.ndarray:
         return np.broadcast_to(np.frombuffer(text.encode(), dtype=np.uint8), (rows, len(text)))
 
+    texts = [None] * len(columns)
+    # Float columns first: they are the ones the kernel may not write.
+    for j in sorted(range(len(columns)), key=lambda j: columns[j].dtype.kind != "f"):
+        texts[j] = (_float_text if columns[j].dtype.kind == "f" else _int_text)(columns[j])
+        if texts[j] is None:
+            return _repr_rows(columns, cell, row_start, between_cells, row_end)
     parts = [constant(row_start)]
-    for column in columns:
-        parts += [_column_text(column, cell), constant(between_cells)]
+    for text in texts:
+        parts += [text, constant(between_cells)]
     parts[-1] = constant(row_end)
     return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode()
 
 
-def _column_text(column: np.ndarray, cell) -> np.ndarray:
-    """Each cell's text in its row of a uint8 matrix, NUL-padded."""
-    text, fast = (_float_text if column.dtype.kind == "f" else _int_text)(column)
-    slow = np.flatnonzero(~fast)
-    if not slow.size:
-        return text
-    cells = [cell(value).encode() for value in column[slow].tolist()]
-    width = max(text.shape[1], *map(len, cells))
-    padded = np.zeros((len(text), width), np.uint8)
-    padded[:, : text.shape[1]] = text
-    padded[slow] = np.frombuffer(b"".join(c.ljust(width, b"\0") for c in cells), np.uint8).reshape(-1, width)
-    return padded
+def _repr_rows(
+    columns: Sequence[np.ndarray],
+    cell: Callable[[object], str],
+    row_start: str,
+    between_cells: str,
+    row_end: str,
+) -> str:
+    """The rows of :func:`format_rows` as one ``%`` format: ``%r`` of each
+    cell, or ``cell(value)`` of each cell of a float column that holds nan
+    or an infinity."""
+    width = len(columns)
+    cells: list = [None] * (len(columns[0]) * width)
+    specs = []
+    for j, column in enumerate(columns):
+        if column.dtype.kind == "f" and not np.isfinite(column).all():
+            specs.append("%s")
+            cells[j::width] = map(cell, column.tolist())
+        else:
+            specs.append("%r")
+            cells[j::width] = column.tolist()
+    row = row_start + between_cells.join(specs) + row_end
+    return "".join([row] * len(columns[0])) % tuple(cells)
 
 
-def _float_text(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Floats as ``repr`` writes them, and the mask of the cells written:
-    those from 1e-8 up to 1e15 in size whose shortest decimal has at most
-    15 significant digits.
+def _float_text(column: np.ndarray) -> np.ndarray | None:
+    """Floats as ``repr`` writes them, one NUL-padded row each, or None
+    unless every one is zero or lies from 1e-8 up to 1e15 in size and has
+    a shortest decimal of at most 15 significant digits.  Rates of a
+    power-of-ten shot count (k / 10**6) all do; those of most other shot
+    counts mostly need 16 or 17 digits.
 
     With ``a = |x|`` in the decade of exponent e, the candidate is the
     integer c nearest ``a * 10**q``, q = 14 - e.  The one check
@@ -744,13 +767,15 @@ def _float_text(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = column.astype(np.float64, copy=False)
     a = np.abs(x)
     decade = np.searchsorted(_DECADES, a, side="right")  # nan sorts last
-    fast = (decade > 0) & (decade < len(_DECADES))
-    a[~fast] = 1.0  # keeps what follows finite
+    decade[a == 0] = _ZERO_DECADE
+    if not ((decade > 0) & (decade < len(_DECADES))).all():
+        return None
     scale = _SCALES[decade]
     digits = (a * scale + 0.5).astype(np.int64)
-    fast &= (digits < 10**15) & (digits / scale == a)
+    if not ((digits < 10**15) & (digits / scale == a)).all():
+        return None
     exponent = decade - 24  # c's decimal exponent, once its digit count is added
-    for k in (8, 4, 2, 1):  # strip c's trailing zeros, at most 14
+    for k in (8, 4, 2, 1):  # strip c's trailing zeros, at most 14 (15 for zero)
         higher = digits // 10**k
         exact = higher * 10**k == digits
         np.copyto(digits, higher, where=exact)
@@ -758,7 +783,6 @@ def _float_text(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     count = np.searchsorted(_INT_POWERS, digits, side="right")
     exponent += count
     layout = (exponent + 8) * 16 + count
-    layout[~fast] = 0
     # The digits and constants, one column per cell, which each cell's
     # layout picks its bytes from.
     source = np.empty((15 + len(_FLOAT_CONSTANTS), len(x)), np.uint8)
@@ -773,7 +797,7 @@ def _float_text(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     text[:, 0] = 0
     text[np.signbit(x), 0] = ord("-")
     text[:, 1:] = source.ravel().take(index)
-    return text, fast
+    return text
 
 
 @functools.cache
@@ -801,22 +825,23 @@ def _float_layouts() -> tuple[np.ndarray, np.ndarray]:
     return layouts, np.array(list(map(len, rows)))
 
 
-def _int_text(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integers as digits, by repeated floor division, and the mask of the
-    cells written: all but int64's minimum and uint64s above int64."""
+def _int_text(column: np.ndarray) -> np.ndarray | None:
+    """Integers as digits, by repeated floor division, one NUL-padded row
+    each, or None if one is int64's minimum or a uint64 above int64."""
     if column.dtype.kind == "u":
         fast = column <= np.uint64(INT64_MAX)  # compared as uint64 under numpy 1.x too
     else:
         fast = column > -INT64_MAX - 1
+    if not fast.all():
+        return None
     values = column.astype(np.int64)
-    values[~fast] = 0
     negative = values < 0
     np.negative(values, out=values, where=negative)
     text = np.empty((len(values), 20), np.uint8)
     first = _digits(values, text[:, 1:])
     text[:, first] = 0  # the column left of the digits
     text[negative, first] = ord("-")
-    return text[:, first:], fast
+    return text[:, first:]
 
 
 def _digits(values: np.ndarray, out: np.ndarray) -> int:

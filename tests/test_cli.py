@@ -17,7 +17,7 @@ import stopcost.cli as cli
 from stopcost import GateSchedule, accuracy_surface
 from stopcost import models, ranges
 from stopcost.cli import _format_cell, _json_safe, integer, main, render_table
-from stopcost.trace import format_rows, parse_trace
+from stopcost.trace import _float_text, format_rows, parse_trace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -1276,20 +1276,22 @@ def per_cell_render(command, header, rows, fmt, extras):
 
 
 # Where repr switches to exponent form (1e16, 1e-05), the edges of the
-# numpy renderer's fast path (1e-8, 1e15), the smallest subnormal, a
+# numpy kernel's domain (1e-8, 1e15), the smallest subnormal, zero, a
 # negative zero and the infinities rendered as inf/null.
 SPECIAL_FLOATS = [
     0.0, -0.0, 5e-324, 1e16, 9999999999999998.0, 1e-5, 0.0001, 1.0000000000000002e-05,
     1e22, 0.1, 2.5, math.inf, -math.inf, math.nan, 1e-8, 1e15,
 ]
-# Each power of ten from 1e-9 to 1e16 and its neighbours, where the fast
-# path's decade changes.
+# Each power of ten from 1e-9 to 1e16 and its neighbours, where the
+# kernel's decade changes.
 POWER_NEIGHBOURS = [
     float(np.nextafter(10.0**k, toward)) for k in range(-9, 17) for toward in (0.0, 10.0**k, math.inf)
 ]
-# st.floats() cells almost all need 17 digits, which the fast path leaves
-# to the per-cell fallback; a trace's rates (counts over a shot count) and
-# floats parsed from short decimals take the fast path.
+# st.floats() cells almost all need 17 digits, which the numpy kernel
+# leaves to the % format; a trace's rates (counts over a shot count) and
+# floats parsed from short decimals are the kernel's.  The kernel writes a
+# block only if it can write every cell, so a column of `fast_float_cells`
+# alone lets blocks of several rows reach it.
 rate_cells = st.builds(
     lambda k, shots: k / shots,
     st.integers(0, 10**9),
@@ -1304,6 +1306,15 @@ float_cells = st.one_of(
     st.sampled_from(SPECIAL_FLOATS + POWER_NEIGHBOURS), st.floats(allow_nan=False),
     rate_cells, short_decimal_cells,
 )
+fast_float_cells = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda k, j: k / 10**j, st.integers(1, 10**9), st.integers(0, 9)),
+    st.builds(
+        lambda digits, exponent: float(f"{digits}e{exponent}"),
+        st.integers(-(10**15) + 1, 10**15 - 1).filter(bool),
+        st.integers(-8, 0),
+    ),
+)
 int_cells = st.integers(-(2**63), 2**63 - 1)
 uint_cells = st.integers(0, 2**64 - 1)
 other_cells = st.one_of(
@@ -1317,10 +1328,13 @@ def tables(draw):
     n_rows = draw(st.integers(0, 20))
     columns, cells = [], []
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["float", "int", "uint", "list"]))
-        strategy = {"float": float_cells, "int": int_cells, "uint": uint_cells, "list": other_cells}[kind]
+        kind = draw(st.sampled_from(["float", "fast float", "int", "uint", "list"]))
+        strategy = {
+            "float": float_cells, "fast float": fast_float_cells, "int": int_cells,
+            "uint": uint_cells, "list": other_cells,
+        }[kind]
         values = draw(st.lists(strategy, min_size=n_rows, max_size=n_rows))
-        dtype = {"float": np.float64, "int": np.int64, "uint": np.uint64}.get(kind)
+        dtype = {"float": np.float64, "fast float": np.float64, "int": np.int64, "uint": np.uint64}.get(kind)
         columns.append(values if dtype is None else np.array(values, dtype=dtype))
         cells.append(values)
     return columns, [list(row) for row in zip(*cells)]
@@ -1376,17 +1390,29 @@ def test_render_table_matches_per_cell_oracle(table, rows_per_block, fmt, extras
     assert len(blocks) == 1 + -(-len(rows) // rows_per_block) + (fmt == "json")
 
 
-def test_rates_take_no_per_cell_fallback():
-    # Every k / 10**6 (a trace's rates at 1e6 shots) is written by the
-    # numpy kernel; a cell it left to `cell` would fail here, so a renderer
-    # that fell back to repr everywhere would not pass unseen.
-    rates = np.arange(1, 10**6 + 1, 7) / 10**6
+def test_rates_take_no_per_cell_fallback(monkeypatch):
+    # Every k / 10**6 (a trace's rates at 1e6 shots, zero and -0.0
+    # included) is written by the numpy kernel; a block it left to the %
+    # format would fail here, so a renderer that fell back to repr
+    # everywhere would not pass unseen.
+    rates = np.arange(0, 10**6 + 1, 7) / 10**6
 
-    def fallback(value):
-        raise AssertionError(f"{value!r} took the per-cell fallback")
+    def fallback(*args):
+        raise AssertionError("the block took the % format")
 
-    text = format_rows([rates, -rates, np.arange(rates.size)], fallback, "[", ",", "]")
+    monkeypatch.setattr("stopcost.trace._repr_rows", fallback)
+    text = format_rows([rates, -rates, np.arange(rates.size)], str, "[", ",", "]")
     assert text == "".join(f"[{r!r},{-r!r},{i}]" for i, r in enumerate(rates.tolist()))
+
+
+@pytest.mark.parametrize("shots", [300_000, 999_983])
+def test_rates_of_other_shot_counts_take_the_percent_format(shots):
+    # Most k / shots need 16 or 17 digits there, so the kernel gives up on
+    # the block and it is one % format, at one repr per cell.
+    rates = np.arange(1, shots + 1, 37) / shots
+    assert _float_text(rates) is None
+    text = format_rows([rates, np.arange(rates.size)], str, "", ",", "\n")
+    assert text == "".join(f"{r!r},{i}\n" for i, r in enumerate(rates.tolist()))
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
