@@ -26,18 +26,10 @@ CSV and JSON carry identical numerals (shortest round-trip decimals);
 infeasible costs appear as ``inf`` in CSV and ``null`` in JSON.  Both are
 written in blocks of ``ranges.ROWS_PER_BLOCK`` rows, JSON with the bytes of
 ``json.dumps(..., indent=2)``, and a trace's curves are computed in the
-same blocks.  A block of numpy columns (the ``stop`` and ``range`` curves)
-goes to ``trace.format_rows``, whose numpy kernel writes it when it can
-write every cell: a float's digits are the integer nearest ``|x| * 10**q``
-for the q that gives it 15 digits, kept when one exact division parses
-them back to ``|x|``, and its layout is ``repr``'s.  A block holding a cell
-the kernel cannot write (nan, infinities, floats that need 16 or 17 digits
-or are nonzero below 1e-8 or from 1e15 up, int64's minimum, uint64s above
-int64) is one ``%`` format at one ``repr`` per cell, and a block of Python
-values one ``%`` format over the per-cell formatter.  So the rates of a
-power-of-ten shot count take the kernel and those of most other shot
-counts the ``%`` format.  Files are written atomically (temp file +
-rename).
+same blocks.  A block is written by the numpy kernel of
+:mod:`stopcost.numerals` when it can write every cell, else by one ``%``
+format (see :func:`render_table`).  Files are written atomically
+(temp file + rename).
 """
 
 from __future__ import annotations
@@ -163,6 +155,18 @@ def _json_safe(value):
     return value
 
 
+def _repr_is_cell(column) -> bool:
+    """Whether ``repr`` writes each value of a column as both formats' cell
+    does: a numpy integer column, or a numpy float column with no nan or
+    infinity, which the cell writes as ``inf`` or ``null``."""
+    kind = getattr(getattr(column, "dtype", None), "kind", None)
+    if kind == "f":
+        import numpy as np  # loaded already: the column is a numpy array
+
+        return bool(np.isfinite(column).all())
+    return kind in ("i", "u")
+
+
 def render_table(
     command: str,
     columns: dict | Callable[[int, int], dict],
@@ -178,11 +182,12 @@ def render_table(
     ``lo:hi`` of an ``n_rows``-row table as such a map; it is called once
     per block, and with ``(0, 0)`` for the header.  A block whose columns
     are all numpy integer or float arrays goes to
-    :func:`stopcost.trace.format_rows`, which gives each cell the bytes of
-    ``cell(value)``; any other block is one ``%`` format, a row template
-    of ``%s`` per column repeated per row and joined by the row separator,
-    over each cell's ``cell(value)`` in row order.  JSON has the bytes of
-    one ``json.dumps(..., indent=2)`` of the whole table.
+    :func:`stopcost.numerals.format_rows`.  A block it gives up, and any
+    other block, is one ``%`` format: a row template repeated per row over
+    the block's cells in row order, with ``%r`` over the values of a
+    column whose ``repr`` is its cell (:func:`_repr_is_cell`) and ``%s``
+    over ``cell(value)`` for any other column.  JSON has the bytes of one
+    ``json.dumps(..., indent=2)`` of the whole table.
     """
     extras = extras or {}
     block = columns
@@ -208,20 +213,24 @@ def render_table(
         open_row, between_cells, close_row, between_rows = "", ",", "\n", ""
     yield head
     width, step = len(header), ranges.ROWS_PER_BLOCK
-    row = open_row + between_cells.join(["%s"] * width) + close_row
     for lo in range(0, n_rows, step):
         hi = min(lo + step, n_rows)
         parts = list(block(lo, hi).values())
+        text = None
         if all(hasattr(part, "dtype") and part.dtype.kind in "iuf" for part in parts):
-            from .trace import format_rows
+            from .numerals import format_rows
 
-            text = format_rows(parts, cell, between_rows + open_row, between_cells, close_row)
-            yield text if lo else text[len(between_rows) :]
-            continue
-        cells = [None] * ((hi - lo) * width)
-        for j, part in enumerate(parts):
-            cells[j::width] = map(cell, part.tolist() if hasattr(part, "tolist") else part)
-        yield ((between_rows if lo else "") + between_rows.join([row] * (hi - lo))) % tuple(cells)
+            text = format_rows(parts, between_rows + open_row, between_cells, close_row)
+        if text is None:
+            cells, specs = [None] * ((hi - lo) * width), []
+            for j, part in enumerate(parts):
+                exact = _repr_is_cell(part)
+                values = part.tolist() if hasattr(part, "tolist") else part
+                specs.append("%r" if exact else "%s")
+                cells[j::width] = values if exact else map(cell, values)
+            row = between_rows + open_row + between_cells.join(specs) + close_row
+            text = (row * (hi - lo)) % tuple(cells)
+        yield text if lo else text[len(between_rows) :]
     if tail:
         yield tail
 
@@ -287,13 +296,11 @@ def _load_trace(args: argparse.Namespace) -> RuntimeTrace:
 def _resolve_decoder(source: str, p: float | None) -> DecoderModel | DecoderFactory:
     """A decoder flag's model: a config's, the instantaneous one, or a
     reference family's distance -> model factory at ``p`` (1e-3 if None)."""
-    from .models import DecoderModel, HeuristicFailure, InstantaneousRuntime, make_reference_decoders
+    from .models import DecoderModel, HeuristicFailure, InstantaneousRuntime, reference_decoder
 
     p = 1e-3 if p is None else p
-    if source == "quadratic":
-        return lambda d: make_reference_decoders(d, p)[0]
-    if source == "linear":
-        return lambda d: make_reference_decoders(d, p)[1]
+    if source in ("quadratic", "linear"):
+        return lambda d: reference_decoder(source, d, p)
     if source == "instantaneous":
         return DecoderModel("instantaneous", InstantaneousRuntime(), HeuristicFailure())
     from .decoder_config import load_decoder_config

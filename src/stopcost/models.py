@@ -364,8 +364,8 @@ def _model_at(decoder: DecoderModel | DecoderFactory, d: int) -> DecoderModel:
     return decoder if isinstance(decoder, DecoderModel) else decoder(d)
 
 
-def make_reference_decoders(d: int, p: float) -> tuple[DecoderModel, DecoderModel]:
-    """Reference quadratic-time and linear-time decoder models.
+def reference_decoder(name: str, d: int, p: float) -> DecoderModel:
+    """The reference ``"quadratic"``-time or ``"linear"``-time decoder model.
 
     The quadratic-time decoder has mean runtime p * d**3 us, worst case
     d**6 us, and the standard heuristic failure rate.  The linear-time
@@ -376,25 +376,30 @@ def make_reference_decoders(d: int, p: float) -> tuple[DecoderModel, DecoderMode
     """
     _validate_distance(d)
     _validate_probability(p, "p")
-    quadratic = DecoderModel(
-        name="quadratic",
-        runtime=BinomialRuntime(trials=d**6, step_probability=p / d**3, unit_ns=1000),
-        failure=HeuristicFailure(),
-    )
+    if name == "quadratic":
+        return DecoderModel(
+            name="quadratic",
+            runtime=BinomialRuntime(trials=d**6, step_probability=p / d**3, unit_ns=1000),
+            failure=HeuristicFailure(),
+        )
     linear_trials = round(0.25 * d**3)
     linear_q = 0.25 * p * d**3 / linear_trials
     if not 0.0 < linear_q < 1.0:
         raise ValueError(
             f"linear decoder step probability {linear_q} falls outside (0, 1)"
         )
-    linear = DecoderModel(
+    return DecoderModel(
         name="linear",
         runtime=BinomialRuntime(
             trials=linear_trials, step_probability=linear_q, unit_ns=1000
         ),
         failure=AccuracyScaledFailure(base=HeuristicFailure(), alpha=0.75),
     )
-    return quadratic, linear
+
+
+def make_reference_decoders(d: int, p: float) -> tuple[DecoderModel, DecoderModel]:
+    """Both :func:`reference_decoder` models, ``(quadratic, linear)``."""
+    return reference_decoder("quadratic", d, p), reference_decoder("linear", d, p)
 
 
 # ---------------------------------------------------------------------------

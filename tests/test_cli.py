@@ -17,7 +17,8 @@ import stopcost.cli as cli
 from stopcost import GateSchedule, accuracy_surface
 from stopcost import models, ranges
 from stopcost.cli import _format_cell, _json_safe, integer, main, render_table
-from stopcost.trace import _float_text, format_rows, parse_trace
+from stopcost.numerals import format_rows
+from stopcost.trace import parse_trace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -312,6 +313,32 @@ class TestMincostAndCompare:
         header, rows = read_csv_table(capsys.readouterr().out)
         assert header == ["n_T", "cost", "distance", "M_ns"]
         assert len(rows) == 3
+
+    def test_quadratic_builds_no_linear_decoder(self, tmp_path, capsys):
+        # At p = 0.995 the linear decoder's step probability passes 1 at
+        # d = 5, but the quadratic one's is p / d**3: a call that names
+        # quadratic prices or samples it with only the heuristic's warning.
+        warning = (
+            "stopcost: warning: heuristic failure rate evaluated at p=0.995, at or above "
+            "its validity threshold 0.01\n"
+        )
+        trace = tmp_path / "t.csv"
+        assert main([
+            "synth", "--model", "quadratic", "--d", "5", "--p", "0.995", "--shots", "100",
+            "--out", str(trace),
+        ]) == 0
+        assert capsys.readouterr().err == warning
+        assert trace.read_text().startswith("runtime_ns,count_total,count_failed\n")
+        # Every failure rate there is above any budget: infeasible, not a usage error.
+        assert main(["mincost", "--decoder", "quadratic", "--p", "0.995", "--nT", "1",
+                     "--distances", "5"]) == 3
+        assert capsys.readouterr().err == (
+            warning + "stopcost: infeasible: no (distance, stopping time) pair reaches any "
+            "requested n_T\n"
+        )
+        assert main(["mincost", "--decoder", "linear", "--p", "0.995", "--nT", "1",
+                     "--distances", "5"]) == 2
+        assert "linear decoder step probability" in capsys.readouterr().err
 
     def test_instantaneous_reference_row(self, capsys):
         assert main(["mincost", "--decoder", "instantaneous", "--nT", "1"]) == 0
@@ -1390,29 +1417,30 @@ def test_render_table_matches_per_cell_oracle(table, rows_per_block, fmt, extras
     assert len(blocks) == 1 + -(-len(rows) // rows_per_block) + (fmt == "json")
 
 
-def test_rates_take_no_per_cell_fallback(monkeypatch):
+def test_rates_take_no_per_cell_fallback():
     # Every k / 10**6 (a trace's rates at 1e6 shots, zero and -0.0
-    # included) is written by the numpy kernel; a block it left to the %
-    # format would fail here, so a renderer that fell back to repr
-    # everywhere would not pass unseen.
+    # included) is written by the numpy kernel: format_rows gives the
+    # block's text, not None, so a kernel that gave such blocks up would
+    # not pass unseen behind the % format.
     rates = np.arange(0, 10**6 + 1, 7) / 10**6
-
-    def fallback(*args):
-        raise AssertionError("the block took the % format")
-
-    monkeypatch.setattr("stopcost.trace._repr_rows", fallback)
-    text = format_rows([rates, -rates, np.arange(rates.size)], str, "[", ",", "]")
+    text = format_rows([rates, -rates, np.arange(rates.size)], "[", ",", "]")
     assert text == "".join(f"[{r!r},{-r!r},{i}]" for i, r in enumerate(rates.tolist()))
 
 
 @pytest.mark.parametrize("shots", [300_000, 999_983])
 def test_rates_of_other_shot_counts_take_the_percent_format(shots):
-    # Most k / shots need 16 or 17 digits there, so the kernel gives up on
-    # the block and it is one % format, at one repr per cell.
+    # Most k / shots need 16 or 17 digits there, so the kernel gives the
+    # block up and render_table writes it as one % format, %r per cell.
     rates = np.arange(1, shots + 1, 37) / shots
-    assert _float_text(rates) is None
-    text = format_rows([rates, np.arange(rates.size)], str, "", ",", "\n")
-    assert text == "".join(f"{r!r},{i}\n" for i, r in enumerate(rates.tolist()))
+    counts = np.arange(rates.size)
+    assert format_rows([rates, counts], "", ",", "\n") is None
+    assert format_rows([counts], "", ",", "\n") is not None
+    table = {"rate": rates, "k": counts}
+    csv_rows = "".join(f"{r!r},{i}\n" for i, r in enumerate(rates.tolist()))
+    assert "".join(render_table("t", table, "csv")) == "rate,k\n" + csv_rows
+    rows = [[r, i] for i, r in enumerate(rates.tolist())]
+    payload = {"command": "t", "columns": ["rate", "k"], "rows": rows}
+    assert "".join(render_table("t", table, "json")) == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

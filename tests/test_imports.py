@@ -4,10 +4,13 @@ commands load neither ``dataclasses`` nor ``inspect``, and only ``mincost``
 and ``compare`` load the cost module.  The trace modules (``trace`` and
 ``stopping``) load only where a trace is read, and the decoder laws
 (``models``) only where a command builds one, so ``trace-stats``, ``stop``
-and ``range`` do not load them; help loads none of these.  ``json`` loads
-only where JSON is read or written (a config file, a trace's sidecar,
-``--format json``), and ``csv`` only where the row validator parses a trace
-that is not in the canonical layout.  Each call loads the CLI's core and
+and ``range`` do not load them; help loads none of these.  The numeral
+kernel (``numerals``) loads only where it writes: the ``stop`` and
+``range`` curves and ``synth``'s histogram, not ``trace-stats``,
+``mincost --trace`` or ``synth --per-shot``.  ``json`` loads only where
+JSON is read or written (a config file, a trace's sidecar, ``--format
+json``), and ``csv`` only where the row validator parses a trace that is
+not in the canonical layout.  Each call loads the CLI's core and
 its own command's module, and of the library only what that command runs,
 so it compiles no other command's code; no module imports ``stopcost.cli``,
 which ``python -m stopcost.cli`` runs as ``__main__``."""
@@ -150,9 +153,9 @@ SYNTH = ["synth", "--d", "5", "--p", "1e-3", "--shots", "100", "--out", "t.csv",
 # build every parser, so they load every command module and nothing else.
 PACKAGE_MODULES = {
     "trace-stats": (["trace-stats", "--trace", TRACE], {"trace_commands", "trace"}),
-    "stop": (["stop", "--trace", TRACE], {"trace_commands", "trace", "stopping"}),
+    "stop": (["stop", "--trace", TRACE], {"trace_commands", "trace", "stopping", "numerals"}),
     "range": (["range", "--trace", TRACE, "--min-events", "1"],
-              {"trace_commands", "trace", "stopping"}),
+              {"trace_commands", "trace", "stopping", "numerals"}),
     "surface": (["surface", "--d", "15", "--p", "1e-3"], {"budget_commands", "budget", "models"}),
     "required-distance": (["required-distance", "--nT", "1000"],
                           {"budget_commands", "budget", "models"}),
@@ -166,9 +169,11 @@ PACKAGE_MODULES = {
                         "--nT", "10"], {"cost_commands", "cost", "models", "decoder_config"}),
     "mincost-trace": (["mincost", "--trace", TRACE, "--nT", "1,5"],
                       {"cost_commands", "cost", "models", "trace", "stopping"}),
-    "synth": ([*SYNTH, "quadratic"], {"synth_command", "models", "sampling", "trace"}),
+    "synth": ([*SYNTH, "quadratic"], {"synth_command", "models", "sampling", "trace", "numerals"}),
+    "synth-per-shot": ([*SYNTH, "quadratic", "--per-shot"],
+                       {"synth_command", "models", "sampling", "trace"}),
     "synth-config": ([*SYNTH, "wide.json"],
-                     {"synth_command", "models", "sampling", "trace", "decoder_config"}),
+                     {"synth_command", "models", "sampling", "trace", "decoder_config", "numerals"}),
     "help": (["-h"], COMMAND_MODULES),
     "stop-help": (["stop", "-h"], {"trace_commands"}),
     "bogus": (["bogus"], COMMAND_MODULES),
