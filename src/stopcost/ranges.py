@@ -27,9 +27,9 @@ D_MAX_LIMIT = 100_001
 # Rows per block of a trace's curves: `stopping.range_blocks` computes, and
 # the CLI renders, one block of this many rows at a time, so the memory a
 # curve takes does not grow with the trace's length.  Rendering a block
-# holds 300-550 bytes per row (its text and, for the curves, one float
-# column's gather index): at 2048 rows, less than parsing a 1e5-row trace
-# takes.
+# holds 180-260 bytes per row when the numpy kernel writes it, and 240-550
+# as one % format (tracemalloc peaks on a 1e5-row trace's curves, CSV and
+# JSON): at 2048 rows, less than parsing a 1e5-row trace takes.
 ROWS_PER_BLOCK = 2048
 
 

@@ -1333,6 +1333,19 @@ float_cells = st.one_of(
     st.sampled_from(SPECIAL_FLOATS + POWER_NEIGHBOURS), st.floats(allow_nan=False),
     rate_cells, short_decimal_cells,
 )
+
+
+@st.composite
+def grouped_digit_cells(draw):
+    # A float of n significant digits whose first is in a decade from 1e-8
+    # to 1e14, in every layout: the kernel's 15-digit c then ends in exactly
+    # 15 - n zeros, none, 4, 8 or 12 (whole 4-digit groups of zeros), or 14.
+    n = draw(st.sampled_from([15, 11, 7, 3, 1]))
+    digits = draw(st.integers(10 ** (n - 1), 10**n - 1).filter(lambda m: m % 10))
+    decade = draw(st.integers(-8, 14))
+    return draw(st.sampled_from([1.0, -1.0])) * float(f"{digits}e{decade - n + 1}")
+
+
 fast_float_cells = st.one_of(
     st.sampled_from([0.0, -0.0]),
     st.builds(lambda k, j: k / 10**j, st.integers(1, 10**9), st.integers(0, 9)),
@@ -1341,6 +1354,7 @@ fast_float_cells = st.one_of(
         st.integers(-(10**15) + 1, 10**15 - 1).filter(bool),
         st.integers(-8, 0),
     ),
+    grouped_digit_cells(),
 )
 int_cells = st.integers(-(2**63), 2**63 - 1)
 uint_cells = st.integers(0, 2**64 - 1)
@@ -1405,6 +1419,26 @@ def tables(draw):
         ],
     ),
     rows_per_block=2, fmt="csv", extras={},
+)
+@example(
+    # A column is reused only with its dtype and bytes: 0.0 and -0.0 are
+    # equal but not alike, and int64 -1 has the bytes of uint64 2**64 - 1.
+    table=([np.array([0.0]), np.array([-0.0])], [[0.0, -0.0]]), rows_per_block=1, fmt="csv", extras={},
+)
+@example(
+    table=(
+        [np.array([-1], dtype=np.int64), np.array([2**64 - 1], dtype=np.uint64)],
+        [[-1, 2**64 - 1]],
+    ),
+    rows_per_block=1, fmt="csv", extras={},
+)
+@example(
+    # Two identical float columns and one the kernel gives up (17 digits).
+    table=(
+        [np.array([0.5, 2.5e-5]), np.array([0.5, 2.5e-5]), np.array([0.1 + 0.2, 1.0])],
+        [[0.5, 0.5, 0.1 + 0.2], [2.5e-5, 2.5e-5, 1.0]],
+    ),
+    rows_per_block=2, fmt="json", extras={},
 )
 def test_render_table_matches_per_cell_oracle(table, rows_per_block, fmt, extras):
     columns, rows = table
