@@ -65,6 +65,6 @@ def _add_surface(parser: argparse.ArgumentParser) -> None:
 
 def _add_required_distance(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nT", type=integer, required=True, help="number of T gates")
-    parser.add_argument("--p", type=float, default=1e-3, help="physical error rate (default 1e-3)")
+    parser.add_argument("--p", type=float, help="physical error rate (default 1e-3)")
     parser.add_argument("--delay-ns", dest="delay_ns", type=integer, default=0, help="decoding delay per T gate in ns")
     parser.add_argument("--d-max", dest="d_max", type=integer, default=99, help="largest odd distance to try")

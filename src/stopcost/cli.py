@@ -17,11 +17,12 @@ of settings (precedence: flags > config file > defaults).  Exit codes: 0
 success, 2 usage/validation error, 3 infeasible analysis, 4 I/O error.
 
 Outputs are plot-ready tables.  ``main`` reads the ``--trace`` file and
-the decoder each decoder flag names, if the command takes them, then the
-settings, whose ``t_sec_ns`` defaults to the ``sec_cycle_ns`` of the traces
-read; each subcommand returns its ``Table``, which ``main`` renders and
-writes; ``synth`` writes its own trace pair.  A call imports only its
-subcommand's module, which ``SUBCOMMANDS`` names.
+the decoder config each decoder flag names, if the command takes them;
+``t_sec_ns`` and ``--p`` default to the ``sec_cycle_ns`` and the
+``physical_error_rate`` of the traces read, and the built-in decoders are
+built at that p.  Each subcommand returns its ``Table``, which ``main``
+renders and writes; ``synth`` writes its own trace pair.  A call imports
+only its subcommand's module, which ``SUBCOMMANDS`` names.
 CSV and JSON carry identical numerals (shortest round-trip decimals);
 infeasible costs appear as ``inf`` in CSV and ``null`` in JSON.  Both are
 written in blocks of ``ranges.ROWS_PER_BLOCK`` rows, JSON with the bytes of
@@ -45,7 +46,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from . import ranges
-from .command import _atomic_path, nonempty
+from .command import BUILTIN_DECODERS, _atomic_path, nonempty
 from .errors import ConfigError, InfeasibleError
 from .ranges import GateSchedule
 from .values import (
@@ -108,11 +109,19 @@ SETTINGS = {
 }
 
 
+def _shared_metadata(traces: Iterable[RuntimeTrace | None], field: str, setters: str, default):
+    """The metadata ``field`` shared by every trace in ``traces`` (``None`` is
+    no trace), else ``default``; traces that disagree need ``setters``."""
+    values = sorted({getattr(trace.metadata, field) for trace in traces if trace is not None})
+    if len(values) > 1:
+        raise ConfigError(f"the traces read disagree on {field} ({values[0]} and {values[1]}): set {setters}")
+    return values[0] if values else default
+
+
 def _load_run_config(args: argparse.Namespace, traces: Iterable[RuntimeTrace | None]) -> RunConfig:
     """The defaults, updated by the config file (any setting, read or not),
     then the flags.  ``t_sec_ns`` defaults to the ``sec_cycle_ns`` that
-    every trace in ``traces`` shares (``None`` is no trace), or to 1000 if
-    there is none; traces that disagree need the file or the flag to set it.
+    every trace in ``traces`` shares, or to 1000 if there is none.
 
     A value from the file is checked as it is read, so its error names the
     file; a flag's value is checked as it overrides.
@@ -124,14 +133,10 @@ def _load_run_config(args: argparse.Namespace, traces: Iterable[RuntimeTrace | N
     for key, (_, check, *_) in SETTINGS.items():
         if (value := getattr(args, key, None)) is not None:
             settings[key] = check(value)
-    cycles = sorted({trace.metadata.sec_cycle_ns for trace in traces if trace is not None})
-    if "t_sec_ns" not in settings and cycles:
-        if len(cycles) > 1:
-            raise ConfigError(
-                f"the traces read disagree on sec_cycle_ns ({cycles[0]} and {cycles[1]}): "
-                "set --t-sec-ns or the settings file's t_sec_ns"
-            )
-        settings["t_sec_ns"] = cycles[0]
+    if "t_sec_ns" not in settings:
+        settings["t_sec_ns"] = _shared_metadata(
+            traces, "sec_cycle_ns", "--t-sec-ns or the settings file's t_sec_ns", RunConfig().t_sec_ns
+        )
     return RunConfig(**settings)
 
 
@@ -293,29 +298,21 @@ def _load_trace(args: argparse.Namespace) -> RuntimeTrace:
     return parse_trace(args.trace, meta, overrides)
 
 
-def _resolve_decoder(source: str, p: float | None) -> DecoderModel | DecoderFactory:
-    """A decoder flag's model: a config's, the instantaneous one, or a
-    reference family's distance -> model factory at ``p`` (1e-3 if None)."""
+def _resolve_decoder(source: str, p: float) -> DecoderModel | DecoderFactory:
+    """A built-in decoder flag's model: the instantaneous one, or a
+    reference family's distance -> model factory at ``p``."""
     from .models import DecoderModel, HeuristicFailure, InstantaneousRuntime, reference_decoder
 
-    p = 1e-3 if p is None else p
-    if source in ("quadratic", "linear"):
-        return lambda d: reference_decoder(source, d, p)
     if source == "instantaneous":
         return DecoderModel("instantaneous", InstantaneousRuntime(), HeuristicFailure())
+    return lambda d: reference_decoder(source, d, p)
+
+
+def _load_decoder_config(source: str) -> DecoderModel:
+    """A decoder flag's config file, whose module only such a call loads."""
     from .decoder_config import load_decoder_config
 
     return load_decoder_config(source)
-
-
-def _measured_trace(decoder: DecoderModel | DecoderFactory) -> RuntimeTrace | None:
-    """The trace of a measured decoder; None for an analytic one, and for a
-    built-in family's factory, which is analytic at every distance."""
-    from .models import DecoderModel
-
-    if isinstance(decoder, DecoderModel) and decoder.measured_distance is not None:
-        return decoder.runtime.trace
-    return None
 
 
 def _add_common(parser: argparse.ArgumentParser, settings: Iterable[str]) -> None:
@@ -409,12 +406,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = show_warning
             trace = _load_trace(args) if getattr(args, "trace", None) else None
-            decoders = {
-                dest: _resolve_decoder(source, args.p)
-                for dest in DECODER_FLAGS
-                if (source := getattr(args, dest, None)) is not None
+            sources = {dest: source for dest in DECODER_FLAGS if (source := getattr(args, dest, None)) is not None}
+            configs = {
+                dest: _load_decoder_config(source) for dest, source in sources.items() if source not in BUILTIN_DECODERS
             }
-            config = _load_run_config(args, [trace, *map(_measured_trace, decoders.values())])
+            traces = [trace, *(model.runtime.trace for model in configs.values() if model.measured_distance is not None)]
+            config = _load_run_config(args, traces)
+            if args.p is None:  # every command takes --p: the one p of the call
+                args.p = _shared_metadata(traces, "physical_error_rate", "--p", 1e-3)
+            decoders = {
+                dest: configs[dest] if dest in configs else _resolve_decoder(source, args.p)
+                for dest, source in sources.items()
+            }
             table = args.func(args, config, trace, **decoders)
             if table is None:  # synth wrote its own files
                 return 0

@@ -39,8 +39,8 @@ def cmd_mincost(
     decoder: DecoderModel | DecoderFactory | None = None,
 ) -> Table:
     """A measured decoder (a ``--trace`` or a config's) is priced at its
-    trace's distance and p, unless ``--p`` sets it; an analytic one at every
-    ``--distances`` value and ``--p`` (default 1e-3).  The trace flags other
+    trace's distance, an analytic one at every ``--distances`` value; both
+    at the call's p (see :func:`stopcost.cli.main`).  The trace flags other
     than ``--p`` need ``--trace``."""
     from .cost import min_spacetime_costs
     from .models import DecoderModel, EmpiricalFailure, EmpiricalRuntime, _model_at
@@ -56,14 +56,11 @@ def cmd_mincost(
                 raise ConfigError(f"mincost --{name.replace('_', '-')} requires --trace")
         label = args.decoder
     model = _model_at(decoder, distances[0])
-    p = args.p
-    if p is None:
-        p = 1e-3 if model.measured_distance is None else model.runtime.trace.metadata.physical_error_rate
     n_T_values = _parse_list(args.nT)
-    results = min_spacetime_costs(decoder, p, n_T_values, distances, *config.pricing)
+    results = min_spacetime_costs(decoder, args.p, n_T_values, distances, *config.pricing)
     costs, chosen_d, chosen_m, _ = zip(*results)
     columns = {"n_T": n_T_values, "cost": costs, "distance": chosen_d, "M_ns": chosen_m}
-    extras = {"decoder": label, "physical_error_rate": p, "rate_method": model.rate_method}
+    extras = {"decoder": label, "physical_error_rate": args.p, "rate_method": model.rate_method}
     infeasible = None
     if not any(r.feasible for r in results):
         infeasible = "no (distance, stopping time) pair reaches any requested n_T"
@@ -105,7 +102,7 @@ def _add_mincost(parser: argparse.ArgumentParser) -> None:
 def _add_compare(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--decoder-a", dest="decoder_a", type=nonempty, required=True)
     parser.add_argument("--decoder-b", dest="decoder_b", type=nonempty, required=True)
-    parser.add_argument("--p", type=float, default=1e-3, help="physical error rate (default 1e-3)")
+    parser.add_argument("--p", type=float, help="physical error rate (default: the physical_error_rate of the traces read, else 1e-3)")
     _add_workloads(parser)
 
 

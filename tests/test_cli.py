@@ -415,7 +415,7 @@ class TestMincostAndCompare:
     ):
         trace, config = slow_empirical_config
         costs = []
-        for argv in (["--trace", str(trace)], ["--decoder", "quadratic", "--t-sec-ns", "500"]):
+        for argv in (["--trace", str(trace)], ["--decoder", "quadratic", "--t-sec-ns", "500", "--p", "2e-3"]):
             assert main(["mincost", *argv, "--nT", "1,10,20"]) == 0
             costs.append([row[1] for row in read_csv_table(capsys.readouterr().out)[1]])
         assert main([
@@ -445,12 +445,55 @@ class TestMincostAndCompare:
             "stopcost: error: the traces read disagree on sec_cycle_ns (500 and 1000): "
             "set --t-sec-ns or the settings file's t_sec_ns\n"
         ))
+        # They disagree on p too (2e-3 and 1e-3), which --p sets.
         settings = tmp_path / "settings.json"
         settings.write_text(json.dumps({"t_sec_ns": 700}))
-        assert main([*argv, "--config", str(settings)]) == 0
+        assert main([*argv, "--config", str(settings), "--p", "1e-3"]) == 0
         by_file = capsys.readouterr().out
-        assert main([*argv, "--t-sec-ns", "700"]) == 0
+        assert main([*argv, "--t-sec-ns", "700", "--p", "1e-3"]) == 0
         assert capsys.readouterr().out == by_file
+
+    def test_compare_prices_both_decoders_at_the_measured_p(self, capsys, slow_empirical_config):
+        # It printed the --p default, 0.001, and priced quadratic there: a
+        # ratio of two decoders at two different p.
+        _, config = slow_empirical_config
+        costs = {}
+        for p in ("1e-3", "2e-3"):
+            argv = ["mincost", "--decoder", "quadratic", "--p", p, "--t-sec-ns", "500", "--nT", "1,10,20,100"]
+            assert main(argv) == 0
+            costs[p] = [row[1] for row in read_csv_table(capsys.readouterr().out)[1]]
+        assert costs["1e-3"] != costs["2e-3"]
+        assert main([
+            "compare", "--decoder-a", str(config), "--decoder-b", "quadratic", "--nT", "1,10,20,100",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "# physical_error_rate: 0.002\n" in out
+        assert [row[2] for row in read_csv_table(out)[1]] == costs["2e-3"]
+
+    def test_traces_that_disagree_on_p_need_it_set(self, tmp_path, capsys, empirical_config):
+        _, at_2e3 = self.write_empirical_config(tmp_path / "p2", "--p", "2e-3")
+        argv = ["compare", "--decoder-a", str(at_2e3), "--decoder-b", str(empirical_config[1]),
+                "--nT", "1,10"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            "stopcost: error: the traces read disagree on physical_error_rate (0.001 and 0.002): "
+            "set --p\n"
+        ))
+        assert main([*argv, "--p", "2e-3"]) == 0
+        assert "# physical_error_rate: 0.002\n" in capsys.readouterr().out
+
+    def test_an_explicit_p_beats_the_measured_one(self, capsys, slow_empirical_config):
+        trace, config = slow_empirical_config
+        for argv in (["mincost", "--decoder", str(config)], ["mincost", "--trace", str(trace)],
+                     ["compare", "--decoder-a", str(config), "--decoder-b", "quadratic"]):
+            assert main([*argv, "--p", "1e-3", "--nT", "1,10,20,100"]) == 0
+            assert "# physical_error_rate: 0.001\n" in capsys.readouterr().out
+        assert main(["mincost", "--decoder", "quadratic", "--p", "1e-3", "--t-sec-ns", "500",
+                     "--nT", "1,10,20,100"]) == 0
+        costs = [row[1] for row in read_csv_table(capsys.readouterr().out)[1]]
+        assert main(["compare", "--decoder-a", str(config), "--decoder-b", "quadratic", "--p", "1e-3",
+                     "--nT", "1,10,20,100"]) == 0
+        assert [row[2] for row in read_csv_table(capsys.readouterr().out)[1]] == costs
 
     def test_compare_prices_an_empirical_config_at_its_trace_distance(
         self, capsys, empirical_config
